@@ -3,8 +3,10 @@
 // future-work section calls for). Each benchmark reports, besides wall
 // time, the domain metrics the paper's tables would carry as
 // b.ReportMetric values: virtual cycles, commands-to-detection and
-// discovery rates. EXPERIMENTS.md records the paper-vs-measured
-// comparison for every row printed here.
+// discovery rates. README.md's "Measured numbers" and "Simulator hot
+// path" sections record the figures these benchmarks produced, and
+// perfbench/README.md the end-to-end benchmark that measures the system
+// as users run it.
 package repro_test
 
 import (

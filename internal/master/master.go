@@ -2,12 +2,15 @@
 // instance on the OMAP's ARM core that hosts the remote control threads
 // and pTest's committer. It provides cooperative threads under a
 // time-sharing round-robin scheduler, using the same deterministic
-// goroutine-handoff mechanism as the pcore slave kernel: exactly one
-// goroutine runs at a time, so co-simulation stays reproducible.
+// coroutine handoff as the pcore slave kernel: each thread body is an
+// iter.Pull coroutine that the OS resumes to dispatch it and that
+// yields back at every system call, so exactly one body runs at a time
+// and co-simulation stays reproducible.
 package master
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/clock"
 )
@@ -75,14 +78,17 @@ type mrequest struct {
 
 type masterKilled struct{}
 
-// Thread is one simulated master thread.
+// Thread is one simulated master thread. The OS calls resume to run the
+// body until it posts its next request in OS.curReq (or ends); the body
+// calls yield, from inside a system call, to hand that request back.
 type Thread struct {
 	id       ThreadID
 	name     string
 	state    ThreadState
 	entry    func(*Ctx)
 	os       *OS
-	runCh    chan struct{}
+	resume   func() (struct{}, bool)
+	yield    func(struct{}) bool
 	killed   bool
 	parkedOn string
 }
@@ -99,7 +105,12 @@ func (t *Thread) State() ThreadState { return t.state }
 // ParkedOn returns the park reason while parked ("" otherwise).
 func (t *Thread) ParkedOn() string { return t.parkedOn }
 
-func (t *Thread) trampoline() {
+// trampoline is the coroutine body hosting the thread's entry function.
+// It posts the thread's final request (exit or panic) and returns, which
+// ends the coroutine; a kill resumes it with killed set and it unwinds
+// through the recover below.
+func (t *Thread) trampoline(yield func(struct{}) bool) {
+	t.yield = yield
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -110,21 +121,19 @@ func (t *Thread) trampoline() {
 		} else {
 			t.os.curReq = mrequest{kind: mreqPanic, th: t, detail: fmt.Sprint(r)}
 		}
-		t.os.syscallCh <- struct{}{}
 	}()
-	<-t.runCh
 	if t.killed {
 		panic(masterKilled{})
 	}
 	t.entry(&Ctx{th: t})
 	t.os.curReq = mrequest{kind: mreqExit, th: t, reason: "returned"}
-	t.os.syscallCh <- struct{}{}
 }
 
+// syscall posts the request to the OS and suspends the thread's
+// coroutine until the OS resumes it.
 func (t *Thread) syscall(req mrequest) {
 	t.os.curReq = req
-	t.os.syscallCh <- struct{}{}
-	<-t.runCh
+	t.yield(struct{}{})
 	if t.killed {
 		panic(masterKilled{})
 	}
@@ -157,15 +166,14 @@ func (c *Ctx) Park(reason string) {
 
 // OS is the master operating system instance.
 type OS struct {
-	threads   []*Thread // index id-1
-	runq      []ThreadID
-	syscallCh chan struct{}
-	curReq    mrequest
-	cycles    clock.Cycles
-	lastRun   ThreadID
-	panicked  *ThreadPanic
-	onEvent   func(ThreadEvent)
-	switches  uint64
+	threads  []*Thread // index id-1
+	runq     []ThreadID
+	curReq   mrequest // posted by the running thread before it yields
+	cycles   clock.Cycles
+	lastRun  ThreadID
+	panicked *ThreadPanic
+	onEvent  func(ThreadEvent)
+	switches uint64
 }
 
 // ThreadPanic records a master thread panic (contained, like a Linux
@@ -184,7 +192,7 @@ type ThreadEvent struct {
 
 // New boots the master OS.
 func New() *OS {
-	return &OS{syscallCh: make(chan struct{})}
+	return &OS{}
 }
 
 // OnEvent registers the trace hook.
@@ -209,10 +217,9 @@ func (o *OS) Spawn(name string, entry func(*Ctx)) ThreadID {
 		name:  name,
 		entry: entry,
 		os:    o,
-		runCh: make(chan struct{}),
 	}
+	t.resume, _ = iter.Pull(t.trampoline)
 	o.threads = append(o.threads, t)
-	go t.trampoline()
 	t.state = TReady
 	o.runq = append(o.runq, t.id)
 	o.cycles += CostSpawn
@@ -264,8 +271,7 @@ func (o *OS) Step() (clock.Cycles, bool) {
 	o.lastRun = id
 	t.state = TRunning
 
-	t.runCh <- struct{}{}
-	<-o.syscallCh
+	t.resume()
 	req := o.curReq
 	switch req.kind {
 	case mreqYield:
@@ -305,7 +311,8 @@ func (o *OS) RunUntilIdle(maxSteps int) int {
 	return n
 }
 
-// Shutdown kills all live threads so their goroutines exit.
+// Shutdown kills every live thread: each one's coroutine is resumed with
+// killed set, unwinds through its trampoline and ends.
 func (o *OS) Shutdown() {
 	for _, t := range o.threads {
 		if t.state == TDone {
@@ -316,8 +323,7 @@ func (o *OS) Shutdown() {
 			continue
 		}
 		t.killed = true
-		t.runCh <- struct{}{}
-		<-o.syscallCh
+		t.resume()
 		t.state = TDone
 	}
 	o.runq = nil

@@ -63,8 +63,7 @@ type Kernel struct {
 	lastRun TaskID
 	current TaskID
 
-	syscallCh chan struct{}
-	curReq    request
+	curReq request // posted by the running task before it yields
 
 	fstate   faultState
 	svcCount int
@@ -86,7 +85,6 @@ func New(cfg Config) *Kernel {
 		tasks:     make([]*Task, cfg.MaxTasks+1),
 		tcbPool:   NewPool("tcb", cfg.MaxTasks),
 		stackPool: NewPool("stack", cfg.MaxTasks),
-		syscallCh: make(chan struct{}),
 		svcCalls:  make(map[Service]uint64),
 		svcCycles: make(map[Service]clock.Cycles),
 	}
@@ -212,8 +210,7 @@ func (k *Kernel) Step() (clock.Cycles, bool) {
 	t.state = StateRunning
 	k.emit(Event{Task: t.id, Kind: EvDispatch})
 
-	t.runCh <- struct{}{}
-	<-k.syscallCh
+	t.resume()
 	req := k.curReq
 	t.syscalls++
 	cost += k.handle(req)
@@ -389,9 +386,9 @@ func (k *Kernel) neighborOf(t *Task) *Task {
 	return nil
 }
 
-// cleanupLocked terminates a task that is NOT parked in a wait (it just
-// made a request): releases its pool blocks and clears its slot. The
-// goroutine has already ended or will end without touching the kernel.
+// cleanupLocked terminates a task whose body has already ended (it just
+// posted its final request): releases its pool blocks and clears its
+// slot. Its coroutine is finished and is never resumed again.
 func (k *Kernel) cleanupLocked(t *Task, why string) {
 	k.releaseTask(t, why)
 }
@@ -434,13 +431,13 @@ func (k *Kernel) releaseTask(t *Task, why string) {
 	k.emit(Event{Task: t.id, Kind: EvExit, Detail: why})
 }
 
-// killParked terminates a task whose goroutine is parked waiting for
-// dispatch: the kill handshake resumes it, the trampoline unwinds and
-// acknowledges, and the kernel reclaims the slot.
+// killParked terminates a task whose coroutine is suspended — not yet
+// started, or inside a kernel call: resuming it with killed set makes
+// the body unwind to the trampoline, which posts reqKilledAck and ends
+// the coroutine, and the kernel reclaims the slot.
 func (k *Kernel) killParked(t *Task, why string) {
 	t.killed = true
-	t.runCh <- struct{}{}
-	<-k.syscallCh // reqKilledAck
+	t.resume() // posts reqKilledAck
 	k.releaseTask(t, why)
 }
 

@@ -2,6 +2,7 @@ package pcore
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"repro/internal/clock"
@@ -96,14 +97,12 @@ func (k *Kernel) CreateTask(name string, prio Priority, entry func(*Ctx)) (TaskI
 		prio:       prio,
 		entry:      entry,
 		k:          k,
-		runCh:      make(chan struct{}),
 		tcbBlock:   tcbBlock,
 		stackBlock: stackBlock,
 		created:    k.cycles,
 	}
+	t.resume, _ = iter.Pull(t.trampoline) // the body first runs at its first dispatch
 	k.tasks[slot] = t
-	t.started = true
-	go t.trampoline()
 	k.enqueueBack(t)
 	k.meter(SvcTaskCreate, CostTaskCreate)
 	return slot, nil
@@ -421,8 +420,9 @@ func (k *Kernel) ServiceStats() (calls map[Service]uint64, cycles map[Service]cl
 	return calls, cycles
 }
 
-// Shutdown terminates every remaining task so their goroutines exit.
-// The kernel is unusable afterwards. Safe to call on a crashed kernel.
+// Shutdown kills every remaining task, so each one's coroutine unwinds
+// and ends. The kernel is unusable afterwards. Safe to call on a crashed
+// kernel.
 func (k *Kernel) Shutdown() {
 	for id := TaskID(1); int(id) <= k.cfg.MaxTasks; id++ {
 		t := k.tasks[id]

@@ -6,10 +6,10 @@ import (
 	"repro/internal/clock"
 )
 
-// killedSignal unwinds a task goroutine that the kernel is terminating.
+// killedSignal unwinds a task body that the kernel is terminating.
 type killedSignal struct{}
 
-// exitSignal unwinds a task goroutine that called Ctx.Exit.
+// exitSignal unwinds a task body that called Ctx.Exit.
 type exitSignal struct{}
 
 // errRetry is the internal wake status telling a blocking wrapper to
@@ -38,7 +38,7 @@ const (
 )
 
 // request is the single in-flight task→kernel message. Exactly one
-// request exists at a time because exactly one goroutine runs at a time.
+// request exists at a time because exactly one task body runs at a time.
 type request struct {
 	kind   reqKind
 	task   *Task
@@ -51,7 +51,11 @@ type request struct {
 	detail string // reqTaskPanic message
 }
 
-// Task is a pCore task control block plus its cooperative goroutine.
+// Task is a pCore task control block plus the coroutine that runs its
+// body. The kernel calls resume to run the body until it posts its next
+// request in Kernel.curReq (or ends); the body calls yield, from inside
+// a kernel call, to hand that request back. Control passes by a direct
+// coroutine switch, so no Go scheduler round trip sits on the path.
 type Task struct {
 	id    TaskID
 	name  string
@@ -59,11 +63,11 @@ type Task struct {
 	state State
 	entry func(*Ctx)
 
-	k     *Kernel
-	runCh chan struct{}
+	k      *Kernel
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 
-	killed  bool
-	started bool
+	killed bool
 
 	tcbBlock   int
 	stackBlock int
@@ -100,11 +104,14 @@ func (t *Task) State() State { return t.state }
 // Progress returns the application progress counter.
 func (t *Task) Progress() uint64 { return t.progress }
 
-// trampoline is the goroutine body hosting the task's entry function.
-// When it hands its final request to the kernel the goroutine is done and
-// never parks again, so every reqExit/reqKilledAck/reqTaskPanic the
-// kernel receives comes from a goroutine that needs no further handshake.
-func (t *Task) trampoline() {
+// trampoline is the coroutine body hosting the task's entry function.
+// It posts its final request and returns, which ends the coroutine, so
+// every reqExit/reqKilledAck/reqTaskPanic the kernel receives comes from
+// a task that needs no further resume. Nothing stops the coroutine from
+// outside: a kill resumes it with killed set, and it unwinds through
+// the recover below.
+func (t *Task) trampoline(yield func(struct{}) bool) {
+	t.yield = yield
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -120,23 +127,20 @@ func (t *Task) trampoline() {
 			// it as a kernel fault rather than crashing the host process.
 			t.k.curReq = request{kind: reqTaskPanic, task: t, detail: fmt.Sprint(r)}
 		}
-		t.k.syscallCh <- struct{}{}
 	}()
-	<-t.runCh
 	if t.killed {
 		panic(killedSignal{})
 	}
 	t.entry(&Ctx{t: t})
 	t.k.curReq = request{kind: reqExit, task: t}
-	t.k.syscallCh <- struct{}{}
 }
 
-// syscall hands the request to the kernel and parks until redispatched.
+// syscall posts the request to the kernel and suspends the task's
+// coroutine until the kernel resumes it: at its next dispatch, or to
+// unwind it when killed.
 func (t *Task) syscall(req request) error {
-	k := t.k
-	k.curReq = req
-	k.syscallCh <- struct{}{}
-	<-t.runCh
+	t.k.curReq = req
+	t.yield(struct{}{})
 	if t.killed {
 		panic(killedSignal{})
 	}

@@ -6,11 +6,12 @@
 // mutexes, and a block-pool allocator whose garbage collector is the
 // fault site of the paper's first case study.
 //
-// Determinism: task bodies run on goroutines, but exactly one goroutine
-// executes at any instant — the kernel hands control to a task over an
-// unbuffered channel and takes it back at every kernel call — so the Go
-// scheduler never influences simulated behaviour. All simulated faults
-// are captured as *KernelFault values; they never escape as Go panics.
+// Determinism: each task body runs as a coroutine (iter.Pull), and
+// exactly one of them executes at any instant — the kernel resumes a
+// task to dispatch it and the task yields back at every kernel call —
+// so the Go scheduler never influences simulated behaviour. All
+// simulated faults are captured as *KernelFault values; they never
+// escape as Go panics.
 package pcore
 
 import (

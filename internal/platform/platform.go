@@ -206,7 +206,7 @@ func (p *Platform) Quiescent() bool {
 	return p.SoC.Boxes.ArmToDspCmd.Len() == 0 && p.SoC.Boxes.DspToArmReply.Len() == 0
 }
 
-// Shutdown tears down both kernels, unwinding every simulated goroutine.
+// Shutdown tears down both kernels, unwinding every task and thread body.
 func (p *Platform) Shutdown() {
 	p.Master.Shutdown()
 	p.Slave.Shutdown()

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -348,6 +349,40 @@ func startFleetWorkerCfg(t *testing.T, hubURL string, cfg dispatch.WorkerConfig,
 	go func() { errc <- w.Run(ctx) }()
 }
 
+// oneLeaseGate is a worker transport that lets the v1 single-lease wire
+// grant one cell: once the hub has granted a lease, every later lease
+// poll is answered here with 204 ("no work"), so the worker stays
+// registered and heartbeating but idle. completed is closed when the
+// granted cell's completion has been answered.
+type oneLeaseGate struct {
+	next      http.RoundTripper
+	granted   atomic.Bool
+	completed chan struct{}
+	once      sync.Once
+}
+
+func (g *oneLeaseGate) RoundTrip(r *http.Request) (*http.Response, error) {
+	lease := r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/lease")
+	if lease && g.granted.Load() {
+		return &http.Response{
+			StatusCode: http.StatusNoContent, Status: "204 No Content",
+			Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+			Header: http.Header{}, Body: http.NoBody, Request: r,
+		}, nil
+	}
+	resp, err := g.next.RoundTrip(r)
+	if err != nil {
+		return resp, err
+	}
+	switch {
+	case lease && resp.StatusCode == http.StatusOK:
+		g.granted.Store(true)
+	case strings.HasSuffix(r.URL.Path, "/complete") && resp.StatusCode == http.StatusOK:
+		g.once.Do(func() { close(g.completed) })
+	}
+	return resp, nil
+}
+
 func TestE2EMixedVersionFleetV1AndV2WorkersByteIdentical(t *testing.T) {
 	spec, err := suite.Parse(strings.NewReader(e2eSpec))
 	if err != nil {
@@ -366,21 +401,33 @@ func TestE2EMixedVersionFleetV1AndV2WorkersByteIdentical(t *testing.T) {
 	errc := make(chan error, 2)
 	// One worker pinned to the v1 single-lease wire (LeaseBatch < 0) and
 	// one on the v2 batched wire share the job; the merged report must
-	// not betray which wire executed which cell.
+	// not betray which wire executed which cell. The split is fixed by
+	// construction: the v1 worker alone takes the first cell, its gate
+	// then turns every further lease poll into "no work", and only after
+	// that cell is complete does the v2 worker start, so it gets the rest.
+	gate := &oneLeaseGate{next: http.DefaultTransport, completed: make(chan struct{})}
 	startFleetWorkerCfg(t, cli.BaseURL(), dispatch.WorkerConfig{
 		Name: "legacy-v1", PollInterval: 25 * time.Millisecond, LeaseBatch: -1,
+		HTTPClient: &http.Client{Transport: gate, Timeout: 30 * time.Second},
 	}, errc)
-	startFleetWorkerCfg(t, cli.BaseURL(), dispatch.WorkerConfig{
-		Name: "batched-v2", PollInterval: 25 * time.Millisecond,
-		LeaseBatch: 16, CompleteLinger: 5 * time.Millisecond,
-	}, errc)
-	waitForFleet(t, cli, 2)
+	waitForFleet(t, cli, 1)
 
 	ctx := context.Background()
 	info, err := cli.Submit(ctx, strings.NewReader(e2eSpec), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	select {
+	case <-gate.completed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the v1 worker never completed its cell")
+	}
+	startFleetWorkerCfg(t, cli.BaseURL(), dispatch.WorkerConfig{
+		Name: "batched-v2", PollInterval: 25 * time.Millisecond,
+		LeaseBatch: 16, CompleteLinger: 5 * time.Millisecond,
+	}, errc)
+	waitForFleet(t, cli, 2)
+
 	final, err := cli.Watch(ctx, info.ID, nil)
 	if err != nil {
 		t.Fatal(err)

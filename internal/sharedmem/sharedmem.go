@@ -46,7 +46,16 @@ type watch struct {
 
 // Memory is the simulated SRAM. Not safe for concurrent use; the
 // co-simulation is single-threaded by design.
+//
+// The capacity is fixed at New, but host memory is spent only on the
+// prefix the simulation has reached: data backs [0, len(data)) and
+// grows to the allocation high-water mark and to any in-capacity
+// address an access touches. Bytes past it read as zero, so the model
+// is indistinguishable from a zeroed SRAM of the full size, while a
+// platform boot, whose regions use a small prefix of the 250 KB, does
+// not allocate and zero all of it.
 type Memory struct {
+	size    int // capacity in bytes
 	data    []byte
 	regions []Region
 	next    uint32
@@ -58,11 +67,26 @@ func New(size int) *Memory {
 	if size <= 0 {
 		size = DefaultSize
 	}
-	return &Memory{data: make([]byte, size)}
+	return &Memory{size: size}
 }
 
 // Size returns the SRAM capacity in bytes.
-func (m *Memory) Size() int { return len(m.data) }
+func (m *Memory) Size() int { return m.size }
+
+// back grows the backing to cover [0, end); end is within capacity.
+// The backing array is zeroed when made and never written past len, so
+// reslicing within cap exposes only zero bytes.
+func (m *Memory) back(end int) {
+	if end <= len(m.data) {
+		return
+	}
+	if end > cap(m.data) {
+		data := make([]byte, len(m.data), min(max(end, 2*cap(m.data)), m.size))
+		copy(data, m.data)
+		m.data = data
+	}
+	m.data = m.data[:end]
+}
 
 // Alloc reserves a fresh region of the given size at the lowest free
 // address (bump allocation; regions are never freed — the platform's
@@ -71,13 +95,14 @@ func (m *Memory) Alloc(name string, size uint32) (Region, error) {
 	if size == 0 {
 		return Region{}, fmt.Errorf("sharedmem: zero-size region %q", name)
 	}
-	if m.next+size > uint32(len(m.data)) || m.next+size < m.next {
+	if m.next+size > uint32(m.size) || m.next+size < m.next {
 		return Region{}, fmt.Errorf("sharedmem: out of SRAM allocating %d bytes for %q (used %d of %d)",
-			size, name, m.next, len(m.data))
+			size, name, m.next, m.size)
 	}
 	r := Region{Name: name, Base: m.next, Size: size}
 	m.next += size
 	m.regions = append(m.regions, r)
+	m.back(int(m.next))
 	return r, nil
 }
 
@@ -91,10 +116,13 @@ func (m *Memory) Regions() []Region {
 // Used returns the number of bytes allocated so far.
 func (m *Memory) Used() uint32 { return m.next }
 
-func (m *Memory) check(op string, addr uint32, size int) error {
-	if int(addr)+size > len(m.data) || int(addr) < 0 {
-		return &AccessError{Op: op, Addr: addr, Size: size, Cap: len(m.data)}
+// access bounds-checks an access against the capacity and backs the
+// bytes it touches.
+func (m *Memory) access(op string, addr uint32, size int) error {
+	if int(addr)+size > m.size || int(addr) < 0 {
+		return &AccessError{Op: op, Addr: addr, Size: size, Cap: m.size}
 	}
+	m.back(int(addr) + size)
 	return nil
 }
 
@@ -113,7 +141,7 @@ func (m *Memory) OnWrite(base, size uint32, fn func(addr uint32, size int)) {
 
 // Read8 reads one byte.
 func (m *Memory) Read8(addr uint32) (byte, error) {
-	if err := m.check("read", addr, 1); err != nil {
+	if err := m.access("read", addr, 1); err != nil {
 		return 0, err
 	}
 	return m.data[addr], nil
@@ -121,7 +149,7 @@ func (m *Memory) Read8(addr uint32) (byte, error) {
 
 // Write8 writes one byte.
 func (m *Memory) Write8(addr uint32, v byte) error {
-	if err := m.check("write", addr, 1); err != nil {
+	if err := m.access("write", addr, 1); err != nil {
 		return err
 	}
 	m.data[addr] = v
@@ -131,7 +159,7 @@ func (m *Memory) Write8(addr uint32, v byte) error {
 
 // Read16 reads a little-endian 16-bit value.
 func (m *Memory) Read16(addr uint32) (uint16, error) {
-	if err := m.check("read", addr, 2); err != nil {
+	if err := m.access("read", addr, 2); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint16(m.data[addr:]), nil
@@ -139,7 +167,7 @@ func (m *Memory) Read16(addr uint32) (uint16, error) {
 
 // Write16 writes a little-endian 16-bit value.
 func (m *Memory) Write16(addr uint32, v uint16) error {
-	if err := m.check("write", addr, 2); err != nil {
+	if err := m.access("write", addr, 2); err != nil {
 		return err
 	}
 	binary.LittleEndian.PutUint16(m.data[addr:], v)
@@ -149,7 +177,7 @@ func (m *Memory) Write16(addr uint32, v uint16) error {
 
 // Read32 reads a little-endian 32-bit value.
 func (m *Memory) Read32(addr uint32) (uint32, error) {
-	if err := m.check("read", addr, 4); err != nil {
+	if err := m.access("read", addr, 4); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(m.data[addr:]), nil
@@ -157,7 +185,7 @@ func (m *Memory) Read32(addr uint32) (uint32, error) {
 
 // Write32 writes a little-endian 32-bit value.
 func (m *Memory) Write32(addr uint32, v uint32) error {
-	if err := m.check("write", addr, 4); err != nil {
+	if err := m.access("write", addr, 4); err != nil {
 		return err
 	}
 	binary.LittleEndian.PutUint32(m.data[addr:], v)
@@ -167,7 +195,7 @@ func (m *Memory) Write32(addr uint32, v uint32) error {
 
 // ReadBytes copies size bytes starting at addr into a fresh slice.
 func (m *Memory) ReadBytes(addr uint32, size int) ([]byte, error) {
-	if err := m.check("read", addr, size); err != nil {
+	if err := m.access("read", addr, size); err != nil {
 		return nil, err
 	}
 	out := make([]byte, size)
@@ -177,7 +205,7 @@ func (m *Memory) ReadBytes(addr uint32, size int) ([]byte, error) {
 
 // WriteBytes copies b into the SRAM at addr.
 func (m *Memory) WriteBytes(addr uint32, b []byte) error {
-	if err := m.check("write", addr, len(b)); err != nil {
+	if err := m.access("write", addr, len(b)); err != nil {
 		return err
 	}
 	copy(m.data[addr:], b)
@@ -187,7 +215,7 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) error {
 
 // Fill sets size bytes from addr to v.
 func (m *Memory) Fill(addr uint32, size int, v byte) error {
-	if err := m.check("write", addr, size); err != nil {
+	if err := m.access("write", addr, size); err != nil {
 		return err
 	}
 	for i := 0; i < size; i++ {
