@@ -165,7 +165,7 @@ func benchDispatchWire(b *testing.B, leaseBatch int) {
 		wg.Add(1)
 		go func(r int) {
 			defer func() { <-sem; wg.Done() }()
-			exec := d.Executor(fmt.Sprintf("bench-%06d", r), "bench", spec)
+			exec := d.Executor(fmt.Sprintf("bench-%06d", r), "bench", 0, spec)
 			var cw sync.WaitGroup
 			for _, c := range cells {
 				cw.Add(1)

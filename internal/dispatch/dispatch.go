@@ -17,9 +17,16 @@
 //     long-running cell races the original, and whichever completion
 //     arrives first wins — the loser is a bit-identical duplicate.
 //   - A hub with zero live workers executes cells locally (Executor's
-//     fast path), as does a cell whose attempt budget is exhausted —
-//     the fleet degrades to exactly the single-daemon behavior.
+//     fast path), as does a cell whose attempt budget is exhausted.
+//     The hub may run a job's plan wider than its cell_parallelism so
+//     every store miss waits for a lease at once, but the Executor
+//     admits at most cell_parallelism of the job's cells to in-process
+//     execution at a time, so the fleet degrades to exactly the
+//     single-daemon behavior even when it vanishes mid-job.
 //
+// Pending cells are granted by job priority (the job queue's rule),
+// then in the order jobs first enqueued, then in plan order, so a wide
+// low-priority sweep cannot hold the fleet ahead of a later urgent job.
 // Completed cells flow back through suite.RunContext's ordered
 // emitter, so the merged report is byte-identical to a local
 // `ptest suite -canonical` run — pinned by the chaos e2e.
@@ -30,10 +37,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/engine"
 	"repro/internal/eventlog"
 	"repro/internal/report"
 	"repro/internal/suite"
@@ -97,14 +107,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// job is what every unit of one job shares.
+type job struct {
+	id     string
+	tenant string // submitting tenant name; labels lease metrics
+	// priority and seq rank the job's cells for grants: higher priority
+	// first, then the order jobs first enqueued a cell.
+	priority int
+	seq      uint64
+	digest   string
+	spec     json.RawMessage
+}
+
 // unit is one cell of one job moving through the lease lifecycle.
 type unit struct {
-	key    string // jobID + "/" + cellID
-	jobID  string
-	tenant string // submitting tenant name; labels lease metrics
+	key    string // job.id + "/" + cellID
+	job    *job
 	cellID string
-	digest string
-	spec   json.RawMessage
+	pos    int // plan position: the grant order within the job
 	state  unitState
 	leases map[string]*lease // active leases (primary + stolen copies)
 	// attempts counts primary grants; steals are free redundancy.
@@ -115,6 +135,18 @@ type unit struct {
 	// closed exactly once, when the unit resolves either way.
 	localize bool
 	done     chan struct{}
+}
+
+// before is the grant order: higher job priority first, then jobs in
+// the order they first enqueued, then plan order within a job.
+func (u *unit) before(v *unit) bool {
+	if u.job.priority != v.job.priority {
+		return u.job.priority > v.job.priority
+	}
+	if u.job.seq != v.job.seq {
+		return u.job.seq < v.job.seq
+	}
+	return u.pos < v.pos
 }
 
 type unitState int
@@ -157,11 +189,16 @@ type Dispatcher struct {
 	rnd     *rand.Rand
 	workers map[string]*workerState
 	units   map[string]*unit
-	order   []*unit // grant scan order = enqueue (plan) order
+	order   []*unit // grant scan order, kept sorted by unit.before
 	leases  map[string]*lease
 	wseq    uint64
 	lseq    uint64
+	jseq    uint64
 	met     Metrics
+
+	// execLocal runs one cell in-process: suite.ExecuteCell, swapped
+	// only by tests that watch the fallback's concurrency.
+	execLocal func(*suite.Spec, suite.Cell) (report.Cell, error)
 
 	stopOnce sync.Once
 	stopc    chan struct{}
@@ -179,13 +216,14 @@ func New(cfg Config) *Dispatcher {
 		tick = time.Millisecond
 	}
 	d := &Dispatcher{
-		cfg:     cfg,
-		tick:    tick,
-		rnd:     rand.New(rand.NewSource(cfg.Seed)),
-		workers: map[string]*workerState{},
-		units:   map[string]*unit{},
-		leases:  map[string]*lease{},
-		stopc:   make(chan struct{}),
+		cfg:       cfg,
+		tick:      tick,
+		rnd:       rand.New(rand.NewSource(cfg.Seed)),
+		workers:   map[string]*workerState{},
+		units:     map[string]*unit{},
+		leases:    map[string]*lease{},
+		execLocal: suite.ExecuteCell,
+		stopc:     make(chan struct{}),
 	}
 	go d.reaperLoop()
 	return d
@@ -268,7 +306,7 @@ func (d *Dispatcher) expireLeaseLocked(l *lease, now time.Time) {
 	delete(u.leases, l.id)
 	d.met.LeasesExpired++
 	d.cfg.Events.Emit(eventlog.Event{
-		Type: eventlog.TypeLeaseExpired, Job: u.jobID, Tenant: u.tenant,
+		Type: eventlog.TypeLeaseExpired, Job: u.job.id, Tenant: u.job.tenant,
 		Cell: u.cellID, Lease: l.id, Worker: l.workerID,
 	})
 	if u.state != unitLeased || len(u.leases) > 0 {
@@ -284,7 +322,7 @@ func (d *Dispatcher) expireLeaseLocked(l *lease, now time.Time) {
 	u.notBefore = now.Add(d.backoffLocked(u.attempts))
 	d.met.LeaseRetries++
 	d.cfg.Events.Emit(eventlog.Event{
-		Type: eventlog.TypeLeaseRetry, Job: u.jobID, Tenant: u.tenant,
+		Type: eventlog.TypeLeaseRetry, Job: u.job.id, Tenant: u.job.tenant,
 		Cell: u.cellID, Detail: fmt.Sprintf("attempt %d/%d, backoff until %s", u.attempts, d.cfg.MaxAttempts, u.notBefore.UTC().Format(time.RFC3339Nano)),
 	})
 }
@@ -314,7 +352,7 @@ func (d *Dispatcher) localizeLocked(u *unit, reason string) {
 	u.localize = true
 	close(u.done)
 	d.cfg.Events.Emit(eventlog.Event{
-		Type: eventlog.TypeLeaseLocalized, Job: u.jobID, Tenant: u.tenant,
+		Type: eventlog.TypeLeaseLocalized, Job: u.job.id, Tenant: u.job.tenant,
 		Cell: u.cellID, Detail: reason,
 	})
 }
@@ -384,10 +422,11 @@ func (d *Dispatcher) Heartbeat(id string) bool {
 	return true
 }
 
-// Acquire hands the worker one leased cell: the oldest pending cell
-// past its backoff gate, or — when nothing is pending — a stolen copy
-// of a straggler. ok=false with a nil error means no work right now.
-// A non-nil error means the worker is unknown and must re-register.
+// Acquire hands the worker one leased cell: the first pending cell in
+// grant order past its backoff gate, or — when nothing is pending — a
+// stolen copy of a straggler. ok=false with a nil error means no work
+// right now. A non-nil error means the worker is unknown and must
+// re-register.
 func (d *Dispatcher) Acquire(workerID string) (Grant, bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -409,8 +448,9 @@ func (d *Dispatcher) Acquire(workerID string) (Grant, bool, error) {
 	return Grant{}, false, nil
 }
 
-// grantPendingLocked leases the oldest pending cell past its backoff
-// gate to w. Callers hold d.mu.
+// grantPendingLocked leases the first pending cell in grant order
+// (d.order is kept sorted by unit.before) past its backoff gate to w.
+// Callers hold d.mu.
 func (d *Dispatcher) grantPendingLocked(w *workerState, now time.Time) (Grant, bool) {
 	for _, u := range d.order {
 		if u.state != unitPending || now.Before(u.notBefore) {
@@ -449,7 +489,7 @@ func (d *Dispatcher) stealLocked(w *workerState, now time.Time) (Grant, bool) {
 }
 
 // LeaseBatch is the v2 steady-state entry point: settle the request's
-// piggybacked completions, then grant up to max pending cells in plan
+// piggybacked completions, then grant up to max pending cells in grant
 // order — one lock acquisition serving what the v1 wire needed
 // 2·len(comps)+max round trips for. Grants omit the spec (the worker's
 // plan cache keys on the digest). When nothing is pending and max > 0
@@ -535,12 +575,12 @@ func (d *Dispatcher) grantLocked(u *unit, w *workerState, now time.Time, stolen 
 		detail = "redundant copy of straggler"
 	}
 	d.cfg.Events.Emit(eventlog.Event{
-		Type: typ, Job: u.jobID, Tenant: u.tenant,
+		Type: typ, Job: u.job.id, Tenant: u.job.tenant,
 		Cell: u.cellID, Lease: l.id, Worker: w.id, Detail: detail,
 	})
 	return Grant{
-		LeaseID: l.id, JobID: u.jobID, CellID: u.cellID,
-		SpecDigest: u.digest, Spec: u.spec,
+		LeaseID: l.id, JobID: u.job.id, CellID: u.cellID,
+		SpecDigest: u.job.digest, Spec: u.job.spec,
 		TTLMS: d.cfg.LeaseTTL.Milliseconds(), Stolen: stolen,
 	}
 }
@@ -604,7 +644,7 @@ func (d *Dispatcher) completeLocked(workerID string, req CompleteRequest) Comple
 	if u.state == unitResolved {
 		d.met.DuplicateCompletions++
 		d.cfg.Events.Emit(eventlog.Event{
-			Type: eventlog.TypeLeaseDupResolved, Job: u.jobID, Tenant: u.tenant,
+			Type: eventlog.TypeLeaseDupResolved, Job: u.job.id, Tenant: u.job.tenant,
 			Cell: u.cellID, Lease: req.LeaseID, Worker: workerID,
 			Detail: "first writer already won",
 		})
@@ -618,7 +658,7 @@ func (d *Dispatcher) completeLocked(workerID string, req CompleteRequest) Comple
 		w.completed++
 	}
 	d.cfg.Events.Emit(eventlog.Event{
-		Type: eventlog.TypeLeaseCompleted, Job: u.jobID, Tenant: u.tenant,
+		Type: eventlog.TypeLeaseCompleted, Job: u.job.id, Tenant: u.job.tenant,
 		Cell: u.cellID, Lease: req.LeaseID, Worker: workerID,
 	})
 	return CompleteAccepted
@@ -659,18 +699,23 @@ func (d *Dispatcher) LiveWorkers() int {
 	return len(d.workers)
 }
 
-// Metrics snapshots the counters. LeasesByTenant is derived live from
-// the outstanding lease table — a gauge of whose cells currently hold
-// fleet capacity.
+// Metrics snapshots the counters. CellsPending and LeasesByTenant are
+// derived live from the lease table: how many cells wait for a grant,
+// and whose cells currently hold fleet capacity.
 func (d *Dispatcher) Metrics() Metrics {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	m := d.met
 	m.WorkersLive = len(d.workers)
+	for _, u := range d.order {
+		if u.state == unitPending {
+			m.CellsPending++
+		}
+	}
 	if len(d.leases) > 0 {
 		m.LeasesByTenant = map[string]int{}
 		for _, l := range d.leases {
-			m.LeasesByTenant[l.u.tenant]++
+			m.LeasesByTenant[l.u.job.tenant]++
 		}
 	}
 	return m
@@ -678,23 +723,53 @@ func (d *Dispatcher) Metrics() Metrics {
 
 // --- hub-side execution seam ------------------------------------------------
 
-// Executor returns the suite.CellExec that fans one job's cells out to
-// the fleet. Degradation is built in at every decision point: no live
-// workers, an unmarshalable spec, or an exhausted attempt budget all
-// fall back to in-process execution — the exact code path a
-// dispatcher-less daemon runs.
-func (d *Dispatcher) Executor(jobID, tenantName string, spec *suite.Spec) suite.CellExec {
-	specJSON, err := json.Marshal(spec)
-	digest := spec.Digest()
-	if err != nil {
-		specJSON = nil // never dispatch what a worker cannot decode
+// Executor returns the suite.CellExec that fans one job's store misses
+// out to the fleet. spec is the job's spec as submitted, and priority
+// ranks its cells for grants the way the job queue ranks jobs. The
+// caller may run the plan wider than spec's cell_parallelism, so that
+// every miss waits for a lease at once. Degradation is built in at
+// every decision point: no live workers, an unmarshalable spec, or an
+// exhausted attempt budget all fall back to in-process execution — the
+// exact code path a dispatcher-less daemon runs — and a per-job
+// semaphore admits at most cell_parallelism of those at a time, so a
+// job that loses its fleet mid-run computes exactly as a single daemon
+// would.
+func (d *Dispatcher) Executor(jobID, tenantName string, priority int, spec *suite.Spec) suite.CellExec {
+	local := make(chan struct{}, engine.Normalize(spec.CellParallelism))
+	runLocal := func(ctx context.Context, sp *suite.Spec, c suite.Cell) (report.Cell, error) {
+		select {
+		case local <- struct{}{}:
+		case <-ctx.Done():
+			return report.Cell{}, fmt.Errorf("dispatch: cell %s: %w", c.ID, suite.ErrInterrupted)
+		}
+		defer func() { <-local }()
+		d.countLocal()
+		return d.execLocal(sp, c)
+	}
+	// The lease-side state is built at the first store miss, so a job
+	// served entirely from the store never pays for it.
+	var (
+		once sync.Once
+		j    *job
+		plan map[string]int // cell ID → plan position
+	)
+	prepare := func() {
+		specJSON, err := json.Marshal(spec)
+		if err != nil {
+			specJSON = nil // never dispatch what a worker cannot decode
+		}
+		j = d.newJob(jobID, tenantName, priority, spec.Digest(), specJSON)
+		plan = map[string]int{}
+		for i, c := range spec.Expand() {
+			plan[c.ID] = i
+		}
 	}
 	return func(ctx context.Context, sp *suite.Spec, c suite.Cell) (report.Cell, error) {
-		if specJSON == nil || d.LiveWorkers() == 0 {
-			d.countLocal()
-			return suite.ExecuteCell(sp, c)
+		once.Do(prepare)
+		if j.spec == nil || d.LiveWorkers() == 0 {
+			return runLocal(ctx, sp, c)
 		}
-		u := d.enqueue(jobID, tenantName, digest, specJSON, c.ID)
+		u := d.enqueue(j, c.ID, plan[c.ID])
 		defer d.release(u)
 		select {
 		case <-u.done:
@@ -702,8 +777,7 @@ func (d *Dispatcher) Executor(jobID, tenantName string, spec *suite.Spec) suite.
 			return report.Cell{}, fmt.Errorf("dispatch: cell %s: %w", c.ID, suite.ErrInterrupted)
 		}
 		if u.localize {
-			d.countLocal()
-			return suite.ExecuteCell(sp, c)
+			return runLocal(ctx, sp, c)
 		}
 		return u.result, nil
 	}
@@ -715,19 +789,29 @@ func (d *Dispatcher) countLocal() {
 	d.mu.Unlock()
 }
 
-// enqueue adds one cell to the lease table as pending work.
-func (d *Dispatcher) enqueue(jobID, tenantName, digest string, spec json.RawMessage, cellID string) *unit {
+// newJob registers a job's shared lease state; its seq is the job's
+// rank among equal priorities.
+func (d *Dispatcher) newJob(id, tenantName string, priority int, digest string, spec json.RawMessage) *job {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.jseq++
+	return &job{id: id, tenant: tenantName, priority: priority, seq: d.jseq, digest: digest, spec: spec}
+}
+
+// enqueue adds cell pos of j's plan to the lease table as pending work,
+// at its place in grant order.
+func (d *Dispatcher) enqueue(j *job, cellID string, pos int) *unit {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	u := &unit{
-		key:   jobID + "/" + cellID,
-		jobID: jobID, tenant: tenantName, cellID: cellID,
-		digest: digest, spec: spec,
+		key: j.id + "/" + cellID,
+		job: j, cellID: cellID, pos: pos,
 		leases: map[string]*lease{},
 		done:   make(chan struct{}),
 	}
 	d.units[u.key] = u
-	d.order = append(d.order, u)
+	i := sort.Search(len(d.order), func(i int) bool { return u.before(d.order[i]) })
+	d.order = slices.Insert(d.order, i, u)
 	return u
 }
 

@@ -40,6 +40,17 @@ func newTestDispatcher(t *testing.T, cfg Config) (*Dispatcher, *clock.FakeWall) 
 	return d, fw
 }
 
+// enqueueCells adds the cells of one job of tenant "t1" to the lease
+// table, in plan order, as a job's waiters would.
+func enqueueCells(d *Dispatcher, jobID string, priority int, cellIDs ...string) []*unit {
+	j := d.newJob(jobID, "t1", priority, "dg", []byte(`{}`))
+	units := make([]*unit, len(cellIDs))
+	for i, id := range cellIDs {
+		units[i] = d.enqueue(j, id, i)
+	}
+	return units
+}
+
 func mustAcquire(t *testing.T, d *Dispatcher, workerID string) Grant {
 	t.Helper()
 	g, ok, err := d.Acquire(workerID)
@@ -65,7 +76,7 @@ func TestExpiredLeaseRetriesOnAnotherWorker(t *testing.T) {
 	d, fw := newTestDispatcher(t, Config{})
 	w1 := d.Register("first").WorkerID
 	w2 := d.Register("second").WorkerID
-	u := d.enqueue("j1", "t1", "dg", []byte(`{}`), "cell-1")
+	u := enqueueCells(d, "j1", 0, "cell-1")[0]
 
 	g1 := mustAcquire(t, d, w1)
 	if g1.CellID != "cell-1" || g1.Stolen {
@@ -104,7 +115,7 @@ func TestExpiredLeaseRetriesOnAnotherWorker(t *testing.T) {
 func TestAttemptBudgetExhaustionFallsBackToLocal(t *testing.T) {
 	d, fw := newTestDispatcher(t, Config{MaxAttempts: 2})
 	w1 := d.Register("flaky").WorkerID
-	u := d.enqueue("j1", "t1", "dg", []byte(`{}`), "cell-1")
+	u := enqueueCells(d, "j1", 0, "cell-1")[0]
 
 	for attempt := 1; attempt <= 2; attempt++ {
 		g := mustAcquire(t, d, w1)
@@ -134,7 +145,7 @@ func TestStolenLeaseAndDuplicateCompletionFirstWriterWins(t *testing.T) {
 	d, fw := newTestDispatcher(t, Config{})
 	w1 := d.Register("slow").WorkerID
 	w2 := d.Register("idle").WorkerID
-	u := d.enqueue("j1", "t1", "dg", []byte(`{}`), "cell-1")
+	u := enqueueCells(d, "j1", 0, "cell-1")[0]
 
 	g1 := mustAcquire(t, d, w1)
 
@@ -179,7 +190,7 @@ func TestDeadWorkerIsReapedAndItsLeaseReassigned(t *testing.T) {
 	d, fw := newTestDispatcher(t, Config{WorkerTTL: 6 * time.Second, LeaseTTL: time.Minute}) // liveness beats deadline here
 	w1 := d.Register("dying").WorkerID
 	w2 := d.Register("healthy").WorkerID
-	d.enqueue("j1", "t1", "dg", []byte(`{}`), "cell-1")
+	enqueueCells(d, "j1", 0, "cell-1")
 	mustAcquire(t, d, w1)
 
 	// Only the healthy worker heartbeats across the TTL window.
@@ -213,7 +224,7 @@ func TestDeadWorkerIsReapedAndItsLeaseReassigned(t *testing.T) {
 
 func TestEmptyFleetLocalizesPendingCells(t *testing.T) {
 	d, _ := newTestDispatcher(t, Config{})
-	u := d.enqueue("j1", "t1", "dg", []byte(`{}`), "cell-1")
+	u := enqueueCells(d, "j1", 0, "cell-1")[0]
 	d.Reap()
 	if !resolved(u) || !u.localize {
 		t.Fatalf("pending cell with zero workers not localized (resolved=%v localize=%v)", resolved(u), u.localize)
@@ -227,7 +238,7 @@ func TestGracefulDeregisterRequeuesImmediately(t *testing.T) {
 	d, _ := newTestDispatcher(t, Config{})
 	w1 := d.Register("leaving").WorkerID
 	w2 := d.Register("staying").WorkerID
-	d.enqueue("j1", "t1", "dg", []byte(`{}`), "cell-1")
+	enqueueCells(d, "j1", 0, "cell-1")
 	mustAcquire(t, d, w1)
 
 	if !d.Deregister(w1) {
@@ -265,7 +276,7 @@ func TestCompletionsForUnknownOrReleasedUnitsAreOrphans(t *testing.T) {
 	}
 
 	// A released unit (job cancelled, waiter gone) orphans late arrivals.
-	u := d.enqueue("j1", "t1", "dg", []byte(`{}`), "cell-1")
+	u := enqueueCells(d, "j1", 0, "cell-1")[0]
 	g := mustAcquire(t, d, w1)
 	d.release(u)
 	if st := d.Complete(w1, CompleteRequest{LeaseID: g.LeaseID, JobID: "j1", CellID: "cell-1"}); st != CompleteOrphan {
@@ -294,10 +305,7 @@ func TestBackoffIsCappedAndJittered(t *testing.T) {
 func TestLeaseBatchGrantsPlanOrderAndPiggybacksCompletions(t *testing.T) {
 	d, _ := newTestDispatcher(t, Config{})
 	w1 := d.Register("batcher").WorkerID
-	var units []*unit
-	for _, id := range []string{"cell-1", "cell-2", "cell-3", "cell-4", "cell-5"} {
-		units = append(units, d.enqueue("j1", "t1", "dg", []byte(`{}`), id))
-	}
+	units := enqueueCells(d, "j1", 0, "cell-1", "cell-2", "cell-3", "cell-4", "cell-5")
 
 	// First trip: grants come back in plan order, digest-only.
 	resp, err := d.LeaseBatch(w1, 3, nil)
@@ -384,9 +392,8 @@ func TestLeaseBatchExpiryInsidePartiallyCompletedBatch(t *testing.T) {
 	d, fw := newTestDispatcher(t, Config{})
 	w1 := d.Register("crasher").WorkerID
 	w2 := d.Register("healthy").WorkerID
-	u1 := d.enqueue("j1", "t1", "dg", []byte(`{}`), "cell-1")
-	u2 := d.enqueue("j1", "t1", "dg", []byte(`{}`), "cell-2")
-	u3 := d.enqueue("j1", "t1", "dg", []byte(`{}`), "cell-3")
+	us := enqueueCells(d, "j1", 0, "cell-1", "cell-2", "cell-3")
+	u1, u2, u3 := us[0], us[1], us[2]
 
 	resp, err := d.LeaseBatch(w1, 3, nil)
 	if err != nil || len(resp.Grants) != 3 {
@@ -425,7 +432,7 @@ func TestLeaseBatchStealsOneStragglerWhenNothingPending(t *testing.T) {
 	d, fw := newTestDispatcher(t, Config{})
 	w1 := d.Register("slow").WorkerID
 	w2 := d.Register("idle").WorkerID
-	d.enqueue("j1", "t1", "dg", []byte(`{}`), "cell-1")
+	enqueueCells(d, "j1", 0, "cell-1")
 
 	if resp, err := d.LeaseBatch(w1, 4, nil); err != nil || len(resp.Grants) != 1 {
 		t.Fatalf("batch = %+v (%v), want the one pending cell", resp, err)
@@ -453,7 +460,7 @@ func TestLeaseBatchStealsOneStragglerWhenNothingPending(t *testing.T) {
 func TestLeaseBatchUnknownWorkerSettlesCompletionsButErrors(t *testing.T) {
 	d, _ := newTestDispatcher(t, Config{})
 	w1 := d.Register("known").WorkerID
-	u := d.enqueue("j1", "t1", "dg", []byte(`{}`), "cell-1")
+	u := enqueueCells(d, "j1", 0, "cell-1")[0]
 	resp, err := d.LeaseBatch(w1, 1, nil)
 	if err != nil || len(resp.Grants) != 1 {
 		t.Fatalf("batch = %+v (%v)", resp, err)

@@ -108,11 +108,13 @@ type LeaseBatchRequest struct {
 
 // LeaseBatchResponse answers a lease:batch call.
 type LeaseBatchResponse struct {
-	// Grants are the newly leased cells, at most Max, in plan order —
-	// the dispatcher hands out contiguous runs of the pending plan when
-	// it can, so hub-side reassembly stays a cheap ordered merge. Each
-	// grant carries its own lease with its own deadline; expiry, steal
-	// and duplicate resolution stay per-cell.
+	// Grants are the newly leased cells, at most Max, in grant order:
+	// higher job priority first, then jobs in the order they first
+	// enqueued, then plan order within a job — so a job's cells arrive as
+	// contiguous runs of its plan when they can and hub-side reassembly
+	// stays a cheap ordered merge. Each grant carries its own lease with
+	// its own deadline; expiry, steal and duplicate resolution stay
+	// per-cell.
 	Grants []Grant `json:"grants,omitempty"`
 	// Acks dispose of the request's Completions, index-aligned. Every
 	// status is final (duplicates and orphans are harmless), so a worker
@@ -166,6 +168,9 @@ type Metrics struct {
 	// workers, a marshalling failure, or an exhausted attempt budget —
 	// the graceful-degradation paths.
 	LocalCells uint64 `json:"local_cells"`
+	// CellsPending gauges cells waiting at the hub for a grant (retry
+	// backoff included): the fleet's backlog.
+	CellsPending int `json:"cells_pending"`
 	// LeasesByTenant gauges outstanding leases per submitting tenant —
 	// who is holding fleet capacity right now. Nil when no leases are
 	// outstanding.

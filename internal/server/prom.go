@@ -124,6 +124,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	family(w, "ptestd_dispatch_completions_duplicate_total", "counter", "Completions dropped because a first writer won.").sample(dm.DuplicateCompletions)
 	family(w, "ptestd_dispatch_completions_orphan_total", "counter", "Completions for cells no longer tracked.").sample(dm.OrphanCompletions)
 	family(w, "ptestd_dispatch_cells_local_total", "counter", "Cells executed in-process (no fleet, or budget exhausted).").sample(dm.LocalCells)
+	family(w, "ptestd_dispatch_cells_pending", "gauge", "Cells waiting at the hub for a lease grant.").sample(dm.CellsPending)
 	// The v2 wire collapse, dispatch-plane twin of the cells batch pair:
 	// lease_batch_cells/lease_batch_calls is the live batching factor,
 	// and piggybacked completions each saved a /complete round trip.

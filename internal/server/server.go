@@ -155,6 +155,7 @@ type Server struct {
 	baseCtx  context.Context
 	baseStop context.CancelFunc
 	wg       sync.WaitGroup
+	poolOnce sync.Once
 
 	mu   sync.Mutex
 	jobs map[string]*Job
@@ -255,11 +256,17 @@ func (s *Server) withAuth(next http.Handler) http.Handler {
 	})
 }
 
-// Start launches the worker pool. Pop enforces the per-tenant
-// in-flight cap at dequeue: a tenant at its cap has its jobs skipped
-// (not rejected) until one resolves, while other tenants' jobs behind
-// them in the queue proceed — no head-of-line blocking.
+// Start launches the worker pool of Config.Workers goroutines; later
+// calls do nothing, so the pool never grows past that job concurrency.
+// Pop enforces the per-tenant in-flight cap at dequeue: a tenant at its
+// cap has its jobs skipped (not rejected) until one resolves, while
+// other tenants' jobs behind them in the queue proceed — no
+// head-of-line blocking.
 func (s *Server) Start() {
+	s.poolOnce.Do(s.startPool)
+}
+
+func (s *Server) startPool() {
 	acquire := func(j *Job) bool {
 		ok := s.guard.AcquireJob(j.tenant)
 		if !ok {
@@ -341,12 +348,25 @@ func (s *Server) runJob(j *Job) {
 	scope := eventlog.Scoped{R: s.events, Job: j.info.ID, Tenant: j.tenant.Name}
 	scope.Emit(eventlog.Event{Type: eventlog.TypeJobStarted})
 	runStart := time.Now()
-	rep, err := suite.RunContext(ctx, j.spec, &jsonlSplitter{j: j}, suite.Options{
+	info := j.Info()
+	plan := j.spec
+	if s.disp.LiveWorkers() > 0 {
+		// A fleet takes every store miss at once: at full width each miss
+		// is a pending lease from the start, so a worker's first
+		// lease:batch fills its pipeline instead of finding one cell.
+		// Digest and CellKey exclude the field, so the report and the
+		// stored cells are the same at any width.
+		wide := *j.spec
+		wide.CellParallelism = info.TotalCells
+		plan = &wide
+	}
+	rep, err := suite.RunContext(ctx, plan, &jsonlSplitter{j: j}, suite.Options{
 		Store: s.store,
 		// The dispatcher decides per cell: farmed to a live fleet worker
 		// under a lease, or — zero workers, exhausted retry budget —
-		// executed right here. Store hits never reach it.
-		Exec:   s.disp.Executor(j.info.ID, j.tenant.Name, j.spec),
+		// executed right here, at most the job's own cell_parallelism at
+		// a time. Store hits never reach it.
+		Exec:   s.disp.Executor(j.info.ID, j.tenant.Name, info.Priority, j.spec),
 		Events: scope,
 	})
 	durMS := float64(time.Since(runStart).Microseconds()) / 1000
@@ -451,6 +471,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.pruneLocked()
 	s.mu.Unlock()
 
+	// Logged before the push: once queued, the job may start at once, and
+	// its job.started must not precede its job.submitted in the log.
+	s.events.Emit(eventlog.Event{
+		Type: eventlog.TypeJobSubmitted, Job: id, Tenant: t.Name,
+		Detail: fmt.Sprintf("%s: %d cells, priority %d", spec.Name, j.Info().TotalCells, priority),
+	})
 	if err := s.queue.Push(j, priority); err != nil {
 		// Keep the job registered but resolve it as failed — deleting it
 		// would leave a watcher that attached in the registration window
@@ -466,10 +492,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.submitted.Add(1)
-	s.events.Emit(eventlog.Event{
-		Type: eventlog.TypeJobSubmitted, Job: id, Tenant: t.Name,
-		Detail: fmt.Sprintf("%s: %d cells, priority %d", spec.Name, j.Info().TotalCells, priority),
-	})
 	writeJSON(w, http.StatusAccepted, j.Info())
 }
 
