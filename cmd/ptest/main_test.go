@@ -1,8 +1,11 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -194,5 +197,48 @@ func TestSuiteEndToEnd(t *testing.T) {
 	// The fresh report compared against itself passes the gate.
 	if err := cmdCompare([]string{out, out}); err != nil {
 		t.Fatalf("self-compare failed: %v", err)
+	}
+}
+
+// TestRunDumpJournalOutputIsPinned pins `ptest run -dump-journal`
+// byte for byte: the report's journal is rendered lazily from a frozen
+// view, and it must print what an eager dump taken at detection printed.
+// The second run issues 7,033 commands, so its journal has crossed the
+// default 4,096-entry bound and evicted before the lost wakeup fires.
+func TestRunDumpJournalOutputIsPinned(t *testing.T) {
+	cases := []struct {
+		args   []string
+		sha256 string
+	}{
+		{[]string{"-pcore", "-n", "8", "-s", "16", "-workload", "quicksort",
+			"-gc-leak-every", "2", "-trials", "12"},
+			"c4c7b8a0e7dbf6a80aef875538c8b06d8e63c9095cb66330294ff581a2b99494"},
+		{[]string{"-re", "TC (TS TR)+ TD$", "-pd", "^:TC=1,TC:TS=1,TS:TR=1,TR:TS=1,TR:TD=0",
+			"-n", "16", "-s", "600", "-workload", "spin", "-drop-resume-every", "3500"},
+			"9f0c720452063f2cce5260f8b293d0a0fc9483c4d12d051ba694d4b354568997"},
+	}
+	for _, tc := range cases {
+		out, err := os.CreateTemp(t.TempDir(), "stdout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout := os.Stdout
+		os.Stdout = out
+		runErr := cmdRun(append(tc.args, "-dump-journal"))
+		os.Stdout = stdout
+		if !errors.Is(runErr, errFailed) {
+			t.Fatalf("%v: want errFailed, got %v", tc.args, runErr)
+		}
+		if _, err := out.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if _, err := io.Copy(h, out); err != nil {
+			t.Fatal(err)
+		}
+		out.Close()
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.sha256 {
+			t.Errorf("%v: output sha256 %s, want %s", tc.args, got, tc.sha256)
+		}
 	}
 }

@@ -122,7 +122,7 @@ func (c *Committer) ThreadBody(ctx *master.Ctx) {
 			DoneAt:    c.now(),
 		}
 		c.Results = append(c.Results, res)
-		c.record(res)
+		c.record(res, code)
 		// The administrative delay between commands sets the stress
 		// density; see Gap.
 		ctx.Compute(c.Gap)
@@ -130,15 +130,25 @@ func (c *Committer) ThreadBody(ctx *master.Ctx) {
 	c.Finished = true
 }
 
-// record appends the Definition 2 five-tuple for a completed command.
-func (c *Committer) record(res Result) {
+// issueLabels holds each service's Definition 2 master state, "issue:"
+// and its symbol, built once instead of once per recorded command.
+var issueLabels = func() (labels [bridge.CodeTY + 1]string) {
+	for code := bridge.CodeTC; code <= bridge.CodeTY; code++ {
+		labels[code] = "issue:" + code.String()
+	}
+	return labels
+}()
+
+// record appends the Definition 2 five-tuple for a completed command
+// issued as code.
+func (c *Committer) record(res Result, code bridge.ServiceCode) {
 	if c.journal == nil {
 		return
 	}
 	tp := c.perTask[res.Entry.Task]
 	sn := res.Entry.Seq + 1 // 1-based, as in Figure 4
 	rec := recording.Record{
-		QM:  "issue:" + res.Entry.Symbol,
+		QM:  issueLabels[code],
 		QS:  res.TaskState.String(),
 		TP:  tp,
 		SN:  sn,

@@ -133,7 +133,7 @@ func TestCaseStudy1StressGCCrash(t *testing.T) {
 	if f == nil || (f.Reason != pcore.FaultPoolExhausted && f.Reason != pcore.FaultGCCorruption) {
 		t.Fatalf("fault %v", f)
 	}
-	if out.Bug.Journal == "" {
+	if out.Bug.Journal.Len() == 0 {
 		t.Fatal("no reproduction journal attached")
 	}
 }
@@ -196,7 +196,7 @@ func TestCaseStudy2DiningDeadlock(t *testing.T) {
 	if len(out.Bug.Cycle) < 2 {
 		t.Fatalf("cycle %v", out.Bug.Cycle)
 	}
-	if out.Bug.Journal == "" {
+	if out.Bug.Journal.Len() == 0 {
 		t.Fatal("no reproduction journal")
 	}
 }

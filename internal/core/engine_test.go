@@ -194,16 +194,22 @@ func TestAdaptiveWindowedBatchRuns(t *testing.T) {
 	}
 }
 
+// compileOnceRuns counts TestCampaignCompilesPFAOnce runs in this process.
+var compileOnceRuns int
+
 // TestCampaignCompilesPFAOnce asserts the compiled-PFA cache: a whole
 // campaign — including the per-trial execution half that used to
 // recompile — performs exactly one full FromRegex construction for a
 // distribution it has never seen.
 func TestCampaignCompilesPFAOnce(t *testing.T) {
 	// A distribution with probabilities no other test uses, so the cache
-	// cannot already hold this key.
+	// cannot already hold this key. The cache lives for the process, so
+	// each run (-count=N) shifts mass between two symbols to stay unseen.
+	compileOnceRuns++
+	shift := 1e-6 * float64(compileOnceRuns)
 	pd := pfa.Distribution{
 		pfa.StartLabel: {"TC": 1},
-		"TC":           {"TCH": 0.13571113, "TS": 0.17192329, "TD": 0.31374143, "TY": 0.37862415},
+		"TC":           {"TCH": 0.13571113 + shift, "TS": 0.17192329, "TD": 0.31374143, "TY": 0.37862415 - shift},
 		"TCH":          {"TCH": 0.25, "TS": 0.25, "TD": 0.25, "TY": 0.25},
 		"TS":           {"TR": 1},
 		"TR":           {"TCH": 0.25, "TS": 0.25, "TD": 0.25, "TY": 0.25},

@@ -50,7 +50,13 @@ type Report struct {
 	Fault    *pcore.KernelFault // set for BugCrash
 	Cycle    []pcore.TaskID     // set for BugDeadlock: the wait cycle
 	Snapshot pcore.Snapshot
-	Journal  string // Definition 2 record dump for reproduction
+	// Journal is the Definition 2 record journal as it stood at
+	// detection, for reproduction: a frozen view that later appends
+	// cannot change. It renders only when printed — fmt.Print(r.Journal)
+	// or r.Journal.String() gives the journal's Dump from that moment —
+	// so the many bugs nobody inspects cost no text. It is empty when
+	// the detector ran without a journal.
+	Journal recording.View
 }
 
 // String renders a one-line summary.
@@ -90,7 +96,8 @@ type Detector struct {
 	perTaskProgress   map[pcore.TaskID]uint64
 	perTaskStampedAt  map[pcore.TaskID]clock.Cycles
 	steps             int
-	recordsChecked    uint64 // journal entries already consistency-checked
+	recordsChecked    uint64               // journal entries already consistency-checked
+	tasks             []pcore.TaskProgress // progressCheck's reused buffer
 }
 
 // New creates a detector for the platform; journal may be nil.
@@ -113,7 +120,7 @@ func (d *Detector) report(kind BugKind, detail string) *Report {
 		Snapshot: d.p.Slave.Snapshot(),
 	}
 	if d.journal != nil {
-		r.Journal = d.journal.Dump()
+		r.Journal = d.journal.View()
 	}
 	return r
 }
@@ -171,7 +178,7 @@ func (d *Detector) recordCheck() *Report {
 	if d.journal == nil {
 		return nil
 	}
-	for _, e := range d.journal.Since(d.recordsChecked) {
+	for e := range d.journal.View().Since(d.recordsChecked) {
 		d.recordsChecked = e.Seq
 		rec := e.Record
 		if rec.QM == "issue:TR" && rec.QS == pcore.StateSuspended.String() {
@@ -191,9 +198,9 @@ func (d *Detector) recordCheck() *Report {
 // progressCheck watches application progress marks over virtual time.
 func (d *Detector) progressCheck() *Report {
 	now := d.p.Now()
-	snap := d.p.Slave.Snapshot()
+	d.tasks = d.p.Slave.AppendProgress(d.tasks[:0])
 	var total uint64
-	for _, ts := range snap.Tasks {
+	for _, ts := range d.tasks {
 		total += ts.Progress
 		prev, seen := d.perTaskProgress[ts.ID]
 		if !seen || ts.Progress > prev {
@@ -208,13 +215,13 @@ func (d *Detector) progressCheck() *Report {
 	window := d.opts.ProgressWindow
 	// Livelock: nothing progressed across the window although the
 	// platform keeps running.
-	if len(snap.Tasks) > 0 && now-d.lastProgressAt > window {
+	if len(d.tasks) > 0 && now-d.lastProgressAt > window {
 		return d.report(BugLivelock,
 			fmt.Sprintf("no task progressed for %d cycles while the system stayed active", now-d.lastProgressAt))
 	}
 	// Starvation: a runnable or blocked task is stuck across the window
 	// while the system as a whole advanced after its last progress.
-	for _, ts := range snap.Tasks {
+	for _, ts := range d.tasks {
 		if ts.State != pcore.StateReady && ts.State != pcore.StateBlocked && ts.State != pcore.StateRunning {
 			continue // suspended tasks are intentionally stopped
 		}
@@ -270,6 +277,9 @@ func (d *Detector) RunUntil(maxSteps int, done func() bool) *Report {
 // sequence (first element repeated implicitly), or nil. Deterministic:
 // nodes are explored in ascending id order.
 func FindCycle(g map[pcore.TaskID][]pcore.TaskID) []pcore.TaskID {
+	if len(g) == 0 {
+		return nil // the common case, checked every interval
+	}
 	nodes := make([]pcore.TaskID, 0, len(g))
 	for n := range g {
 		nodes = append(nodes, n)

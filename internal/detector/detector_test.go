@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -239,11 +240,48 @@ func TestReportCarriesJournal(t *testing.T) {
 	if r == nil {
 		t.Fatal("no report")
 	}
-	if !strings.Contains(r.Journal, "(m1, ready, TC, 1, )") {
-		t.Fatalf("journal %q", r.Journal)
+	if !strings.Contains(r.Journal.String(), "(m1, ready, TC, 1, )") {
+		t.Fatalf("journal %q", r.Journal.String())
 	}
 	if r.String() == "" {
 		t.Fatal("empty String")
+	}
+}
+
+// TestReportJournalIsFrozenAtDetection pins the lazy dump: the report's
+// journal renders exactly what Dump printed when the bug was found, and
+// keeps doing so while the journal grows past its bound and evicts.
+func TestReportJournalIsFrozenAtDetection(t *testing.T) {
+	p := newP(t, platform.Config{Factory: spinFactory})
+	const limit = 8
+	j := recording.NewJournal(limit)
+	tp := []string{"TC", "TS", "TR"}
+	for i := 1; i <= limit+3; i++ {
+		sn := (i-1)%len(tp) + 1
+		j.Append(uint64(i), i%2, recording.Record{QM: "issue:" + tp[sn-1], QS: "ready",
+			TP: tp, SN: sn, Sub: recording.Remaining(tp, sn)})
+	}
+	j.Append(99, 1, recording.Record{QM: "issue:TR", QS: "suspended", TP: tp, SN: 3})
+	d := New(p, j, Options{CheckEvery: 1})
+	r := d.Check()
+	if r == nil || !strings.Contains(r.Detail, "lost wakeup") {
+		t.Fatalf("report %v", r)
+	}
+	eager := j.Dump()
+	if got := r.Journal.String(); got != eager {
+		t.Fatalf("report journal at detection:\n%s\nwant:\n%s", got, eager)
+	}
+	for i := 0; i < 5*limit; i++ {
+		j.Append(uint64(100+i), 0, recording.Record{QM: "issue:TD", QS: "terminated", TP: tp, SN: 1})
+		if got := r.Journal.String(); got != eager {
+			t.Fatalf("after %d more appends the report journal reads:\n%s\nwant:\n%s", i+1, got, eager)
+		}
+	}
+	if j.Dump() == eager {
+		t.Fatal("journal did not move on")
+	}
+	if got := fmt.Sprint(r.Journal); got != eager {
+		t.Fatalf("fmt renders %q, want the dump", got)
 	}
 }
 

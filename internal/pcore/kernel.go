@@ -135,7 +135,12 @@ func (k *Kernel) enqueueFront(t *Task) {
 		return
 	}
 	t.state = StateReady
-	k.ready[t.prio] = append([]TaskID{t.id}, k.ready[t.prio]...)
+	// Insert in place, reusing the queue's array: this runs at every
+	// continuation point.
+	q := append(k.ready[t.prio], 0)
+	copy(q[1:], q)
+	q[0] = t.id
+	k.ready[t.prio] = q
 	k.readyMask |= 1 << uint(t.prio)
 }
 
@@ -161,9 +166,12 @@ func (k *Kernel) pickNext() *Task {
 		if k.readyMask&(1<<uint(p)) == 0 {
 			continue
 		}
+		// Shift in place so the queue keeps its front capacity;
+		// reslicing q[1:] would lose a slot per pop.
 		q := k.ready[p]
 		id := q[0]
-		k.ready[p] = q[1:]
+		copy(q, q[1:])
+		k.ready[p] = q[:len(q)-1]
 		if len(k.ready[p]) == 0 {
 			k.readyMask &^= 1 << uint(p)
 		}

@@ -3,7 +3,6 @@ package pcore
 import (
 	"fmt"
 	"iter"
-	"sort"
 
 	"repro/internal/clock"
 )
@@ -308,34 +307,38 @@ func (k *Kernel) Snapshot() Snapshot {
 		CtxSwitches: k.ctxSwitches,
 	}
 	for id := TaskID(1); int(id) <= k.cfg.MaxTasks; id++ {
-		t := k.tasks[id]
-		if t == nil {
-			continue
+		if t := k.tasks[id]; t != nil {
+			s.Tasks = append(s.Tasks, t.snapshot())
 		}
-		ts := TaskSnapshot{
-			ID:        t.id,
-			Name:      t.name,
-			State:     t.state,
-			Prio:      t.prio,
-			Progress:  t.progress,
-			Syscalls:  t.syscalls,
-			StackUsed: t.stackUsed,
-		}
-		if t.waitSem != nil {
-			ts.WaitingOn = "sem:" + t.waitSem.name
-		}
-		if t.waitMu != nil {
-			ts.WaitingOn = "mutex:" + t.waitMu.name
-		}
-		if t.waitSendQ != nil {
-			ts.WaitingOn = "q-send:" + t.waitSendQ.name
-		}
-		if t.waitRecvQ != nil {
-			ts.WaitingOn = "q-recv:" + t.waitRecvQ.name
-		}
-		s.Tasks = append(s.Tasks, ts)
 	}
 	return s
+}
+
+// snapshot returns the task's observable state. It allocates only for a
+// waiting task, whose WaitingOn names the resource.
+func (t *Task) snapshot() TaskSnapshot {
+	ts := TaskSnapshot{
+		ID:        t.id,
+		Name:      t.name,
+		State:     t.state,
+		Prio:      t.prio,
+		Progress:  t.progress,
+		Syscalls:  t.syscalls,
+		StackUsed: t.stackUsed,
+	}
+	if t.waitSem != nil {
+		ts.WaitingOn = "sem:" + t.waitSem.name
+	}
+	if t.waitMu != nil {
+		ts.WaitingOn = "mutex:" + t.waitMu.name
+	}
+	if t.waitSendQ != nil {
+		ts.WaitingOn = "q-send:" + t.waitSendQ.name
+	}
+	if t.waitRecvQ != nil {
+		ts.WaitingOn = "q-recv:" + t.waitRecvQ.name
+	}
+	return ts
 }
 
 // TaskInfo returns one task's snapshot; ok is false for free slots.
@@ -343,12 +346,28 @@ func (k *Kernel) TaskInfo(id TaskID) (TaskSnapshot, bool) {
 	if id == InvalidTask || int(id) > k.cfg.MaxTasks || k.tasks[id] == nil {
 		return TaskSnapshot{}, false
 	}
-	for _, ts := range k.Snapshot().Tasks {
-		if ts.ID == id {
-			return ts, true
+	return k.tasks[id].snapshot(), true
+}
+
+// TaskProgress is the part of a task's state the bug detector's
+// progress check reads every interval.
+type TaskProgress struct {
+	ID       TaskID
+	Name     string
+	State    State
+	Progress uint64
+}
+
+// AppendProgress appends every live task's progress to dst, tasks
+// ordered by id, and returns the extended slice. A caller that passes
+// back the previous result's dst[:0] checks progress without allocating.
+func (k *Kernel) AppendProgress(dst []TaskProgress) []TaskProgress {
+	for id := TaskID(1); int(id) <= k.cfg.MaxTasks; id++ {
+		if t := k.tasks[id]; t != nil {
+			dst = append(dst, TaskProgress{ID: t.id, Name: t.name, State: t.state, Progress: t.progress})
 		}
 	}
-	return TaskSnapshot{}, false
+	return dst
 }
 
 // LiveTasks returns the ids of all non-free task slots, ascending.
@@ -367,9 +386,12 @@ func (k *Kernel) LiveTasks() []TaskID {
 // owners are excluded: a mutex whose owner was deleted (pCore leaks such
 // locks deliberately) is an orphaned lock, reported separately through
 // OrphanedWaiters — and because TCB slots are reused, a stale owner
-// pointer must be compared by identity, not by id.
+// pointer must be compared by identity, not by id. A blocked task waits
+// on one mutex, so every task has at most one edge. The graph is nil
+// when no task waits on a live owner, which the detector checks every
+// interval.
 func (k *Kernel) WaitForGraph() map[TaskID][]TaskID {
-	g := map[TaskID][]TaskID{}
+	var g map[TaskID][]TaskID
 	for id := TaskID(1); int(id) <= k.cfg.MaxTasks; id++ {
 		t := k.tasks[id]
 		if t == nil || t.state != StateBlocked || t.waitMu == nil || t.waitMu.owner == nil {
@@ -379,11 +401,10 @@ func (k *Kernel) WaitForGraph() map[TaskID][]TaskID {
 		if k.tasks[owner.id] != owner {
 			continue // owner terminated; slot may hold a new incarnation
 		}
-		g[id] = append(g[id], owner.id)
-	}
-	// Deterministic edge order.
-	for id := range g {
-		sort.Slice(g[id], func(i, j int) bool { return g[id][i] < g[id][j] })
+		if g == nil {
+			g = map[TaskID][]TaskID{}
+		}
+		g[id] = []TaskID{owner.id}
 	}
 	return g
 }

@@ -2,6 +2,9 @@ package recording
 
 import (
 	"encoding/json"
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -48,6 +51,12 @@ func TestRemaining(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("Remaining(%d) = %q, want %q", tc.sn, got, tc.want)
 		}
+	}
+	// δS shares TP's array but is capped, so growing it cannot reach TP.
+	sub := Remaining(tp[:2], 1)
+	_ = append(sub, "x")
+	if tp[2] != "c" {
+		t.Fatalf("appending to δS overwrote TP: %q", tp)
 	}
 }
 
@@ -127,6 +136,68 @@ func TestJournalBound(t *testing.T) {
 	if es[0].Record.SN != 7 || es[2].Record.SN != 9 {
 		t.Fatalf("entries %v", es)
 	}
+
+	// Against a model that evicts one entry per append, as the journal
+	// once did: every accessor agrees after every append, across several
+	// chunked evictions.
+	const limit = 4
+	b := NewJournal(limit)
+	var model []Entry
+	for i := 1; i <= 5*limit+1; i++ {
+		task := i % 3
+		r := Record{QM: "issue:TS", QS: "ready", TP: []string{"TC", "TS"}, SN: i}
+		b.Append(uint64(10*i), task, r)
+		model = append(model, Entry{Seq: uint64(i), At: uint64(10 * i), Task: task, Record: r})
+		if len(model) > limit {
+			model = model[1:]
+		}
+		if got := b.Entries(); !reflect.DeepEqual(got, model) {
+			t.Fatalf("append %d: entries %v, want %v", i, got, model)
+		}
+		if got, want := b.Dropped(), uint64(i-len(model)); got != want {
+			t.Fatalf("append %d: dropped %d, want %d", i, got, want)
+		}
+		if last, ok := b.Last(); !ok || !reflect.DeepEqual(last, model[len(model)-1]) {
+			t.Fatalf("append %d: last %v", i, last)
+		}
+		for task := 0; task < 4; task++ {
+			want, wantOK := Entry{}, false
+			for k := len(model) - 1; k >= 0; k-- {
+				if model[k].Task == task {
+					want, wantOK = model[k], true
+					break
+				}
+			}
+			if got, ok := b.LastForTask(task); ok != wantOK || !reflect.DeepEqual(got, want) {
+				t.Fatalf("append %d: LastForTask(%d) = %v, %v", i, task, got, ok)
+			}
+		}
+		var dump strings.Builder
+		for _, e := range model {
+			fmt.Fprintf(&dump, "#%d t=%d task=%d %s\n", e.Seq, e.At, e.Task, e.Record)
+		}
+		if got := b.Dump(); got != dump.String() {
+			t.Fatalf("append %d: dump %q, want %q", i, got, dump.String())
+		}
+	}
+
+	// Eviction is amortized: once past the bound, appends average far
+	// under one allocation each (evicting one entry per append by
+	// copying the rest made at least one per append).
+	big := NewJournal(64)
+	r := Record{QM: "issue:TR", QS: "ready", SN: 1}
+	for i := 0; i < 64; i++ {
+		big.Append(uint64(i), 0, r)
+	}
+	const appends = 640
+	allocs := testing.AllocsPerRun(5, func() {
+		for i := 0; i < appends; i++ {
+			big.Append(uint64(i), 0, r)
+		}
+	})
+	if perAppend := allocs / appends; perAppend > 0.1 {
+		t.Fatalf("%.3f allocations per append past the bound, want under 0.1", perAppend)
+	}
 }
 
 func TestJournalEmptyLast(t *testing.T) {
@@ -134,24 +205,30 @@ func TestJournalEmptyLast(t *testing.T) {
 	if _, ok := j.Last(); ok {
 		t.Fatal("empty journal has Last")
 	}
+	for _, v := range []View{j.View(), {}} {
+		if v.Len() != 0 || v.String() != "" {
+			t.Fatalf("empty view %q", v.String())
+		}
+	}
 }
 
 func TestJournalSince(t *testing.T) {
+	since := func(j *Journal, seq uint64) []Entry { return slices.Collect(j.View().Since(seq)) }
 	j := NewJournal(0)
 	for i := 1; i <= 10; i++ {
 		j.Append(uint64(i), 0, Record{SN: i})
 	}
-	if got := j.Since(0); len(got) != 10 {
+	if got := since(j, 0); len(got) != 10 {
 		t.Fatalf("Since(0) = %d entries", len(got))
 	}
-	got := j.Since(7)
+	got := since(j, 7)
 	if len(got) != 3 || got[0].Seq != 8 {
 		t.Fatalf("Since(7) = %v", got)
 	}
-	if got := j.Since(10); len(got) != 0 {
+	if got := since(j, 10); len(got) != 0 {
 		t.Fatalf("Since(10) = %d entries", len(got))
 	}
-	if got := j.Since(99); len(got) != 0 {
+	if got := since(j, 99); len(got) != 0 {
 		t.Fatalf("Since(99) = %d entries", len(got))
 	}
 	// Bounded journal: evicted entries are simply absent.
@@ -159,8 +236,19 @@ func TestJournalSince(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		b.Append(uint64(i), 0, Record{SN: i})
 	}
-	if got := b.Since(0); len(got) != 3 || got[0].Seq != 8 {
+	if got := since(b, 0); len(got) != 3 || got[0].Seq != 8 {
 		t.Fatalf("bounded Since(0) = %v", got)
+	}
+	// Breaking out of the range stops the scan.
+	n := 0
+	for range j.View().Since(0) {
+		n++
+		if n == 2 {
+			break
+		}
+	}
+	if n != 2 {
+		t.Fatalf("scan ran %d entries past a break", n)
 	}
 }
 

@@ -23,8 +23,13 @@
 //	})
 //	if out.Bug != nil {
 //	    fmt.Println(out.Bug)       // classified failure
-//	    fmt.Print(out.Bug.Journal) // Definition 2 records for replay
+//	    fmt.Print(out.Bug.Journal) // Definition 2 records, rendered here
 //	}
+//
+// Report.Journal is a frozen view of the record journal as it stood when
+// the bug was detected; it is rendered to text only when printed (or
+// when its String method is called), so failures nobody prints cost no
+// dump.
 //
 // Every run is deterministic in (Config, Seed); a bug report plus its
 // seed reproduces the failure exactly.
@@ -170,7 +175,8 @@ type Merged = pattern.Merged
 
 // --- failure reports ----------------------------------------------------------
 
-// Report is a detected failure with its reproduction dump.
+// Report is a detected failure with its reproduction journal, a frozen
+// view that renders the Definition 2 record dump when printed.
 type Report = detector.Report
 
 // BugKind classifies failures.
