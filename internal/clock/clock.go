@@ -5,83 +5,47 @@
 // cycle costs independent of host speed.
 package clock
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Cycles is a duration or instant expressed in virtual processor cycles.
 // The reproduction loosely calibrates one cycle to 1/192MHz (the OMAP5912
 // core clock), but only relative magnitudes matter to the experiments.
 type Cycles uint64
 
-// Event is a scheduled callback. Fire is invoked with the clock already
-// advanced to the event's due time.
-type Event struct {
-	due    Cycles
-	seq    uint64 // tie-break so equal-time events fire in schedule order
-	fire   func()
-	index  int // heap index; -1 once popped or cancelled
-	cancel bool
+// Event names a scheduled callback, for Cancel. The zero Event names
+// none.
+type Event struct{ id uint64 }
+
+// event is one scheduled callback, held by value in the queue. fire is
+// invoked with the clock already advanced to due.
+type event struct {
+	due  Cycles
+	seq  uint64 // tie-break so equal-time events fire in schedule order
+	fire func()
 }
 
-// Cancelled reports whether the event was cancelled before firing.
-func (e *Event) Cancelled() bool { return e.cancel }
-
-// Due returns the virtual time at which the event is (or was) scheduled.
-func (e *Event) Due() Cycles { return e.due }
-
-// eventQueue implements heap.Interface ordered by (due, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].due != q[j].due {
-		return q[i].due < q[j].due
+func (e *event) before(o *event) bool {
+	if e.due != o.due {
+		return e.due < o.due
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // Clock is a virtual-time discrete-event scheduler. The zero value is a
-// clock at time zero with no pending events, ready to use.
+// clock at time zero with no pending events, ready to use. Its queue is
+// a binary min-heap of events by value ordered by (due, seq), so
+// scheduling allocates nothing once the heap has grown.
 type Clock struct {
 	now   Cycles
 	seq   uint64
-	queue eventQueue
+	queue []event
 }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() Cycles { return c.now }
 
 // Pending returns the number of scheduled, uncancelled events.
-func (c *Clock) Pending() int {
-	n := 0
-	for _, e := range c.queue {
-		if !e.cancel {
-			n++
-		}
-	}
-	return n
-}
+func (c *Clock) Pending() int { return len(c.queue) }
 
 // Advance moves the clock forward by d cycles without firing events; it is
 // used by the co-simulation loop to charge compute time. It panics if the
@@ -105,36 +69,85 @@ func (c *Clock) AdvanceTo(t Cycles) {
 
 // Schedule registers fn to fire after delay cycles and returns the event
 // handle, which can be cancelled until it fires.
-func (c *Clock) Schedule(delay Cycles, fn func()) *Event {
-	e := &Event{due: c.now + delay, seq: c.seq, fire: fn}
+func (c *Clock) Schedule(delay Cycles, fn func()) Event {
+	c.queue = append(c.queue, event{due: c.now + delay, seq: c.seq, fire: fn})
 	c.seq++
-	heap.Push(&c.queue, e)
-	return e
+	c.up(len(c.queue) - 1)
+	return Event{id: c.seq} // seq+1 of the new event, so never zero
 }
 
 // Cancel prevents a scheduled event from firing. Cancelling an already
-// fired or already cancelled event is a harmless no-op.
-func (c *Clock) Cancel(e *Event) {
-	if e == nil || e.cancel {
+// fired or already cancelled event, or the zero Event, is a harmless
+// no-op.
+func (c *Clock) Cancel(e Event) {
+	if e.id == 0 {
 		return
 	}
-	e.cancel = true
-	if e.index >= 0 {
-		heap.Remove(&c.queue, e.index)
-		e.index = -1
+	for i := range c.queue {
+		if c.queue[i].seq == e.id-1 {
+			c.remove(i)
+			return
+		}
 	}
 }
 
-func (c *Clock) peek() (*Event, bool) {
-	for len(c.queue) > 0 {
-		e := c.queue[0]
-		if e.cancel {
-			heap.Pop(&c.queue)
-			continue
-		}
-		return e, true
+// peek returns the earliest pending event.
+func (c *Clock) peek() (*event, bool) {
+	if len(c.queue) == 0 {
+		return nil, false
 	}
-	return nil, false
+	return &c.queue[0], true
+}
+
+// pop removes the earliest pending event and returns it.
+func (c *Clock) pop() event {
+	e := c.queue[0]
+	c.remove(0)
+	return e
+}
+
+// remove deletes the event at heap index i.
+func (c *Clock) remove(i int) {
+	last := len(c.queue) - 1
+	if i != last {
+		c.queue[i] = c.queue[last]
+	}
+	c.queue[last] = event{} // drop the callback for the collector
+	c.queue = c.queue[:last]
+	if i < last {
+		c.down(i)
+		c.up(i)
+	}
+}
+
+func (c *Clock) up(i int) {
+	q := c.queue
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			return
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (c *Clock) down(i int) {
+	q := c.queue
+	for {
+		least := i
+		if l := 2*i + 1; l < len(q) && q[l].before(&q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < len(q) && q[r].before(&q[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
 }
 
 // NextDue returns the due time of the earliest pending event.
@@ -149,11 +162,10 @@ func (c *Clock) NextDue() (Cycles, bool) {
 // Step fires the single earliest pending event, advancing the clock to its
 // due time. It returns false if no events are pending.
 func (c *Clock) Step() bool {
-	e, ok := c.peek()
-	if !ok {
+	if len(c.queue) == 0 {
 		return false
 	}
-	heap.Pop(&c.queue)
+	e := c.pop()
 	c.now = e.due
 	e.fire()
 	return true
@@ -165,11 +177,10 @@ func (c *Clock) Step() bool {
 func (c *Clock) RunUntil(t Cycles) int {
 	fired := 0
 	for {
-		e, ok := c.peek()
-		if !ok || e.due > t {
+		if len(c.queue) == 0 || c.queue[0].due > t {
 			break
 		}
-		heap.Pop(&c.queue)
+		e := c.pop()
 		c.now = e.due
 		e.fire()
 		fired++

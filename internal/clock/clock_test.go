@@ -54,16 +54,28 @@ func TestCancel(t *testing.T) {
 	fired := false
 	e := c.Schedule(10, func() { fired = true })
 	c.Cancel(e)
-	if !e.Cancelled() {
-		t.Fatal("event not marked cancelled")
+	if c.Pending() != 0 {
+		t.Fatal("cancelled event still pending")
 	}
 	c.Drain(0)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	// Double-cancel and nil-cancel are no-ops.
+	// Double-cancel and zero-handle cancel are no-ops, and so is
+	// cancelling an event that has fired.
 	c.Cancel(e)
-	c.Cancel(nil)
+	c.Cancel(Event{})
+	later := c.Schedule(5, func() {})
+	c.Drain(0)
+	c.Schedule(5, func() { fired = true })
+	c.Cancel(later)
+	if c.Pending() != 1 {
+		t.Fatal("cancelling a fired event removed a pending one")
+	}
+	c.Drain(0)
+	if !fired {
+		t.Fatal("pending event did not fire")
+	}
 }
 
 func TestCancelOneOfMany(t *testing.T) {
@@ -206,6 +218,62 @@ func TestMonotonicTimeProperty(t *testing.T) {
 		}
 		return len(fireTimes) == len(delays)
 	}, &quick.Config{MaxCount: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestScheduleCancelModelProperty(t *testing.T) {
+	// Property: whatever mix of schedules and cancels, events fire in
+	// (due, schedule order), cancelled ones never, and Pending counts
+	// what is left.
+	err := quick.Check(func(ops []uint16) bool {
+		var c Clock
+		type sched struct {
+			due       Cycles
+			ev        Event
+			cancelled bool
+		}
+		var all []*sched
+		var fired []int
+		for _, op := range ops {
+			if op%4 == 0 && len(all) > 0 {
+				s := all[int(op/4)%len(all)]
+				c.Cancel(s.ev)
+				s.cancelled = true
+				continue
+			}
+			i := len(all)
+			s := &sched{due: Cycles(op % 50)}
+			s.ev = c.Schedule(s.due, func() { fired = append(fired, i) })
+			all = append(all, s)
+		}
+		live := 0
+		for _, s := range all {
+			if !s.cancelled {
+				live++
+			}
+		}
+		if c.Pending() != live {
+			return false
+		}
+		c.Drain(0)
+		if len(fired) != live {
+			return false
+		}
+		for k, i := range fired {
+			if all[i].cancelled {
+				return false
+			}
+			if k > 0 {
+				prev := all[fired[k-1]]
+				if prev.due > all[i].due || (prev.due == all[i].due && fired[k-1] > i) {
+					return false
+				}
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 300})
 	if err != nil {
 		t.Fatal(err)
 	}

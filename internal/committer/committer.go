@@ -26,17 +26,6 @@ func DefaultPriorityPolicy(task, seq int) pcore.Priority {
 	return pcore.Priority(2 + (task+seq)%(pcore.NumPriorities-2)) // keep 0,1 for system use
 }
 
-// Result is the outcome of one issued command.
-type Result struct {
-	Index     int // position in the merged pattern
-	Entry     pattern.Entry
-	Status    bridge.Status
-	TaskState pcore.State
-	TaskID    pcore.TaskID
-	IssuedAt  clock.Cycles
-	DoneAt    clock.Cycles
-}
-
 // Committer issues a merged pattern over a bridge client.
 type Committer struct {
 	client  *bridge.Client
@@ -52,7 +41,11 @@ type Committer struct {
 	// lets the slave execute between perturbations. Default 10.
 	Gap int
 
-	Results  []Result
+	// issued counts completed commands: merged.Entries[:issued] have
+	// been issued, in order. statuses counts their reply statuses.
+	issued   int
+	statuses [bridge.StatusCrashed + 1]int
+
 	Finished bool
 	Aborted  bool // stopped early on a crashed/mute slave
 }
@@ -76,58 +69,54 @@ func New(client *bridge.Client, merged pattern.Merged, policy PriorityPolicy,
 		journal: journal,
 		now:     now,
 		Gap:     10,
-		// One Result per pattern entry: size the slice once instead of
-		// growing it through the whole run.
-		Results: make([]Result, 0, merged.Len()),
 	}
 }
 
 // Merged returns the pattern being issued.
 func (c *Committer) Merged() pattern.Merged { return c.merged }
 
-// Progress returns the number of commands completed so far.
-func (c *Committer) Progress() int { return len(c.Results) }
+// Progress returns the number of commands completed so far: the first
+// Progress() entries of the merged pattern, unknown symbols included.
+func (c *Committer) Progress() int { return c.issued }
 
 // ThreadBody is the master-thread entry: issue every entry of the merged
 // pattern in order, blocking on each reply. If the slave dies the RPC
 // never returns and the thread stays parked — the bug detector owns the
 // timeout; the platform's shutdown unwinds the thread.
 func (c *Committer) ThreadBody(ctx *master.Ctx) {
-	for i, e := range c.merged.Entries {
+	for _, e := range c.merged.Entries {
 		code, ok := bridge.CodeOf(e.Symbol)
 		if !ok {
 			// Unknown symbol in the pattern: record and skip.
-			c.Results = append(c.Results, Result{
-				Index: i, Entry: e, Status: bridge.StatusBadRequest, IssuedAt: c.now(),
-			})
+			c.tally(bridge.StatusBadRequest)
 			continue
 		}
 		arg1 := uint32(0xffffffff)
 		if code == bridge.CodeTC || code == bridge.CodeTCH {
 			arg1 = uint32(c.policy(e.Task, e.Seq))
 		}
-		issued := c.now()
 		rep, err := c.client.Call(ctx, code, uint32(e.Task), arg1)
 		if err != nil {
 			c.Aborted = true
 			return
 		}
-		res := Result{
-			Index:     i,
-			Entry:     e,
-			Status:    rep.Status,
-			TaskState: pcore.State(rep.Value),
-			TaskID:    pcore.TaskID(rep.Aux),
-			IssuedAt:  issued,
-			DoneAt:    c.now(),
-		}
-		c.Results = append(c.Results, res)
-		c.record(res, code)
+		c.tally(rep.Status)
+		c.record(e, pcore.State(rep.Value), code)
 		// The administrative delay between commands sets the stress
 		// density; see Gap.
 		ctx.Compute(c.Gap)
 	}
 	c.Finished = true
+}
+
+// tally counts one issued command and its reply status. Replies
+// carry only the statuses the committee writes, so every status has a
+// slot.
+func (c *Committer) tally(st bridge.Status) {
+	c.issued++
+	if int(st) < len(c.statuses) {
+		c.statuses[st]++
+	}
 }
 
 // issueLabels holds each service's Definition 2 master state, "issue:"
@@ -139,29 +128,31 @@ var issueLabels = func() (labels [bridge.CodeTY + 1]string) {
 	return labels
 }()
 
-// record appends the Definition 2 five-tuple for a completed command
-// issued as code.
-func (c *Committer) record(res Result, code bridge.ServiceCode) {
+// record appends the Definition 2 five-tuple for entry e, completed
+// with the slave task in state qs after being issued as code.
+func (c *Committer) record(e pattern.Entry, qs pcore.State, code bridge.ServiceCode) {
 	if c.journal == nil {
 		return
 	}
-	tp := c.perTask[res.Entry.Task]
-	sn := res.Entry.Seq + 1 // 1-based, as in Figure 4
+	tp := c.perTask[e.Task]
+	sn := e.Seq + 1 // 1-based, as in Figure 4
 	rec := recording.Record{
 		QM:  issueLabels[code],
-		QS:  res.TaskState.String(),
+		QS:  qs.String(),
 		TP:  tp,
 		SN:  sn,
 		Sub: recording.Remaining(tp, sn),
 	}
-	c.journal.Append(uint64(res.DoneAt), res.Entry.Task, rec)
+	c.journal.Append(uint64(c.now()), e.Task, rec)
 }
 
-// StatusCounts aggregates result statuses, for reports.
+// StatusCounts aggregates reply statuses, for reports.
 func (c *Committer) StatusCounts() map[bridge.Status]int {
 	out := make(map[bridge.Status]int, 4) // a run rarely sees more than a few distinct statuses
-	for _, r := range c.Results {
-		out[r.Status]++
+	for st, n := range c.statuses {
+		if n > 0 {
+			out[bridge.Status(st)] = n
+		}
 	}
 	return out
 }

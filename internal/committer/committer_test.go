@@ -84,13 +84,11 @@ func TestCommitterIssuesAllCommands(t *testing.T) {
 	if !cmt.Finished {
 		t.Fatalf("finished=%v progress=%d", cmt.Finished, cmt.Progress())
 	}
-	if len(cmt.Results) != 4 {
-		t.Fatalf("results %d", len(cmt.Results))
+	if cmt.Progress() != 4 {
+		t.Fatalf("issued %d", cmt.Progress())
 	}
-	for i, r := range cmt.Results {
-		if r.Status != bridge.StatusOK {
-			t.Fatalf("result %d: %v", i, r.Status)
-		}
+	if counts := cmt.StatusCounts(); counts[bridge.StatusOK] != 4 || len(counts) != 1 {
+		t.Fatalf("statuses %v, want 4 ok", counts)
 	}
 	if j.Len() != 4 {
 		t.Fatalf("journal %d", j.Len())
@@ -165,10 +163,14 @@ func TestCustomPolicyApplied(t *testing.T) {
 	cmt := New(w.client, merged, policy, nil, nil)
 	w.os.Spawn("committer", cmt.ThreadBody)
 	pump(t, w.os, w.cmte, w.client, w.kern, 10000)
-	if !cmt.Finished || len(cmt.Results) != 1 {
+	if !cmt.Finished || cmt.Progress() != 1 {
 		t.Fatal("incomplete")
 	}
-	info, ok := w.kern.TaskInfo(cmt.Results[0].TaskID)
+	id, ok := w.cmte.Task(0) // the pcore task TC bound to logical task 0
+	if !ok {
+		t.Fatal("TC bound no task")
+	}
+	info, ok := w.kern.TaskInfo(id)
 	if !ok || info.Prio != 11 {
 		t.Fatalf("prio %d", info.Prio)
 	}

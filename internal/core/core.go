@@ -256,13 +256,14 @@ func runMerged(cfg Config, machine *pfa.PFA, merged pattern.Merged) (*Outcome, e
 	// Assemble the outcome.
 	track := coverage.GetTracker()
 	defer coverage.PutTracker(track)
-	for _, r := range cmt.Results {
-		track.Observe(r.Entry.Task, r.Entry.Symbol)
+	issued := cmt.Progress()
+	for _, e := range merged.Entries[:issued] {
+		track.Observe(e.Task, e.Symbol)
 	}
 	out := &Outcome{
 		Bug:            bug,
 		Finished:       cmt.Finished,
-		CommandsIssued: len(cmt.Results),
+		CommandsIssued: issued,
 		StatusCounts:   cmt.StatusCounts(),
 		Coverage:       track.Summarize(machine),
 		Merged:         merged,

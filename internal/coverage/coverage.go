@@ -8,6 +8,7 @@ package coverage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -15,11 +16,19 @@ import (
 	"repro/internal/pfa"
 )
 
+// edge is an ordered pair of symbols: a transition (previous label,
+// symbol) of one logical task, or an adjacent cross-task pair. A struct
+// key costs no string concatenation per observed command.
+type edge struct{ from, to string }
+
+// String renders a transition as "from>to".
+func (e edge) String() string { return e.from + ">" + e.to }
+
 // Tracker accumulates coverage over a stream of issued commands.
 type Tracker struct {
 	services    map[string]int
-	transitions map[string]int // "prevLabel>symbol" per logical task
-	pairs       map[string]int // adjacent cross-task pairs "symA|symB"
+	transitions map[edge]int   // (previous label, symbol) per logical task
+	pairs       map[edge]int   // adjacent cross-task symbol pairs
 	lastSym     map[int]string // per logical task: previous symbol
 	prevTask    int
 	prevSym     string
@@ -31,8 +40,8 @@ type Tracker struct {
 func NewTracker() *Tracker {
 	return &Tracker{
 		services:    map[string]int{},
-		transitions: map[string]int{},
-		pairs:       map[string]int{},
+		transitions: map[edge]int{},
+		pairs:       map[edge]int{},
 		lastSym:     map[int]string{},
 	}
 }
@@ -78,10 +87,10 @@ func (t *Tracker) Observe(task int, symbol string) {
 	if !ok {
 		prev = pfa.StartLabel
 	}
-	t.transitions[prev+">"+symbol]++
+	t.transitions[edge{prev, symbol}]++
 	t.lastSym[task] = symbol
 	if t.hasPrev && t.prevTask != task {
-		t.pairs[t.prevSym+"|"+symbol]++
+		t.pairs[edge{t.prevSym, symbol}]++
 	}
 	t.prevTask, t.prevSym, t.hasPrev = task, symbol, true
 }
@@ -112,24 +121,30 @@ func (t *Tracker) ServiceCoverage(alphabet []string) float64 {
 // Because every PFA state is labelled by its entering service, a
 // transition is identified by (previous service, next service).
 func (t *Tracker) TransitionCoverage(p *pfa.PFA) float64 {
-	edges := map[string]bool{}
+	// Several states can carry one label, so projected edges repeat.
+	// The distinct ones are at most (|alphabet|+1)·|alphabet|, a few
+	// dozen: a linear scan dedups them without building a set per call.
+	var buf [64]edge
+	edges := buf[:0]
+	hit := 0
 	for s := 0; s < p.NumStates(); s++ {
 		label := p.Label(nfa.StateID(s))
 		if label == "" {
 			label = pfa.StartLabel
 		}
 		for _, tr := range p.Transitions(nfa.StateID(s)) {
-			edges[label+">"+tr.Symbol] = true
+			e := edge{label, tr.Symbol}
+			if slices.Contains(edges, e) {
+				continue
+			}
+			edges = append(edges, e)
+			if t.transitions[e] > 0 {
+				hit++
+			}
 		}
 	}
 	if len(edges) == 0 {
 		return 0
-	}
-	hit := 0
-	for e := range edges {
-		if t.transitions[e] > 0 {
-			hit++
-		}
 	}
 	return float64(hit) / float64(len(edges))
 }
@@ -171,8 +186,8 @@ func (t *Tracker) TopTransitions(n int) []string {
 		v int
 	}
 	var all []kv
-	for k, v := range t.transitions {
-		all = append(all, kv{k, v})
+	for e, v := range t.transitions {
+		all = append(all, kv{e.String(), v})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].v != all[j].v {

@@ -247,27 +247,34 @@ func (d *Detector) Run(maxSteps int) *Report {
 // check. The campaign runner uses it to stop once the committer has
 // issued the whole pattern and residual slave activity has settled,
 // instead of stepping infinite workloads to the step budget.
+//
+// The checks run inside the platform's run loop, on whichever stack
+// holds control at the time: the caller's, or that of the task or
+// thread body whose request has just completed.
 func (d *Detector) RunUntil(maxSteps int, done func() bool) *Report {
-	for i := 0; i < maxSteps; i++ {
-		alive := d.p.Step()
+	var found *Report
+	stopped := d.p.Run(maxSteps, func(alive bool) bool {
 		d.steps++
 		if d.steps%d.opts.CheckEvery == 0 || !alive {
 			// The simulator switches tasks by coroutine, so this loop
-			// never enters the Go scheduler on its own. Without a
-			// scheduling point the fractional GC mark worker starves,
-			// assists take over and marking overshoots, raising peak
-			// RSS by a fifth; one yield per check lets it run.
+			// never enters the Go scheduler on its own, whichever stack
+			// runs it. Without a scheduling point the fractional GC mark
+			// worker starves, assists take over and marking overshoots,
+			// raising peak RSS by a fifth; one yield per check lets it
+			// run.
 			runtime.Gosched()
-			if r := d.Check(); r != nil {
-				return r
+			if found = d.Check(); found != nil {
+				return true
 			}
 			if done != nil && done() {
-				return d.Check()
+				found = d.Check()
+				return true
 			}
 		}
-		if !alive {
-			return nil
-		}
+		return !alive
+	})
+	if stopped {
+		return found
 	}
 	// Step budget exhausted: one final check.
 	return d.Check()

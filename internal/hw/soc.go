@@ -70,9 +70,9 @@ func New(cfg Config) *SoC {
 		DspIRQ: interrupt.New("dsp-irq"),
 	}
 	wire := func(box *mailbox.Box, ctl *interrupt.Controller, line interrupt.Line) {
-		box.OnNotify(func() {
-			s.Clock.Schedule(cfg.MailboxLatency, func() { ctl.Raise(line) })
-		})
+		// One raise closure per mailbox, not one per notification.
+		raise := func() { ctl.Raise(line) }
+		box.OnNotify(func() { s.Clock.Schedule(cfg.MailboxLatency, raise) })
 	}
 	wire(s.Boxes.ArmToDspCmd, s.DspIRQ, interrupt.LineMailboxCmd)
 	wire(s.Boxes.ArmToDspData, s.DspIRQ, interrupt.LineMailboxData)

@@ -4,8 +4,9 @@
 // time-sharing round-robin scheduler, using the same deterministic
 // coroutine handoff as the pcore slave kernel: each thread body is an
 // iter.Pull coroutine that the OS resumes to dispatch it and that
-// yields back at every system call, so exactly one body runs at a time
-// and co-simulation stays reproducible.
+// yields back at a system call (under a run loop, only when the next
+// dispatch is another body), so exactly one body runs at a time and
+// co-simulation stays reproducible.
 package master
 
 import (
@@ -107,32 +108,63 @@ func (t *Thread) ParkedOn() string { return t.parkedOn }
 
 // trampoline is the coroutine body hosting the thread's entry function.
 // It posts the thread's final request (exit or panic) and returns, which
-// ends the coroutine; a kill resumes it with killed set and it unwinds
-// through the recover below.
+// ends the coroutine; a kill resumes it with killed set (or, on the
+// stack running the run loop, unwinds it once the hook returns) and it
+// unwinds through the recover in body. Under a run loop the final
+// request completes on this stack, like every other request.
 func (t *Thread) trampoline(yield func(struct{}) bool) {
 	t.yield = yield
+	o := t.os
+	o.curReq = t.body()
+	if o.handoff != nil && !t.killed {
+		o.handoff()
+	}
+}
+
+// body runs the entry function and returns the thread's final request.
+func (t *Thread) body() (final mrequest) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
+		if t.os.onStack == t {
+			panic(r) // the run loop's own code failed: not a thread panic
+		}
 		if _, ok := r.(masterKilled); ok {
-			t.os.curReq = mrequest{kind: mreqExit, th: t, reason: "killed"}
+			final = mrequest{kind: mreqExit, th: t, reason: "killed"}
 		} else {
-			t.os.curReq = mrequest{kind: mreqPanic, th: t, detail: fmt.Sprint(r)}
+			final = mrequest{kind: mreqPanic, th: t, detail: fmt.Sprint(r)}
 		}
 	}()
 	if t.killed {
 		panic(masterKilled{})
 	}
 	t.entry(&Ctx{th: t})
-	t.os.curReq = mrequest{kind: mreqExit, th: t, reason: "returned"}
+	return mrequest{kind: mreqExit, th: t, reason: "returned"}
 }
 
 // syscall posts the request to the OS and suspends the thread's
-// coroutine until the OS resumes it.
+// coroutine until the OS resumes it. Under a run loop the thread first
+// completes the request through the handoff hook and keeps running if
+// the loop dispatches it again.
 func (t *Thread) syscall(req mrequest) {
-	t.os.curReq = req
+	o := t.os
+	if t.killed {
+		panic(masterKilled{})
+	}
+	o.curReq = req
+	if o.handoff != nil {
+		o.onStack = t
+		o.handoff()
+		o.onStack = nil
+		if t.killed {
+			panic(masterKilled{})
+		}
+		if o.current == t {
+			return
+		}
+	}
 	t.yield(struct{}{})
 	if t.killed {
 		panic(masterKilled{})
@@ -168,7 +200,11 @@ func (c *Ctx) Park(reason string) {
 type OS struct {
 	threads  []*Thread // index id-1
 	runq     []ThreadID
-	curReq   mrequest // posted by the running thread before it yields
+	current  *Thread      // dispatched thread whose step is in progress
+	stepCost clock.Cycles // switch cost charged at dispatch
+	curReq   mrequest     // posted by the running thread before it yields
+	handoff  func()       // run loop hook, see SetHandoff
+	onStack  *Thread      // thread whose stack runs the hook
 	cycles   clock.Cycles
 	lastRun  ThreadID
 	panicked *ThreadPanic
@@ -201,6 +237,14 @@ func (o *OS) OnEvent(fn func(ThreadEvent)) { o.onEvent = fn }
 func (o *OS) emit(th ThreadID, what string) {
 	if o.onEvent != nil {
 		o.onEvent(ThreadEvent{At: o.cycles, Thread: th, What: what})
+	}
+}
+
+// emitOn emits prefix+reason, building the string only when a hook is
+// registered.
+func (o *OS) emitOn(th ThreadID, prefix, reason string) {
+	if o.onEvent != nil {
+		o.emit(th, prefix+reason)
 	}
 }
 
@@ -255,13 +299,27 @@ func (o *OS) Unpark(id ThreadID) {
 }
 
 // Step dispatches the next ready thread for one event (run to its next
-// system call). It returns the cycle cost and whether a thread ran.
+// system call). It returns the cycle cost and whether a thread ran. Step
+// is Dispatch, Resume and Complete in one call.
 func (o *OS) Step() (clock.Cycles, bool) {
-	if len(o.runq) == 0 {
+	if !o.Dispatch() {
 		return 0, false
 	}
+	o.Resume()
+	return o.Complete(), true
+}
+
+// Dispatch is the first half of a step: it pops the next ready thread,
+// charges the switch and marks it running. It reports false when no
+// thread is ready.
+func (o *OS) Dispatch() bool {
+	if len(o.runq) == 0 {
+		return false
+	}
+	// Pop in place so the queue keeps its array.
 	id := o.runq[0]
-	o.runq = o.runq[1:]
+	n := copy(o.runq, o.runq[1:])
+	o.runq = o.runq[:n]
 	t := o.threads[id-1]
 	var cost clock.Cycles
 	if o.lastRun != id {
@@ -270,9 +328,21 @@ func (o *OS) Step() (clock.Cycles, bool) {
 	}
 	o.lastRun = id
 	t.state = TRunning
+	o.current = t
+	o.stepCost = cost
+	return true
+}
 
-	t.resume()
+// Resume runs the dispatched thread's body until it posts its request
+// (with a handoff hook: until the run loop dispatches another body).
+func (o *OS) Resume() { o.current.resume() }
+
+// Complete is the second half of a step: it processes the request the
+// dispatched thread posted and returns the step's cycle cost.
+func (o *OS) Complete() clock.Cycles {
+	t := o.current
 	req := o.curReq
+	cost := o.stepCost
 	switch req.kind {
 	case mreqYield:
 		cost += CostYieldM
@@ -286,18 +356,25 @@ func (o *OS) Step() (clock.Cycles, bool) {
 		cost += CostParkM
 		t.state = TParked
 		t.parkedOn = req.reason
-		o.emit(t.id, "park:"+req.reason)
+		o.emitOn(t.id, "park:", req.reason)
 	case mreqExit:
 		t.state = TDone
-		o.emit(t.id, "exit:"+req.reason)
+		o.emitOn(t.id, "exit:", req.reason)
 	case mreqPanic:
 		t.state = TDone
 		o.panicked = &ThreadPanic{Thread: t.id, Detail: req.detail}
 		o.emit(t.id, "panic")
 	}
+	o.current = nil
 	o.cycles += cost
-	return cost, true
+	return cost
 }
+
+// SetHandoff installs the run loop's hook; nil removes it. It works as
+// pcore's Kernel.SetHandoff: a thread that posts a request calls fn on
+// its own stack, fn must Complete the step, and the thread keeps running
+// only if fn dispatched it again.
+func (o *OS) SetHandoff(fn func()) { o.handoff = fn }
 
 // RunUntilIdle steps until no thread is ready or maxSteps is reached.
 func (o *OS) RunUntilIdle(maxSteps int) int {
@@ -312,7 +389,8 @@ func (o *OS) RunUntilIdle(maxSteps int) int {
 }
 
 // Shutdown kills every live thread: each one's coroutine is resumed with
-// killed set, unwinds through its trampoline and ends.
+// killed set, unwinds through its trampoline and ends. The thread whose
+// stack runs the handoff hook unwinds when the hook returns to it.
 func (o *OS) Shutdown() {
 	for _, t := range o.threads {
 		if t.state == TDone {
@@ -323,7 +401,9 @@ func (o *OS) Shutdown() {
 			continue
 		}
 		t.killed = true
-		t.resume()
+		if t != o.onStack {
+			t.resume()
+		}
 		t.state = TDone
 	}
 	o.runq = nil

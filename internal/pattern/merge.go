@@ -99,9 +99,23 @@ type Merged struct {
 func (m Merged) Len() int { return len(m.Entries) }
 
 // PerTask splits the merged pattern back into its per-task symbol
-// sequences; by construction PerTask is the inverse of merging.
+// sequences; by construction PerTask is the inverse of merging. A task
+// with no entries gets nil. The sequences share one backing array, each
+// capped at its own length, so appending to one never touches another.
 func (m Merged) PerTask() [][]string {
 	out := make([][]string, m.Sources)
+	counts := make([]int, m.Sources)
+	for _, e := range m.Entries {
+		counts[e.Task]++
+	}
+	syms := make([]string, len(m.Entries))
+	off := 0
+	for task, n := range counts {
+		if n > 0 {
+			out[task] = syms[off : off : off+n]
+			off += n
+		}
+	}
 	for _, e := range m.Entries {
 		out[e.Task] = append(out[e.Task], e.Symbol)
 	}

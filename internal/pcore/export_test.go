@@ -1,0 +1,14 @@
+package pcore
+
+// CountResumes makes task id count every resume of its coroutine into
+// the returned counter.
+func CountResumes(k *Kernel, id TaskID) *int {
+	n := new(int)
+	t := k.tasks[id]
+	resume := t.resume
+	t.resume = func() (struct{}, bool) {
+		*n++
+		return resume()
+	}
+	return n
+}

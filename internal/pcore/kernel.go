@@ -61,9 +61,18 @@ type Kernel struct {
 	cycles  clock.Cycles
 	fault   *KernelFault
 	lastRun TaskID
-	current TaskID
 
-	curReq request // posted by the running task before it yields
+	current  *Task        // dispatched task whose step is in progress
+	stepCost clock.Cycles // context-switch cost charged at dispatch
+	curReq   request      // posted by the running task before it yields
+
+	// handoff, set while a run loop drives the kernel, completes a step
+	// on the stack of the task that posted the request (see SetHandoff);
+	// onStack is that task while the hook runs. A panic that unwinds the
+	// hook leaves onStack set, which tells the task's trampoline that
+	// the panic is the host's.
+	handoff func()
+	onStack *Task
 
 	fstate   faultState
 	svcCount int
@@ -73,7 +82,6 @@ type Kernel struct {
 	svcCalls    map[Service]uint64
 	svcCycles   map[Service]clock.Cycles
 	ctxSwitches uint64
-	dispatches  uint64
 }
 
 // New boots a kernel with the given configuration.
@@ -107,6 +115,15 @@ func (k *Kernel) emit(e Event) {
 	e.At = k.cycles
 	if k.onEvent != nil {
 		k.onEvent(e)
+	}
+}
+
+// emitOn emits an event whose Detail is prefix+name, building the string
+// only when a hook is registered: blocks and wakes happen at nearly
+// every synchronization call, and most runs trace nothing.
+func (k *Kernel) emitOn(task TaskID, kind EventKind, prefix, name string) {
+	if k.onEvent != nil {
+		k.emit(Event{Task: task, Kind: kind, Detail: prefix + name})
 	}
 }
 
@@ -197,14 +214,27 @@ func (k *Kernel) Idle() bool { return k.readyMask == 0 }
 // Step dispatches the highest-priority ready task for one kernel event
 // (run until its next system call) and processes that call. It returns
 // the virtual-cycle cost and whether any task ran. A crashed kernel
-// never runs.
+// never runs. Step is Dispatch, Resume and Complete in one call.
 func (k *Kernel) Step() (clock.Cycles, bool) {
-	if k.fault != nil {
+	if !k.Dispatch() {
 		return 0, false
+	}
+	k.Resume()
+	return k.Complete(), true
+}
+
+// Dispatch is the first half of a step: it takes the highest-priority
+// ready task, charges the context switch and marks the task running.
+// It reports false, changing nothing, when the kernel has crashed or no
+// task is ready. The step ends with Complete once the task has posted
+// its request.
+func (k *Kernel) Dispatch() bool {
+	if k.fault != nil {
+		return false
 	}
 	t := k.pickNext()
 	if t == nil {
-		return 0, false
+		return false
 	}
 	var cost clock.Cycles
 	if k.lastRun != t.id {
@@ -213,19 +243,40 @@ func (k *Kernel) Step() (clock.Cycles, bool) {
 		t.sliceUsed = 0
 	}
 	k.lastRun = t.id
-	k.current = t.id
-	k.dispatches++
+	k.current = t
+	k.stepCost = cost
 	t.state = StateRunning
 	k.emit(Event{Task: t.id, Kind: EvDispatch})
-
-	t.resume()
-	req := k.curReq
-	t.syscalls++
-	cost += k.handle(req)
-	k.current = 0
-	k.cycles += cost
-	return cost, true
+	return true
 }
+
+// Resume runs the dispatched task's body until it posts its request.
+// Without a handoff hook the body yields straight back; with one it
+// completes the step itself and returns control only when the run loop
+// dispatches another body or stops.
+func (k *Kernel) Resume() { k.current.resume() }
+
+// Complete is the second half of a step: it processes the request the
+// dispatched task posted and returns the step's virtual-cycle cost,
+// context switch included.
+func (k *Kernel) Complete() clock.Cycles {
+	t := k.current
+	t.syscalls++
+	cost := k.stepCost + k.handle(k.curReq)
+	k.current = nil
+	k.cycles += cost
+	return cost
+}
+
+// SetHandoff installs the run loop's hook; nil removes it. While it is
+// set, a task that posts a request calls fn on its own stack, and fn
+// must Complete the step. fn may go on to dispatch further steps: if
+// the next dispatched task is the caller, the caller carries on without
+// a coroutine switch; otherwise it yields to whoever resumed it, which
+// resumes the dispatched body. A kill aimed at the task whose stack runs
+// fn releases the task at once and unwinds its stack when fn returns.
+// Panics raised inside fn propagate out of Resume unchanged.
+func (k *Kernel) SetHandoff(fn func()) { k.handoff = fn }
 
 // RunUntilIdle steps the kernel until no task is ready, the kernel
 // crashes, or maxSteps is exceeded; it returns the steps taken.
@@ -302,7 +353,7 @@ func (k *Kernel) handle(req request) clock.Cycles {
 		t.state = StateBlocked
 		t.waitSem = s
 		s.waiters.push(t)
-		k.emit(Event{Task: t.id, Kind: EvBlock, Detail: "sem " + s.name})
+		k.emitOn(t.id, EvBlock, "sem ", s.name)
 		return CostSemOp
 
 	case reqSemSignal:
@@ -313,7 +364,7 @@ func (k *Kernel) handle(req request) clock.Cycles {
 			w.state = StateReady
 			w.waitSem = nil
 			k.enqueueBack(w)
-			k.emit(Event{Task: w.id, Kind: EvWake, Detail: "sem " + s.name})
+			k.emitOn(w.id, EvWake, "sem ", s.name)
 		} else {
 			s.count++
 		}
@@ -333,7 +384,7 @@ func (k *Kernel) handle(req request) clock.Cycles {
 			t.state = StateBlocked
 			t.waitMu = m
 			m.waiters.push(t)
-			k.emit(Event{Task: t.id, Kind: EvBlock, Detail: "mutex " + m.name})
+			k.emitOn(t.id, EvBlock, "mutex ", m.name)
 		}
 		return CostSemOp
 
@@ -350,7 +401,7 @@ func (k *Kernel) handle(req request) clock.Cycles {
 			w.state = StateReady
 			w.waitMu = nil
 			k.enqueueBack(w)
-			k.emit(Event{Task: w.id, Kind: EvWake, Detail: "mutex " + m.name})
+			k.emitOn(w.id, EvWake, "mutex ", m.name)
 		} else {
 			m.owner = nil
 		}
@@ -442,10 +493,14 @@ func (k *Kernel) releaseTask(t *Task, why string) {
 // killParked terminates a task whose coroutine is suspended — not yet
 // started, or inside a kernel call: resuming it with killed set makes
 // the body unwind to the trampoline, which posts reqKilledAck and ends
-// the coroutine, and the kernel reclaims the slot.
+// the coroutine, and the kernel reclaims the slot. The task whose stack
+// runs the handoff hook cannot be resumed from its own stack: it is
+// released at once, and it unwinds when the hook returns to it.
 func (k *Kernel) killParked(t *Task, why string) {
 	t.killed = true
-	t.resume() // posts reqKilledAck
+	if t != k.onStack {
+		t.resume() // posts reqKilledAck
+	}
 	k.releaseTask(t, why)
 }
 
@@ -465,7 +520,9 @@ func (k *Kernel) maybeGC() {
 func (k *Kernel) runGC(why string) {
 	r1, l1 := k.tcbPool.Collect(k.plan.GCLeakEvery)
 	r2, l2 := k.stackPool.Collect(k.plan.GCLeakEvery)
-	k.emit(Event{Kind: EvGC, Detail: fmt.Sprintf("%s: reclaimed %d, leaked %d", why, r1+r2, l1+l2)})
+	if k.onEvent != nil {
+		k.emit(Event{Kind: EvGC, Detail: fmt.Sprintf("%s: reclaimed %d, leaked %d", why, r1+r2, l1+l2)})
+	}
 	if k.plan.GCCorruptAfterLeaks > 0 &&
 		k.tcbPool.Leaked()+k.stackPool.Leaked() >= k.plan.GCCorruptAfterLeaks {
 		k.crash(FaultGCCorruption,

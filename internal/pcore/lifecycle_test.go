@@ -8,13 +8,13 @@ import (
 	"time"
 )
 
-// settleGoroutines fails the test if runtime.NumGoroutine stays above
+// SettleGoroutines fails the test if runtime.NumGoroutine stays above
 // want, the count read before the task was created. A task's coroutine
 // ends inside the call that ends the task, so the count is back at once.
 // It may end below want: the goroutine the testing package ran an
 // earlier test or subtest on can still be on its way out when want is
 // read. A body that outlives its task keeps the count above want.
-func settleGoroutines(t *testing.T, want int) {
+func SettleGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > want {
@@ -25,10 +25,40 @@ func settleGoroutines(t *testing.T, want int) {
 	}
 }
 
-// TestTaskEndings pins every way a task can end: the request the kernel
-// receives last, the fault it records, the event trail, and that the
-// task's body is gone afterwards.
-func TestTaskEndings(t *testing.T) {
+// TaskEnding is one way a task can end, with what the kernel must show
+// afterwards: the request it received last, the fault it recorded and
+// the event trail. TestTaskEndings runs every case on a bare kernel
+// stepped by Kernel.Step; TestTaskEndingsUnderRunLoop (handoff_test.go)
+// runs the same cases under the platform's run loop, where the kernel
+// completes each request on the stack of the task that posted it.
+type TaskEnding struct {
+	Name string
+	Cfg  Config
+	// Run sets the case up on k and drives it with drive.
+	Run    func(t *testing.T, k *Kernel, drive Driver)
+	req    reqKind
+	fault  string
+	events []string
+}
+
+// Driver takes up to steps kernel steps, fewer if the kernel goes idle,
+// and then calls then (when non-nil) from whichever stack holds control
+// after the last one: under the run loop, that of the task whose
+// request completed last.
+type Driver func(steps int, then func())
+
+// StepDriver drives k through Kernel.Step, from the test's own stack.
+func StepDriver(k *Kernel) Driver {
+	return func(steps int, then func()) {
+		k.RunUntilIdle(steps)
+		if then != nil {
+			then()
+		}
+	}
+}
+
+// TaskEndings lists every way a task can end.
+func TaskEndings() []TaskEnding {
 	yieldThen := func(end func(*Ctx)) func(*Ctx) {
 		return func(c *Ctx) {
 			c.Yield()
@@ -40,40 +70,33 @@ func TestTaskEndings(t *testing.T) {
 			c.Yield()
 		}
 	}
-	cases := []struct {
-		name   string
-		cfg    Config
-		run    func(t *testing.T, k *Kernel)
-		req    reqKind
-		fault  string
-		events []string
-	}{
+	return []TaskEnding{
 		{
-			name: "entry returns",
-			run: func(t *testing.T, k *Kernel) {
+			Name: "entry returns",
+			Run: func(t *testing.T, k *Kernel, drive Driver) {
 				mustCreate(t, k, "t", yieldThen(func(*Ctx) {}))
-				k.RunUntilIdle(10)
+				drive(10, nil)
 			},
 			req:    reqExit,
 			events: []string{"service 0 TC", "dispatch 1", "dispatch 1", "exit 1 exit"},
 		},
 		{
-			name: "Ctx.Exit",
-			run: func(t *testing.T, k *Kernel) {
+			Name: "Ctx.Exit",
+			Run: func(t *testing.T, k *Kernel, drive Driver) {
 				mustCreate(t, k, "t", yieldThen(func(c *Ctx) {
 					c.Exit()
 					t.Error("code after Exit ran")
 				}))
-				k.RunUntilIdle(10)
+				drive(10, nil)
 			},
 			req:    reqExit,
 			events: []string{"service 0 TC", "dispatch 1", "dispatch 1", "exit 1 exit"},
 		},
 		{
-			name: "panicking body",
-			run: func(t *testing.T, k *Kernel) {
+			Name: "panicking body",
+			Run: func(t *testing.T, k *Kernel, drive Driver) {
 				mustCreate(t, k, "t", yieldThen(func(*Ctx) { panic("boom") }))
-				k.RunUntilIdle(10)
+				drive(10, nil)
 			},
 			req:   reqTaskPanic,
 			fault: FaultAssert,
@@ -81,28 +104,33 @@ func TestTaskEndings(t *testing.T) {
 				`fault 1 kernel-assert: task "t" panicked: boom`},
 		},
 		{
-			name: "DeleteTask before the first dispatch",
-			run: func(t *testing.T, k *Kernel) {
+			Name: "DeleteTask before the first dispatch",
+			Run: func(t *testing.T, k *Kernel, drive Driver) {
 				id := mustCreate(t, k, "t", spin)
-				if err := k.DeleteTask(id); err != nil {
-					t.Fatal(err)
-				}
+				drive(0, func() {
+					if err := k.DeleteTask(id); err != nil {
+						t.Error(err)
+					}
+				})
 			},
 			req:    reqKilledAck,
 			events: []string{"service 0 TC", "exit 1 deleted", "service 0 TD"},
 		},
 		{
-			name: "DeleteTask while blocked on a semaphore",
-			run: func(t *testing.T, k *Kernel) {
+			// Under the run loop the delete runs on the blocked task's
+			// own stack: its request was the last to complete.
+			Name: "DeleteTask while blocked on a semaphore",
+			Run: func(t *testing.T, k *Kernel, drive Driver) {
 				s := NewSem("s", 0)
 				id := mustCreate(t, k, "t", func(c *Ctx) {
 					c.SemWait(s)
 					t.Error("SemWait returned to a deleted task")
 				})
-				k.RunUntilIdle(10)
-				if err := k.DeleteTask(id); err != nil {
-					t.Fatal(err)
-				}
+				drive(10, func() {
+					if err := k.DeleteTask(id); err != nil {
+						t.Error(err)
+					}
+				})
 				if s.Waiters() != 0 {
 					t.Errorf("semaphore still has %d waiters", s.Waiters())
 				}
@@ -111,26 +139,27 @@ func TestTaskEndings(t *testing.T) {
 			events: []string{"service 0 TC", "dispatch 1", "block 1 sem s", "exit 1 deleted", "service 0 TD"},
 		},
 		{
-			name: "TerminateTask (TY) on a ready task",
-			run: func(t *testing.T, k *Kernel) {
+			Name: "TerminateTask (TY) on a ready task",
+			Run: func(t *testing.T, k *Kernel, drive Driver) {
 				id := mustCreate(t, k, "t", spin)
-				k.Step()
-				if err := k.TerminateTask(id); err != nil {
-					t.Fatal(err)
-				}
+				drive(1, func() {
+					if err := k.TerminateTask(id); err != nil {
+						t.Error(err)
+					}
+				})
 			},
 			req:    reqKilledAck,
 			events: []string{"service 0 TC", "dispatch 1", "exit 1 TY", "service 0 TY"},
 		},
 		{
-			name: "stack-overflow kill",
-			cfg:  Config{StackSize: 512},
-			run: func(t *testing.T, k *Kernel) {
+			Name: "stack-overflow kill",
+			Cfg:  Config{StackSize: 512},
+			Run: func(t *testing.T, k *Kernel, drive Driver) {
 				mustCreate(t, k, "t", func(c *Ctx) {
 					c.StackPush(600)
 					t.Error("StackPush returned past the overflow")
 				})
-				k.RunUntilIdle(10)
+				drive(10, nil)
 			},
 			req:   reqKilledAck,
 			fault: FaultStackOverflow,
@@ -138,13 +167,43 @@ func TestTaskEndings(t *testing.T) {
 				`fault 1 stack-overflow: task "t" used 600 of 512 stack bytes`},
 		},
 		{
-			name: "Kernel.Shutdown",
-			run: func(t *testing.T, k *Kernel) {
+			Name: "recursive lock",
+			Run: func(t *testing.T, k *Kernel, drive Driver) {
+				m := NewMutex("m")
+				mustCreate(t, k, "t", func(c *Ctx) {
+					c.Lock(m)
+					c.Lock(m)
+					t.Error("Lock returned on a recursive lock")
+				})
+				drive(10, nil)
+			},
+			req:   reqKilledAck,
+			fault: FaultAssert,
+			events: []string{"service 0 TC", "dispatch 1", "dispatch 1", "exit 1 recursive lock",
+				`fault 1 kernel-assert: task "t" recursively locked "m"`},
+		},
+		{
+			Name: "bad unlock",
+			Run: func(t *testing.T, k *Kernel, drive Driver) {
+				m := NewMutex("m")
+				mustCreate(t, k, "t", func(c *Ctx) {
+					c.Unlock(m)
+					t.Error("Unlock of an unowned mutex returned")
+				})
+				drive(10, nil)
+			},
+			req:   reqKilledAck,
+			fault: FaultAssert,
+			events: []string{"service 0 TC", "dispatch 1", "exit 1 bad unlock",
+				`fault 1 kernel-assert: task "t" unlocked "m" owned by 0`},
+		},
+		{
+			Name: "Kernel.Shutdown",
+			Run: func(t *testing.T, k *Kernel, drive Driver) {
 				s := NewSem("s", 0)
 				mustCreate(t, k, "blocked", func(c *Ctx) { c.SemWait(s) })
 				mustCreate(t, k, "ready", spin)
-				k.Step()
-				k.Shutdown()
+				drive(1, k.Shutdown)
 			},
 			req:   reqKilledAck,
 			fault: "shutdown",
@@ -152,38 +211,58 @@ func TestTaskEndings(t *testing.T) {
 				"exit 1 shutdown", "exit 2 shutdown"},
 		},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+}
+
+// RecordEvents registers a hook on k that renders every event as
+// "kind task [service] [detail]" into the returned log.
+func RecordEvents(k *Kernel) *[]string {
+	var events []string
+	k.OnEvent(func(e Event) {
+		s := fmt.Sprintf("%s %d", e.Kind, e.Task)
+		if e.Service != "" {
+			s += " " + string(e.Service)
+		}
+		if e.Detail != "" {
+			s += " " + e.Detail
+		}
+		events = append(events, s)
+	})
+	return &events
+}
+
+// Check compares what k shows after the ending with the case: the last
+// request, the fault, the event trail, and no live task left.
+func (tc TaskEnding) Check(t *testing.T, k *Kernel, events []string) {
+	t.Helper()
+	if k.curReq.kind != tc.req {
+		t.Errorf("last request kind %d, want %d", k.curReq.kind, tc.req)
+	}
+	switch f := k.Fault(); {
+	case tc.fault == "" && f != nil:
+		t.Errorf("unexpected fault %v", f)
+	case tc.fault != "" && (f == nil || f.Reason != tc.fault):
+		t.Errorf("fault %v, want reason %q", f, tc.fault)
+	}
+	if !slices.Equal(events, tc.events) {
+		t.Errorf("events:\n got %q\nwant %q", events, tc.events)
+	}
+	if live := k.LiveTasks(); len(live) != 0 {
+		t.Errorf("live tasks %v after the ending", live)
+	}
+}
+
+// TestTaskEndings pins every way a task can end: the request the kernel
+// receives last, the fault it records, the event trail, and that the
+// task's body is gone afterwards.
+func TestTaskEndings(t *testing.T) {
+	for _, tc := range TaskEndings() {
+		t.Run(tc.Name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			k := New(tc.cfg)
-			var events []string
-			k.OnEvent(func(e Event) {
-				s := fmt.Sprintf("%s %d", e.Kind, e.Task)
-				if e.Service != "" {
-					s += " " + string(e.Service)
-				}
-				if e.Detail != "" {
-					s += " " + e.Detail
-				}
-				events = append(events, s)
-			})
-			tc.run(t, k)
-			if k.curReq.kind != tc.req {
-				t.Errorf("last request kind %d, want %d", k.curReq.kind, tc.req)
-			}
-			switch f := k.Fault(); {
-			case tc.fault == "" && f != nil:
-				t.Errorf("unexpected fault %v", f)
-			case tc.fault != "" && (f == nil || f.Reason != tc.fault):
-				t.Errorf("fault %v, want reason %q", f, tc.fault)
-			}
-			if !slices.Equal(events, tc.events) {
-				t.Errorf("events:\n got %q\nwant %q", events, tc.events)
-			}
-			if live := k.LiveTasks(); len(live) != 0 {
-				t.Errorf("live tasks %v after the ending", live)
-			}
-			settleGoroutines(t, before)
+			k := New(tc.Cfg)
+			events := RecordEvents(k)
+			tc.Run(t, k, StepDriver(k))
+			tc.Check(t, k, *events)
+			SettleGoroutines(t, before)
 		})
 	}
 }
@@ -222,7 +301,7 @@ func TestTableIServicesLeaveNoGoroutines(t *testing.T) {
 	if k.Crashed() {
 		t.Fatalf("kernel crashed: %v", k.Fault())
 	}
-	settleGoroutines(t, before)
+	SettleGoroutines(t, before)
 }
 
 func mustCreate(t *testing.T, k *Kernel, name string, entry func(*Ctx)) TaskID {

@@ -56,6 +56,8 @@ type request struct {
 // request in Kernel.curReq (or ends); the body calls yield, from inside
 // a kernel call, to hand that request back. Control passes by a direct
 // coroutine switch, so no Go scheduler round trip sits on the path.
+// Under a run loop (Kernel.SetHandoff) the body completes its own
+// request and yields only when the next dispatch is another body.
 type Task struct {
 	id    TaskID
 	name  string
@@ -108,38 +110,78 @@ func (t *Task) Progress() uint64 { return t.progress }
 // It posts its final request and returns, which ends the coroutine, so
 // every reqExit/reqKilledAck/reqTaskPanic the kernel receives comes from
 // a task that needs no further resume. Nothing stops the coroutine from
-// outside: a kill resumes it with killed set, and it unwinds through
-// the recover below.
+// outside: a kill resumes it with killed set, or, when the task's own
+// stack runs the loop, makes it unwind once the hook returns; either
+// way it unwinds through the recover in body. Under a run loop the
+// final exit or panic request completes on this stack too, and the
+// loop carries on here until it dispatches another body.
 func (t *Task) trampoline(yield func(struct{}) bool) {
 	t.yield = yield
+	k := t.k
+	k.curReq = t.body()
+	if k.handoff != nil && !t.killed {
+		k.handoff()
+	}
+}
+
+// body runs the entry function and returns the task's final request.
+func (t *Task) body() (final request) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
+		if t.k.onStack == t {
+			// The handoff hook was running on this stack, so the run
+			// loop's own code failed (a committee factory, a clock
+			// callback, the detector): not a task fault, so it leaves
+			// the run as it would from any stack.
+			panic(r)
+		}
 		switch r.(type) {
 		case killedSignal:
-			t.k.curReq = request{kind: reqKilledAck, task: t}
+			final = request{kind: reqKilledAck, task: t}
 		case exitSignal:
-			t.k.curReq = request{kind: reqExit, task: t}
+			final = request{kind: reqExit, task: t}
 		default:
 			// Application code panicked inside the simulated task: surface
 			// it as a kernel fault rather than crashing the host process.
-			t.k.curReq = request{kind: reqTaskPanic, task: t, detail: fmt.Sprint(r)}
+			final = request{kind: reqTaskPanic, task: t, detail: fmt.Sprint(r)}
 		}
 	}()
 	if t.killed {
 		panic(killedSignal{})
 	}
 	t.entry(&Ctx{t: t})
-	t.k.curReq = request{kind: reqExit, task: t}
+	return request{kind: reqExit, task: t}
 }
 
 // syscall posts the request to the kernel and suspends the task's
 // coroutine until the kernel resumes it: at its next dispatch, or to
-// unwind it when killed.
+// unwind it when killed. Under a run loop the task first completes the
+// request itself through the handoff hook, which runs the loop on this
+// stack until the next dispatch; if that dispatch is this task again,
+// the call returns without a coroutine switch.
 func (t *Task) syscall(req request) error {
-	t.k.curReq = req
+	k := t.k
+	if t.killed {
+		// A deferred kernel call while a kill unwinds the body.
+		panic(killedSignal{})
+	}
+	k.curReq = req
+	if k.handoff != nil {
+		k.onStack = t
+		k.handoff()
+		k.onStack = nil
+		if t.killed {
+			// Killed while its own stack ran the loop: the kernel has
+			// released it; unwinding hands off to the next body.
+			panic(killedSignal{})
+		}
+		if k.current == t {
+			return t.syscallErr
+		}
+	}
 	t.yield(struct{}{})
 	if t.killed {
 		panic(killedSignal{})

@@ -8,10 +8,11 @@
 //
 // Determinism: each task body runs as a coroutine (iter.Pull), and
 // exactly one of them executes at any instant — the kernel resumes a
-// task to dispatch it and the task yields back at every kernel call —
-// so the Go scheduler never influences simulated behaviour. All
-// simulated faults are captured as *KernelFault values; they never
-// escape as Go panics.
+// task to dispatch it and the task hands control back at its kernel
+// calls (under a run loop, only when the next dispatch is another body;
+// see Kernel.SetHandoff) — so the Go scheduler never influences
+// simulated behaviour. All simulated faults are captured as
+// *KernelFault values; they never escape as Go panics.
 package pcore
 
 import (
