@@ -226,8 +226,8 @@ func clientWorkers(args []string) error {
 		if !wk.Live {
 			state = "expired"
 		}
-		// batch is the worker's live lease:batch depth; a v1 single-lease
-		// worker never batches, so it renders as "-".
+		// batch is the worker's live lease:batch depth; a worker that has
+		// not been granted anything yet renders as "-".
 		batch := "-"
 		if wk.LastBatch > 0 {
 			batch = fmt.Sprintf("%d", wk.LastBatch)

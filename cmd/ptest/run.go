@@ -99,7 +99,7 @@ func cmdRun(args []string) error {
 		storeDir   = fs.String("store", "", "content-addressed result store directory: execute as a one-cell suite, skipping cells already computed by run/suite/ptestd (campaign seeds derive from the cell identity, not -seed directly)")
 		storeURL   = fs.String("store-url", "", "remote result store: a ptestd base URL whose cell cache this run shares; comma-separate several URLs for a sharded hub tier (mutually exclusive with -store)")
 		storeMem   = fs.Int("store-mem", 4096, "result-store in-memory LRU entries")
-		storeBatch = fs.Int("store-batch", 16, "coalesce remote store writes into batches of this many cells (0 = one PUT per cell; -store-url only)")
+		storeBatch = fs.Int("store-batch", 16, "coalesce remote store writes into batches of this many cells (0 = each write a synchronous batch of one; -store-url only)")
 		apiKey     = apiKeyFlag(fs)
 	)
 	if err := parseFlags(fs, args); err != nil {
@@ -342,7 +342,7 @@ func runViaSpec(a runSpecArgs) error {
 
 	var opts suite.Options
 	if a.storeDir != "" || a.storeURL != "" {
-		st, err := openStoreFlag(store.Config{Dir: a.storeDir, MemEntries: a.storeMem}, a.storeURL, a.apiKey, a.storeBatch, 0)
+		st, err := openStoreFlag(store.Config{Dir: a.storeDir, MemEntries: a.storeMem}, a.storeURL, a.apiKey, a.storeBatch)
 		if err != nil {
 			return err
 		}

@@ -36,9 +36,8 @@ import (
 // disk-backed local store when -store names a directory, memory-only
 // otherwise. apiKey authenticates the remote path against a hub
 // running -auth-keys; batch enables write-through batching (cells per
-// flush, 0 = synchronous single puts) and hedge enables hedged reads
-// across shards (0 = off, single-URL ignores it).
-func openStoreFlag(cfg store.Config, remoteURL, apiKey string, batch int, hedge time.Duration) (store.CellStore, error) {
+// flush, 0 = each put a synchronous batch of one).
+func openStoreFlag(cfg store.Config, remoteURL, apiKey string, batch int) (store.CellStore, error) {
 	if remoteURL == "" {
 		return store.Open(cfg)
 	}
@@ -60,8 +59,7 @@ func openStoreFlag(cfg store.Config, remoteURL, apiKey string, batch int, hedge 
 		})
 	}
 	return store.OpenSharded(store.ShardedConfig{
-		BaseURLs: urls, MemEntries: cfg.MemEntries, APIKey: apiKey,
-		BatchSize: batch, HedgeAfter: hedge,
+		BaseURLs: urls, MemEntries: cfg.MemEntries, APIKey: apiKey, BatchSize: batch,
 	})
 }
 
@@ -84,13 +82,12 @@ func cmdServe(args []string) error {
 		storeMem = fs.Int("store-mem", 4096, "result-store in-memory LRU entries")
 		autoGC   = fs.Int64("store-autocompact", 0, "background-compact the local store when reclaimable bytes exceed this (0 = off)")
 
-		storeBatch   = fs.Int("store-batch", 16, "coalesce remote store writes into batches of this many cells (0 = one PUT per cell; -store-url only)")
-		storeHedge   = fs.Duration("store-hedge", 0, "hedge slow sharded-store reads to the second-ranked hub after this long (0 = off; multi-URL -store-url only)")
+		storeBatch   = fs.Int("store-batch", 16, "coalesce remote store writes into batches of this many cells (0 = each write a synchronous batch of one; -store-url only)")
 		storeMaxAge  = fs.Duration("store-max-age", 0, "GC: expire store entries older than this on autocompaction (needs -store-autocompact)")
 		storeMaxIdle = fs.Duration("store-max-idle", 0, "GC: expire store entries not hit for this long on autocompaction (needs -store-autocompact)")
 		hubURL       = fs.String("hub-url", "", "join a hub ptestd's fleet as a cell worker instead of serving (no listener)")
 		hubName      = fs.String("name", "", "worker name shown by `ptest client workers` (default: hostname; -hub-url only)")
-		leaseBatch   = fs.Int("lease-batch", 0, "cells leased per hub round trip (0 = auto from -workers; negative = v1 single-lease wire; -hub-url only)")
+		leaseBatch   = fs.Int("lease-batch", 0, "cells leased per hub round trip (0 = auto from -workers; -hub-url only)")
 		leaseLinger  = fs.Duration("complete-linger", 0, "longest a finished cell waits to share a completion round trip (0 = 100ms default; -hub-url only)")
 
 		eventsCap = fs.Int("events", 0, "fleet event-log ring capacity; enables /api/v1/events and event emission (0 = off)")
@@ -116,7 +113,7 @@ func cmdServe(args []string) error {
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "addr", "queue", "max-jobs", "store", "store-url", "store-mem", "store-autocompact",
-				"store-batch", "store-hedge", "store-max-age", "store-max-idle",
+				"store-batch", "store-max-age", "store-max-idle",
 				"events", "events-log",
 				"auth-keys", "submit-rate", "submit-burst", "cells-rate", "cells-burst", "max-inflight", "max-queued":
 				conflict = f.Name
@@ -193,7 +190,7 @@ func cmdServe(args []string) error {
 	st, err := openStoreFlag(store.Config{
 		Dir: *storeDir, MemEntries: *storeMem, AutoCompactMinBytes: *autoGC,
 		GC: store.GCPolicy{MaxAge: *storeMaxAge, MaxIdle: *storeMaxIdle},
-	}, *storeURL, *apiKey, *storeBatch, *storeHedge)
+	}, *storeURL, *apiKey, *storeBatch)
 	if err != nil {
 		return err
 	}

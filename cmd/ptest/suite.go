@@ -33,7 +33,7 @@ func cmdSuite(args []string) error {
 		storeDir   = fs.String("store", "", "content-addressed result store directory (cells found there are not re-executed)")
 		storeURL   = fs.String("store-url", "", "remote result store: a ptestd base URL whose cell cache this run shares; comma-separate several URLs for a sharded hub tier (mutually exclusive with -store)")
 		storeMem   = fs.Int("store-mem", 4096, "result-store in-memory LRU entries")
-		storeBatch = fs.Int("store-batch", 16, "coalesce remote store writes into batches of this many cells (0 = one PUT per cell; -store-url only)")
+		storeBatch = fs.Int("store-batch", 16, "coalesce remote store writes into batches of this many cells (0 = each write a synchronous batch of one; -store-url only)")
 		apiKey     = apiKeyFlag(fs)
 		quiet      = fs.Bool("quiet", false, "suppress the per-cell progress summary on stderr")
 	)
@@ -53,7 +53,7 @@ func cmdSuite(args []string) error {
 
 	var opts suite.Options
 	if *storeDir != "" || *storeURL != "" {
-		st, err := openStoreFlag(store.Config{Dir: *storeDir, MemEntries: *storeMem}, *storeURL, *apiKey, *storeBatch, 0)
+		st, err := openStoreFlag(store.Config{Dir: *storeDir, MemEntries: *storeMem}, *storeURL, *apiKey, *storeBatch)
 		if err != nil {
 			return err
 		}

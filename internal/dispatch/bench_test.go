@@ -1,11 +1,11 @@
 // Wire-cost benchmarks for the dispatch hot path: how many HTTP round
-// trips one executed cell costs on the v1 single-lease wire versus the
-// v2 batched wire. The hub here is a minimal httptest mux mapped
-// straight onto Dispatcher methods — the real server package wraps the
-// same calls — with a counter on the dispatch-plane routes (lease,
-// complete, lease:batch, spec fetch; heartbeats are liveness-plane and
-// identical on both wires). scripts/bench-dispatch.sh renders the
-// roundtrips/cell numbers into BENCH_dispatch.json.
+// trips one executed cell costs on the lease:batch wire at batch depth
+// 1 versus 16. The hub here is a minimal httptest mux mapped straight
+// onto Dispatcher methods — the real server package wraps the same
+// calls — with a counter on the dispatch-plane routes (lease:batch and
+// the spec fetch; heartbeats are liveness-plane and identical at any
+// depth). scripts/bench-dispatch.sh renders the roundtrips/cell numbers
+// into BENCH_dispatch.json.
 package dispatch
 
 import (
@@ -42,13 +42,7 @@ const benchSpec = `{
 
 // benchHub serves the worker wire for one Dispatcher, counting
 // dispatch-plane round trips.
-func benchHub(d *Dispatcher, specJSON []byte, wireCalls *atomic.Int64) *httptest.Server {
-	notFound := func(w http.ResponseWriter, format string, args ...any) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusNotFound)
-		msg, _ := json.Marshal(fmt.Sprintf(format, args...))
-		fmt.Fprintf(w, `{"error":{"code":"not_found","message":%s}}`, msg)
-	}
+func benchHub(d *Dispatcher, specJSON []byte, wireCalls *atomic.Int64) http.Handler {
 	ok := func(w http.ResponseWriter, code int, v any) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(code)
@@ -62,7 +56,7 @@ func benchHub(d *Dispatcher, specJSON []byte, wireCalls *atomic.Int64) *httptest
 	})
 	mux.HandleFunc("POST /api/v1/workers/{id}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		if !d.Heartbeat(r.PathValue("id")) {
-			notFound(w, "unknown worker %q", r.PathValue("id"))
+			http.Error(w, "unknown worker", http.StatusNotFound)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -70,28 +64,6 @@ func benchHub(d *Dispatcher, specJSON []byte, wireCalls *atomic.Int64) *httptest
 	mux.HandleFunc("DELETE /api/v1/workers/{id}", func(w http.ResponseWriter, r *http.Request) {
 		d.Deregister(r.PathValue("id"))
 		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("POST /api/v1/workers/{id}/lease", func(w http.ResponseWriter, r *http.Request) {
-		wireCalls.Add(1)
-		g, got, err := d.Acquire(r.PathValue("id"))
-		if err != nil {
-			notFound(w, "%v", err)
-			return
-		}
-		if !got {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		ok(w, http.StatusOK, g)
-	})
-	mux.HandleFunc("POST /api/v1/workers/{id}/complete", func(w http.ResponseWriter, r *http.Request) {
-		wireCalls.Add(1)
-		var req CompleteRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		ok(w, http.StatusOK, CompleteResponse{Status: d.Complete(r.PathValue("id"), req)})
 	})
 	mux.HandleFunc("POST /api/v1/workers/{id}/lease:batch", func(w http.ResponseWriter, r *http.Request) {
 		wireCalls.Add(1)
@@ -102,7 +74,7 @@ func benchHub(d *Dispatcher, specJSON []byte, wireCalls *atomic.Int64) *httptest
 		}
 		resp, err := d.LeaseBatch(r.PathValue("id"), req.Max, req.Completions)
 		if err != nil {
-			notFound(w, "%v", err)
+			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
 		ok(w, http.StatusOK, resp)
@@ -112,11 +84,12 @@ func benchHub(d *Dispatcher, specJSON []byte, wireCalls *atomic.Int64) *httptest
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(specJSON)
 	})
-	return httptest.NewServer(mux)
+	return mux
 }
 
-// benchDispatchWire drives cells through a hub + one worker on the
-// given wire and reports HTTP round trips per executed cell.
+// benchDispatchWire drives cells through a hub + one worker at the
+// given lease:batch depth and reports HTTP round trips per executed
+// cell.
 func benchDispatchWire(b *testing.B, leaseBatch int) {
 	spec, err := suite.Parse(strings.NewReader(benchSpec))
 	if err != nil {
@@ -131,7 +104,7 @@ func benchDispatchWire(b *testing.B, leaseBatch int) {
 	d := New(Config{})
 	defer d.Close()
 	var wireCalls atomic.Int64
-	hub := benchHub(d, specJSON, &wireCalls)
+	hub := httptest.NewServer(benchHub(d, specJSON, &wireCalls))
 	defer hub.Close()
 
 	wk, err := NewWorker(WorkerConfig{
@@ -155,7 +128,7 @@ func benchDispatchWire(b *testing.B, leaseBatch int) {
 	}
 
 	// Rounds of len(cells) cells, a few jobs in flight at once so the
-	// hub always has a backlog for the batch wire to collapse.
+	// hub always has a backlog for a deep batch to collapse.
 	rounds := (b.N + len(cells) - 1) / len(cells)
 	b.ResetTimer()
 	sem := make(chan struct{}, 4)
@@ -189,5 +162,5 @@ func benchDispatchWire(b *testing.B, leaseBatch int) {
 	}
 }
 
-func BenchmarkDispatchWire_SingleLease(b *testing.B) { benchDispatchWire(b, -1) }
-func BenchmarkDispatchWire_Batched16(b *testing.B)   { benchDispatchWire(b, 16) }
+func BenchmarkDispatchWire_Batched1(b *testing.B)  { benchDispatchWire(b, 1) }
+func BenchmarkDispatchWire_Batched16(b *testing.B) { benchDispatchWire(b, 16) }

@@ -34,7 +34,6 @@ package dispatch
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -116,7 +115,6 @@ type job struct {
 	priority int
 	seq      uint64
 	digest   string
-	spec     json.RawMessage
 }
 
 // unit is one cell of one job moving through the lease lifecycle.
@@ -175,7 +173,7 @@ type workerState struct {
 	inFlight     map[string]*lease
 	completed    uint64
 	// lastBatch is the grant count of the worker's most recent
-	// lease:batch call — zero for v1 single-lease workers.
+	// lease:batch call that granted anything.
 	lastBatch int
 }
 
@@ -422,45 +420,6 @@ func (d *Dispatcher) Heartbeat(id string) bool {
 	return true
 }
 
-// Acquire hands the worker one leased cell: the first pending cell in
-// grant order past its backoff gate, or — when nothing is pending — a
-// stolen copy of a straggler. ok=false with a nil error means no work
-// right now. A non-nil error means the worker is unknown and must
-// re-register.
-func (d *Dispatcher) Acquire(workerID string) (Grant, bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	now := d.cfg.Clock.Now()
-	d.reapLocked(now)
-	w, ok := d.workers[workerID]
-	if !ok {
-		return Grant{}, false, fmt.Errorf("dispatch: unknown worker %q", workerID)
-	}
-	w.lastSeen = now // a poll proves liveness as well as a heartbeat
-
-	d.compactOrderLocked()
-	if g, ok := d.grantPendingLocked(w, now); ok {
-		return g, true, nil
-	}
-	if g, ok := d.stealLocked(w, now); ok {
-		return g, true, nil
-	}
-	return Grant{}, false, nil
-}
-
-// grantPendingLocked leases the first pending cell in grant order
-// (d.order is kept sorted by unit.before) past its backoff gate to w.
-// Callers hold d.mu.
-func (d *Dispatcher) grantPendingLocked(w *workerState, now time.Time) (Grant, bool) {
-	for _, u := range d.order {
-		if u.state != unitPending || now.Before(u.notBefore) {
-			continue
-		}
-		return d.grantLocked(u, w, now, false), true
-	}
-	return Grant{}, false
-}
-
 // stealLocked duplicates the oldest single-lease straggler w isn't
 // already running — work stealing for an otherwise-idle worker. Callers
 // hold d.mu.
@@ -488,16 +447,18 @@ func (d *Dispatcher) stealLocked(w *workerState, now time.Time) (Grant, bool) {
 	return d.grantLocked(victim, w, now, true), true
 }
 
-// LeaseBatch is the v2 steady-state entry point: settle the request's
+// LeaseBatch is the worker-facing dispatch call: settle the request's
 // piggybacked completions, then grant up to max pending cells in grant
-// order — one lock acquisition serving what the v1 wire needed
-// 2·len(comps)+max round trips for. Grants omit the spec (the worker's
-// plan cache keys on the digest). When nothing is pending and max > 0
-// the batch degrades to at most one stolen straggler copy, exactly like
-// a v1 poll. Completions are settled before the worker check so a
-// finished cell always lands (the v1 invariant); an unknown-worker
-// error after that tells the worker to re-register — the acks are lost
-// with the error, and resending is harmless (duplicates).
+// order (d.order is kept sorted by unit.before), each past its backoff
+// gate. Grants carry the spec digest only; the worker's plan cache
+// keys on it. When nothing is pending and max > 0 the batch degrades
+// to at most one stolen straggler copy. max = 0 is a pure completion
+// flush. Completions are settled before the worker check, so a
+// finished cell always lands, even from a worker the hub no longer
+// knows; an unknown-worker error after that tells the worker to
+// re-register — the acks are lost with the error, and resending is
+// harmless (duplicates). Any call from a known worker, like a
+// heartbeat, proves it alive.
 func (d *Dispatcher) LeaseBatch(workerID string, max int, comps []CompleteRequest) (LeaseBatchResponse, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -519,23 +480,22 @@ func (d *Dispatcher) LeaseBatch(workerID string, max int, comps []CompleteReques
 	w.lastSeen = now
 
 	d.compactOrderLocked()
-	for len(resp.Grants) < max {
-		g, ok := d.grantPendingLocked(w, now)
-		if !ok {
+	for _, u := range d.order {
+		if len(resp.Grants) >= max {
 			break
 		}
-		g.Spec = nil // v2 grants carry the digest only
-		resp.Grants = append(resp.Grants, g)
+		if u.state == unitPending && !now.Before(u.notBefore) {
+			resp.Grants = append(resp.Grants, d.grantLocked(u, w, now, false))
+		}
 	}
 	if len(resp.Grants) == 0 && max > 0 {
 		if g, ok := d.stealLocked(w, now); ok {
-			g.Spec = nil
 			resp.Grants = append(resp.Grants, g)
 		}
 	}
 	// Record the depth only when cells were actually granted: an idle
-	// v2 worker's empty polls must not make it look like a v1 worker
-	// (lastBatch == 0) in the roster and the per-worker gauge.
+	// worker's empty polls must not zero its batch depth in the roster
+	// and the per-worker gauge.
 	if len(resp.Grants) > 0 {
 		w.lastBatch = len(resp.Grants)
 	}
@@ -579,8 +539,7 @@ func (d *Dispatcher) grantLocked(u *unit, w *workerState, now time.Time, stolen 
 		Cell: u.cellID, Lease: l.id, Worker: w.id, Detail: detail,
 	})
 	return Grant{
-		LeaseID: l.id, JobID: u.job.id, CellID: u.cellID,
-		SpecDigest: u.job.digest, Spec: u.job.spec,
+		LeaseID: l.id, JobID: u.job.id, CellID: u.cellID, SpecDigest: u.job.digest,
 		TTLMS: d.cfg.LeaseTTL.Milliseconds(), Stolen: stolen,
 	}
 }
@@ -607,22 +566,12 @@ func (d *Dispatcher) compactOrderLocked() {
 	d.order = kept
 }
 
-// Complete records one executed cell. Any completion of a still-
-// outstanding cell is accepted — even from an expired lease or a
-// worker the hub no longer knows — because every execution of a cell
+// completeLocked settles one piggybacked completion. Any completion of
+// a still-outstanding cell is accepted — even from an expired lease or
+// a worker the hub no longer knows — because every execution of a cell
 // is bit-identical. Raced duplicates resolve deterministically: first
-// writer wins, the rest are acknowledged and dropped.
-func (d *Dispatcher) Complete(workerID string, req CompleteRequest) CompleteStatus {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if w := d.workers[workerID]; w != nil {
-		w.lastSeen = d.cfg.Clock.Now()
-	}
-	return d.completeLocked(workerID, req)
-}
-
-// completeLocked settles one completion — shared by the v1 /complete
-// endpoint and the v2 piggybacked batch. Callers hold d.mu.
+// writer wins, the rest are acknowledged and dropped. Callers hold
+// d.mu.
 func (d *Dispatcher) completeLocked(workerID string, req CompleteRequest) CompleteStatus {
 	u, ok := d.units[req.JobID+"/"+req.CellID]
 	if !ok {
@@ -728,12 +677,11 @@ func (d *Dispatcher) Metrics() Metrics {
 // ranks its cells for grants the way the job queue ranks jobs. The
 // caller may run the plan wider than spec's cell_parallelism, so that
 // every miss waits for a lease at once. Degradation is built in at
-// every decision point: no live workers, an unmarshalable spec, or an
-// exhausted attempt budget all fall back to in-process execution — the
-// exact code path a dispatcher-less daemon runs — and a per-job
-// semaphore admits at most cell_parallelism of those at a time, so a
-// job that loses its fleet mid-run computes exactly as a single daemon
-// would.
+// every decision point: no live workers or an exhausted attempt budget
+// fall back to in-process execution — the exact code path a
+// dispatcher-less daemon runs — and a per-job semaphore admits at most
+// cell_parallelism of those at a time, so a job that loses its fleet
+// mid-run computes exactly as a single daemon would.
 func (d *Dispatcher) Executor(jobID, tenantName string, priority int, spec *suite.Spec) suite.CellExec {
 	local := make(chan struct{}, engine.Normalize(spec.CellParallelism))
 	runLocal := func(ctx context.Context, sp *suite.Spec, c suite.Cell) (report.Cell, error) {
@@ -754,11 +702,7 @@ func (d *Dispatcher) Executor(jobID, tenantName string, priority int, spec *suit
 		plan map[string]int // cell ID → plan position
 	)
 	prepare := func() {
-		specJSON, err := json.Marshal(spec)
-		if err != nil {
-			specJSON = nil // never dispatch what a worker cannot decode
-		}
-		j = d.newJob(jobID, tenantName, priority, spec.Digest(), specJSON)
+		j = d.newJob(jobID, tenantName, priority, spec.Digest())
 		plan = map[string]int{}
 		for i, c := range spec.Expand() {
 			plan[c.ID] = i
@@ -766,7 +710,7 @@ func (d *Dispatcher) Executor(jobID, tenantName string, priority int, spec *suit
 	}
 	return func(ctx context.Context, sp *suite.Spec, c suite.Cell) (report.Cell, error) {
 		once.Do(prepare)
-		if j.spec == nil || d.LiveWorkers() == 0 {
+		if d.LiveWorkers() == 0 {
 			return runLocal(ctx, sp, c)
 		}
 		u := d.enqueue(j, c.ID, plan[c.ID])
@@ -791,11 +735,11 @@ func (d *Dispatcher) countLocal() {
 
 // newJob registers a job's shared lease state; its seq is the job's
 // rank among equal priorities.
-func (d *Dispatcher) newJob(id, tenantName string, priority int, digest string, spec json.RawMessage) *job {
+func (d *Dispatcher) newJob(id, tenantName string, priority int, digest string) *job {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.jseq++
-	return &job{id: id, tenant: tenantName, priority: priority, seq: d.jseq, digest: digest, spec: spec}
+	return &job{id: id, tenant: tenantName, priority: priority, seq: d.jseq, digest: digest}
 }
 
 // enqueue adds cell pos of j's plan to the lease table as pending work,

@@ -43,7 +43,7 @@ func newTestDispatcher(t *testing.T, cfg Config) (*Dispatcher, *clock.FakeWall) 
 // enqueueCells adds the cells of one job of tenant "t1" to the lease
 // table, in plan order, as a job's waiters would.
 func enqueueCells(d *Dispatcher, jobID string, priority int, cellIDs ...string) []*unit {
-	j := d.newJob(jobID, "t1", priority, "dg", []byte(`{}`))
+	j := d.newJob(jobID, "t1", priority, "dg")
 	units := make([]*unit, len(cellIDs))
 	for i, id := range cellIDs {
 		units[i] = d.enqueue(j, id, i)
@@ -51,16 +51,38 @@ func enqueueCells(d *Dispatcher, jobID string, priority int, cellIDs ...string) 
 	return units
 }
 
+// poll is a single-cell lease:batch poll, a batch of one. ok=false
+// means no work right now.
+func poll(t *testing.T, d *Dispatcher, workerID string) (g Grant, ok bool) {
+	t.Helper()
+	resp, err := d.LeaseBatch(workerID, 1, nil)
+	if err != nil {
+		t.Fatalf("LeaseBatch(%s, 1): %v", workerID, err)
+	}
+	if len(resp.Grants) == 0 {
+		return Grant{}, false
+	}
+	return resp.Grants[0], true
+}
+
 func mustAcquire(t *testing.T, d *Dispatcher, workerID string) Grant {
 	t.Helper()
-	g, ok, err := d.Acquire(workerID)
-	if err != nil {
-		t.Fatalf("Acquire(%s): %v", workerID, err)
-	}
+	g, ok := poll(t, d, workerID)
 	if !ok {
-		t.Fatalf("Acquire(%s): no grant, want one", workerID)
+		t.Fatalf("poll(%s): no grant, want one", workerID)
 	}
 	return g
+}
+
+// complete settles one completion as a pure lease:batch flush (max 0)
+// and returns its ack.
+func complete(t *testing.T, d *Dispatcher, workerID string, c CompleteRequest) CompleteStatus {
+	t.Helper()
+	resp, err := d.LeaseBatch(workerID, 0, []CompleteRequest{c})
+	if err != nil {
+		t.Fatalf("LeaseBatch(%s, 0, %s): %v", workerID, c.CellID, err)
+	}
+	return resp.Acks[0]
 }
 
 func resolved(u *unit) bool {
@@ -94,7 +116,7 @@ func TestExpiredLeaseRetriesOnAnotherWorker(t *testing.T) {
 	}
 
 	// The requeue is backoff-gated: an immediate poll gets nothing.
-	if _, ok, _ := d.Acquire(w2); ok {
+	if _, ok := poll(t, d, w2); ok {
 		t.Fatal("granted before the retry backoff elapsed")
 	}
 	fw.Advance(2 * time.Second) // past the ≤1.25s jittered base delay
@@ -104,8 +126,8 @@ func TestExpiredLeaseRetriesOnAnotherWorker(t *testing.T) {
 	}
 
 	cell := report.Cell{ID: "cell-1"}
-	if st := d.Complete(w2, CompleteRequest{LeaseID: g2.LeaseID, JobID: "j1", CellID: "cell-1", Cell: cell}); st != CompleteAccepted {
-		t.Fatalf("Complete = %s, want %s", st, CompleteAccepted)
+	if st := complete(t, d, w2, CompleteRequest{LeaseID: g2.LeaseID, JobID: "j1", CellID: "cell-1", Cell: cell}); st != CompleteAccepted {
+		t.Fatalf("complete = %s, want %s", st, CompleteAccepted)
 	}
 	if !resolved(u) || u.localize || u.result.ID != "cell-1" {
 		t.Fatalf("unit not resolved remotely: localize=%v result=%+v", u.localize, u.result)
@@ -152,7 +174,7 @@ func TestStolenLeaseAndDuplicateCompletionFirstWriterWins(t *testing.T) {
 	// Too young to steal: the idle worker gets nothing.
 	fw.Advance(3 * time.Second)
 	d.Heartbeat(w1)
-	if _, ok, _ := d.Acquire(w2); ok {
+	if _, ok := poll(t, d, w2); ok {
 		t.Fatal("stole a lease younger than StealAge")
 	}
 
@@ -172,11 +194,11 @@ func TestStolenLeaseAndDuplicateCompletionFirstWriterWins(t *testing.T) {
 	// markers here only prove which writer won).
 	first := report.Cell{ID: "cell-1", WallMS: 111}
 	second := report.Cell{ID: "cell-1", WallMS: 222}
-	if st := d.Complete(w2, CompleteRequest{LeaseID: g2.LeaseID, JobID: "j1", CellID: "cell-1", Cell: first}); st != CompleteAccepted {
-		t.Fatalf("first Complete = %s", st)
+	if st := complete(t, d, w2, CompleteRequest{LeaseID: g2.LeaseID, JobID: "j1", CellID: "cell-1", Cell: first}); st != CompleteAccepted {
+		t.Fatalf("first complete = %s", st)
 	}
-	if st := d.Complete(w1, CompleteRequest{LeaseID: g1.LeaseID, JobID: "j1", CellID: "cell-1", Cell: second}); st != CompleteDuplicate {
-		t.Fatalf("second Complete = %s, want %s", st, CompleteDuplicate)
+	if st := complete(t, d, w1, CompleteRequest{LeaseID: g1.LeaseID, JobID: "j1", CellID: "cell-1", Cell: second}); st != CompleteDuplicate {
+		t.Fatalf("second complete = %s, want %s", st, CompleteDuplicate)
 	}
 	if u.result.WallMS != 111 {
 		t.Fatalf("result WallMS = %v, want the first writer's 111", u.result.WallMS)
@@ -202,8 +224,8 @@ func TestDeadWorkerIsReapedAndItsLeaseReassigned(t *testing.T) {
 	if d.Heartbeat(w1) {
 		t.Fatal("dead worker still heartbeats successfully, want unknown")
 	}
-	if _, _, err := d.Acquire(w1); err == nil {
-		t.Fatal("dead worker still acquires, want unknown-worker error")
+	if _, err := d.LeaseBatch(w1, 1, nil); err == nil {
+		t.Fatal("dead worker still leases, want unknown-worker error")
 	}
 	workers := d.Workers()
 	if len(workers) != 1 || workers[0].ID != w2 {
@@ -271,16 +293,16 @@ func TestCompletionsForUnknownOrReleasedUnitsAreOrphans(t *testing.T) {
 	d, _ := newTestDispatcher(t, Config{})
 	w1 := d.Register("w").WorkerID
 
-	if st := d.Complete(w1, CompleteRequest{LeaseID: "l999999", JobID: "jX", CellID: "cell-9"}); st != CompleteOrphan {
-		t.Fatalf("Complete(unknown unit) = %s, want %s", st, CompleteOrphan)
+	if st := complete(t, d, w1, CompleteRequest{LeaseID: "l999999", JobID: "jX", CellID: "cell-9"}); st != CompleteOrphan {
+		t.Fatalf("complete(unknown unit) = %s, want %s", st, CompleteOrphan)
 	}
 
 	// A released unit (job cancelled, waiter gone) orphans late arrivals.
 	u := enqueueCells(d, "j1", 0, "cell-1")[0]
 	g := mustAcquire(t, d, w1)
 	d.release(u)
-	if st := d.Complete(w1, CompleteRequest{LeaseID: g.LeaseID, JobID: "j1", CellID: "cell-1"}); st != CompleteOrphan {
-		t.Fatalf("Complete(released unit) = %s, want %s", st, CompleteOrphan)
+	if st := complete(t, d, w1, CompleteRequest{LeaseID: g.LeaseID, JobID: "j1", CellID: "cell-1"}); st != CompleteOrphan {
+		t.Fatalf("complete(released unit) = %s, want %s", st, CompleteOrphan)
 	}
 	if m := d.Metrics(); m.OrphanCompletions != 2 {
 		t.Fatalf("OrphanCompletions = %d, want 2", m.OrphanCompletions)
@@ -318,9 +340,6 @@ func TestLeaseBatchGrantsPlanOrderAndPiggybacksCompletions(t *testing.T) {
 	for i, g := range resp.Grants {
 		if want := units[i].cellID; g.CellID != want {
 			t.Fatalf("grant[%d] = %s, want plan order %s", i, g.CellID, want)
-		}
-		if g.Spec != nil {
-			t.Fatalf("grant[%d] carries the spec; v2 grants are digest-only", i)
 		}
 		if g.SpecDigest != "dg" {
 			t.Fatalf("grant[%d] digest = %q", i, g.SpecDigest)
@@ -378,8 +397,8 @@ func TestLeaseBatchGrantsPlanOrderAndPiggybacksCompletions(t *testing.T) {
 	}
 
 	// An idle poll (max > 0 but nothing pending) grants zero cells and
-	// must not clobber it either: a v2 worker between jobs still shows
-	// its batch depth, not a v1 worker's zero.
+	// must not clobber it either: a worker between jobs still shows its
+	// batch depth, not zero.
 	if resp, err := d.LeaseBatch(w1, 16, nil); err != nil || len(resp.Grants) != 0 {
 		t.Fatalf("idle poll = %+v (%v), want no grants", resp, err)
 	}

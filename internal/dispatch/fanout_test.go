@@ -24,7 +24,7 @@ func TestGrantOrderIsPriorityThenJobFIFOThenPlan(t *testing.T) {
 	// arriving out of plan order as a wide plan's waiters race; then one
 	// more job at each priority.
 	enqueueCells(d, "low-1", 0, "a", "b")
-	urgent := d.newJob("high-1", "t1", 10, "dg", []byte(`{}`))
+	urgent := d.newJob("high-1", "t1", 10, "dg")
 	d.enqueue(urgent, "z", 1)
 	d.enqueue(urgent, "y", 0)
 	enqueueCells(d, "low-2", 0, "c")
@@ -39,7 +39,7 @@ func TestGrantOrderIsPriorityThenJobFIFOThenPlan(t *testing.T) {
 	for _, g := range resp.Grants {
 		got = append(got, g.JobID+"/"+g.CellID)
 	}
-	// The v1 single-lease poll continues in the same order.
+	// Single-cell polls continue in the same order.
 	for len(got) < len(want) {
 		g := mustAcquire(t, d, w)
 		got = append(got, g.JobID+"/"+g.CellID)

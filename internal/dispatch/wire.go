@@ -5,11 +5,7 @@
 // handlers around them.
 package dispatch
 
-import (
-	"encoding/json"
-
-	"repro/internal/report"
-)
+import "repro/internal/report"
 
 // RegisterRequest announces a worker to the hub.
 type RegisterRequest struct {
@@ -39,14 +35,11 @@ type Grant struct {
 	LeaseID string `json:"lease_id"`
 	JobID   string `json:"job_id"`
 	CellID  string `json:"cell_id"`
-	// SpecDigest keys the worker's compiled-plan cache. On the v1
-	// single-lease wire Spec carries the full defaulted suite spec
-	// (small — the 8 MiB submission cap bounds it) with every grant; v2
-	// batched grants omit it, and a worker whose plan cache misses the
-	// digest fetches the spec once per job via GET /api/v1/jobs/{id}/spec
+	// SpecDigest keys the worker's compiled-plan cache. Grants never
+	// carry the spec itself: a worker whose plan cache misses the digest
+	// fetches the spec once per job via GET /api/v1/jobs/{id}/spec
 	// instead of re-receiving and re-parsing it per cell.
-	SpecDigest string          `json:"spec_digest"`
-	Spec       json.RawMessage `json:"spec,omitempty"`
+	SpecDigest string `json:"spec_digest"`
 	// TTLMS is the lease's remaining validity at grant time.
 	TTLMS int64 `json:"ttl_ms"`
 	// Stolen marks a work-stealing duplicate of a straggler's lease —
@@ -80,29 +73,20 @@ const (
 	CompleteOrphan CompleteStatus = "orphan"
 )
 
-// CompleteResponse acknowledges a completion.
-type CompleteResponse struct {
-	Status CompleteStatus `json:"status"`
-}
-
-// LeaseBatchRequest is the v2 steady-state round trip: one request
-// both returns finished work and asks for more, so a fleet worker pays
-// one round trip per batch of cells instead of two per cell.
+// LeaseBatchRequest is the dispatch wire's only round trip: one
+// request both returns finished work and asks for more, so a fleet
+// worker pays one round trip per batch of cells instead of two per
+// cell. A single lease is a batch of one.
 //
 //	POST /api/v1/workers/{id}/lease:batch
-//
-// An old hub answers 404 (no such route, no JSON envelope); the worker
-// then falls back to the v1 single-lease wire for good — mirroring the
-// store's cells:batch fallback — so every worker/hub version pairing
-// keeps working.
 type LeaseBatchRequest struct {
 	// Max is how many new grants the worker wants (its free pipeline
 	// capacity). 0 is a pure completion flush: piggybacked results, no
 	// new work.
 	Max int `json:"max"`
 	// Completions are finished cells riding along with the poll. Each is
-	// settled independently with exactly the v1 /complete semantics
-	// (accepted / duplicate / orphan) — a batch is never all-or-nothing.
+	// settled independently (accepted / duplicate / orphan) — a batch is
+	// never all-or-nothing.
 	Completions []CompleteRequest `json:"completions,omitempty"`
 }
 
@@ -137,8 +121,8 @@ type WorkerInfo struct {
 	InFlight  int    `json:"in_flight"`
 	Completed uint64 `json:"completed"`
 	// LastBatch is how many cells the worker's most recent lease:batch
-	// call was granted — the live batch depth. Zero for a v1
-	// single-lease worker, which never calls the batched endpoint.
+	// call was granted — the live batch depth. Zero until the worker's
+	// first grant.
 	LastBatch int `json:"last_batch,omitempty"`
 }
 
@@ -158,15 +142,15 @@ type Metrics struct {
 	// LeaseBatchCalls counts lease:batch round trips that granted cells
 	// or settled completions (idle empty polls are not counted);
 	// LeaseBatchCells counts the cells those calls granted —
-	// cells/calls is the live batching factor the v2 wire achieves.
-	// PiggybackedCompletions counts completions that rode inside a
-	// lease:batch request instead of paying their own round trip.
+	// cells/calls is the live batching factor the wire achieves.
+	// PiggybackedCompletions counts completions delivered inside
+	// lease:batch requests, duplicates and orphans included.
 	LeaseBatchCalls        uint64 `json:"lease_batch_calls"`
 	LeaseBatchCells        uint64 `json:"lease_batch_cells"`
 	PiggybackedCompletions uint64 `json:"piggybacked_completions"`
 	// LocalCells counts cells the hub executed itself: zero live
-	// workers, a marshalling failure, or an exhausted attempt budget —
-	// the graceful-degradation paths.
+	// workers or an exhausted attempt budget — the graceful-degradation
+	// paths.
 	LocalCells uint64 `json:"local_cells"`
 	// CellsPending gauges cells waiting at the hub for a grant (retry
 	// backoff included): the fleet's backlog.

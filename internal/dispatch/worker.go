@@ -7,15 +7,12 @@
 // (hub restart) is just a fresh Register; a completion the hub no
 // longer wants is acknowledged as an orphan and forgotten.
 //
-// Two wires, one protocol. The v1 wire is one lease POST per cell plus
-// one completion POST per cell. The v2 wire (the default) is a single
-// pump loop over POST lease:batch: each round trip delivers the
-// finished completions and refills the in-flight pipeline with up to
-// LeaseBatch digest-only grants; compiled plans are cached by spec
-// digest and filled via one GET /api/v1/jobs/{id}/spec per job. A hub
-// without lease:batch answers a plain-text 404 and the worker drops to
-// the v1 wire permanently — the same fallback shape as the store's
-// cells:batch — so any worker version works against any hub version.
+// The wire is a single pump loop over POST lease:batch: each round
+// trip delivers the finished completions and refills the in-flight
+// pipeline with up to LeaseBatch digest-only grants. Compiled plans are
+// cached by spec digest and filled via one GET /api/v1/jobs/{id}/spec
+// per job. Hub and workers ship from one commit, so there is no other
+// wire to fall back to.
 package dispatch
 
 import (
@@ -61,11 +58,10 @@ type WorkerConfig struct {
 	// APIKey authenticates against a hub running with -auth-keys; sent
 	// as `Authorization: Bearer <key>`. Empty means anonymous.
 	APIKey string
-	// LeaseBatch sizes the v2 batched wire: the most cells one
-	// lease:batch round trip may grant, which is also the in-flight
-	// pipeline depth. 0 (the default) sizes it from execution capacity
-	// (2×Parallelism, so the pipeline stays full while a refill is in
-	// flight); < 0 forces the v1 single-lease wire.
+	// LeaseBatch is the most cells one lease:batch round trip may
+	// grant, which is also the in-flight pipeline depth. ≤ 0 (the
+	// default) sizes it from execution capacity (2×Parallelism, so the
+	// pipeline stays full while a refill is in flight).
 	LeaseBatch int
 	// CompleteLinger bounds how long a finished cell may wait for
 	// batch-mates before its completion is flushed (default 100ms;
@@ -147,7 +143,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.LeaseBatch == 0 {
+	if cfg.LeaseBatch <= 0 {
 		cfg.LeaseBatch = 2 * cfg.Parallelism
 	}
 	if cfg.CompleteLinger == 0 {
@@ -181,24 +177,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	defer stop()
 	go w.heartbeatLoop(loopCtx)
 
-	var wg sync.WaitGroup
-	if w.cfg.LeaseBatch > 0 {
-		// v2: one pump goroutine owns the wire and feeds execution
-		// slots; it falls back to the v1 loops itself on an old hub.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.pumpV2(loopCtx)
-		}()
-	} else {
-		for i := 0; i < w.cfg.Parallelism; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w.executorLoop(loopCtx)
-			}()
-		}
-	}
+	// One pump goroutine owns the wire and feeds the execution slots.
+	pumped := make(chan struct{})
+	go func() {
+		defer close(pumped)
+		w.pump(loopCtx)
+	}()
 
 	select {
 	case <-w.killc:
@@ -208,9 +192,9 @@ func (w *Worker) Run(ctx context.Context) error {
 		return faultinject.ErrKilled
 	case <-ctx.Done():
 	}
-	// Graceful: executors notice ctx at their next poll boundary and
-	// finish the cell they hold first.
-	wg.Wait()
+	// Graceful: the slots finish the cells they hold and the pump
+	// flushes their completions first.
+	<-pumped
 	w.deregister()
 	return ctx.Err()
 }
@@ -299,76 +283,10 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// executorLoop is one lease-execution slot: poll, execute, complete,
-// repeat. Transient hub failures back off; an unknown-worker answer
-// re-registers; a kill hook stops everything.
-func (w *Worker) executorLoop(ctx context.Context) {
-	backoff := w.cfg.PollInterval
-	for {
-		if ctx.Err() != nil || w.killed.Load() {
-			return
-		}
-		g, ok, err := w.poll(ctx)
-		switch {
-		case isUnknownWorker(err):
-			if w.register(ctx) != nil {
-				return
-			}
-			continue
-		case err != nil:
-			if ctx.Err() != nil {
-				return
-			}
-			w.cfg.Logf("dispatch worker %s: hub unreachable (%v), backing off", w.cfg.Name, err)
-			select {
-			case <-ctx.Done():
-				return
-			case <-w.cfg.Clock.After(backoff):
-			}
-			if backoff < 5*time.Second {
-				backoff *= 2
-			}
-			continue
-		}
-		backoff = w.cfg.PollInterval
-		if !ok {
-			select {
-			case <-ctx.Done():
-				return
-			case <-w.cfg.Clock.After(w.cfg.PollInterval):
-			}
-			continue
-		}
-		w.execute(ctx, g)
-	}
-}
-
-// poll asks for one lease. ok=false means no work right now.
-func (w *Worker) poll(ctx context.Context) (Grant, bool, error) {
-	reg := w.registration()
-	var g Grant
-	err := w.doJSON(ctx, http.MethodPost,
-		workersPathPrefix+"/"+url.PathEscape(reg.WorkerID)+"/lease", nil, &g)
-	if err != nil {
-		if errors.Is(err, errNoContent) {
-			return Grant{}, false, nil
-		}
-		return Grant{}, false, err
-	}
-	return g, true, nil
-}
-
-// execute runs one leased cell and reports it over the v1 wire.
-func (w *Worker) execute(ctx context.Context, g Grant) {
-	if comp := w.executeGrant(ctx, g); comp != nil {
-		w.complete(ctx, *comp)
-	}
-}
-
 // executeGrant runs one leased cell through the fault-hook seams and
 // returns its completion — nil when there is nothing to report (kill,
 // sever, unusable spec, failed execution; lease expiry recovers all of
-// them). Shared by the v1 executor loop and the v2 pump slots.
+// them).
 func (w *Worker) executeGrant(ctx context.Context, g Grant) *CompleteRequest {
 	if w.cfg.Hooks.Kill(g.CellID) {
 		w.kill()
@@ -401,23 +319,11 @@ func (w *Worker) executeGrant(ctx context.Context, g Grant) *CompleteRequest {
 }
 
 // planFor returns the grant's compiled plan: LRU hit by digest, else
-// compiled from the grant's inline spec (v1 wire), else fetched once
-// per job over GET /api/v1/jobs/{id}/spec (v2 digest-only grants) with
-// concurrent misses of one digest collapsed into a single fetch.
+// fetched once per job over GET /api/v1/jobs/{id}/spec, with concurrent
+// misses of one digest collapsed into a single fetch.
 func (w *Worker) planFor(ctx context.Context, g Grant) (*specPlan, error) {
 	w.mu.Lock()
 	if p, ok := w.plans.Get(g.SpecDigest); ok {
-		w.mu.Unlock()
-		return p, nil
-	}
-	if len(g.Spec) > 0 {
-		w.mu.Unlock()
-		p, err := compilePlan(g.Spec)
-		if err != nil {
-			return nil, err
-		}
-		w.mu.Lock()
-		w.plans.Add(g.SpecDigest, p)
 		w.mu.Unlock()
 		return p, nil
 	}
@@ -470,56 +376,13 @@ func compilePlan(raw json.RawMessage) (*specPlan, error) {
 	return p, nil
 }
 
-// complete posts one result over the v1 wire, retrying transient
-// failures so a briefly absent hub doesn't discard finished work. Past
-// the budget the result is dropped — expiry reassigns the cell, and
-// re-execution is bit-identical, so only cycles are lost.
-func (w *Worker) complete(ctx context.Context, req CompleteRequest) {
-	delay := 100 * time.Millisecond
-	for attempt := 0; attempt < 5; attempt++ {
-		reg := w.registration()
-		var resp CompleteResponse
-		err := w.doJSON(ctx, http.MethodPost,
-			workersPathPrefix+"/"+url.PathEscape(reg.WorkerID)+"/complete", req, &resp)
-		if err == nil {
-			if resp.Status == CompleteAccepted {
-				w.completedCount.Add(1)
-			}
-			return
-		}
-		if ctx.Err() != nil {
-			// Graceful shutdown mid-retry: one last detached attempt so a
-			// finished cell survives the worker's own exit.
-			dctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			if w.doJSON(dctx, http.MethodPost,
-				workersPathPrefix+"/"+url.PathEscape(reg.WorkerID)+"/complete", req, &resp) == nil &&
-				resp.Status == CompleteAccepted {
-				w.completedCount.Add(1)
-			}
-			cancel()
-			return
-		}
-		w.cfg.Logf("dispatch worker %s: completion of %s failed (%v), retrying", w.cfg.Name, req.CellID, err)
-		select {
-		case <-ctx.Done():
-		case <-w.cfg.Clock.After(delay):
-		}
-		if delay < 2*time.Second {
-			delay *= 2
-		}
-	}
-	w.cfg.Logf("dispatch worker %s: dropping completion of %s — hub will reassign", w.cfg.Name, req.CellID)
-}
-
-// --- v2 batched pump --------------------------------------------------------
-
 // slotResult is one execution slot's answer for one grant: the
 // completion to piggyback, or nil when there is nothing to report.
 type slotResult struct {
 	comp *CompleteRequest
 }
 
-// slotLoop is one v2 execution slot: take a grant off the pipeline,
+// slotLoop is one execution slot: take a grant off the pipeline,
 // execute it, hand the result back to the pump. Slots never touch the
 // wire for dispatch traffic — the pump owns it.
 func (w *Worker) slotLoop(ctx context.Context, grants <-chan Grant, results chan<- slotResult) {
@@ -537,7 +400,7 @@ func (w *Worker) slotLoop(ctx context.Context, grants <-chan Grant, results chan
 	}
 }
 
-// leaseBatch is one v2 round trip: pending completions out, up to max
+// leaseBatch is one round trip: pending completions out, up to max
 // digest-only grants back.
 func (w *Worker) leaseBatch(ctx context.Context, max int, comps []CompleteRequest) (LeaseBatchResponse, error) {
 	reg := w.registration()
@@ -548,20 +411,16 @@ func (w *Worker) leaseBatch(ctx context.Context, max int, comps []CompleteReques
 	return resp, err
 }
 
-// pumpV2 owns the v2 wire: the only goroutine that calls lease:batch.
-// It keeps up to LeaseBatch grants in flight across the execution
-// slots, collects their completions, and spends round trips by three
-// rules — starving (nothing in flight, nothing pending) polls for a
-// full batch; a half-empty pipeline or an expired linger flushes
-// pending completions and refills in the same call; otherwise it
-// waits. Steady state is therefore ~2 round trips per LeaseBatch cells
-// instead of the v1 wire's 2 per cell, with CompleteLinger bounding
-// how stale a finished result may go unreported.
-//
-// On a hub without the route (plain-text 404, no error envelope) the
-// pump delivers anything pending over the v1 wire and degrades to the
-// v1 executor loops for the rest of its life.
-func (w *Worker) pumpV2(ctx context.Context) {
+// pump owns the wire: the only goroutine that calls lease:batch. It
+// keeps up to LeaseBatch grants in flight across the execution slots,
+// collects their completions, and spends round trips by three rules —
+// starving (nothing in flight, nothing pending) polls for a full
+// batch; a half-empty pipeline or an expired linger flushes pending
+// completions and refills in the same call; otherwise it waits. Steady
+// state is therefore ~2 round trips per LeaseBatch cells, with
+// CompleteLinger bounding how stale a finished result may go
+// unreported.
+func (w *Worker) pump(ctx context.Context) {
 	depth := w.cfg.LeaseBatch
 	slotCtx, stopSlots := context.WithCancel(ctx)
 	defer stopSlots()
@@ -615,18 +474,6 @@ func (w *Worker) pumpV2(ctx context.Context) {
 
 		resp, err := w.leaseBatch(ctx, max, pending)
 		switch {
-		case isRouteMissing(err):
-			// An old hub: no lease:batch route. Deliver what we hold over
-			// the v1 wire and stay there for good.
-			w.cfg.Logf("dispatch worker %s: hub has no lease:batch (v1 hub); using single-lease wire", w.cfg.Name)
-			stopSlots()
-			slots.Wait()
-			pending = append(pending, w.reclaim(grants, results, &outstanding)...)
-			for _, c := range pending {
-				w.complete(ctx, c)
-			}
-			w.runV1(ctx)
-			return
 		case isUnknownWorker(err):
 			// Completions may have been settled before the hub rejected
 			// us; keep them pending — resending is harmless (duplicates).
@@ -650,11 +497,7 @@ func (w *Worker) pumpV2(ctx context.Context) {
 			continue
 		}
 		backoff = w.cfg.PollInterval
-		for _, st := range resp.Acks {
-			if st == CompleteAccepted {
-				w.completedCount.Add(1)
-			}
-		}
+		w.countAccepted(resp.Acks)
 		// Every ack is final (duplicate and orphan included): drop them.
 		pending = pending[:0]
 		lingerC, lingerFired = nil, false
@@ -676,25 +519,51 @@ func (w *Worker) pumpV2(ctx context.Context) {
 		return // abrupt death posts nothing; expiry recovers the leases
 	}
 	// Job-end barrier: let the slots finish the cells they hold, then
-	// flush the stragglers on a detached context so finished work
-	// survives the worker's own exit.
+	// flush the stragglers.
 	stopSlots()
 	pending = append(pending, w.reclaim(grants, results, &outstanding)...)
-	if len(pending) == 0 {
-		return
+	if len(pending) > 0 {
+		w.flushFinal(pending)
 	}
-	dctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+}
+
+// flushFinal delivers the job-end completions as a pure lease:batch
+// flush (max 0) on a detached context, so finished work survives the
+// worker's own exit: a bounded retry with backoff under a 2 s
+// deadline. Past the budget the results are dropped — expiry
+// reassigns the cells, and re-execution is bit-identical, so only
+// cycles are lost. A 404 ends the retry too: the hub settles
+// completions before it checks the worker, so they already landed.
+func (w *Worker) flushFinal(pending []CompleteRequest) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if resp, err := w.leaseBatch(dctx, 0, pending); err == nil {
-		for _, st := range resp.Acks {
-			if st == CompleteAccepted {
-				w.completedCount.Add(1)
-			}
+	delay := 100 * time.Millisecond
+	for attempt := 0; attempt < 5; attempt++ {
+		resp, err := w.leaseBatch(ctx, 0, pending)
+		if err == nil {
+			w.countAccepted(resp.Acks)
+			return
 		}
-		return
+		if isUnknownWorker(err) {
+			return
+		}
+		w.cfg.Logf("dispatch worker %s: final flush of %d completions failed (%v), retrying", w.cfg.Name, len(pending), err)
+		select {
+		case <-ctx.Done():
+		case <-w.cfg.Clock.After(delay):
+		}
+		delay *= 2
 	}
-	for _, c := range pending {
-		w.complete(dctx, c)
+	w.cfg.Logf("dispatch worker %s: dropping %d completions — hub will reassign", w.cfg.Name, len(pending))
+}
+
+// countAccepted adds the completions the hub accepted to Completed.
+// Every ack is final, so duplicates and orphans are simply dropped.
+func (w *Worker) countAccepted(acks []CompleteStatus) {
+	for _, st := range acks {
+		if st == CompleteAccepted {
+			w.completedCount.Add(1)
+		}
 	}
 }
 
@@ -724,20 +593,6 @@ func (w *Worker) reclaim(grants <-chan Grant, results <-chan slotResult, outstan
 	return comps
 }
 
-// runV1 is the permanent fallback body: the classic per-cell executor
-// loops, used when the hub predates the v2 wire.
-func (w *Worker) runV1(ctx context.Context) {
-	var wg sync.WaitGroup
-	for i := 0; i < w.cfg.Parallelism; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.executorLoop(ctx)
-		}()
-	}
-	wg.Wait()
-}
-
 // kill flips the worker into the dead state (fault injection only).
 func (w *Worker) kill() {
 	if w.killed.CompareAndSwap(false, true) {
@@ -748,43 +603,26 @@ func (w *Worker) kill() {
 
 // --- tiny HTTP client -------------------------------------------------------
 
-// errNoContent marks a 204 answer — "no work" on the lease endpoint.
-var errNoContent = errors.New("dispatch: no content")
-
-// httpStatusError carries the status code — and whether the body was
-// the hub's JSON error envelope — so callers can classify answers. The
-// distinction matters for 404: a handler's 404 (unknown worker, no
-// such job) arrives as an envelope, while a hub with no such route at
-// all answers ServeMux's plain text — which is how a v2 worker tells
-// "re-register" apart from "this hub predates the route".
+// httpStatusError carries the hub's status code and error message so
+// callers can classify answers.
 type httpStatusError struct {
-	code     int
-	envelope bool
-	msg      string
+	code int
+	msg  string
 }
 
 func (e *httpStatusError) Error() string {
 	return fmt.Sprintf("dispatch: hub answered %d: %s", e.code, e.msg)
 }
 
-// isUnknownWorker reports an enveloped 404 — the hub has the route but
-// does not know this worker ID (expired or hub restart); the cure is
-// re-registration.
+// isUnknownWorker reports a 404 — the hub does not know this worker ID
+// (expired or hub restart); the cure is re-registration.
 func isUnknownWorker(err error) bool {
 	var se *httpStatusError
-	return errors.As(err, &se) && se.code == http.StatusNotFound && se.envelope
-}
-
-// isRouteMissing reports a plain-text 404 — the hub has no such route
-// (an old hub); the cure is the version fallback, not re-registration.
-func isRouteMissing(err error) bool {
-	var se *httpStatusError
-	return errors.As(err, &se) && se.code == http.StatusNotFound && !se.envelope
+	return errors.As(err, &se) && se.code == http.StatusNotFound
 }
 
 // doJSON is one round trip: optional JSON body out, optional JSON body
-// in. 204 comes back as errNoContent so poll can distinguish "no work"
-// from a grant.
+// in.
 func (w *Worker) doJSON(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -812,23 +650,16 @@ func (w *Worker) doJSON(ctx context.Context, method, path string, body, out any)
 		_, _ = io.Copy(io.Discard, resp.Body)
 		_ = resp.Body.Close()
 	}()
-	if resp.StatusCode == http.StatusNoContent {
-		return errNoContent
-	}
 	if resp.StatusCode >= 400 {
-		// The hub's error envelope: {"error":{"code","message",...}}. A
-		// body that doesn't decode to it (ServeMux's plain-text 404) is
-		// flagged so 404 classification can tell route-missing apart
-		// from unknown-worker.
+		// The hub's error envelope: {"error":{"code","message",...}}; a
+		// body that doesn't decode to it leaves the message empty.
 		var e struct {
 			Error struct {
-				Code    string `json:"code"`
 				Message string `json:"message"`
 			} `json:"error"`
 		}
-		decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e)
-		envelope := decErr == nil && (e.Error.Code != "" || e.Error.Message != "")
-		return &httpStatusError{code: resp.StatusCode, envelope: envelope, msg: e.Error.Message}
+		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e)
+		return &httpStatusError{code: resp.StatusCode, msg: e.Error.Message}
 	}
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {

@@ -1,0 +1,125 @@
+// Worker-side wire tests: the job-end flush retries on the lease:batch
+// wire, so finished cells survive the worker's own exit even when the
+// hub fails the first attempt.
+package dispatch
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/dispatch/faultinject"
+	"repro/internal/suite"
+)
+
+func TestWorkerFinalFlushRetriesLeaseBatch(t *testing.T) {
+	spec, err := suite.Parse(strings.NewReader(benchSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := spec.Expand()
+
+	d := New(Config{})
+	t.Cleanup(d.Close)
+	// A registration that never polls keeps the fleet non-empty, so the
+	// executor enqueues every cell for a lease instead of running it
+	// in-process, and the worker's first poll is granted the whole plan.
+	d.Register("placeholder")
+	exec := d.Executor("j1", "t1", 0, spec)
+	waiters := make(chan error, len(cells))
+	for _, c := range cells {
+		go func(c suite.Cell) {
+			_, err := exec(context.Background(), spec, c)
+			waiters <- err
+		}(c)
+	}
+	waitPending(t, d, len(cells))
+
+	// The hub answers the first lease:batch that carries completions
+	// with 503.
+	var wireCalls atomic.Int64
+	var flushes atomic.Int32
+	hub := benchHub(d, specJSON, &wireCalls)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/lease:batch") {
+			body, _ := io.ReadAll(r.Body)
+			var req LeaseBatchRequest
+			if json.Unmarshal(body, &req) == nil && len(req.Completions) > 0 && flushes.Add(1) == 1 {
+				http.Error(w, "hub overloaded", http.StatusServiceUnavailable)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		hub.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	// The sever hook only observes: once the last cell has run, ctx is
+	// cancelled before the pump sees that cell's result, and the long
+	// linger keeps the earlier ones pending, so every completion is
+	// left to the job-end flush.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran atomic.Int32
+	wk, err := NewWorker(WorkerConfig{
+		HubURL: ts.URL, Name: "exiting", Parallelism: 2, LeaseBatch: 16,
+		PollInterval:   10 * time.Millisecond,
+		CompleteLinger: time.Hour,
+		Hooks: &faultinject.Hooks{SeverCompletion: func(string) bool {
+			if int(ran.Add(1)) == len(cells) {
+				cancel()
+			}
+			return false
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wk.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+
+	// Run returns after the final flush and the deregistration, so the
+	// counters are settled.
+	if got := flushes.Load(); got != 2 {
+		t.Fatalf("hub saw %d completion flushes, want 2 (the failed one and its retry)", got)
+	}
+	if got := wk.Completed(); got != uint64(len(cells)) {
+		t.Errorf("Completed() = %d, want %d", got, len(cells))
+	}
+	m := d.Metrics()
+	if m.RemoteCompletions != uint64(len(cells)) {
+		t.Errorf("RemoteCompletions = %d, want %d", m.RemoteCompletions, len(cells))
+	}
+	if m.LeasesExpired != 0 {
+		t.Errorf("LeasesExpired = %d, want 0: the retried flush must deliver before deregistration", m.LeasesExpired)
+	}
+	if m.LocalCells != 0 {
+		t.Errorf("LocalCells = %d, want 0", m.LocalCells)
+	}
+	if t.Failed() {
+		return
+	}
+	for range cells {
+		select {
+		case err := <-waiters:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a cell's waiter never resolved")
+		}
+	}
+}

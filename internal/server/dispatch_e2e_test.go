@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -331,196 +330,5 @@ func TestWatchReconnectsWithLastEventIDExactlyOnce(t *testing.T) {
 	}
 	if got := conns.Load(); got != 2 {
 		t.Fatalf("hub saw %d connections, want 2", got)
-	}
-}
-
-// startFleetWorkerCfg is startFleetWorker with the full WorkerConfig
-// exposed, for tests that pin wire versions or batch shapes. HubURL is
-// filled in from hubURL.
-func startFleetWorkerCfg(t *testing.T, hubURL string, cfg dispatch.WorkerConfig, errc chan<- error) {
-	t.Helper()
-	cfg.HubURL = hubURL
-	w, err := dispatch.NewWorker(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go func() { errc <- w.Run(ctx) }()
-}
-
-// oneLeaseGate is a worker transport that lets the v1 single-lease wire
-// grant one cell: once the hub has granted a lease, every later lease
-// poll is answered here with 204 ("no work"), so the worker stays
-// registered and heartbeating but idle. completed is closed when the
-// granted cell's completion has been answered.
-type oneLeaseGate struct {
-	next      http.RoundTripper
-	granted   atomic.Bool
-	completed chan struct{}
-	once      sync.Once
-}
-
-func (g *oneLeaseGate) RoundTrip(r *http.Request) (*http.Response, error) {
-	lease := r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/lease")
-	if lease && g.granted.Load() {
-		return &http.Response{
-			StatusCode: http.StatusNoContent, Status: "204 No Content",
-			Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-			Header: http.Header{}, Body: http.NoBody, Request: r,
-		}, nil
-	}
-	resp, err := g.next.RoundTrip(r)
-	if err != nil {
-		return resp, err
-	}
-	switch {
-	case lease && resp.StatusCode == http.StatusOK:
-		g.granted.Store(true)
-	case strings.HasSuffix(r.URL.Path, "/complete") && resp.StatusCode == http.StatusOK:
-		g.once.Do(func() { close(g.completed) })
-	}
-	return resp, nil
-}
-
-func TestE2EMixedVersionFleetV1AndV2WorkersByteIdentical(t *testing.T) {
-	spec, err := suite.Parse(strings.NewReader(e2eSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := suite.Run(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := report.Write(&want, report.Canonical(direct)); err != nil {
-		t.Fatal(err)
-	}
-
-	s, cli := newTestServer(t, Config{Workers: 1, QueueCap: 4})
-	errc := make(chan error, 2)
-	// One worker pinned to the v1 single-lease wire (LeaseBatch < 0) and
-	// one on the v2 batched wire share the job; the merged report must
-	// not betray which wire executed which cell. The split is fixed by
-	// construction: the v1 worker alone takes the first cell, its gate
-	// then turns every further lease poll into "no work", and only after
-	// that cell is complete does the v2 worker start, so it gets the rest.
-	gate := &oneLeaseGate{next: http.DefaultTransport, completed: make(chan struct{})}
-	startFleetWorkerCfg(t, cli.BaseURL(), dispatch.WorkerConfig{
-		Name: "legacy-v1", PollInterval: 25 * time.Millisecond, LeaseBatch: -1,
-		HTTPClient: &http.Client{Transport: gate, Timeout: 30 * time.Second},
-	}, errc)
-	waitForFleet(t, cli, 1)
-
-	ctx := context.Background()
-	info, err := cli.Submit(ctx, strings.NewReader(e2eSpec), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-gate.completed:
-	case <-time.After(30 * time.Second):
-		t.Fatal("the v1 worker never completed its cell")
-	}
-	startFleetWorkerCfg(t, cli.BaseURL(), dispatch.WorkerConfig{
-		Name: "batched-v2", PollInterval: 25 * time.Millisecond,
-		LeaseBatch: 16, CompleteLinger: 5 * time.Millisecond,
-	}, errc)
-	waitForFleet(t, cli, 2)
-
-	final, err := cli.Watch(ctx, info.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Status != JobDone {
-		t.Fatalf("mixed-fleet job finished %s: %+v", final.Status, final)
-	}
-	got, err := cli.ReportBytes(ctx, info.ID, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), got) {
-		t.Fatalf("mixed-version fleet report differs from the local run:\nwant:\n%s\ngot:\n%s", want.Bytes(), got)
-	}
-
-	// Both wires really ran: the v2 worker batch-leased cells (and
-	// filled its plan cache over the spec endpoint), while every cell
-	// still resolved remotely.
-	m := s.disp.Metrics()
-	if m.LeaseBatchCalls == 0 || m.LeaseBatchCells == 0 {
-		t.Fatalf("lease:batch metrics = %d calls / %d cells, want both > 0", m.LeaseBatchCalls, m.LeaseBatchCells)
-	}
-	if m.RemoteCompletions < uint64(len(direct.Cells)) {
-		t.Errorf("RemoteCompletions = %d, want >= %d (no local fallback needed)", m.RemoteCompletions, len(direct.Cells))
-	}
-	if got := s.met.specWireGet.Load(); got < 1 {
-		t.Errorf("spec endpoint served %d fetches, want >= 1 (v2 plan-cache fill)", got)
-	}
-	if m.LeasesGranted <= m.LeaseBatchCells {
-		t.Errorf("LeasesGranted = %d vs batch cells %d: the v1 worker never leased anything", m.LeasesGranted, m.LeaseBatchCells)
-	}
-}
-
-func TestE2EV2WorkerAgainstOldHubFallsBackToV1Wire(t *testing.T) {
-	spec, err := suite.Parse(strings.NewReader(e2eSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := suite.Run(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := report.Write(&want, report.Canonical(direct)); err != nil {
-		t.Fatal(err)
-	}
-
-	s, cli := newTestServer(t, Config{Workers: 1, QueueCap: 4})
-	// An "old hub": the real server behind a front that has never heard
-	// of the v2 routes, answering them with ServeMux's plain-text 404 —
-	// exactly what a pre-v2 ptestd's mux does.
-	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/lease:batch") || strings.HasSuffix(r.URL.Path, "/spec") {
-			http.NotFound(w, r)
-			return
-		}
-		s.Handler().ServeHTTP(w, r)
-	}))
-	t.Cleanup(front.Close)
-
-	errc := make(chan error, 1)
-	startFleetWorkerCfg(t, front.URL, dispatch.WorkerConfig{
-		Name: "hopeful-v2", PollInterval: 25 * time.Millisecond, LeaseBatch: 16,
-	}, errc)
-	waitForFleet(t, cli, 1)
-
-	ctx := context.Background()
-	info, err := cli.Submit(ctx, strings.NewReader(e2eSpec), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := cli.Watch(ctx, info.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Status != JobDone {
-		t.Fatalf("job on the fallback wire finished %s", final.Status)
-	}
-	got, err := cli.ReportBytes(ctx, info.ID, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), got) {
-		t.Fatalf("fallback-wire report differs from the local run:\nwant:\n%s\ngot:\n%s", want.Bytes(), got)
-	}
-
-	// The whole job flowed over the v1 wire: the hub never served a
-	// batch, and every cell still completed remotely.
-	m := s.disp.Metrics()
-	if m.LeaseBatchCalls != 0 || m.LeaseBatchCells != 0 {
-		t.Fatalf("old hub served lease:batch %d times / %d cells, want none", m.LeaseBatchCalls, m.LeaseBatchCells)
-	}
-	if m.RemoteCompletions < uint64(len(direct.Cells)) {
-		t.Errorf("RemoteCompletions = %d, want >= %d", m.RemoteCompletions, len(direct.Cells))
 	}
 }

@@ -143,8 +143,9 @@ func TestE2EWarmResubmissionExecutesZeroCells(t *testing.T) {
 }
 
 func TestCellsEndpointsRoundtrip(t *testing.T) {
-	// The server half of the fleet-cache protocol: PUT stores into the
-	// daemon's store, GET serves it back, a missing key is 404.
+	// The server half of the fleet-cache protocol: a batch-of-one POST
+	// stores into the daemon's store, GET serves it back, a missing key
+	// is 404.
 	st, err := store.Open(store.Config{})
 	if err != nil {
 		t.Fatal(err)

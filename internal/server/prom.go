@@ -96,7 +96,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// write-through batcher achieves.
 	cf := family(w, "ptestd_cells_requests_total", "counter", "Cells endpoint requests served, by verb.")
 	cf.with(s.met.cellsWireGet.Load(), "verb", "get")
-	cf.with(s.met.cellsWirePut.Load(), "verb", "put")
 	cf.with(s.met.cellsWireBatch.Load(), "verb", "batch")
 	family(w, "ptestd_cells_batch_cells_total", "counter", "Cells received inside batch requests.").sample(s.met.cellsWireBatchCells.Load())
 	// Optional store faces: the local segment-log store reports how many
@@ -125,12 +124,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	family(w, "ptestd_dispatch_completions_orphan_total", "counter", "Completions for cells no longer tracked.").sample(dm.OrphanCompletions)
 	family(w, "ptestd_dispatch_cells_local_total", "counter", "Cells executed in-process (no fleet, or budget exhausted).").sample(dm.LocalCells)
 	family(w, "ptestd_dispatch_cells_pending", "gauge", "Cells waiting at the hub for a lease grant.").sample(dm.CellsPending)
-	// The v2 wire collapse, dispatch-plane twin of the cells batch pair:
-	// lease_batch_cells/lease_batch_calls is the live batching factor,
-	// and piggybacked completions each saved a /complete round trip.
+	// The dispatch-plane twin of the cells batch pair:
+	// lease_batch_cells/lease_batch_calls is the live batching factor.
 	family(w, "ptestd_dispatch_lease_batch_calls_total", "counter", "lease:batch round trips that granted cells or settled completions.").sample(dm.LeaseBatchCalls)
 	family(w, "ptestd_dispatch_lease_batch_cells_total", "counter", "Cells granted inside lease:batch responses.").sample(dm.LeaseBatchCells)
-	family(w, "ptestd_dispatch_completions_piggybacked_total", "counter", "Completions carried inside lease:batch requests instead of their own round trip.").sample(dm.PiggybackedCompletions)
+	family(w, "ptestd_dispatch_completions_piggybacked_total", "counter", "Completions carried inside lease:batch requests.").sample(dm.PiggybackedCompletions)
 	family(w, "ptestd_spec_requests_total", "counter", "Job spec fetches by worker plan-cache misses (once per job per worker).").sample(s.met.specWireGet.Load())
 	family(w, "ptestd_auth_rejected_total", "counter", "Requests refused for a missing or unknown API key.").sample(s.guard.AuthFailures())
 
@@ -183,7 +181,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		for _, wi := range workers {
 			f.with(wi.Completed, "worker", wi.ID, "name", wi.Name)
 		}
-		f = family(w, "ptestd_worker_lease_batch", "gauge", "Grant count of each worker's most recent lease:batch call (0 = v1 single-lease worker).")
+		f = family(w, "ptestd_worker_lease_batch", "gauge", "Grant count of each worker's most recent lease:batch call that granted cells (0 = none yet).")
 		for _, wi := range workers {
 			f.with(wi.LastBatch, "worker", wi.ID, "name", wi.Name)
 		}

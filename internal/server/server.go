@@ -14,9 +14,9 @@
 //	DELETE /api/v1/jobs/{id}        cancel (queued: immediate; running: next cell)
 //	GET    /api/v1/jobs/{id}/report the finished report (?canonical=1)
 //	GET    /api/v1/jobs/{id}/events SSE: replay + follow `cell` events, final `done`
-//	GET    /api/v1/jobs/{id}/spec   the defaulted spec (a v2 worker's plan-cache fill)
+//	GET    /api/v1/jobs/{id}/spec   the defaulted spec (a worker's plan-cache fill)
 //	GET    /api/v1/cells/{key}      fetch one stored cell (the fleet cache read)
-//	PUT    /api/v1/cells/{key}      store one computed cell (the fleet cache write)
+//	POST   /api/v1/cells:batch      store computed cells (the fleet cache write)
 //	POST   /api/v1/workers          register a fleet worker (see workers.go)
 //	GET    /metrics                 plain-text counters
 //	GET    /healthz                 liveness
@@ -100,10 +100,10 @@ type metrics struct {
 	// many cells the batch requests carried — the pair that shows the
 	// round-trip collapse batching buys (batchCells/batch ≈ cells per
 	// round trip).
-	cellsWireGet, cellsWirePut          atomic.Uint64
+	cellsWireGet                        atomic.Uint64
 	cellsWireBatch, cellsWireBatchCells atomic.Uint64
 
-	// Wire traffic on the v2 dispatch endpoints: lease:batch requests
+	// Wire traffic on the dispatch endpoints: lease:batch requests
 	// and the cells they granted (the dispatch-plane twin of the cells
 	// batch pair above), plus once-per-job spec fetches by plan-cache
 	// misses.
@@ -208,14 +208,11 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/report", s.handleReport)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /api/v1/cells/{key}", s.handleCellGet)
-	s.mux.HandleFunc("PUT /api/v1/cells/{key}", s.handleCellPut)
 	s.mux.HandleFunc("POST /api/v1/cells:batch", s.handleCellBatch)
 	s.mux.HandleFunc("POST /api/v1/workers", s.handleWorkerRegister)
 	s.mux.HandleFunc("GET /api/v1/workers", s.handleWorkerList)
 	s.mux.HandleFunc("DELETE /api/v1/workers/{id}", s.handleWorkerDeregister)
 	s.mux.HandleFunc("POST /api/v1/workers/{id}/heartbeat", s.handleWorkerHeartbeat)
-	s.mux.HandleFunc("POST /api/v1/workers/{id}/lease", s.handleWorkerLease)
-	s.mux.HandleFunc("POST /api/v1/workers/{id}/complete", s.handleWorkerComplete)
 	s.mux.HandleFunc("POST /api/v1/workers/{id}/lease:batch", s.handleWorkerLeaseBatch)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/spec", s.handleJobSpec)
 	s.mux.HandleFunc("GET /api/v1/events", s.handleFleetEvents)
@@ -715,42 +712,15 @@ func (s *Server) handleCellGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, cell)
 }
 
-// handleCellPut accepts one computed cell into the daemon's store — the
-// write half of the fleet-shared cache. Content addressing makes the
-// operation idempotent: re-putting a known key is a no-op, so racing
-// workers that both computed a cell agree by construction. Puts are
-// accepted even while draining; a worker finishing its last job must
-// not lose its results.
-func (s *Server) handleCellPut(w http.ResponseWriter, r *http.Request) {
-	if s.throttleCells(w, r) || s.refuseForwardedHop(w, r) {
-		return
-	}
-	s.met.cellsWirePut.Add(1)
-	key := r.PathValue("key")
-	var cell report.Cell
-	// The wire cap is exactly the store's own record bound: any cell the
-	// store behind this endpoint would accept must be pushable to it.
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, store.MaxRecordBytes)).Decode(&cell); err != nil {
-		httpError(w, http.StatusBadRequest, "bad cell body: %v", err)
-		return
-	}
-	if err := s.store.Put(key, cell); err != nil {
-		// The store degraded (full disk, closed): the computed cell is
-		// still correct on the worker's side, but this daemon could not
-		// persist it.
-		httpError(w, http.StatusInsufficientStorage, "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleCellBatch accepts many computed cells in one request — the
-// group-commit half of the fleet cache's write path. A store.Remote
-// with write-through batching posts here, collapsing one PUT round
-// trip per cell into one POST per flush; a local segment-log store
-// behind this endpoint commits the whole batch under a single fsync
-// (store.PutBatch). Per-entry semantics are exactly handleCellPut's:
-// idempotent by content addressing, accepted while draining.
+// handleCellBatch accepts computed cells into the daemon's store — the
+// write half of the fleet-shared cache. A store.Remote posts here: one
+// POST per write-through flush, or a batch of one per Put with
+// batching off. A local segment-log store behind this endpoint commits
+// the whole batch under a single fsync (store.PutBatch). Content
+// addressing makes every entry idempotent: re-putting a known key is a
+// no-op, so racing workers that both computed a cell agree by
+// construction. Batches are accepted even while draining; a worker
+// finishing its last job must not lose its results.
 func (s *Server) handleCellBatch(w http.ResponseWriter, r *http.Request) {
 	if s.throttleCells(w, r) || s.refuseForwardedHop(w, r) {
 		return
@@ -758,9 +728,10 @@ func (s *Server) handleCellBatch(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Cells []store.CellEntry `json:"cells"`
 	}
-	// Same wire cap as the single-cell endpoint: the batcher's flush
-	// sizing keeps real batches far below it, and a batch the store
-	// could not hold must not be readable into memory here either.
+	// The wire cap is exactly the store's own record bound: the
+	// batcher's flush sizing keeps real batches far below it, and a
+	// batch the store could not hold must not be readable into memory
+	// here either.
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, store.MaxRecordBytes)).Decode(&body); err != nil {
 		httpError(w, http.StatusBadRequest, "bad batch body: %v", err)
 		return
@@ -783,6 +754,9 @@ func (s *Server) handleCellBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
+		// The store degraded (full disk, closed): the computed cells are
+		// still correct on the worker's side, but this daemon could not
+		// persist them.
 		httpError(w, http.StatusInsufficientStorage, "%v", err)
 		return
 	}

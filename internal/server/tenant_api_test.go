@@ -44,14 +44,14 @@ var apiRoutes = []struct {
 	{"DELETE", "/api/v1/jobs/j000001"},
 	{"GET", "/api/v1/jobs/j000001/report"},
 	{"GET", "/api/v1/jobs/j000001/events"},
+	{"GET", "/api/v1/jobs/j000001/spec"},
 	{"GET", "/api/v1/cells/somekey"},
-	{"PUT", "/api/v1/cells/somekey"},
+	{"POST", "/api/v1/cells:batch"},
 	{"POST", "/api/v1/workers"},
 	{"GET", "/api/v1/workers"},
 	{"DELETE", "/api/v1/workers/w1"},
 	{"POST", "/api/v1/workers/w1/heartbeat"},
-	{"POST", "/api/v1/workers/w1/lease"},
-	{"POST", "/api/v1/workers/w1/complete"},
+	{"POST", "/api/v1/workers/w1/lease:batch"},
 }
 
 func TestAuthMatrixEveryRoute(t *testing.T) {

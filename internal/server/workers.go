@@ -1,27 +1,21 @@
 // The dispatch API: ptestd's hub face for fleet workers. Thin HTTP
-// shims over dispatch.Dispatcher — registration, heartbeat, lease
-// polling, completion, and the membership listing `ptest client
-// workers` renders. The protocol shapes live in internal/dispatch;
-// this file only maps them onto routes and status codes:
+// shims over dispatch.Dispatcher — registration, heartbeat, the
+// combined lease-and-complete round trip, and the membership listing
+// `ptest client workers` renders. The protocol shapes live in
+// internal/dispatch; this file only maps them onto routes and status
+// codes:
 //
 //	POST   /api/v1/workers                   register → 201 Registration
 //	GET    /api/v1/workers                   fleet membership listing
 //	DELETE /api/v1/workers/{id}              graceful deregistration
 //	POST   /api/v1/workers/{id}/heartbeat    liveness → 204 | 404 (re-register)
-//	POST   /api/v1/workers/{id}/lease        acquire → 200 Grant | 204 no work | 404
-//	POST   /api/v1/workers/{id}/complete     report a cell → 200 CompleteResponse
-//	POST   /api/v1/workers/{id}/lease:batch  v2 combined poll: piggybacked
-//	                                         completions in, up to Max
-//	                                         digest-only grants out
+//	POST   /api/v1/workers/{id}/lease:batch  piggybacked completions in, up
+//	                                         to Max digest-only grants out
+//	                                         → 200 | 404 (re-register)
 //	GET    /api/v1/jobs/{id}/spec            the job's defaulted spec — the
-//	                                         plan-cache fill a v2 worker does
+//	                                         plan-cache fill a worker does
 //	                                         once per job instead of
-//	                                         re-receiving the spec per grant
-//
-// A v1 worker never calls the last two routes; a v2 worker against an
-// old hub sees a plain-text 404 (no JSON envelope) on lease:batch and
-// falls back to the v1 wire permanently — the same compatibility
-// pattern as the store's cells:batch.
+//	                                         receiving the spec per grant
 package server
 
 import (
@@ -67,46 +61,18 @@ func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
-	g, ok, err := s.disp.Acquire(r.PathValue("id"))
-	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	if !ok {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeJSON(w, http.StatusOK, g)
-}
-
-// handleWorkerComplete accepts a result even from a worker the hub no
-// longer tracks: a worker that lost the hub, finished its in-flight
-// cell, and re-registered must not have its work discarded. The
-// dispatcher resolves raced duplicates deterministically (executions
-// are bit-identical), so there is no wrong answer to accept.
-func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
-	var req dispatch.CompleteRequest
-	// Completions carry one report.Cell; the store's record bound is the
-	// natural cap here too.
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad completion body: %v", err)
-		return
-	}
-	status := s.disp.Complete(r.PathValue("id"), req)
-	writeJSON(w, http.StatusOK, dispatch.CompleteResponse{Status: status})
-}
-
-// handleWorkerLeaseBatch is the v2 steady-state round trip: settle the
-// piggybacked completions (each with exactly handleWorkerComplete's
-// semantics), then grant up to Max cells in plan order, spec omitted.
-// The unknown-worker 404 carries the JSON error envelope; an old hub
-// without this route answers a plain-text 404 — that difference is how
-// a v2 worker tells "re-register" apart from "fall back to v1".
+// handleWorkerLeaseBatch is the worker's only dispatch round trip:
+// settle the piggybacked completions, then grant up to Max cells in
+// grant order, spec omitted. Completions are accepted even from a
+// worker the hub no longer tracks: a worker that lost the hub, finished
+// its in-flight cells, and re-registers must not have its work
+// discarded. The dispatcher resolves raced duplicates deterministically
+// (executions are bit-identical), so there is no wrong answer to
+// accept; the 404 that follows tells the worker to re-register.
 func (s *Server) handleWorkerLeaseBatch(w http.ResponseWriter, r *http.Request) {
 	var req dispatch.LeaseBatchRequest
-	// Same bound as /complete: the batch carries report.Cells, so the
-	// store's record cap is the natural wire cap.
+	// The batch carries report.Cells, so the store's record cap is the
+	// natural wire cap.
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad lease batch body: %v", err)
 		return
@@ -122,8 +88,7 @@ func (s *Server) handleWorkerLeaseBatch(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleJobSpec serves a job's defaulted spec — the once-per-job fetch
-// a v2 worker's plan cache does on a digest miss, replacing the
-// per-grant spec payload of the v1 wire.
+// a worker's plan cache does on a digest miss.
 func (s *Server) handleJobSpec(w http.ResponseWriter, r *http.Request) {
 	j, id := s.lookup(r)
 	if j == nil {

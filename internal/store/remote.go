@@ -1,10 +1,12 @@
 // Remote is the network-backed CellStore: a thin client over a ptestd's
-// /api/v1/cells endpoints, so a fleet of workers shares one
-// content-addressed cache — each cell is computed once, ever, by
-// whichever worker gets there first. A small in-process LRU front keeps
-// repeat lookups off the wire, and single-flight deduplication collapses
-// concurrent fetches of the same key (a sweep resubmitted to several
-// workers at once) into one HTTP round trip.
+// cells endpoints, so a fleet of workers shares one content-addressed
+// cache — each cell is computed once, ever, by whichever worker gets
+// there first. Reads are GET /api/v1/cells/{key}; every write is a
+// POST /api/v1/cells:batch, one cell being a batch of one. A small
+// in-process LRU front keeps repeat lookups off the wire, and
+// single-flight deduplication collapses concurrent fetches of the same
+// key (a sweep resubmitted to several workers at once) into one HTTP
+// round trip.
 //
 // Failure semantics follow the CellStore contract: an unreachable or
 // erroring remote degrades to a miss on Get (the caller recomputes,
@@ -36,14 +38,13 @@ import (
 	"repro/internal/report"
 )
 
-// cellsPathPrefix is the shared-cache API the server side mounts; the
-// client and ptestd agree on this shape (pinned by tests on both sides).
+// cellsPathPrefix is the shared-cache read API the server side mounts;
+// the client and ptestd agree on this shape (pinned by tests on both
+// sides).
 const cellsPathPrefix = "/api/v1/cells/"
 
-// cellsBatchPath is the batched write endpoint: one POST carries many
+// cellsBatchPath is the write endpoint: one POST carries one or many
 // cells and the serving store group-commits them under a single fsync.
-// An old hub answers 404 here; the client then falls back to single
-// PUTs for the rest of the session.
 const cellsBatchPath = "/api/v1/cells:batch"
 
 // CellsHopHeader marks a cells request as already forwarded once by a
@@ -87,7 +88,7 @@ type RemoteConfig struct {
 	// POST /api/v1/cells:batch when this many entries are pending, when
 	// BatchDelay elapses, and on Flush/Close — collapsing N round trips
 	// plus N server-side fsyncs into ~N/BatchSize. 0 (the default)
-	// keeps every Put a synchronous round trip of its own.
+	// sends every Put as a synchronous batch of one.
 	BatchSize int
 	// BatchDelay bounds how long a queued entry waits for company
 	// before a time-triggered flush (default 50ms when BatchSize > 0).
@@ -123,7 +124,6 @@ type Remote struct {
 	bmu        sync.Mutex
 	pending    []wireCell // queued write-through entries
 	timerArmed bool       // a delay-flush goroutine is waiting
-	noBatch    bool       // remote answered 404: old hub, single PUTs forever
 }
 
 // wireCell is one entry of the cells:batch body. The cell rides as the
@@ -133,8 +133,9 @@ type wireCell struct {
 	Cell json.RawMessage `json:"cell"`
 }
 
-// SetEvents attaches an event recorder: wire-level store.hit/miss/put
-// plus store.breaker transitions flow into it. Nil detaches.
+// SetEvents attaches an event recorder: wire-level store.hit/miss and
+// store.batch plus store.breaker transitions flow into it. Nil
+// detaches.
 func (r *Remote) SetEvents(rec *eventlog.Recorder) {
 	r.mu.Lock()
 	r.events = rec
@@ -348,11 +349,12 @@ func (r *Remote) jitter(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// Put stores the cell locally and pushes it to the remote. A failed
-// push returns an error the caller may log, but the LRU front already
-// serves the cell — exactly how the local store degrades to memory-only
-// on a failed disk append. Transient push failures retry within the
-// same budget as Get; an open breaker fails the push instantly.
+// Put stores the cell locally and pushes it to the remote as a
+// synchronous batch of one. A failed push returns an error the caller
+// may log, but the LRU front already serves the cell — exactly how the
+// local store degrades to memory-only on a failed disk append.
+// Transient push failures retry within the same budget as Get; an open
+// breaker fails the push instantly.
 //
 // With BatchSize configured the push is write-through batched instead:
 // the entry queues locally and goes out with its batch (size, delay, or
@@ -376,18 +378,16 @@ func (r *Remote) Put(key string, cell report.Cell) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding %s: %w", key, err)
 	}
-	if r.batchSize > 0 && !r.batchUnsupported() {
+	if r.batchSize > 0 {
 		return r.enqueue(key, body)
 	}
-	return r.pushSingle(key, body)
+	return r.flushEntries([]wireCell{{Key: key, Cell: body}})
 }
 
 // PutBatch stores every entry and ships the lot as one cells:batch
 // round trip — even when write-through batching (BatchSize) is off:
 // the caller handing us a batch IS the coalescing decision. Entries
-// the LRU front already holds are skipped (content addressing), and a
-// hub without the batch endpoint degrades to sequential single PUTs
-// exactly like the write-through flush does.
+// the LRU front already holds are skipped (content addressing).
 func (r *Remote) PutBatch(entries []CellEntry) error {
 	var pend []wireCell
 	var errs []error
@@ -418,43 +418,6 @@ func (r *Remote) PutBatch(entries []CellEntry) error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// pushSingle is the synchronous single-record push: bounded retries
-// under the breaker, exactly the pre-batching Put wire behavior.
-func (r *Remote) pushSingle(key string, body []byte) error {
-	if !r.brk.allow() {
-		return fmt.Errorf("store: pushing %s: circuit open (remote failing)", key)
-	}
-	delay := r.retryBase
-	for attempt := 0; ; attempt++ {
-		err := r.putOnce(key, body)
-		if err == nil {
-			r.brk.success()
-			r.recorder().Emit(eventlog.Event{Type: eventlog.TypeStorePut, Key: key, Detail: "remote"})
-			return nil
-		}
-		var te *transientPutError
-		if !errors.As(err, &te) {
-			// An authoritative refusal (507 store full, 508 loop): the
-			// remote answered; the breaker stays closed.
-			r.brk.success()
-			return err
-		}
-		r.brk.failure()
-		if attempt >= r.retries || !r.brk.allow() {
-			return te.err
-		}
-		<-r.wall.After(r.jitter(delay))
-		delay *= 2
-	}
-}
-
-// batchUnsupported reports whether the remote refused cells:batch.
-func (r *Remote) batchUnsupported() bool {
-	r.bmu.Lock()
-	defer r.bmu.Unlock()
-	return r.noBatch
 }
 
 // enqueue adds one pre-marshaled cell to the pending batch, flushing
@@ -512,19 +475,11 @@ func (r *Remote) BatchPending() int {
 	return len(r.pending)
 }
 
-// errBatchUnsupported marks a 404 from cells:batch: the remote is an
-// old hub without the endpoint. Authoritative — not a push failure.
-var errBatchUnsupported = errors.New("store: remote has no cells:batch endpoint")
-
 // flushEntries sends one batch over the wire under the usual retry
-// budget and breaker. A 404 flips the client to single-PUT fallback for
-// good and delivers this batch that way; entries that still fail after
-// the budget are dropped from the queue (the front serves them, and a
-// recompute elsewhere is always correct) with the error returned.
+// budget and breaker. Entries that still fail after the budget are
+// dropped (the front serves them, and a recompute elsewhere is always
+// correct) with the error returned.
 func (r *Remote) flushEntries(entries []wireCell) error {
-	if r.batchUnsupported() {
-		return r.flushSingly(entries)
-	}
 	body, err := json.Marshal(struct {
 		Cells []wireCell `json:"cells"`
 	}{entries})
@@ -544,17 +499,10 @@ func (r *Remote) flushEntries(entries []wireCell) error {
 			})
 			return nil
 		}
-		if errors.Is(err, errBatchUnsupported) {
-			// The hub answered (it is alive, just old): no breaker
-			// penalty, and never ask it for a batch again.
-			r.brk.success()
-			r.bmu.Lock()
-			r.noBatch = true
-			r.bmu.Unlock()
-			return r.flushSingly(entries)
-		}
 		var te *transientPutError
 		if !errors.As(err, &te) {
+			// An authoritative refusal (507 store full, 508 loop): the
+			// remote answered; the breaker stays closed.
 			r.brk.success()
 			return err
 		}
@@ -565,18 +513,6 @@ func (r *Remote) flushEntries(entries []wireCell) error {
 		<-r.wall.After(r.jitter(delay))
 		delay *= 2
 	}
-}
-
-// flushSingly delivers batch entries over the single-PUT endpoint every
-// hub has — the 404 fallback path.
-func (r *Remote) flushSingly(entries []wireCell) error {
-	var errs []error
-	for _, e := range entries {
-		if err := r.pushSingle(e.Key, e.Cell); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
 }
 
 // batchOnce is a single cells:batch round trip.
@@ -598,9 +534,6 @@ func (r *Remote) batchOnce(body []byte) error {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		_ = resp.Body.Close()
 	}()
-	if resp.StatusCode == http.StatusNotFound {
-		return errBatchUnsupported
-	}
 	if transientStoreStatus(resp.StatusCode) {
 		return &transientPutError{fmt.Errorf("store: pushing batch: HTTP %d", resp.StatusCode)}
 	}
@@ -615,34 +548,6 @@ type transientPutError struct{ err error }
 
 func (e *transientPutError) Error() string { return e.err.Error() }
 func (e *transientPutError) Unwrap() error { return e.err }
-
-// putOnce is a single push round trip.
-func (r *Remote) putOnce(key string, body []byte) error {
-	req, err := http.NewRequest(http.MethodPut, r.base+cellsPathPrefix+url.PathEscape(key), bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(CellsHopHeader, "1")
-	if r.apiKey != "" {
-		req.Header.Set("Authorization", "Bearer "+r.apiKey)
-	}
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		return &transientPutError{fmt.Errorf("store: pushing %s: %w", key, err)}
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if transientStoreStatus(resp.StatusCode) {
-		return &transientPutError{fmt.Errorf("store: pushing %s: HTTP %d", key, resp.StatusCode)}
-	}
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("store: pushing %s: HTTP %d", key, resp.StatusCode)
-	}
-	return nil
-}
 
 // Stats snapshots this client's session counters. DiskEntries is always
 // zero — the remote's population is the serving daemon's to report.

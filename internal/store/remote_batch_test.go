@@ -1,8 +1,7 @@
-// Write-through batcher tests: the Remote client's Put coalescing, the
-// flush triggers (size, delay, explicit Flush, Close), and the 404
-// fallback that keeps a batching client compatible with a pre-batch
-// hub. The local Store's group-commit fsync contract is pinned here
-// too, via Stats().Syncs.
+// Write-through batcher tests: the Remote client's Put coalescing and
+// the flush triggers (size, delay, explicit Flush, Close). The local
+// Store's group-commit fsync contract is pinned here too, via
+// Stats().Syncs.
 package store
 
 import (
@@ -27,7 +26,6 @@ func newBatchRemote(t *testing.T, baseURL string, size int, delay time.Duration,
 
 func TestRemoteBatcherFlushesAtSize(t *testing.T) {
 	fake := newFakeCellServer()
-	fake.serveBatch = true
 	ts := httptest.NewServer(fake.handler())
 	defer ts.Close()
 
@@ -44,9 +42,6 @@ func TestRemoteBatcherFlushesAtSize(t *testing.T) {
 	if got := fake.batchCells.Load(); got != 3 {
 		t.Fatalf("batched cells = %d, want 3", got)
 	}
-	if got := fake.puts.Load(); got != 0 {
-		t.Fatalf("single PUTs = %d, want 0 (all writes batched)", got)
-	}
 	if got := r.BatchPending(); got != 0 {
 		t.Fatalf("pending after size flush = %d", got)
 	}
@@ -61,7 +56,6 @@ func TestRemoteBatcherFlushesAtSize(t *testing.T) {
 
 func TestRemoteBatcherFlushesOnDelay(t *testing.T) {
 	fake := newFakeCellServer()
-	fake.serveBatch = true
 	ts := httptest.NewServer(fake.handler())
 	defer ts.Close()
 
@@ -88,7 +82,6 @@ func TestRemoteBatcherFlushesOnDelay(t *testing.T) {
 
 func TestRemoteBatcherFlushAndCloseDrain(t *testing.T) {
 	fake := newFakeCellServer()
-	fake.serveBatch = true
 	ts := httptest.NewServer(fake.handler())
 	defer ts.Close()
 
@@ -114,31 +107,6 @@ func TestRemoteBatcherFlushAndCloseDrain(t *testing.T) {
 	}
 	if fake.batches.Load() != 2 || fake.batchCells.Load() != 5 {
 		t.Fatalf("close flush: %d batches / %d cells, want 2/5", fake.batches.Load(), fake.batchCells.Load())
-	}
-}
-
-func TestRemoteBatcherFallsBackToSinglePutsOn404(t *testing.T) {
-	// An old hub has no cells:batch route: the first flush gets 404,
-	// the client downgrades permanently to per-cell PUTs, and no write
-	// is lost in the transition.
-	fake := newFakeCellServer() // serveBatch off: POST answers 404
-	ts := httptest.NewServer(fake.handler())
-	defer ts.Close()
-
-	r := newBatchRemote(t, ts.URL, 2, time.Hour, nil)
-	for i := 0; i < 4; i++ {
-		if err := r.Put(key(i), cellFor(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := fake.puts.Load(); got != 4 {
-		t.Fatalf("single PUTs = %d, want 4 (batch 404 must fall back)", got)
-	}
-	fake.mu.Lock()
-	stored := len(fake.cells)
-	fake.mu.Unlock()
-	if stored != 4 {
-		t.Fatalf("hub stored %d cells, want 4 — writes lost in the fallback", stored)
 	}
 }
 

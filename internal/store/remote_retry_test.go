@@ -17,7 +17,7 @@ import (
 )
 
 // flakyCellServer answers every cells request with 503 while failing is
-// true, and serves an empty cell store (404 miss / accepted put)
+// true, and serves an empty cell store (404 miss / accepted batch)
 // otherwise.
 type flakyCellServer struct {
 	failing atomic.Bool
@@ -31,7 +31,7 @@ func (f *flakyCellServer) handler() http.Handler {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
 		}
-		if r.Method == http.MethodPut {
+		if r.Method == http.MethodPost {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
@@ -62,6 +62,44 @@ func TestRemoteGetRetriesTransientFailures(t *testing.T) {
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("server saw %d requests, want 3 (2 failed + 1 served)", got)
+	}
+}
+
+func TestRemoteUnbatchedPutRetriesAsBatchOfOne(t *testing.T) {
+	// Batching off: a Put is one synchronous cells:batch of one, under
+	// the same retry budget as Get.
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		var body struct {
+			Cells []CellEntry `json:"cells"`
+		}
+		if r.Method != http.MethodPost || r.URL.Path != cellsBatchPath ||
+			json.NewDecoder(r.Body).Decode(&body) != nil || len(body.Cells) != 1 {
+			t.Errorf("Put sent %s %s with %d cells, want POST %s with 1", r.Method, r.URL.Path, len(body.Cells), cellsBatchPath)
+		}
+		if calls.Load() <= 2 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	t.Cleanup(ts.Close)
+
+	r, err := OpenRemote(RemoteConfig{BaseURL: ts.URL, Retries: 3, RetryBase: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = r.Close() })
+
+	if err := r.Put("k1", report.Cell{ID: "c1"}); err != nil {
+		t.Fatalf("Put after transient 503s: %v", err)
+	}
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("server saw %d requests, want 3 (2 failed + 1 stored)", got)
+	}
+	if got := r.BreakerState(); got != "closed" {
+		t.Fatalf("breaker = %s after a delivered Put, want closed", got)
 	}
 }
 

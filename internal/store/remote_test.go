@@ -20,12 +20,9 @@ type fakeCellServer struct {
 	mu    sync.Mutex
 	cells map[string]report.Cell
 	gets  atomic.Int64
-	puts  atomic.Int64
-	// serveBatch registers the cells:batch endpoint (a modern hub); off,
-	// the fake answers 404 there like an old hub — the fallback tests'
-	// scenario. batches/batchCells count accepted batch requests and the
-	// cells they carried.
-	serveBatch bool
+	// batches/batchCells count accepted cells:batch requests — every
+	// write, a lone Put being a batch of one — and the cells they
+	// carried.
 	batches    atomic.Int64
 	batchCells atomic.Int64
 	// hold, when non-nil, blocks GET handlers until closed — the
@@ -53,37 +50,23 @@ func (f *fakeCellServer) handler() http.Handler {
 		}
 		_ = json.NewEncoder(w).Encode(cell)
 	})
-	mux.HandleFunc("PUT /api/v1/cells/{key}", func(w http.ResponseWriter, r *http.Request) {
-		f.puts.Add(1)
-		var cell report.Cell
-		if err := json.NewDecoder(r.Body).Decode(&cell); err != nil {
+	mux.HandleFunc("POST /api/v1/cells:batch", func(w http.ResponseWriter, r *http.Request) {
+		var body struct {
+			Cells []CellEntry `json:"cells"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&body); err != nil || len(body.Cells) == 0 {
 			w.WriteHeader(http.StatusBadRequest)
 			return
 		}
+		f.batches.Add(1)
+		f.batchCells.Add(int64(len(body.Cells)))
 		f.mu.Lock()
-		f.cells[r.PathValue("key")] = cell
+		for _, e := range body.Cells {
+			f.cells[e.Key] = e.Cell
+		}
 		f.mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 	})
-	if f.serveBatch {
-		mux.HandleFunc("POST /api/v1/cells:batch", func(w http.ResponseWriter, r *http.Request) {
-			var body struct {
-				Cells []CellEntry `json:"cells"`
-			}
-			if err := json.NewDecoder(r.Body).Decode(&body); err != nil || len(body.Cells) == 0 {
-				w.WriteHeader(http.StatusBadRequest)
-				return
-			}
-			f.batches.Add(1)
-			f.batchCells.Add(int64(len(body.Cells)))
-			f.mu.Lock()
-			for _, e := range body.Cells {
-				f.cells[e.Key] = e.Cell
-			}
-			f.mu.Unlock()
-			w.WriteHeader(http.StatusNoContent)
-		})
-	}
 	return mux
 }
 
@@ -109,8 +92,10 @@ func TestRemoteRoundtripAndLRUFront(t *testing.T) {
 	if err := r.Put(key(1), cellFor(1)); err != nil {
 		t.Fatal(err)
 	}
-	if fake.puts.Load() != 1 {
-		t.Fatalf("put did not reach the server: %d", fake.puts.Load())
+	// Unbatched, the Put is a synchronous batch of one.
+	if fake.batches.Load() != 1 || fake.batchCells.Load() != 1 {
+		t.Fatalf("put did not reach the server as a batch of one: %d batches / %d cells",
+			fake.batches.Load(), fake.batchCells.Load())
 	}
 	// The put populated the LRU front: this hit must not touch the wire.
 	getsBefore := fake.gets.Load()
@@ -230,8 +215,8 @@ func TestRemoteDuplicatePutIsLocalNoop(t *testing.T) {
 	if err := r.Put(key(1), cellFor(1)); err != nil {
 		t.Fatal(err)
 	}
-	if fake.puts.Load() != 1 {
-		t.Fatalf("duplicate put hit the wire: %d", fake.puts.Load())
+	if fake.batchCells.Load() != 1 {
+		t.Fatalf("duplicate put hit the wire: %d cells pushed", fake.batchCells.Load())
 	}
 	if st := r.Stats(); st.Puts != 1 {
 		t.Fatalf("duplicate put counted: %+v", st)

@@ -7,7 +7,8 @@
 // shard is a full Remote client underneath, so the per-shard breaker,
 // retry budget and write-through batcher all apply: a dead hub
 // degrades exactly 1/M of the key space to compute-locally while the
-// other shards keep serving.
+// other shards keep serving. Every key has one owner, and only the
+// owner is ever asked for it.
 package store
 
 import (
@@ -44,21 +45,13 @@ type ShardedConfig struct {
 	BreakerCooldown  time.Duration
 	BatchSize        int
 	BatchDelay       time.Duration
-	// HedgeAfter enables hedged reads: when the key's primary shard has
-	// not answered a Get within this duration, the second-ranked shard
-	// is asked too and the first hit wins — bounding tail latency at
-	// the cost of an extra request for slow lookups. 0 disables
-	// hedging. A miss is only final when every asked shard missed.
-	HedgeAfter time.Duration
-	Clock      clock.Wall
+	Clock            clock.Wall
 }
 
 // Sharded implements CellStore over multiple hub URLs.
 type Sharded struct {
-	urls       []string
-	shards     []*Remote
-	hedgeAfter time.Duration
-	wall       clock.Wall
+	urls   []string
+	shards []*Remote
 }
 
 // OpenSharded builds one Remote per base URL. Like OpenRemote it does
@@ -68,11 +61,8 @@ func OpenSharded(cfg ShardedConfig) (*Sharded, error) {
 	if len(cfg.BaseURLs) == 0 {
 		return nil, fmt.Errorf("store: sharded store needs at least one base URL")
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.System()
-	}
 	seen := map[string]bool{}
-	s := &Sharded{hedgeAfter: cfg.HedgeAfter, wall: cfg.Clock}
+	s := &Sharded{}
 	for _, u := range cfg.BaseURLs {
 		if seen[u] {
 			return nil, fmt.Errorf("store: duplicate shard URL %q", u)
@@ -108,79 +98,34 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// rank returns the indexes of the key's primary and second-choice
-// shards by rendezvous hashing: score every (shard URL, key) pair, the
-// highest score owns the key. second is -1 with a single shard.
-func (s *Sharded) rank(key string) (primary, second int) {
-	var bestScore, secondScore uint64
-	primary, second = 0, -1
+// owner returns the index of the shard that owns key by rendezvous
+// hashing: score every (shard URL, key) pair, the highest score wins.
+func (s *Sharded) owner(key string) int {
+	var best uint64
+	owner := 0
 	for i, u := range s.urls {
 		h := fnv.New64a()
 		_, _ = h.Write([]byte(u))
 		_, _ = h.Write([]byte{0})
 		_, _ = h.Write([]byte(key))
-		score := mix64(h.Sum64())
-		switch {
-		case i == 0 || score > bestScore:
-			if i > 0 {
-				second, secondScore = primary, bestScore
-			}
-			primary, bestScore = i, score
-		case second < 0 || score > secondScore:
-			second, secondScore = i, score
+		if score := mix64(h.Sum64()); i == 0 || score > best {
+			owner, best = i, score
 		}
 	}
-	return primary, second
+	return owner
 }
 
 // ShardFor reports which base URL owns key — operators debugging
 // placement, and tests pinning the rendezvous ranking.
-func (s *Sharded) ShardFor(key string) string {
-	p, _ := s.rank(key)
-	return s.urls[p]
-}
+func (s *Sharded) ShardFor(key string) string { return s.urls[s.owner(key)] }
 
-// Get asks the key's primary shard, optionally hedging to the
-// second-ranked shard when the primary is slow. First hit wins; the
-// miss is final only when every asked shard missed.
-func (s *Sharded) Get(key string) (report.Cell, bool) {
-	p, sec := s.rank(key)
-	primary := s.shards[p]
-	if s.hedgeAfter <= 0 || sec < 0 {
-		return primary.Get(key)
-	}
-	type res struct {
-		cell report.Cell
-		ok   bool
-	}
-	ch := make(chan res, 2) // buffered: a late answer never leaks its goroutine
-	go func() { c, ok := primary.Get(key); ch <- res{c, ok} }()
-	timer := s.wall.After(s.hedgeAfter)
-	outstanding, hedged := 1, false
-	for outstanding > 0 {
-		select {
-		case r := <-ch:
-			outstanding--
-			if r.ok {
-				return r.cell, true
-			}
-		case <-timer:
-			timer = nil // a nil channel blocks: the select waits on answers only
-			if !hedged {
-				hedged = true
-				outstanding++
-				go func() { c, ok := s.shards[sec].Get(key); ch <- res{c, ok} }()
-			}
-		}
-	}
-	return report.Cell{}, false
-}
+// Get asks the key's owning shard.
+func (s *Sharded) Get(key string) (report.Cell, bool) { return s.shards[s.owner(key)].Get(key) }
 
-// Put routes the cell to its primary shard (through that shard's
+// Put routes the cell to its owning shard (through that shard's
 // write-through batcher, when enabled).
 func (s *Sharded) Put(key string, cell report.Cell) error {
-	p, _ := s.rank(key)
-	return s.shards[p].Put(key, cell)
+	return s.shards[s.owner(key)].Put(key, cell)
 }
 
 // PutBatch splits the batch by owning shard and hands each hub its
@@ -188,7 +133,7 @@ func (s *Sharded) Put(key string, cell report.Cell) error {
 func (s *Sharded) PutBatch(entries []CellEntry) error {
 	groups := map[int][]CellEntry{}
 	for _, e := range entries {
-		p, _ := s.rank(e.Key)
+		p := s.owner(e.Key)
 		groups[p] = append(groups[p], e)
 	}
 	var errs []error

@@ -1,6 +1,5 @@
 // Sharded hub-tier tests: rendezvous placement (deterministic, spread,
-// minimal remap), request routing, per-shard failure isolation, and
-// hedged reads.
+// minimal remap), request routing, and per-shard failure isolation.
 package store
 
 import (
@@ -8,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 func newSharded(t *testing.T, cfg ShardedConfig) *Sharded {
@@ -72,7 +70,6 @@ func TestShardedRoutesToOwningShard(t *testing.T) {
 	fakes := []*fakeCellServer{newFakeCellServer(), newFakeCellServer()}
 	var urls []string
 	for _, f := range fakes {
-		f.serveBatch = true
 		ts := httptest.NewServer(f.handler())
 		t.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
@@ -112,7 +109,6 @@ func TestShardedPutBatchSplitsByOwner(t *testing.T) {
 	fakes := []*fakeCellServer{newFakeCellServer(), newFakeCellServer()}
 	var urls []string
 	for _, f := range fakes {
-		f.serveBatch = true
 		ts := httptest.NewServer(f.handler())
 		t.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
@@ -185,70 +181,5 @@ func TestShardedDeadShardDegradesOnlyItsKeys(t *testing.T) {
 	}
 	if states[1] == "closed" {
 		t.Fatalf("dead shard's breaker still closed: %v", states)
-	}
-}
-
-func TestShardedHedgedReadWinsOnSlowPrimary(t *testing.T) {
-	// The primary shard stalls; after HedgeAfter the second-ranked shard
-	// is asked and its hit answers the Get. Both fakes hold every key so
-	// either can answer.
-	cell := cellFor(7)
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(2 * time.Second)
-		w.WriteHeader(http.StatusNotFound)
-	}))
-	t.Cleanup(slow.Close)
-	fast := newFakeCellServer()
-	fastTS := httptest.NewServer(fast.handler())
-	t.Cleanup(fastTS.Close)
-
-	s := newSharded(t, ShardedConfig{
-		BaseURLs:   []string{slow.URL, fastTS.URL},
-		HedgeAfter: 20 * time.Millisecond,
-		Retries:    0,
-	})
-	// Pick a key whose PRIMARY is the slow shard, so the hedge is what
-	// finds the cell on the second-ranked fast shard.
-	k := ""
-	for i := 0; ; i++ {
-		cand := fmt.Sprintf("cell-%04d", i)
-		if s.ShardFor(cand) == slow.URL {
-			k = cand
-			break
-		}
-	}
-	fast.mu.Lock()
-	fast.cells[k] = cell
-	fast.mu.Unlock()
-
-	start := time.Now()
-	got, ok := s.Get(k)
-	if !ok || got.ID != cell.ID {
-		t.Fatalf("hedged read missed: %+v ok=%v", got, ok)
-	}
-	if d := time.Since(start); d >= 2*time.Second {
-		t.Fatalf("hedged read waited out the slow primary: %v", d)
-	}
-}
-
-func TestShardedHedgeMissIsFinalOnlyWhenAllAskedMissed(t *testing.T) {
-	// Neither shard has the key: the hedged Get must report one miss,
-	// not hang and not panic on the late second answer.
-	a := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusNotFound)
-	}))
-	t.Cleanup(a.Close)
-	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(50 * time.Millisecond)
-		w.WriteHeader(http.StatusNotFound)
-	}))
-	t.Cleanup(b.Close)
-	s := newSharded(t, ShardedConfig{
-		BaseURLs:   []string{a.URL, b.URL},
-		HedgeAfter: 5 * time.Millisecond,
-		Retries:    0,
-	})
-	if _, ok := s.Get("cell-absent"); ok {
-		t.Fatal("miss everywhere reported as a hit")
 	}
 }

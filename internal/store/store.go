@@ -200,11 +200,11 @@ const recordHeaderLen = 8 // u32 LE payload length + u32 LE CRC32(payload)
 // rotation size: replay uses it to reject corrupt length headers
 // without multi-GiB allocations, and Put refuses to write anything
 // bigger — so reopening with a different SegMaxBytes can never
-// misclassify valid records as corrupt. Exported so the daemon's cells
-// PUT endpoint caps request bodies at exactly what the store behind it
-// would accept: a smaller wire cap would make large cells storable
-// locally but never pushable to a hub, breaking "computed once, ever"
-// for precisely the most expensive cells.
+// misclassify valid records as corrupt. Exported so the daemon's
+// cells:batch endpoint caps request bodies at exactly what the store
+// behind it would accept: a smaller wire cap would make large cells
+// storable locally but never pushable to a hub, breaking "computed
+// once, ever" for precisely the most expensive cells.
 const MaxRecordBytes = 64 << 20
 
 // Open builds the store, replaying any existing segments in Dir into

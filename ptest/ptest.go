@@ -454,7 +454,7 @@ func OpenRemoteStore(cfg RemoteStoreConfig) (*RemoteStore, error) { return store
 type ShardedStore = store.Sharded
 
 // ShardedStoreConfig lists the hub base URLs (one shard each) plus the
-// per-shard wire knobs and the optional hedged-read delay.
+// per-shard wire knobs.
 type ShardedStoreConfig = store.ShardedConfig
 
 // OpenShardedStore builds a sharded client over several hub ptestds.

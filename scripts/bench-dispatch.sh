@@ -1,9 +1,9 @@
 #!/bin/sh
 # Runs the dispatch wire benchmarks and renders the number that matters
-# — HTTP round trips per executed cell on the v1 single-lease wire vs
-# the v2 batched wire — into BENCH_dispatch.json. CI runs this and
-# commits/refreshes the artifact so the collapse ratio is reviewable in
-# the diff; locally:
+# — HTTP round trips per executed cell on the lease:batch wire at batch
+# depth 1 (one cell per round trip) vs 16 — into BENCH_dispatch.json.
+# CI runs this and commits/refreshes the artifact so the collapse ratio
+# is reviewable in the diff; locally:
 #
 #   scripts/bench-dispatch.sh [benchtime]     # default 100x
 #
@@ -14,7 +14,7 @@ benchtime="${1:-100x}"
 out="BENCH_dispatch.json"
 cd "$(dirname "$0")/.."
 
-raw=$(go test -run '^$' -bench 'BenchmarkDispatchWire_SingleLease|BenchmarkDispatchWire_Batched16' \
+raw=$(go test -run '^$' -bench 'BenchmarkDispatchWire_Batched1$|BenchmarkDispatchWire_Batched16' \
 	-benchtime "$benchtime" ./internal/dispatch)
 
 printf '%s\n' "$raw" | awk -v benchtime="$benchtime" '
