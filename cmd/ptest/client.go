@@ -49,19 +49,12 @@ func cmdClient(args []string) error {
 }
 
 // clientConn registers the shared -server and -api-key flags and
-// returns a constructor for the configured client; credentials attach
-// via server.WithAPIKey only when a key was actually supplied, so an
-// anonymous hub sees byte-identical requests.
+// returns a constructor for the configured client. An empty key sends
+// no credential, so an anonymous hub sees byte-identical requests.
 func clientConn(fs *flag.FlagSet) func() *server.Client {
 	srv := fs.String("server", defaultServer, "ptestd base URL")
 	key := apiKeyFlag(fs)
-	return func() *server.Client {
-		var opts []server.ClientOption
-		if *key != "" {
-			opts = append(opts, server.WithAPIKey(*key))
-		}
-		return server.NewClient(*srv, opts...)
-	}
+	return func() *server.Client { return server.NewClient(*srv, server.WithAPIKey(*key)) }
 }
 
 func clientSubmit(args []string) error {

@@ -266,55 +266,6 @@ func ProducerConsumer(items int) committee.Factory {
 	}
 }
 
-// Pipeline builds an n-stage message pipeline over kernel queues: stage
-// 0 produces `items` values, each middle stage transforms (+1) and
-// forwards, the last stage consumes and marks progress. Logical task i
-// is stage i. A clean workload exercising the queue IPC path under
-// suspend/resume stress; deleting a middle stage under stress wedges the
-// pipeline — another anomaly for the fault matrix.
-func Pipeline(stages, items int) committee.Factory {
-	if stages < 2 {
-		stages = 2
-	}
-	queues := make([]*pcore.MsgQueue, stages-1)
-	for i := range queues {
-		queues[i] = pcore.NewQueue(fmt.Sprintf("pipe-%d", i), 4)
-	}
-	return func(logical uint32) committee.CreateSpec {
-		i := int(logical) % stages
-		name := fmt.Sprintf("stage-%d", i)
-		switch {
-		case i == 0:
-			out := queues[0]
-			return committee.CreateSpec{Name: name, Prio: 5, Entry: func(c *pcore.Ctx) {
-				for v := 0; v < items; v++ {
-					c.Compute(10)
-					c.QueueSend(out, uint32(v))
-					c.Progress()
-				}
-			}}
-		case i == stages-1:
-			in := queues[i-1]
-			return committee.CreateSpec{Name: name, Prio: 5, Entry: func(c *pcore.Ctx) {
-				for v := 0; v < items; v++ {
-					got := c.QueueRecv(in)
-					c.Compute(5)
-					_ = got
-					c.Progress()
-				}
-			}}
-		default:
-			in, out := queues[i-1], queues[i]
-			return committee.CreateSpec{Name: name, Prio: 5, Entry: func(c *pcore.Ctx) {
-				for v := 0; v < items; v++ {
-					c.QueueSend(out, c.QueueRecv(in)+1)
-					c.Progress()
-				}
-			}}
-		}
-	}
-}
-
 // PriorityInversion builds the three-task inversion scenario: a low-
 // priority task holds a mutex, a high-priority task blocks on it, and a
 // medium-priority compute hog keeps the low task off the processor, so

@@ -166,93 +166,6 @@ func TestPriorityInversionStarvesHighTask(t *testing.T) {
 	}
 }
 
-func TestStreamSortRoundTrip(t *testing.T) {
-	p := newP(t, platform.Config{})
-	ss, err := NewStreamSort(p, 4, 128, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.RunUntilQuiescent(5_000_000)
-	if ss.Failed != 0 {
-		t.Fatalf("%d stream sorts failed", ss.Failed)
-	}
-	if ss.Verified != 4 {
-		t.Fatalf("verified %d of 4", ss.Verified)
-	}
-	if p.Slave.Crashed() {
-		t.Fatalf("crash: %v", p.Slave.Fault())
-	}
-}
-
-func TestStreamSortSurvivesSuspensionStress(t *testing.T) {
-	// Suspend/resume the sorting tasks mid-stream: data must still come
-	// back complete and sorted (the stream state lives in SRAM, immune to
-	// task scheduling).
-	p := newP(t, platform.Config{})
-	ss, err := NewStreamSort(p, 2, 64, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Master.Spawn("stress", func(ctx *master.Ctx) {
-		for round := 0; round < 10; round++ {
-			for logical := uint32(0); logical < 2; logical++ {
-				rep, err := p.Client.Call(ctx, bridge.CodeTS, logical, 0xffffffff)
-				if err != nil {
-					return
-				}
-				ctx.Compute(500)
-				if rep.Status == bridge.StatusOK {
-					if _, err := p.Client.Call(ctx, bridge.CodeTR, logical, 0xffffffff); err != nil {
-						return
-					}
-				}
-				ctx.Compute(500)
-			}
-		}
-	})
-	p.RunUntilQuiescent(5_000_000)
-	if ss.Failed != 0 || ss.Verified != 2 {
-		t.Fatalf("verified=%d failed=%d", ss.Verified, ss.Failed)
-	}
-}
-
-func TestPipelineCompletes(t *testing.T) {
-	factory := Pipeline(4, 25)
-	p := newP(t, platform.Config{Factory: factory})
-	p.Master.Spawn("drv", func(ctx *master.Ctx) {
-		for logical := uint32(0); logical < 4; logical++ {
-			_, _ = p.Client.Call(ctx, bridge.CodeTC, logical, 0xffffffff)
-		}
-	})
-	d := detector.New(p, nil, detector.Options{CheckEvery: 32})
-	r := d.Run(5_000_000)
-	if r != nil {
-		t.Fatalf("pipeline reported %v", r)
-	}
-	if n := len(p.Slave.LiveTasks()); n != 0 {
-		t.Fatalf("%d stages stuck", n)
-	}
-}
-
-func TestPipelineStageDeletionWedges(t *testing.T) {
-	// Deleting a middle stage strands the pipeline: upstream fills its
-	// queue and blocks, downstream waits forever — a hang.
-	factory := Pipeline(3, 1000)
-	p := newP(t, platform.Config{Factory: factory})
-	p.Master.Spawn("drv", func(ctx *master.Ctx) {
-		for logical := uint32(0); logical < 3; logical++ {
-			_, _ = p.Client.Call(ctx, bridge.CodeTC, logical, 0xffffffff)
-		}
-		ctx.Compute(2000)                                       // let the pipeline flow
-		_, _ = p.Client.Call(ctx, bridge.CodeTD, 1, 0xffffffff) // kill the middle stage
-	})
-	d := detector.New(p, nil, detector.Options{CheckEvery: 32})
-	r := d.Run(5_000_000)
-	if r == nil || r.Kind != detector.BugHang {
-		t.Fatalf("report %v", r)
-	}
-}
-
 func TestFigure1GoodOrderCompletes(t *testing.T) {
 	p := newP(t, platform.Config{})
 	xAddr, yAddr, err := Figure1(p, false)

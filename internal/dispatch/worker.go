@@ -1,11 +1,15 @@
 // Worker is the fleet side of the dispatch protocol: register with the
 // hub, heartbeat, lease cells, execute them through the deterministic
-// suite runner, and report completions. Every failure mode degrades
-// instead of corrupting: a lost hub means the worker finishes
-// in-flight cells, retries their completions with backoff, and
-// re-registers when the hub answers again; an expired registration
-// (hub restart) is just a fresh Register; a completion the hub no
-// longer wants is acknowledged as an orphan and forgotten.
+// suite runner, and report completions. Failures are classified once,
+// by internal/api's transient rule, and only what can heal is retried:
+// a lost hub (no answer, 429, 5xx) means the worker finishes in-flight
+// cells, retries their completions with backoff, and re-registers when
+// the hub answers again; an expired registration (hub restart, 404) is
+// just a fresh Register; a completion the hub no longer wants is
+// acknowledged as an orphan and forgotten. A refusal that cannot heal
+// does not loop: a 401 anywhere, or any permanent refusal of Register,
+// ends Run with that error, and a lease:batch refused for good drops
+// its completions, which lease expiry re-grants.
 //
 // The wire is a single pump loop over POST lease:batch: each round
 // trip delivers the finished completions and refills the in-flight
@@ -21,7 +25,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -31,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/clock"
 	"repro/internal/dispatch/faultinject"
 	"repro/internal/lru"
@@ -81,8 +85,7 @@ type WorkerConfig struct {
 // Worker runs the lease-polling loop against one hub.
 type Worker struct {
 	cfg  WorkerConfig
-	base string
-	hc   *http.Client
+	conn api.Conn
 
 	mu    sync.Mutex
 	reg   Registration
@@ -154,8 +157,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	return &Worker{
 		cfg:   cfg,
-		base:  strings.TrimRight(cfg.HubURL, "/"),
-		hc:    cfg.HTTPClient,
+		conn:  api.Conn{Base: strings.TrimRight(cfg.HubURL, "/"), HC: cfg.HTTPClient, Key: cfg.APIKey},
 		plans: lru.New[*specPlan](cfg.PlanCacheSize),
 		fetch: map[string]*specFetch{},
 		killc: make(chan struct{}),
@@ -166,53 +168,58 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 func (w *Worker) Completed() uint64 { return w.completedCount.Load() }
 
 // Run registers and serves leases until ctx is cancelled (graceful:
-// in-flight cells finish and the worker deregisters) or a fault hook
-// kills it (abrupt: everything is abandoned and Run returns
-// faultinject.ErrKilled).
+// in-flight cells finish and the worker deregisters), the hub refuses
+// it for good (the same graceful exit, returning the refusal: a bad
+// key matches api.ErrUnauthorized), or a fault hook kills it (abrupt:
+// everything is abandoned and Run returns faultinject.ErrKilled).
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
 	}
-	loopCtx, stop := context.WithCancel(ctx)
-	defer stop()
-	go w.heartbeatLoop(loopCtx)
+	// The loops end the run with stop(refusal); Run returns the cause.
+	loopCtx, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
+	go w.heartbeatLoop(loopCtx, stop)
 
 	// One pump goroutine owns the wire and feeds the execution slots.
 	pumped := make(chan struct{})
 	go func() {
 		defer close(pumped)
-		w.pump(loopCtx)
+		w.pump(loopCtx, stop)
 	}()
 
 	select {
 	case <-w.killc:
 		// Simulated process death: no completion, no deregistration, no
 		// waiting. The hub finds out through lease expiry.
-		stop()
+		stop(nil)
 		return faultinject.ErrKilled
-	case <-ctx.Done():
+	case <-loopCtx.Done():
 	}
 	// Graceful: the slots finish the cells they hold and the pump
 	// flushes their completions first.
 	<-pumped
 	w.deregister()
-	return ctx.Err()
+	return context.Cause(loopCtx)
 }
 
-// register obtains a fresh identity, retrying with backoff until the
-// hub answers or ctx ends.
+// register obtains a fresh identity, retrying transient failures with
+// backoff until the hub answers or ctx ends. Any other refusal is
+// returned: a worker the hub will not take does not wait for it.
 func (w *Worker) register(ctx context.Context) error {
 	delay := 100 * time.Millisecond
 	for {
 		var reg Registration
-		err := w.doJSON(ctx, http.MethodPost, workersPathPrefix,
-			RegisterRequest{Name: w.cfg.Name}, &reg)
+		err := w.conn.JSON(ctx, http.MethodPost, workersPathPrefix, RegisterRequest{Name: w.cfg.Name}, &reg)
 		if err == nil {
 			w.mu.Lock()
 			w.reg = reg
 			w.mu.Unlock()
 			w.cfg.Logf("dispatch worker %s: registered as %s", w.cfg.Name, reg.WorkerID)
 			return nil
+		}
+		if ctx.Err() == nil && !api.Transient(err) {
+			return fmt.Errorf("dispatch: registering with %s: %w", w.conn.Base, err)
 		}
 		w.cfg.Logf("dispatch worker %s: registration failed (%v), retrying", w.cfg.Name, err)
 		select {
@@ -242,15 +249,16 @@ func (w *Worker) deregister() {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	_ = w.doJSON(ctx, http.MethodDelete, workersPathPrefix+"/"+url.PathEscape(reg.WorkerID), nil, nil)
+	_ = w.conn.JSON(ctx, http.MethodDelete, workersPathPrefix+"/"+url.PathEscape(reg.WorkerID), nil, nil)
 }
 
 // heartbeatLoop keeps the registration live at the hub-suggested
 // cadence, honoring the drop/delay fault hooks. Each interval is
 // jittered ±20% so a large fleet started together (or re-registered
 // together after a hub restart) spreads out instead of heartbeating
-// the hub in lockstep forever.
-func (w *Worker) heartbeatLoop(ctx context.Context) {
+// the hub in lockstep forever. A 401, or a re-registration the hub
+// refuses, ends the run through stop.
+func (w *Worker) heartbeatLoop(ctx context.Context, stop context.CancelCauseFunc) {
 	rnd := rand.New(rand.NewSource(time.Now().UnixNano()))
 	for {
 		reg := w.registration()
@@ -274,11 +282,18 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		if w.cfg.Hooks.Drop() {
 			continue
 		}
-		err := w.doJSON(ctx, http.MethodPost,
+		err := w.conn.JSON(ctx, http.MethodPost,
 			workersPathPrefix+"/"+url.PathEscape(reg.WorkerID)+"/heartbeat", nil, nil)
+		if errors.Is(err, api.ErrUnauthorized) {
+			stop(err)
+			return
+		}
 		if isUnknownWorker(err) {
 			w.cfg.Logf("dispatch worker %s: hub forgot us, re-registering", w.cfg.Name)
-			_ = w.register(ctx)
+			if err := w.register(ctx); err != nil {
+				stop(err)
+				return
+			}
 		}
 	}
 }
@@ -341,7 +356,7 @@ func (w *Worker) planFor(ctx context.Context, g Grant) (*specPlan, error) {
 	w.mu.Unlock()
 
 	var raw json.RawMessage
-	err := w.doJSON(ctx, http.MethodGet, "/api/v1/jobs/"+url.PathEscape(g.JobID)+"/spec", nil, &raw)
+	err := w.conn.JSON(ctx, http.MethodGet, "/api/v1/jobs/"+url.PathEscape(g.JobID)+"/spec", nil, &raw)
 	var p *specPlan
 	if err == nil {
 		p, err = compilePlan(raw)
@@ -405,7 +420,7 @@ func (w *Worker) slotLoop(ctx context.Context, grants <-chan Grant, results chan
 func (w *Worker) leaseBatch(ctx context.Context, max int, comps []CompleteRequest) (LeaseBatchResponse, error) {
 	reg := w.registration()
 	var resp LeaseBatchResponse
-	err := w.doJSON(ctx, http.MethodPost,
+	err := w.conn.JSON(ctx, http.MethodPost,
 		workersPathPrefix+"/"+url.PathEscape(reg.WorkerID)+"/lease:batch",
 		LeaseBatchRequest{Max: max, Completions: comps}, &resp)
 	return resp, err
@@ -419,8 +434,9 @@ func (w *Worker) leaseBatch(ctx context.Context, max int, comps []CompleteReques
 // completions and refills in the same call; otherwise it waits. Steady
 // state is therefore ~2 round trips per LeaseBatch cells, with
 // CompleteLinger bounding how stale a finished result may go
-// unreported.
-func (w *Worker) pump(ctx context.Context) {
+// unreported. A 401, or a re-registration the hub refuses, ends the run
+// through stop.
+func (w *Worker) pump(ctx context.Context, stop context.CancelCauseFunc) {
 	depth := w.cfg.LeaseBatch
 	slotCtx, stopSlots := context.WithCancel(ctx)
 	defer stopSlots()
@@ -473,19 +489,29 @@ func (w *Worker) pump(ctx context.Context) {
 		}
 
 		resp, err := w.leaseBatch(ctx, max, pending)
-		switch {
-		case isUnknownWorker(err):
-			// Completions may have been settled before the hub rejected
-			// us; keep them pending — resending is harmless (duplicates).
-			if w.register(ctx) != nil {
-				return
-			}
-			continue
-		case err != nil:
-			if ctx.Err() != nil {
+		if err != nil {
+			switch {
+			case ctx.Err() != nil:
 				continue // shutdown, not a hub failure
+			case isUnknownWorker(err):
+				// Completions may have been settled before the hub rejected
+				// us; keep them pending — resending is harmless (duplicates).
+				if err := w.register(ctx); err != nil {
+					stop(err)
+				}
+				continue
+			case errors.Is(err, api.ErrUnauthorized):
+				stop(err)
+				continue
+			case api.Transient(err):
+				w.cfg.Logf("dispatch worker %s: hub unreachable (%v), backing off", w.cfg.Name, err)
+			default:
+				// Resending what the hub refused for good would wedge the
+				// pump; lease expiry re-grants the cells instead.
+				w.cfg.Logf("dispatch worker %s: hub refused lease:batch (%v), dropping %d completions", w.cfg.Name, err, len(pending))
+				pending = pending[:0]
+				lingerC, lingerFired = nil, false
 			}
-			w.cfg.Logf("dispatch worker %s: hub unreachable (%v), backing off", w.cfg.Name, err)
 			select {
 			case <-ctx.Done():
 			case <-w.killc:
@@ -529,11 +555,12 @@ func (w *Worker) pump(ctx context.Context) {
 
 // flushFinal delivers the job-end completions as a pure lease:batch
 // flush (max 0) on a detached context, so finished work survives the
-// worker's own exit: a bounded retry with backoff under a 2 s
-// deadline. Past the budget the results are dropped — expiry
-// reassigns the cells, and re-execution is bit-identical, so only
-// cycles are lost. A 404 ends the retry too: the hub settles
-// completions before it checks the worker, so they already landed.
+// worker's own exit: a bounded retry of transient failures with
+// backoff under a 2 s deadline. Past the budget, or on a permanent
+// refusal, the results are dropped — expiry reassigns the cells, and
+// re-execution is bit-identical, so only cycles are lost. A 404 ends
+// the retry quietly: the hub settles completions before it checks the
+// worker, so they already landed.
 func (w *Worker) flushFinal(pending []CompleteRequest) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -546,6 +573,9 @@ func (w *Worker) flushFinal(pending []CompleteRequest) {
 		}
 		if isUnknownWorker(err) {
 			return
+		}
+		if !api.Transient(err) {
+			break
 		}
 		w.cfg.Logf("dispatch worker %s: final flush of %d completions failed (%v), retrying", w.cfg.Name, len(pending), err)
 		select {
@@ -601,70 +631,9 @@ func (w *Worker) kill() {
 	}
 }
 
-// --- tiny HTTP client -------------------------------------------------------
-
-// httpStatusError carries the hub's status code and error message so
-// callers can classify answers.
-type httpStatusError struct {
-	code int
-	msg  string
-}
-
-func (e *httpStatusError) Error() string {
-	return fmt.Sprintf("dispatch: hub answered %d: %s", e.code, e.msg)
-}
-
 // isUnknownWorker reports a 404 — the hub does not know this worker ID
 // (expired or hub restart); the cure is re-registration.
 func isUnknownWorker(err error) bool {
-	var se *httpStatusError
-	return errors.As(err, &se) && se.code == http.StatusNotFound
-}
-
-// doJSON is one round trip: optional JSON body out, optional JSON body
-// in.
-func (w *Worker) doJSON(ctx context.Context, method, path string, body, out any) error {
-	var rd io.Reader
-	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("dispatch: encoding request: %w", err)
-		}
-		rd = bytes.NewReader(data)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, w.base+path, rd)
-	if err != nil {
-		return fmt.Errorf("dispatch: %w", err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if w.cfg.APIKey != "" {
-		req.Header.Set("Authorization", "Bearer "+w.cfg.APIKey)
-	}
-	resp, err := w.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("dispatch: %s: %w", w.base, err)
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode >= 400 {
-		// The hub's error envelope: {"error":{"code","message",...}}; a
-		// body that doesn't decode to it leaves the message empty.
-		var e struct {
-			Error struct {
-				Message string `json:"message"`
-			} `json:"error"`
-		}
-		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e)
-		return &httpStatusError{code: resp.StatusCode, msg: e.Error.Message}
-	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("dispatch: decoding response: %w", err)
-		}
-	}
-	return nil
+	var e *api.Error
+	return errors.As(err, &e) && e.StatusCode == http.StatusNotFound
 }

@@ -1,6 +1,7 @@
 // Worker-side wire tests: the job-end flush retries on the lease:batch
 // wire, so finished cells survive the worker's own exit even when the
-// hub fails the first attempt.
+// hub fails the first attempt; refusals that cannot heal end the run
+// (a bad key) or drop the refused completions instead of looping.
 package dispatch
 
 import (
@@ -12,10 +13,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/dispatch/faultinject"
 	"repro/internal/suite"
 )
@@ -120,6 +123,126 @@ func TestWorkerFinalFlushRetriesLeaseBatch(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatal("a cell's waiter never resolved")
+		}
+	}
+}
+
+func TestWorkerUnauthorizedEndsRun(t *testing.T) {
+	for _, route := range []struct{ name, suffix string }{
+		{"register", "/api/v1/workers"}, {"heartbeat", "/heartbeat"}, {"lease:batch", "/lease:batch"},
+	} {
+		t.Run(route.name, func(t *testing.T) {
+			// A 300ms worker TTL makes the hub ask for a heartbeat every
+			// 100ms.
+			d := New(Config{WorkerTTL: 300 * time.Millisecond})
+			t.Cleanup(d.Close)
+			var wireCalls atomic.Int64
+			hub := benchHub(d, nil, &wireCalls)
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, route.suffix) {
+					api.WriteError(w, http.StatusUnauthorized, "tenant: missing or unknown API key")
+					return
+				}
+				hub.ServeHTTP(w, r)
+			}))
+			t.Cleanup(ts.Close)
+
+			wk, err := NewWorker(WorkerConfig{HubURL: ts.URL, APIKey: "wrong", PollInterval: 10 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := wk.Run(ctx); !errors.Is(err, api.ErrUnauthorized) {
+				t.Fatalf("Run = %v, want an error matching api.ErrUnauthorized", err)
+			}
+		})
+	}
+}
+
+func TestWorkerDropsCompletionsRefusedForGood(t *testing.T) {
+	spec, err := suite.Parse(strings.NewReader(benchSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := spec.Expand()
+
+	// The default 30s lease TTL keeps every refused cell leased for the
+	// whole test, so no completion comes back through a re-grant.
+	d := New(Config{})
+	t.Cleanup(d.Close)
+	d.Register("placeholder")
+	exec := d.Executor("j1", "t1", 0, spec)
+	execCtx, stopExec := context.WithCancel(context.Background())
+	t.Cleanup(stopExec)
+	for _, c := range cells {
+		go func(c suite.Cell) { _, _ = exec(execCtx, spec, c) }(c)
+	}
+	waitPending(t, d, len(cells))
+
+	// The hub refuses every lease:batch that carries completions with a
+	// 400 and counts how often each lease's completion arrives.
+	var wireCalls, quietCalls atomic.Int64
+	var mu sync.Mutex
+	sent := map[string]int{}
+	hub := benchHub(d, specJSON, &wireCalls)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/lease:batch") {
+			body, _ := io.ReadAll(r.Body)
+			var req LeaseBatchRequest
+			if json.Unmarshal(body, &req) == nil && len(req.Completions) > 0 {
+				mu.Lock()
+				for _, c := range req.Completions {
+					sent[c.LeaseID]++
+				}
+				mu.Unlock()
+				api.WriteError(w, http.StatusBadRequest, "bad lease batch body")
+				return
+			}
+			mu.Lock()
+			if len(sent) == len(cells) {
+				quietCalls.Add(1)
+			}
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		hub.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	wk, err := NewWorker(WorkerConfig{
+		HubURL: ts.URL, Parallelism: 2, LeaseBatch: 16,
+		PollInterval: 10 * time.Millisecond, CompleteLinger: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { done <- wk.Run(ctx) }()
+
+	// Every cell's completion has been refused once and the pump went on
+	// polling: it is not wedged on the refused batch.
+	for deadline := time.Now().Add(10 * time.Second); quietCalls.Load() < 3; {
+		if time.Now().After(deadline) {
+			mu.Lock()
+			t.Fatalf("pump stalled: completions sent %v, %d calls after the last refusal", sent, quietCalls.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for lease, n := range sent {
+		if n != 1 {
+			t.Errorf("lease %s: completion sent %d times, want 1 (a refused completion is dropped)", lease, n)
 		}
 	}
 }

@@ -4,18 +4,17 @@
 // live ones, then the terminal JobInfo.
 //
 // The client is built for an imperfect network and a shared hub:
-// idempotent calls retry transient failures (connection refused,
-// 502/503/504, 429 throttles) with exponential backoff, a queue-full
-// 503 or a rate-limit 429 waits exactly the server's Retry-After, and a
-// dropped Watch stream reconnects with Last-Event-ID so the caller sees
-// every cell exactly once. Refusals decode into *APIError; branch on
-// them with errors.Is(err, ErrUnauthorized | ErrRateLimited |
-// ErrQuotaExceeded). Credentials come from WithAPIKey — a 401 fails
-// immediately, never retried.
+// idempotent calls retry what internal/api classes as transient
+// (no answer, 429, 500, 502, 503, 504) with exponential backoff, a
+// queue-full 503 or a rate-limit 429 waits exactly the server's
+// Retry-After, and a dropped Watch stream reconnects with Last-Event-ID
+// so the caller sees every cell exactly once. Refusals decode into
+// *APIError; branch on them with errors.Is(err, ErrUnauthorized |
+// ErrRateLimited | ErrQuotaExceeded). Credentials come from WithAPIKey
+// — a 401 fails immediately, never retried.
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -28,6 +27,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/clock"
 	"repro/internal/dispatch"
 	"repro/internal/report"
@@ -35,9 +35,7 @@ import (
 
 // Client talks to one ptestd base URL (e.g. "http://127.0.0.1:8321").
 type Client struct {
-	base   string
-	hc     *http.Client
-	apiKey string
+	conn api.Conn
 
 	// retries is how many times an idempotent call re-attempts after a
 	// transient failure; retryBase seeds the exponential backoff between
@@ -53,7 +51,7 @@ type ClientOption func(*Client)
 // WithAPIKey sends the key as `Authorization: Bearer <key>` on every
 // request — required against a hub running with -auth-keys.
 func WithAPIKey(key string) ClientOption {
-	return func(c *Client) { c.apiKey = key }
+	return func(c *Client) { c.conn.Key = key }
 }
 
 // WithHTTPClient substitutes the underlying http.Client (custom
@@ -62,7 +60,7 @@ func WithAPIKey(key string) ClientOption {
 func WithHTTPClient(hc *http.Client) ClientOption {
 	return func(c *Client) {
 		if hc != nil {
-			c.hc = hc
+			c.conn.HC = hc
 		}
 	}
 }
@@ -86,8 +84,7 @@ func WithRetryPolicy(retries int, base time.Duration) ClientOption {
 // retries on transient failures.
 func NewClient(base string, opts ...ClientOption) *Client {
 	c := &Client{
-		base:      strings.TrimRight(base, "/"),
-		hc:        &http.Client{},
+		conn:      api.Conn{Base: strings.TrimRight(base, "/"), HC: &http.Client{}},
 		retries:   2,
 		retryBase: 100 * time.Millisecond,
 		wall:      clock.System(),
@@ -100,167 +97,64 @@ func NewClient(base string, opts ...ClientOption) *Client {
 
 // BaseURL returns the normalized base URL this client talks to — what
 // a store.Remote pointed at the same daemon should be built from.
-func (c *Client) BaseURL() string { return c.base }
+func (c *Client) BaseURL() string { return c.conn.Base }
 
-// Sentinel errors for the envelope codes callers branch on. Match with
-// errors.Is against any error a Client method returns.
+// APIError is the decoded error envelope a Client call returns for a
+// refusal.
+type APIError = api.Error
+
+// The refusals callers branch on with errors.Is (see internal/api).
 var (
-	// ErrUnauthorized: the hub enforces auth and the key was missing or
-	// unknown. Never retried — a bad credential does not heal.
-	ErrUnauthorized = errors.New("server: unauthorized")
-	// ErrRateLimited: the tenant ran over a rate limit. Retried,
-	// honoring the server's Retry-After.
-	ErrRateLimited = errors.New("server: rate limited")
-	// ErrQuotaExceeded: the tenant's backlog quota is full. Retried —
-	// the backlog drains as workers pop jobs.
-	ErrQuotaExceeded = errors.New("server: quota exceeded")
+	ErrUnauthorized  = api.ErrUnauthorized
+	ErrRateLimited   = api.ErrRateLimited
+	ErrQuotaExceeded = api.ErrQuotaExceeded
 )
 
-// APIError is the typed client-side view of the server's error
-// envelope: the HTTP status, the machine-stable code, the human
-// message, and the server-stated retry delay (zero when absent).
-type APIError struct {
-	StatusCode int
-	Code       string
-	Message    string
-	RetryAfter time.Duration
-}
-
-func (e *APIError) Error() string {
-	if e.Message != "" {
-		return fmt.Sprintf("server: %s (HTTP %d)", e.Message, e.StatusCode)
-	}
-	return fmt.Sprintf("server: HTTP %d", e.StatusCode)
-}
-
-// Is maps envelope codes onto the sentinels so call sites switch with
-// errors.Is instead of comparing strings or status numbers.
-func (e *APIError) Is(target error) bool {
-	switch target {
-	case ErrUnauthorized:
-		return e.StatusCode == http.StatusUnauthorized
-	case ErrRateLimited:
-		return e.Code == "rate_limited"
-	case ErrQuotaExceeded:
-		return e.Code == "quota_exceeded"
-	}
-	return false
-}
-
-// apiError decodes an error response into an *APIError. It understands
-// the envelope's object form and, for compatibility with older
-// daemons, the pre-envelope bare-string form.
-func apiError(resp *http.Response) error {
-	defer resp.Body.Close()
-	e := &APIError{
-		StatusCode: resp.StatusCode,
-		RetryAfter: retryAfter(resp),
-	}
-	var env struct {
-		Error json.RawMessage `json:"error"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&env); err == nil && len(env.Error) > 0 {
-		var det struct {
-			Code        string `json:"code"`
-			Message     string `json:"message"`
-			RetryAfterS int    `json:"retry_after_s"`
-		}
-		if json.Unmarshal(env.Error, &det) == nil && det.Message != "" {
-			e.Code = det.Code
-			e.Message = det.Message
-			if e.RetryAfter == 0 && det.RetryAfterS > 0 {
-				e.RetryAfter = time.Duration(det.RetryAfterS) * time.Second
-			}
-		} else {
-			_ = json.Unmarshal(env.Error, &e.Message) // legacy {"error":"..."}
-		}
-	}
-	return e
-}
-
-// transientStatus reports whether a status is a temporary server-side
-// condition worth retrying: a dead/overloaded hop (502/504), an
-// explicitly-try-again 503 (queue full, draining), or a 429 throttle —
-// the tenant's bucket refills on the server's stated schedule.
-func transientStatus(code int) bool {
-	return code == http.StatusBadGateway ||
-		code == http.StatusServiceUnavailable ||
-		code == http.StatusGatewayTimeout ||
-		code == http.StatusTooManyRequests
-}
-
-// retryAfter honors the server's Retry-After (delta-seconds form): on a
-// queue-full 503 the server states when a slot should free up, which
-// beats guessing.
-func retryAfter(resp *http.Response) time.Duration {
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 0 {
-			return time.Duration(n) * time.Second
-		}
-	}
-	return 0
-}
-
-// do is one API call. body is a byte slice, not a Reader, so retried
-// attempts can resend it. retry=false is for non-idempotent calls
-// (Cancel): a lost response there must surface, not silently re-fire.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, retry bool) (*http.Response, error) {
-	attempts := 1
-	if retry {
-		attempts += c.retries
-	}
+// do is one API call under the client's retry policy, returning the
+// success body. body is a byte slice, not a Reader, so retried attempts
+// can resend it. retry=false is for non-idempotent calls (Cancel): a
+// lost response there must surface, not silently re-fire.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, retry bool) ([]byte, error) {
 	delay := c.retryBase
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-		if err != nil {
-			return nil, fmt.Errorf("client: %w", err)
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		if c.apiKey != "" {
-			req.Header.Set("Authorization", "Bearer "+c.apiKey)
-		}
-		resp, err := c.hc.Do(req)
-		wait := delay
-		switch {
-		case err != nil:
-			lastErr = fmt.Errorf("client: %s: %w", c.base, err)
-		case transientStatus(resp.StatusCode):
-			if ra := retryAfter(resp); ra > 0 {
-				wait = ra
+	for attempt := 0; ; attempt++ {
+		resp, err := c.conn.Do(ctx, method, path, body)
+		if err == nil {
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
+				return nil, fmt.Errorf("client: reading %s: %w", path, err)
 			}
-			lastErr = apiError(resp) // closes the body
-		case resp.StatusCode >= 400:
-			return nil, apiError(resp)
-		default:
-			return resp, nil
+			return raw, nil
 		}
-		if attempt+1 >= attempts || ctx.Err() != nil {
-			return nil, lastErr
+		if !retry || attempt >= c.retries || !api.Transient(err) || ctx.Err() != nil {
+			return nil, err
+		}
+		// A queue-full 503 or a throttle 429 states when to come back,
+		// which beats guessing.
+		wait := delay
+		var ae *api.Error
+		if errors.As(err, &ae) && ae.RetryAfter > 0 {
+			wait = ae.RetryAfter
 		}
 		select {
 		case <-ctx.Done():
-			return nil, lastErr
+			return nil, err
 		case <-c.wall.After(wait):
 		}
 		delay *= 2
 	}
-	return nil, lastErr
 }
 
-func decodeInto[T any](resp *http.Response) (T, error) {
+// call is do plus decoding the success body into a T.
+func call[T any](ctx context.Context, c *Client, method, path string, body []byte, retry bool) (T, error) {
 	var v T
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return v, fmt.Errorf("client: decoding response: %w", err)
+	raw, err := c.do(ctx, method, path, body, retry)
+	if err == nil {
+		if err = json.Unmarshal(raw, &v); err != nil {
+			err = fmt.Errorf("client: decoding response: %w", err)
+		}
 	}
-	return v, nil
+	return v, err
 }
 
 // Submit posts a suite spec (raw JSON) and returns the accepted job.
@@ -276,39 +170,23 @@ func (c *Client) Submit(ctx context.Context, spec io.Reader, priority int) (JobI
 	if priority != 0 {
 		path += "?priority=" + strconv.Itoa(priority)
 	}
-	resp, err := c.do(ctx, http.MethodPost, path, raw, true)
-	if err != nil {
-		return JobInfo{}, err
-	}
-	return decodeInto[JobInfo](resp)
+	return call[JobInfo](ctx, c, http.MethodPost, path, raw, true)
 }
 
 // Jobs lists every job the daemon knows, newest first.
 func (c *Client) Jobs(ctx context.Context) ([]JobInfo, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/api/v1/jobs", nil, true)
-	if err != nil {
-		return nil, err
-	}
-	return decodeInto[[]JobInfo](resp)
+	return call[[]JobInfo](ctx, c, http.MethodGet, "/api/v1/jobs", nil, true)
 }
 
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, id string) (JobInfo, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+url.PathEscape(id), nil, true)
-	if err != nil {
-		return JobInfo{}, err
-	}
-	return decodeInto[JobInfo](resp)
+	return call[JobInfo](ctx, c, http.MethodGet, "/api/v1/jobs/"+url.PathEscape(id), nil, true)
 }
 
 // Workers lists the hub's fleet: registered workers, their liveness,
 // in-flight leases and completion counts.
 func (c *Client) Workers(ctx context.Context) ([]dispatch.WorkerInfo, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/api/v1/workers", nil, true)
-	if err != nil {
-		return nil, err
-	}
-	return decodeInto[[]dispatch.WorkerInfo](resp)
+	return call[[]dispatch.WorkerInfo](ctx, c, http.MethodGet, "/api/v1/workers", nil, true)
 }
 
 // Cancel requests cancellation and returns the (possibly still
@@ -316,11 +194,7 @@ func (c *Client) Workers(ctx context.Context) ([]dispatch.WorkerInfo, error) {
 // have landed, and silently re-firing would turn that ambiguity into a
 // misleading "already cancelled" conflict.
 func (c *Client) Cancel(ctx context.Context, id string) (JobInfo, error) {
-	resp, err := c.do(ctx, http.MethodDelete, "/api/v1/jobs/"+url.PathEscape(id), nil, false)
-	if err != nil {
-		return JobInfo{}, err
-	}
-	return decodeInto[JobInfo](resp)
+	return call[JobInfo](ctx, c, http.MethodDelete, "/api/v1/jobs/"+url.PathEscape(id), nil, false)
 }
 
 // Report fetches a finished (or partial) job report.
@@ -339,123 +213,82 @@ func (c *Client) ReportBytes(ctx context.Context, id string, canonical bool) ([]
 	if canonical {
 		path += "?canonical=1"
 	}
-	resp, err := c.do(ctx, http.MethodGet, path, nil, true)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("client: reading report: %w", err)
-	}
-	return raw, nil
+	return c.do(ctx, http.MethodGet, path, nil, true)
 }
 
 // Watch follows the job's SSE stream, invoking onCell (if non-nil) for
 // every completed cell in plan order — including cells completed before
 // Watch connected, which the server replays — and returns the terminal
 // JobInfo from the done event.
-//
-// A dropped connection reconnects with the standard Last-Event-ID
-// header, so the server resumes the stream right after the last cell
-// this client saw: onCell observes each cell exactly once no matter how
-// many times the stream breaks. Only consecutive failures count against
-// the retry budget; any received event resets it.
 func (c *Client) Watch(ctx context.Context, id string, onCell func(report.Cell)) (JobInfo, error) {
-	lastID := 0
+	var info JobInfo
+	err := c.follow(ctx, "/api/v1/jobs/"+url.PathEscape(id)+"/events", 0, func(f api.Frame) (bool, error) {
+		switch f.Event {
+		case "cell":
+			if onCell != nil {
+				var cell report.Cell
+				if err := json.Unmarshal(f.Data, &cell); err != nil {
+					return false, fmt.Errorf("client: bad cell event: %w", err)
+				}
+				onCell(cell)
+			}
+		case "done":
+			if err := json.Unmarshal(f.Data, &info); err != nil {
+				return false, fmt.Errorf("client: bad done event: %w", err)
+			}
+			return true, nil
+		}
+		return false, nil
+	})
+	return info, err
+}
+
+// follow reads the SSE stream at path, handing each frame to onFrame
+// until it reports done or fails. A dropped stream reconnects with the
+// standard Last-Event-ID header, so the server resumes right after the
+// last frame delivered and onFrame sees each frame exactly once. Only
+// consecutive failures count against the retry budget; any delivered
+// frame resets it. A refusal that is not transient ends the follow.
+func (c *Client) follow(ctx context.Context, path string, lastID uint64, onFrame func(api.Frame) (done bool, err error)) error {
 	fails := 0
 	delay := c.retryBase
 	for {
-		info, done, err := c.watchOnce(ctx, id, &lastID, &fails, onCell)
-		switch {
-		case err != nil:
-			return JobInfo{}, err
-		case done:
-			return info, nil
+		conn := c.conn
+		if lastID > 0 {
+			conn.Header = http.Header{"Last-Event-ID": {strconv.FormatUint(lastID, 10)}}
+		}
+		resp, err := conn.Do(ctx, http.MethodGet, path, nil)
+		if err != nil && !api.Transient(err) {
+			return err
+		}
+		if err == nil {
+			rd := api.NewReader(resp.Body, lastID)
+			for {
+				f, rerr := rd.Next()
+				if rerr != nil {
+					break // EOF or a cut read: the stream dropped
+				}
+				done, ferr := onFrame(f)
+				if done || ferr != nil {
+					resp.Body.Close()
+					return ferr
+				}
+				lastID, fails = f.ID, 0
+			}
+			resp.Body.Close()
 		}
 		if ctx.Err() != nil {
-			return JobInfo{}, fmt.Errorf("client: event stream: %w", ctx.Err())
+			return fmt.Errorf("client: event stream: %w", ctx.Err())
 		}
 		fails++
 		if fails > c.retries+1 {
-			return JobInfo{}, fmt.Errorf("client: event stream for %s dropped %d times in a row; giving up", id, fails)
+			return fmt.Errorf("client: event stream %s dropped %d times in a row; giving up", path, fails)
 		}
 		select {
 		case <-ctx.Done():
-			return JobInfo{}, fmt.Errorf("client: event stream: %w", ctx.Err())
+			return fmt.Errorf("client: event stream: %w", ctx.Err())
 		case <-c.wall.After(delay):
 		}
 		delay *= 2
 	}
-}
-
-// watchOnce is one SSE connection attempt. done=true carries the
-// terminal JobInfo; err is fatal (bad job, malformed event); the
-// remaining case — stream dropped or connect failed — asks Watch to
-// reconnect. lastID tracks the server's event numbering for resumption;
-// fails resets whenever an event actually arrives.
-func (c *Client) watchOnce(ctx context.Context, id string, lastID, fails *int, onCell func(report.Cell)) (JobInfo, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.base+"/api/v1/jobs/"+url.PathEscape(id)+"/events", nil)
-	if err != nil {
-		return JobInfo{}, false, fmt.Errorf("client: %w", err)
-	}
-	if *lastID > 0 {
-		req.Header.Set("Last-Event-ID", strconv.Itoa(*lastID))
-	}
-	if c.apiKey != "" {
-		req.Header.Set("Authorization", "Bearer "+c.apiKey)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return JobInfo{}, false, nil // connect failed: reconnect
-	}
-	if transientStatus(resp.StatusCode) {
-		_ = apiError(resp) // drain and close
-		return JobInfo{}, false, nil
-	}
-	if resp.StatusCode >= 400 {
-		return JobInfo{}, false, apiError(resp)
-	}
-	defer resp.Body.Close()
-
-	var event, data string
-	eventID := *lastID
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "id: "):
-			if n, err := strconv.Atoi(strings.TrimPrefix(line, "id: ")); err == nil {
-				eventID = n
-			}
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		case line == "":
-			switch event {
-			case "cell":
-				if onCell != nil {
-					var cell report.Cell
-					if err := json.Unmarshal([]byte(data), &cell); err != nil {
-						return JobInfo{}, false, fmt.Errorf("client: bad cell event: %w", err)
-					}
-					onCell(cell)
-				}
-				*lastID = eventID
-				*fails = 0
-			case "done":
-				var info JobInfo
-				if err := json.Unmarshal([]byte(data), &info); err != nil {
-					return JobInfo{}, false, fmt.Errorf("client: bad done event: %w", err)
-				}
-				return info, true, nil
-			}
-			event, data = "", ""
-		}
-	}
-	// EOF or read error without a done event: the stream dropped.
-	return JobInfo{}, false, nil
 }

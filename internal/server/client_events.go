@@ -6,15 +6,14 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 
+	"repro/internal/api"
 	"repro/internal/eventlog"
 )
 
@@ -48,11 +47,7 @@ func (f EventsFilter) query() string {
 
 // Health fetches the daemon's /healthz summary.
 func (c *Client) Health(ctx context.Context) (Health, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/healthz", nil, true)
-	if err != nil {
-		return Health{}, err
-	}
-	return decodeInto[Health](resp)
+	return call[Health](ctx, c, http.MethodGet, "/healthz", nil, true)
 }
 
 // Events fetches one snapshot of the fleet event log. Feed the returned
@@ -62,11 +57,7 @@ func (c *Client) Events(ctx context.Context, f EventsFilter) (EventsPage, error)
 	if q := f.query(); q != "" {
 		path += "?" + q
 	}
-	resp, err := c.do(ctx, http.MethodGet, path, nil, true)
-	if err != nil {
-		return EventsPage{}, err
-	}
-	return decodeInto[EventsPage](resp)
+	return call[EventsPage](ctx, c, http.MethodGet, path, nil, true)
 }
 
 // TailEvents follows the fleet event log, invoking fn for every event
@@ -77,97 +68,19 @@ func (c *Client) Events(ctx context.Context, f EventsFilter) (EventsPage, error)
 // allows in a row; any received event resets that budget.
 func (c *Client) TailEvents(ctx context.Context, f EventsFilter, fn func(eventlog.Event)) error {
 	since := f.Since
-	fails := 0
-	delay := c.retryBase
-	for {
-		err := c.tailOnce(ctx, f, &since, &fails, fn)
-		if err != nil {
-			return err
+	f.Since = 0 // Last-Event-ID carries the cursor
+	path := "/api/v1/events?follow=1"
+	if q := f.query(); q != "" {
+		path += "&" + q
+	}
+	return c.follow(ctx, path, since, func(fr api.Frame) (bool, error) {
+		var e eventlog.Event
+		if err := json.Unmarshal(fr.Data, &e); err != nil {
+			return false, fmt.Errorf("client: bad fleet event: %w", err)
 		}
-		if ctx.Err() != nil {
-			return fmt.Errorf("client: event stream: %w", ctx.Err())
+		if fn != nil {
+			fn(e)
 		}
-		fails++
-		if fails > c.retries+1 {
-			return fmt.Errorf("client: event stream dropped %d times in a row; giving up", fails)
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("client: event stream: %w", ctx.Err())
-		case <-c.wall.After(delay):
-		}
-		delay *= 2
-	}
-}
-
-// tailOnce is one SSE connection attempt against /api/v1/events. A nil
-// return asks TailEvents to reconnect (resuming via Last-Event-ID);
-// a non-nil error is fatal. since advances past every delivered event;
-// fails resets whenever one actually arrives.
-func (c *Client) tailOnce(ctx context.Context, f EventsFilter, since *uint64, fails *int, fn func(eventlog.Event)) error {
-	q := url.Values{}
-	q.Set("follow", "1")
-	if f.Type != "" {
-		q.Set("type", f.Type)
-	}
-	if f.Job != "" {
-		q.Set("job", f.Job)
-	}
-	if f.Tenant != "" {
-		q.Set("tenant", f.Tenant)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.base+"/api/v1/events?"+q.Encode(), nil)
-	if err != nil {
-		return fmt.Errorf("client: %w", err)
-	}
-	if *since > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatUint(*since, 10))
-	}
-	if c.apiKey != "" {
-		req.Header.Set("Authorization", "Bearer "+c.apiKey)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil // connect failed: reconnect
-	}
-	if transientStatus(resp.StatusCode) {
-		_ = apiError(resp) // drain and close
-		return nil
-	}
-	if resp.StatusCode >= 400 {
-		return apiError(resp)
-	}
-	defer resp.Body.Close()
-
-	var data string
-	eventID := *since
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "id: "):
-			if n, err := strconv.ParseUint(strings.TrimPrefix(line, "id: "), 10, 64); err == nil {
-				eventID = n
-			}
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		case line == "":
-			if data != "" {
-				var e eventlog.Event
-				if err := json.Unmarshal([]byte(data), &e); err != nil {
-					return fmt.Errorf("client: bad fleet event: %w", err)
-				}
-				if fn != nil {
-					fn(e)
-				}
-				*since = eventID
-				*fails = 0
-			}
-			data = ""
-		}
-	}
-	// EOF or read error: the stream dropped (or the server drained).
-	return nil
+		return false, nil
+	})
 }

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/dispatch"
 	"repro/internal/dispatch/faultinject"
 	"repro/internal/report"
@@ -236,7 +237,7 @@ func TestClientSubmitRetriesTransientFailuresHonoringRetryAfter(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= 2 {
 			w.Header().Set("Retry-After", "0")
-			httpError(w, http.StatusServiceUnavailable, "job queue full")
+			api.WriteError(w, http.StatusServiceUnavailable, "job queue full")
 			return
 		}
 		writeJSON(w, http.StatusAccepted, JobInfo{ID: "j000001", Status: JobQueued})
@@ -261,7 +262,7 @@ func TestClientSubmitDoesNotRetryPermanentErrors(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		calls.Add(1)
-		httpError(w, http.StatusBadRequest, "bad spec")
+		api.WriteError(w, http.StatusBadRequest, "bad spec")
 	}))
 	t.Cleanup(ts.Close)
 

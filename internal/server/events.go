@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/eventlog"
 )
 
@@ -33,30 +34,21 @@ type EventsPage struct {
 // tenant= filter (type matches dot-hierarchy prefixes: type=lease
 // matches lease.granted); since=N skips events with Seq <= N;
 // follow=1 switches to SSE replay-then-follow, where the standard
-// Last-Event-ID header overrides since on reconnect.
+// Last-Event-ID header overrides since on reconnect. Event ids are the
+// recorder's sequence numbers.
 func (s *Server) handleFleetEvents(w http.ResponseWriter, r *http.Request) {
 	if s.events == nil {
-		httpError(w, http.StatusNotFound, "event log disabled (run with -events)")
+		api.WriteError(w, http.StatusNotFound, "event log disabled (run with -events)")
 		return
 	}
 	q := r.URL.Query()
 	f := eventlog.Filter{Type: q.Get("type"), Job: q.Get("job"), Tenant: q.Get("tenant")}
-	var since uint64
-	if v := q.Get("since"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad since %q", v)
-			return
-		}
-		since = n
+	since, ok := cursor(w, "since", q.Get("since"), 0)
+	if ok {
+		since, ok = cursor(w, "Last-Event-ID", r.Header.Get("Last-Event-ID"), since)
 	}
-	if lastID := r.Header.Get("Last-Event-ID"); lastID != "" {
-		n, err := strconv.ParseUint(lastID, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad Last-Event-ID %q", lastID)
-			return
-		}
-		since = n
+	if !ok {
+		return
 	}
 
 	if q.Get("follow") == "" {
@@ -67,10 +59,50 @@ func (s *Server) handleFleetEvents(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, EventsPage{Events: evs, LastSeq: last, Dropped: dropped})
 		return
 	}
+	s.serveSSE(w, r, func() ([]api.Frame, <-chan struct{}, bool) {
+		evs, upd := s.events.After(since, f)
+		frames := make([]api.Frame, 0, len(evs))
+		for _, e := range evs {
+			data, err := json.Marshal(e)
+			if err != nil {
+				continue
+			}
+			frames = append(frames, api.Frame{ID: e.Seq, Data: data})
+			since = e.Seq
+		}
+		return frames, upd, false
+	})
+}
 
+// cursor parses a stream position (since= or Last-Event-ID, the resume
+// cursor of both event streams), returning def when v is empty. A
+// malformed one is answered with a 400 and ok=false.
+func cursor(w http.ResponseWriter, name, v string, def uint64) (uint64, bool) {
+	if v == "" {
+		return def, true
+	}
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		api.WriteError(w, http.StatusBadRequest, "bad %s %q", name, v)
+		return 0, false
+	}
+	return n, true
+}
+
+// sseKeepalive is how long a stream may stay idle before a comment line
+// keeps proxies from cutting it.
+const sseKeepalive = 15 * time.Second
+
+// serveSSE is the loop behind both event streams. next returns the
+// frames past the stream's own cursor, the channel that signals more,
+// and whether the stream has ended; serveSSE writes the frames and
+// parks on that channel until the stream ends or the client leaves.
+// When the hub drains it writes what the stream holds one last time
+// and ends it.
+func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, next func() ([]api.Frame, <-chan struct{}, bool)) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
+		api.WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	h := w.Header()
@@ -78,46 +110,35 @@ func (s *Server) handleFleetEvents(w http.ResponseWriter, r *http.Request) {
 	h.Set("Cache-Control", "no-cache")
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
+	// Push the headers out before parking on an idle stream, so clients
+	// (and proxies with header timeouts) see it live.
 	fl.Flush()
 
-	// Replay-then-follow on the recorder's generation channel, exactly
-	// the per-job SSE loop: drain everything past `since`, park until
-	// the next emit, repeat. Event ids are the recorder's sequence
-	// numbers, so a reconnect with Last-Event-ID replays only what this
-	// client missed. A periodic comment line keeps idle proxies from
-	// cutting the stream.
-	keepalive := 15 * time.Second
-	timer := time.NewTimer(keepalive)
-	defer timer.Stop()
-	for {
-		evs, upd := s.events.After(since, f)
-		for _, e := range evs {
-			data, err := json.Marshal(e)
-			if err != nil {
-				continue
+	idle := time.NewTimer(sseKeepalive)
+	defer idle.Stop()
+	for draining := false; ; {
+		frames, upd, end := next()
+		for _, f := range frames {
+			if api.WriteFrame(w, f) != nil {
+				return
 			}
-			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", e.Seq, data)
-			since = e.Seq
 		}
-		if len(evs) > 0 {
+		if len(frames) > 0 {
 			fl.Flush()
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
+		if end || draining {
+			return
 		}
-		timer.Reset(keepalive)
+		idle.Reset(sseKeepalive)
 		select {
 		case <-upd:
-		case <-timer.C:
+		case <-idle.C:
 			fmt.Fprint(w, ": keepalive\n\n")
 			fl.Flush()
 		case <-r.Context().Done():
 			return
 		case <-s.baseCtx.Done():
-			return
+			draining = true
 		}
 	}
 }

@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/dispatch"
 	"repro/internal/engine"
 	"repro/internal/eventlog"
@@ -244,7 +245,7 @@ func (s *Server) withAuth(next http.Handler) http.Handler {
 			t, err := s.guard.Authenticate(r)
 			if err != nil {
 				w.Header().Set("WWW-Authenticate", `Bearer realm="ptestd"`)
-				httpError(w, http.StatusUnauthorized, "%v", err)
+				api.WriteError(w, http.StatusUnauthorized, "%v", err)
 				return
 			}
 			r = r.WithContext(tenant.NewContext(r.Context(), t))
@@ -410,7 +411,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "server draining")
+		api.WriteError(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
 	t := tenant.FromContext(r.Context())
@@ -420,7 +421,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			Type: eventlog.TypeTenantThrottled, Tenant: t.Name,
 			Detail: fmt.Sprintf("submit rate; retry in %ds", secs),
 		})
-		httpErrorCode(w, http.StatusTooManyRequests, "rate_limited", secs,
+		api.WriteErrorCode(w, http.StatusTooManyRequests, "rate_limited", secs,
 			"tenant %s over its submission rate; retry in %ds", t.Name, secs)
 		return
 	}
@@ -428,7 +429,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if p := r.URL.Query().Get("priority"); p != "" {
 		var err error
 		if requested, err = strconv.Atoi(p); err != nil {
-			httpError(w, http.StatusBadRequest, "bad priority %q", p)
+			api.WriteError(w, http.StatusBadRequest, "bad priority %q", p)
 			return
 		}
 	}
@@ -441,7 +442,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Specs are small; a body past 8 MiB is abuse, not a matrix.
 	spec, err := suite.Parse(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -456,7 +457,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			Type: eventlog.TypeTenantRejected, Tenant: t.Name,
 			Detail: fmt.Sprintf("backlog quota: %d jobs queued (cap %d)", max, max),
 		})
-		httpErrorCode(w, http.StatusTooManyRequests, "quota_exceeded", 0,
+		api.WriteErrorCode(w, http.StatusTooManyRequests, "quota_exceeded", 0,
 			"tenant %s already has %d jobs queued (cap %d)", t.Name, max, max)
 		return
 	}
@@ -485,7 +486,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 		// Queue-full is transient by nature — a worker will pop soon. Tell
 		// retrying clients when to come back rather than letting them guess.
-		httpErrorCode(w, http.StatusServiceUnavailable, "unavailable", 1, "%v", err)
+		api.WriteErrorCode(w, http.StatusServiceUnavailable, "unavailable", 1, "%v", err)
 		return
 	}
 	s.met.submitted.Add(1)
@@ -545,7 +546,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, id := s.lookup(r)
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no job %q", id)
+		api.WriteError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
 	writeJSON(w, http.StatusOK, j.Info())
@@ -554,12 +555,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, id := s.lookup(r)
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no job %q", id)
+		api.WriteError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
 	ok, wasQueued := j.requestCancel()
 	if !ok {
-		httpError(w, http.StatusConflict, "job %s already %s", id, j.Info().Status)
+		api.WriteError(w, http.StatusConflict, "job %s already %s", id, j.Info().Status)
 		return
 	}
 	// A running job's cancelled counter ticks in runJob when the worker
@@ -580,12 +581,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	j, id := s.lookup(r)
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no job %q", id)
+		api.WriteError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
 	rep := j.Report()
 	if rep == nil {
-		httpError(w, http.StatusConflict, "job %s is %s: no report yet", id, j.Info().Status)
+		api.WriteError(w, http.StatusConflict, "job %s is %s: no report yet", id, j.Info().Status)
 		return
 	}
 	if r.URL.Query().Get("canonical") != "" {
@@ -595,62 +596,33 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	_ = report.Write(w, rep)
 }
 
-// handleEvents is the SSE stream: replay the completed plan-order
-// prefix, then follow live cells, then one terminal `done` event.
+// handleEvents is the job's SSE stream: the completed plan-order
+// prefix, then live cells, then one terminal `done` event. Cell events
+// are numbered 1..n in plan order, so a watcher resuming with
+// Last-Event-ID never re-reads the prefix and never misses a cell.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, id := s.lookup(r)
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no job %q", id)
+		api.WriteError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	fl, ok := w.(http.Flusher)
+	from, ok := cursor(w, "Last-Event-ID", r.Header.Get("Last-Event-ID"), 0)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	// Push the headers out before potentially parking on an idle job, so
-	// watchers (and proxies with header timeouts) see a live stream.
-	fl.Flush()
-
-	// Cell events are numbered 1..n in plan order, and Last-Event-ID (the
-	// standard SSE resume header) restarts the replay right after the last
-	// event the client saw — a reconnecting watcher never re-reads the
-	// prefix and never misses a cell.
-	from := 0
-	if lastID := r.Header.Get("Last-Event-ID"); lastID != "" {
-		n, err := strconv.Atoi(lastID)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "bad Last-Event-ID %q", lastID)
-			return
-		}
-		from = n
-	}
-	for {
-		lines, upd, info, terminal := j.watch(from)
-		for i, line := range lines {
-			fmt.Fprintf(w, "id: %d\nevent: cell\ndata: %s\n\n", from+i+1, line)
-		}
-		from += len(lines)
-		if len(lines) > 0 {
-			fl.Flush()
+	s.serveSSE(w, r, func() ([]api.Frame, <-chan struct{}, bool) {
+		lines, upd, info, terminal := j.watch(int(from))
+		frames := make([]api.Frame, 0, len(lines)+1)
+		for _, line := range lines {
+			from++
+			frames = append(frames, api.Frame{ID: from, Event: "cell", Data: []byte(line)})
 		}
 		if terminal {
 			data, _ := json.Marshal(info)
-			fmt.Fprintf(w, "event: done\ndata: %s\n\n", data)
-			fl.Flush()
-			return
+			frames = append(frames, api.Frame{Event: "done", Data: data})
 		}
-		select {
-		case <-upd:
-		case <-r.Context().Done():
-			return
-		}
-	}
+		return frames, upd, terminal
+	})
 }
 
 // refuseForwardedHop rejects a cells request that a Remote already
@@ -671,7 +643,7 @@ func (s *Server) refuseForwardedHop(w http.ResponseWriter, r *http.Request) bool
 	if !chained {
 		return false
 	}
-	httpError(w, http.StatusLoopDetected,
+	api.WriteError(w, http.StatusLoopDetected,
 		"cells request already forwarded once and this daemon's store is remote (-store-url loop or chain); compute locally")
 	return true
 }
@@ -689,7 +661,7 @@ func (s *Server) throttleCells(w http.ResponseWriter, r *http.Request) bool {
 			Type: eventlog.TypeTenantThrottled, Tenant: t.Name,
 			Detail: fmt.Sprintf("cells rate; retry in %ds", secs),
 		})
-		httpErrorCode(w, http.StatusTooManyRequests, "rate_limited", secs,
+		api.WriteErrorCode(w, http.StatusTooManyRequests, "rate_limited", secs,
 			"tenant %s over its cells rate; retry in %ds", t.Name, secs)
 	}
 	return !ok
@@ -706,7 +678,7 @@ func (s *Server) handleCellGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	cell, ok := s.store.Get(key)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no cell %q", key)
+		api.WriteError(w, http.StatusNotFound, "no cell %q", key)
 		return
 	}
 	writeJSON(w, http.StatusOK, cell)
@@ -733,11 +705,11 @@ func (s *Server) handleCellBatch(w http.ResponseWriter, r *http.Request) {
 	// batch the store could not hold must not be readable into memory
 	// here either.
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, store.MaxRecordBytes)).Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, "bad batch body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "bad batch body: %v", err)
 		return
 	}
 	if len(body.Cells) == 0 {
-		httpError(w, http.StatusBadRequest, "empty batch")
+		api.WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	s.met.cellsWireBatch.Add(1)
@@ -757,7 +729,7 @@ func (s *Server) handleCellBatch(w http.ResponseWriter, r *http.Request) {
 		// The store degraded (full disk, closed): the computed cells are
 		// still correct on the worker's side, but this daemon could not
 		// persist them.
-		httpError(w, http.StatusInsufficientStorage, "%v", err)
+		api.WriteError(w, http.StatusInsufficientStorage, "%v", err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

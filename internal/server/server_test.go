@@ -358,7 +358,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := cli.Watch(ctx, info.ID, nil); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(strings.TrimRight(cli.base, "/") + "/metrics")
+	resp, err := http.Get(cli.BaseURL() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/clock"
 	"repro/internal/report"
 	"repro/internal/suite"
@@ -286,7 +287,7 @@ func TestClientFailsFastOnUnauthorized(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		httpError(w, http.StatusUnauthorized, "tenant: missing or unknown API key")
+		api.WriteError(w, http.StatusUnauthorized, "tenant: missing or unknown API key")
 	}))
 	t.Cleanup(ts.Close)
 
@@ -307,7 +308,7 @@ func TestClientHonorsRetryAfterOn429(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
-			httpErrorCode(w, http.StatusTooManyRequests, "rate_limited", 3, "slow down")
+			api.WriteErrorCode(w, http.StatusTooManyRequests, "rate_limited", 3, "slow down")
 			return
 		}
 		writeJSON(w, http.StatusAccepted, JobInfo{ID: "j000001", Status: JobQueued})
@@ -357,7 +358,7 @@ func TestClientHonorsRetryAfterOn429(t *testing.T) {
 	// And the error itself is the typed sentinel when retries exhaust.
 	var ae *APIError
 	alwaysThrottle := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		httpErrorCode(w, http.StatusTooManyRequests, "rate_limited", 1, "slow down")
+		api.WriteErrorCode(w, http.StatusTooManyRequests, "rate_limited", 1, "slow down")
 	}))
 	t.Cleanup(alwaysThrottle.Close)
 	cli2 := NewClient(alwaysThrottle.URL, WithRetryPolicy(0, time.Millisecond))

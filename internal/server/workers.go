@@ -22,17 +22,19 @@ import (
 	"encoding/json"
 	"net/http"
 
+	"repro/internal/api"
 	"repro/internal/dispatch"
+	"repro/internal/store"
 )
 
 func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "server draining")
+		api.WriteError(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
 	var req dispatch.RegisterRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad register body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "bad register body: %v", err)
 		return
 	}
 	if req.Name == "" {
@@ -47,7 +49,7 @@ func (s *Server) handleWorkerList(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleWorkerDeregister(w http.ResponseWriter, r *http.Request) {
 	if !s.disp.Deregister(r.PathValue("id")) {
-		httpError(w, http.StatusNotFound, "unknown worker %q", r.PathValue("id"))
+		api.WriteError(w, http.StatusNotFound, "unknown worker %q", r.PathValue("id"))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -55,7 +57,7 @@ func (s *Server) handleWorkerDeregister(w http.ResponseWriter, r *http.Request) 
 
 func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !s.disp.Heartbeat(r.PathValue("id")) {
-		httpError(w, http.StatusNotFound, "unknown worker %q", r.PathValue("id"))
+		api.WriteError(w, http.StatusNotFound, "unknown worker %q", r.PathValue("id"))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -73,13 +75,13 @@ func (s *Server) handleWorkerLeaseBatch(w http.ResponseWriter, r *http.Request) 
 	var req dispatch.LeaseBatchRequest
 	// The batch carries report.Cells, so the store's record cap is the
 	// natural wire cap.
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad lease batch body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, store.MaxRecordBytes)).Decode(&req); err != nil {
+		api.WriteError(w, http.StatusBadRequest, "bad lease batch body: %v", err)
 		return
 	}
 	resp, err := s.disp.LeaseBatch(r.PathValue("id"), req.Max, req.Completions)
 	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
+		api.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	s.met.leaseWireBatch.Add(1)
@@ -92,7 +94,7 @@ func (s *Server) handleWorkerLeaseBatch(w http.ResponseWriter, r *http.Request) 
 func (s *Server) handleJobSpec(w http.ResponseWriter, r *http.Request) {
 	j, id := s.lookup(r)
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no job %q", id)
+		api.WriteError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
 	s.met.specWireGet.Add(1)

@@ -12,19 +12,19 @@
 // erroring remote degrades to a miss on Get (the caller recomputes,
 // which is always correct) and to a returned-but-ignorable error on Put.
 // A fleet never wedges on its cache. Three layers keep that degradation
-// cheap: transient wire failures retry a bounded number of times with
-// jittered exponential backoff; a circuit breaker trips after enough
-// consecutive failures so a dead cache host costs nothing per lookup
-// instead of a timeout each; and after a cooldown a single half-open
-// probe decides whether to close the circuit again.
+// cheap: failures internal/api classes as transient (no answer, 429,
+// 5xx) retry a bounded number of times with jittered exponential
+// backoff; a circuit breaker trips after enough consecutive failures so
+// a dead cache host costs nothing per lookup instead of a timeout each;
+// and after a cooldown a single half-open probe decides whether to
+// close the circuit again.
 package store
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/clock"
 	"repro/internal/eventlog"
 	"repro/internal/report"
@@ -100,9 +101,7 @@ type RemoteConfig struct {
 
 // Remote implements CellStore over a ptestd's cells API.
 type Remote struct {
-	base      string
-	hc        *http.Client
-	apiKey    string
+	conn      api.Conn // every request carries CellsHopHeader
 	retries   int
 	retryBase time.Duration
 	wall      clock.Wall
@@ -207,9 +206,12 @@ func OpenRemote(cfg RemoteConfig) (*Remote, error) {
 		cfg.BatchDelay = 50 * time.Millisecond
 	}
 	return &Remote{
-		base:      strings.TrimRight(cfg.BaseURL, "/"),
-		hc:        hc,
-		apiKey:    cfg.APIKey,
+		conn: api.Conn{
+			Base:   strings.TrimRight(cfg.BaseURL, "/"),
+			HC:     hc,
+			Key:    cfg.APIKey,
+			Header: http.Header{CellsHopHeader: {"1"}},
+		},
 		retries:   cfg.Retries,
 		retryBase: cfg.RetryBase,
 		wall:      cfg.Clock,
@@ -272,72 +274,38 @@ func (r *Remote) Get(key string) (report.Cell, bool) {
 	return f.cell, f.ok
 }
 
-// fetch is the retrying wire read: transient failures back off and try
-// again, the breaker short-circuits a dead remote, and anything still
-// failing after the budget is a miss (the caller recomputes).
+// fetch is the wire read. A miss is the 404, any other answer that is
+// not a cell, or a failure still transient after the retry budget; the
+// caller recomputes.
 func (r *Remote) fetch(key string) (report.Cell, bool) {
-	if !r.brk.allow() {
+	var cell report.Cell
+	if r.call(http.MethodGet, cellsPathPrefix+url.PathEscape(key), nil, &cell) != nil {
 		return report.Cell{}, false
+	}
+	return cell, true
+}
+
+// call is one cells round trip under the retry budget and the breaker:
+// transient failures back off and try again, while any answer the
+// remote gives, refusals included, counts as the remote being up.
+func (r *Remote) call(method, path string, in, out any) error {
+	if !r.brk.allow() {
+		return errors.New("circuit open (remote failing)")
 	}
 	delay := r.retryBase
 	for attempt := 0; ; attempt++ {
-		cell, found, err := r.fetchOnce(key)
-		if err == nil {
+		err := r.conn.JSON(context.Background(), method, path, in, out)
+		if !api.Transient(err) {
 			r.brk.success()
-			return cell, found
+			return err
 		}
 		r.brk.failure()
 		if attempt >= r.retries || !r.brk.allow() {
-			return report.Cell{}, false
+			return err
 		}
 		<-r.wall.After(r.jitter(delay))
 		delay *= 2
 	}
-}
-
-// fetchOnce is a single round trip. found only on 200; a non-nil error
-// marks the failure transient (worth retrying): transport errors and
-// 5xx gateway-ish answers. A 404 is the authoritative miss, and other
-// client-side answers (508 loop refusal, 4xx) are final too.
-func (r *Remote) fetchOnce(key string) (report.Cell, bool, error) {
-	req, err := http.NewRequest(http.MethodGet, r.base+cellsPathPrefix+url.PathEscape(key), nil)
-	if err != nil {
-		return report.Cell{}, false, nil
-	}
-	req.Header.Set(CellsHopHeader, "1")
-	if r.apiKey != "" {
-		req.Header.Set("Authorization", "Bearer "+r.apiKey)
-	}
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		return report.Cell{}, false, fmt.Errorf("store: %s: %w", r.base, err)
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body) // drain for connection reuse
-		_ = resp.Body.Close()
-	}()
-	if transientStoreStatus(resp.StatusCode) {
-		return report.Cell{}, false, fmt.Errorf("store: %s: HTTP %d", r.base, resp.StatusCode)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return report.Cell{}, false, nil
-	}
-	var cell report.Cell
-	if err := json.NewDecoder(io.LimitReader(resp.Body, MaxRecordBytes)).Decode(&cell); err != nil {
-		return report.Cell{}, false, nil
-	}
-	return cell, true, nil
-}
-
-// transientStoreStatus reports a status worth retrying: the remote (or
-// a proxy in front of it) is momentarily unhealthy — or throttling this
-// tenant (429) — rather than giving an authoritative answer.
-func transientStoreStatus(code int) bool {
-	return code == http.StatusInternalServerError ||
-		code == http.StatusBadGateway ||
-		code == http.StatusServiceUnavailable ||
-		code == http.StatusGatewayTimeout ||
-		code == http.StatusTooManyRequests
 }
 
 // jitter spreads a backoff delay ±25% so a fleet of workers whose cache
@@ -480,74 +448,17 @@ func (r *Remote) BatchPending() int {
 // dropped (the front serves them, and a recompute elsewhere is always
 // correct) with the error returned.
 func (r *Remote) flushEntries(entries []wireCell) error {
-	body, err := json.Marshal(struct {
+	err := r.call(http.MethodPost, cellsBatchPath, struct {
 		Cells []wireCell `json:"cells"`
-	}{entries})
+	}{entries}, nil)
 	if err != nil {
-		return fmt.Errorf("store: encoding batch: %w", err)
+		return fmt.Errorf("store: pushing batch of %d: %w", len(entries), err)
 	}
-	if !r.brk.allow() {
-		return fmt.Errorf("store: pushing batch of %d: circuit open (remote failing)", len(entries))
-	}
-	delay := r.retryBase
-	for attempt := 0; ; attempt++ {
-		err := r.batchOnce(body)
-		if err == nil {
-			r.brk.success()
-			r.recorder().Emit(eventlog.Event{
-				Type: eventlog.TypeStoreBatch, Detail: fmt.Sprintf("%d cells", len(entries)),
-			})
-			return nil
-		}
-		var te *transientPutError
-		if !errors.As(err, &te) {
-			// An authoritative refusal (507 store full, 508 loop): the
-			// remote answered; the breaker stays closed.
-			r.brk.success()
-			return err
-		}
-		r.brk.failure()
-		if attempt >= r.retries || !r.brk.allow() {
-			return te.err
-		}
-		<-r.wall.After(r.jitter(delay))
-		delay *= 2
-	}
-}
-
-// batchOnce is a single cells:batch round trip.
-func (r *Remote) batchOnce(body []byte) error {
-	req, err := http.NewRequest(http.MethodPost, r.base+cellsBatchPath, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(CellsHopHeader, "1")
-	if r.apiKey != "" {
-		req.Header.Set("Authorization", "Bearer "+r.apiKey)
-	}
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		return &transientPutError{fmt.Errorf("store: pushing batch: %w", err)}
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if transientStoreStatus(resp.StatusCode) {
-		return &transientPutError{fmt.Errorf("store: pushing batch: HTTP %d", resp.StatusCode)}
-	}
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("store: pushing batch: HTTP %d", resp.StatusCode)
-	}
+	r.recorder().Emit(eventlog.Event{
+		Type: eventlog.TypeStoreBatch, Detail: fmt.Sprintf("%d cells", len(entries)),
+	})
 	return nil
 }
-
-// transientPutError wraps a push failure worth retrying.
-type transientPutError struct{ err error }
-
-func (e *transientPutError) Error() string { return e.err.Error() }
-func (e *transientPutError) Unwrap() error { return e.err }
 
 // Stats snapshots this client's session counters. DiskEntries is always
 // zero — the remote's population is the serving daemon's to report.
@@ -581,7 +492,7 @@ func (r *Remote) Close() error {
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
-	r.hc.CloseIdleConnections()
+	r.conn.HC.CloseIdleConnections()
 	return err
 }
 

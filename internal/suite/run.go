@@ -191,9 +191,9 @@ func ExecuteCell(spec *Spec, c Cell) (report.Cell, error) {
 	return runCell(spec, c)
 }
 
-// CellByID finds one cell of the spec's expanded plan. Fleet workers
-// resolve leased cell IDs through it; expanding the whole plan is cheap
-// next to executing even one cell, and callers cache per spec digest.
+// CellByID finds one cell of the spec's expanded plan by expanding it
+// and scanning. Only tests call it; fleet workers resolve leased cell
+// IDs through the index their plan cache builds once per spec digest.
 func (s *Spec) CellByID(id string) (Cell, bool) {
 	for _, c := range s.Expand() {
 		if c.ID == id {
