@@ -28,7 +28,7 @@
 //	ptest run -re 'TC (TS TR)+ TD$' -n 3 -s 41 -op cyclic -workload philosophers
 //	ptest suite -spec examples/suite/smoke.json -out report.json -jsonl cells.jsonl
 //	ptest suite -spec sweep.json -store ~/.cache/ptest-store   # warm cells skip execution
-//	ptest suite -spec sweep.json -store-url http://cache:8321  # share a ptestd fleet's cache
+//	ptest suite -spec sweep.json -store-url http://hub:8321    # share a hub ptestd's store
 //	ptest compare -max-rate-drop 0.05 baseline.json report.json
 //	ptest serve -addr :8321 -store /var/lib/ptestd/store
 //	ptest serve -hub-url http://hub:8321 -name rack3   # fleet cell worker

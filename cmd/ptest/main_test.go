@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/report"
@@ -48,6 +49,21 @@ func TestRunValidationRoutesThroughUsageError(t *testing.T) {
 	wantUsageError(t, cmdStoreAdmin([]string{"compact"}))                                  // missing -dir
 	wantUsageError(t, cmdRun([]string{"-pcore", "-store", "a", "-store-url", "http://b"})) // mutually exclusive
 	wantUsageError(t, cmdServe([]string{"-store-autocompact", "1"}))                       // autocompact needs -store
+	wantUsageError(t, cmdRun([]string{"-pcore", "-store-url", "hub:8321"}))                // no scheme
+	// A list of hubs, which url.Parse reads as the one host "127.0.0.1:1,http:".
+	wantUsageError(t, cmdRun([]string{"-pcore", "-store-url", "http://127.0.0.1:1,http://127.0.0.1:2"}))
+}
+
+func TestServeHasNoRemoteStoreFlags(t *testing.T) {
+	// A hub owns its store: serve takes no remote-store flags. The
+	// trailing -queue 0 keeps a regression from starting a listener.
+	for _, gone := range []string{"-store-url", "-store-batch"} {
+		err := cmdServe([]string{gone, "1", "-queue", "0"})
+		wantUsageError(t, err)
+		if !strings.Contains(err.Error(), "not defined") {
+			t.Fatalf("serve %s: %v, want an unknown-flag error", gone, err)
+		}
+	}
 }
 
 func TestHelpRequestIsNotAnError(t *testing.T) {

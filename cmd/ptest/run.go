@@ -97,7 +97,7 @@ func cmdRun(args []string) error {
 		saveRepro  = fs.String("save-repro", "", "write a reproduction file for the first failing run")
 		replayF    = fs.String("replay", "", "re-execute a reproduction file instead of generating patterns")
 		storeDir   = fs.String("store", "", "content-addressed result store directory: execute as a one-cell suite, skipping cells already computed by run/suite/ptestd (campaign seeds derive from the cell identity, not -seed directly)")
-		storeURL   = fs.String("store-url", "", "remote result store: a ptestd base URL whose cell cache this run shares; comma-separate several URLs for a sharded hub tier (mutually exclusive with -store)")
+		storeURL   = fs.String("store-url", "", "remote result store: one hub ptestd's base URL, whose store this run reads and writes (mutually exclusive with -store)")
 		storeMem   = fs.Int("store-mem", 4096, "result-store in-memory LRU entries")
 		storeBatch = fs.Int("store-batch", 16, "coalesce remote store writes into batches of this many cells (0 = each write a synchronous batch of one; -store-url only)")
 		apiKey     = apiKeyFlag(fs)

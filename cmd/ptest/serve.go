@@ -19,7 +19,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -30,13 +29,12 @@ import (
 	"repro/internal/tenant"
 )
 
-// openStoreFlag builds the store shared by serve, suite and run behind
-// the CellStore seam: a remote client when -store-url names a serving
-// ptestd (a sharded client when it names several, comma-separated), a
-// disk-backed local store when -store names a directory, memory-only
-// otherwise. apiKey authenticates the remote path against a hub
-// running -auth-keys; batch enables write-through batching (cells per
-// flush, 0 = each put a synchronous batch of one).
+// openStoreFlag builds the store suite and run share behind the
+// CellStore seam: a client of one hub ptestd's store when -store-url
+// names it, a disk-backed local store when -store names a directory,
+// memory-only otherwise. apiKey authenticates the remote path against
+// a hub running -auth-keys; batch enables write-through batching
+// (cells per flush, 0 = each put a synchronous batch of one).
 func openStoreFlag(cfg store.Config, remoteURL, apiKey string, batch int) (store.CellStore, error) {
 	if remoteURL == "" {
 		return store.Open(cfg)
@@ -44,23 +42,13 @@ func openStoreFlag(cfg store.Config, remoteURL, apiKey string, batch int) (store
 	if cfg.Dir != "" {
 		return nil, usagef("-store and -store-url are mutually exclusive")
 	}
-	var urls []string
-	for _, u := range strings.Split(remoteURL, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	if len(urls) == 0 {
-		return nil, usagef("-store-url: no URLs in %q", remoteURL)
-	}
-	if len(urls) == 1 {
-		return store.OpenRemote(store.RemoteConfig{
-			BaseURL: urls[0], MemEntries: cfg.MemEntries, APIKey: apiKey, BatchSize: batch,
-		})
-	}
-	return store.OpenSharded(store.ShardedConfig{
-		BaseURLs: urls, MemEntries: cfg.MemEntries, APIKey: apiKey, BatchSize: batch,
+	st, err := store.OpenRemote(store.RemoteConfig{
+		BaseURL: remoteURL, MemEntries: cfg.MemEntries, APIKey: apiKey, BatchSize: batch,
 	})
+	if err != nil {
+		return nil, usagef("-store-url: %w", err)
+	}
+	return st, nil
 }
 
 // apiKeyFlag registers the shared -api-key flag; $PTEST_API_KEY is the
@@ -78,11 +66,9 @@ func cmdServe(args []string) error {
 		queueCap = fs.Int("queue", 64, "job queue capacity (submissions past it get 503)")
 		maxJobs  = fs.Int("max-jobs", 512, "retained job records (oldest finished jobs pruned past this)")
 		storeDir = fs.String("store", "", "result-store directory (empty: memory-only, lost on exit)")
-		storeURL = fs.String("store-url", "", "share another ptestd's store instead of owning one; comma-separate several URLs for a sharded hub tier (mutually exclusive with -store)")
 		storeMem = fs.Int("store-mem", 4096, "result-store in-memory LRU entries")
 		autoGC   = fs.Int64("store-autocompact", 0, "background-compact the local store when reclaimable bytes exceed this (0 = off)")
 
-		storeBatch   = fs.Int("store-batch", 16, "coalesce remote store writes into batches of this many cells (0 = each write a synchronous batch of one; -store-url only)")
 		storeMaxAge  = fs.Duration("store-max-age", 0, "GC: expire store entries older than this on autocompaction (needs -store-autocompact)")
 		storeMaxIdle = fs.Duration("store-max-idle", 0, "GC: expire store entries not hit for this long on autocompaction (needs -store-autocompact)")
 		hubURL       = fs.String("hub-url", "", "join a hub ptestd's fleet as a cell worker instead of serving (no listener)")
@@ -112,8 +98,8 @@ func cmdServe(args []string) error {
 		var conflict string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "addr", "queue", "max-jobs", "store", "store-url", "store-mem", "store-autocompact",
-				"store-batch", "store-max-age", "store-max-idle",
+			case "addr", "queue", "max-jobs", "store", "store-mem", "store-autocompact",
+				"store-max-age", "store-max-idle",
 				"events", "events-log",
 				"auth-keys", "submit-rate", "submit-burst", "cells-rate", "cells-burst", "max-inflight", "max-queued":
 				conflict = f.Name
@@ -187,10 +173,10 @@ func cmdServe(args []string) error {
 		rec = eventlog.New(ecfg)
 	}
 
-	st, err := openStoreFlag(store.Config{
+	st, err := store.Open(store.Config{
 		Dir: *storeDir, MemEntries: *storeMem, AutoCompactMinBytes: *autoGC,
 		GC: store.GCPolicy{MaxAge: *storeMaxAge, MaxIdle: *storeMaxIdle},
-	}, *storeURL, *apiKey, *storeBatch)
+	})
 	if err != nil {
 		return err
 	}
@@ -233,7 +219,7 @@ func cmdServe(args []string) error {
 	}
 	srv.Start()
 	fmt.Fprintf(os.Stderr, "ptestd: listening on %s (workers=%d queue=%d store=%s auth=%s events=%s); dashboard at http://%s/ui\n",
-		*addr, *workers, *queueCap, storeDesc(*storeDir, *storeURL), auth, obs, *addr)
+		*addr, *workers, *queueCap, storeDesc(*storeDir), auth, obs, *addr)
 	err = httpSrv.ListenAndServe()
 	if !errors.Is(err, http.ErrServerClosed) {
 		return err
@@ -272,13 +258,8 @@ func serveWorker(hubURL, name string, parallel int, apiKey string, leaseBatch in
 	return nil
 }
 
-func storeDesc(dir, remoteURL string) string {
-	switch {
-	case strings.Contains(remoteURL, ","):
-		return "sharded " + remoteURL
-	case remoteURL != "":
-		return "remote " + remoteURL
-	case dir != "":
+func storeDesc(dir string) string {
+	if dir != "" {
 		return dir
 	}
 	return "memory"

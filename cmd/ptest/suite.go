@@ -31,7 +31,7 @@ func cmdSuite(args []string) error {
 		canonical  = fs.Bool("canonical", false, "zero timing fields in the report (for committed baselines)")
 		cells      = fs.Int("cells", 0, "cell workers: overrides the spec's cell_parallelism (0 = keep spec)")
 		storeDir   = fs.String("store", "", "content-addressed result store directory (cells found there are not re-executed)")
-		storeURL   = fs.String("store-url", "", "remote result store: a ptestd base URL whose cell cache this run shares; comma-separate several URLs for a sharded hub tier (mutually exclusive with -store)")
+		storeURL   = fs.String("store-url", "", "remote result store: one hub ptestd's base URL, whose store this run reads and writes (mutually exclusive with -store)")
 		storeMem   = fs.Int("store-mem", 4096, "result-store in-memory LRU entries")
 		storeBatch = fs.Int("store-batch", 16, "coalesce remote store writes into batches of this many cells (0 = each write a synchronous batch of one; -store-url only)")
 		apiKey     = apiKeyFlag(fs)

@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -119,8 +120,6 @@ func defaultCode(status int) string {
 		return "unavailable"
 	case http.StatusInsufficientStorage:
 		return "store_degraded"
-	case http.StatusLoopDetected:
-		return "loop_detected"
 	default:
 		return "internal"
 	}
@@ -175,6 +174,22 @@ func seconds(n int64) time.Duration {
 // maxBody bounds a success body JSON decodes: the hub never sends one
 // larger than a store record (64 MiB).
 const maxBody = 64 << 20
+
+// BaseURL checks a hub base URL and returns it without trailing
+// slashes, ready for Conn.Base. It wants an http or https scheme and
+// one host[:port] (an IPv6 literal in brackets is fine), optionally
+// followed by a path prefix for a hub behind a proxy. A comma in the
+// host is refused: url.Parse reads "http://a:1,http://b:1" as host
+// "a:1,http:", a list of hubs that would otherwise surface only as DNS
+// failures on every request.
+func BaseURL(raw string) (string, error) {
+	u, err := url.Parse(raw)
+	if err != nil || (u.Scheme != "http" && u.Scheme != "https") ||
+		u.Host == "" || strings.Contains(u.Host, ",") {
+		return "", fmt.Errorf("hub URL %q: want one http(s)://host[:port][/prefix]", raw)
+	}
+	return strings.TrimRight(raw, "/"), nil
+}
 
 // Conn is one process's way to its hub: the base URL, the HTTP client,
 // the API key (empty means anonymous) and headers sent on every

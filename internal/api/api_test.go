@@ -149,6 +149,27 @@ func FuzzDecodeError(f *testing.F) {
 	})
 }
 
+func TestBaseURL(t *testing.T) {
+	for raw, want := range map[string]string{
+		"http://127.0.0.1:8321":    "http://127.0.0.1:8321",
+		"https://hub:8321/":        "https://hub:8321",
+		"http://[::1]:8321":        "http://[::1]:8321",
+		"http://proxy/ptest/hub//": "http://proxy/ptest/hub",
+	} {
+		if got, err := BaseURL(raw); err != nil || got != want {
+			t.Errorf("BaseURL(%q) = %q, %v; want %q", raw, got, err, want)
+		}
+	}
+	for _, bad := range []string{
+		"", "hub:8321", "/just/a/path", "ftp://hub:8321", "http://",
+		"http://127.0.0.1:1,http://127.0.0.1:2", "http://a:1,b:2",
+	} {
+		if got, err := BaseURL(bad); err == nil {
+			t.Errorf("BaseURL(%q) = %q, want an error", bad, got)
+		}
+	}
+}
+
 func TestTransient(t *testing.T) {
 	for _, tc := range []struct {
 		err  error

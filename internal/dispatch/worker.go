@@ -29,7 +29,6 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,9 +119,9 @@ type specFetch struct {
 // contact the hub — Run registers, and keeps retrying until the hub
 // answers, so workers and hub can start in any order.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
-	u, err := url.Parse(cfg.HubURL)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		return nil, fmt.Errorf("dispatch: hub URL %q: want http(s)://host[:port]", cfg.HubURL)
+	base, err := api.BaseURL(cfg.HubURL)
+	if err != nil {
+		return nil, fmt.Errorf("dispatch: %w", err)
 	}
 	if cfg.Name == "" {
 		if host, err := os.Hostname(); err == nil {
@@ -157,7 +156,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	return &Worker{
 		cfg:   cfg,
-		conn:  api.Conn{Base: strings.TrimRight(cfg.HubURL, "/"), HC: cfg.HTTPClient, Key: cfg.APIKey},
+		conn:  api.Conn{Base: base, HC: cfg.HTTPClient, Key: cfg.APIKey},
 		plans: lru.New[*specPlan](cfg.PlanCacheSize),
 		fetch: map[string]*specFetch{},
 		killc: make(chan struct{}),

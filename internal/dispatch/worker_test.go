@@ -23,6 +23,16 @@ import (
 	"repro/internal/suite"
 )
 
+func TestNewWorkerRejectsBadHubURLs(t *testing.T) {
+	// A comma list parses as one host ("127.0.0.1:1,http:"), so without
+	// the check the worker would retry registration against it forever.
+	for _, bad := range []string{"", "hub:8321", "http://127.0.0.1:1,http://127.0.0.1:2"} {
+		if _, err := NewWorker(WorkerConfig{HubURL: bad}); err == nil {
+			t.Fatalf("hub URL %q accepted", bad)
+		}
+	}
+}
+
 func TestWorkerFinalFlushRetriesLeaseBatch(t *testing.T) {
 	spec, err := suite.Parse(strings.NewReader(benchSpec))
 	if err != nil {

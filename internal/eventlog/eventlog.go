@@ -54,11 +54,9 @@ const (
 	TypeStoreHit          = "store.hit"
 	TypeStoreMiss         = "store.miss"
 	TypeStorePut          = "store.put"
-	TypeStoreBatch        = "store.batch"
 	TypeStoreCompactStart = "store.compact.start"
 	TypeStoreCompactDone  = "store.compact.done"
 	TypeStoreCompactFail  = "store.compact.failed"
-	TypeStoreBreaker      = "store.breaker"
 
 	TypeTenantThrottled = "tenant.throttled"
 	TypeTenantDeferred  = "tenant.deferred"
@@ -88,8 +86,8 @@ type Event struct {
 	// DurMS is an operation duration in milliseconds where one is
 	// meaningful (cell execution, job wall time, compaction).
 	DurMS float64 `json:"dur_ms,omitempty"`
-	// Detail is a short free-text qualifier: an error message, a breaker
-	// transition ("closed->open"), a retry attempt count.
+	// Detail is a short free-text qualifier: an error message, a store
+	// layer ("mem", "disk"), a retry attempt count.
 	Detail string `json:"detail,omitempty"`
 }
 

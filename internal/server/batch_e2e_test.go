@@ -1,9 +1,9 @@
-// Store v2 fleet acceptance: the cells:batch endpoint's server half,
-// and the headline perf criterion — a two-hub sharded fleet whose
+// Store v2 acceptance: the cells:batch endpoint's server half, and the
+// headline perf criterion — a `ptest suite -store-url` client whose
 // write-through batching collapses write round trips (and hub fsyncs)
 // by at least 4× against the unbatched baseline of one batch-of-one
-// POST per cell, while the merged report stays byte-identical to a
-// local `ptest suite` run.
+// POST per cell, while the hub's report for the same spec stays
+// byte-identical to a local `ptest suite` run.
 package server
 
 import (
@@ -72,10 +72,10 @@ func TestCellBatchEndpointStoresUnderOneRequest(t *testing.T) {
 	}
 }
 
-// e2eShardSpec doubles e2eSpec's points so the plan has 12 cells —
+// e2eBatchSpec doubles e2eSpec's points so the plan has 12 cells —
 // enough for a ≥4× round-trip collapse to be measurable.
-const e2eShardSpec = `{
-	"name": "e2e-sharded",
+const e2eBatchSpec = `{
+	"name": "e2e-batched",
 	"trials": 2,
 	"keep_going": true,
 	"max_steps": 200000,
@@ -88,140 +88,108 @@ const e2eShardSpec = `{
 	"tools": [{"name": "adaptive"}, {"name": "chess", "max_schedules": 4}, {"name": "pct", "depth": 2}]
 }`
 
-// shardedFleet stands up two hub daemons (local segment-log stores)
-// plus one worker daemon whose store is a Sharded client over both
-// hubs, and submits e2eShardSpec to the worker.
-type shardedFleet struct {
-	hubStores []*store.Store
-	hubSrvs   []*Server
-	urls      []string
-}
-
-func newShardedFleet(t *testing.T) *shardedFleet {
+// newStoreHub stands up one hub daemon over a fresh local segment-log
+// store: the server that a `ptest suite -store-url` client talks to.
+func newStoreHub(t *testing.T) (*Server, *store.Store, *Client) {
 	t.Helper()
-	f := &shardedFleet{}
-	for i := 0; i < 2; i++ {
-		hs, err := store.Open(store.Config{Dir: t.TempDir()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = hs.Close() })
-		srv, cli := newTestServer(t, Config{Workers: 1, QueueCap: 4, Store: hs})
-		f.hubStores = append(f.hubStores, hs)
-		f.hubSrvs = append(f.hubSrvs, srv)
-		f.urls = append(f.urls, cli.BaseURL())
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return f
+	t.Cleanup(func() { _ = st.Close() })
+	srv, cli := newTestServer(t, Config{Workers: 1, QueueCap: 4, Store: st})
+	return srv, st, cli
 }
 
-func (f *shardedFleet) worker(t *testing.T, batchSize int) *Client {
+// runOverRemote is `ptest suite -store-url base -store-batch batchSize`
+// on e2eBatchSpec: suite.RunContext over a fresh store.Remote, so its
+// LRU front starts empty and every lookup goes to the hub.
+func runOverRemote(t *testing.T, base string, batchSize int) *report.Report {
 	t.Helper()
-	sh, err := store.OpenSharded(store.ShardedConfig{
-		BaseURLs:  f.urls,
+	rem, err := store.OpenRemote(store.RemoteConfig{
+		BaseURL:   base,
 		BatchSize: batchSize,
 		// Far past any test runtime: only the suite's job-end Flush (or
 		// synchronous batches of one at batchSize 0) moves cells to the
-		// hubs.
+		// hub.
 		BatchDelay: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = sh.Close() })
-	_, cli := newTestServer(t, Config{Workers: 2, QueueCap: 8, Store: sh})
-	return cli
-}
-
-func (f *shardedFleet) wireBatches() uint64 {
-	var n uint64
-	for _, s := range f.hubSrvs {
-		n += s.met.cellsWireBatch.Load()
-	}
-	return n
-}
-
-func (f *shardedFleet) syncs() uint64 {
-	var n uint64
-	for _, s := range f.hubStores {
-		n += s.Stats().Syncs
-	}
-	return n
-}
-
-func submitShardSpec(t *testing.T, cli *Client) JobInfo {
-	t.Helper()
-	ctx := context.Background()
-	info, err := cli.Submit(ctx, strings.NewReader(e2eShardSpec), 0)
+	defer rem.Close()
+	spec, err := suite.Parse(strings.NewReader(e2eBatchSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := cli.Watch(ctx, info.ID, nil)
+	rep, err := suite.RunContext(context.Background(), spec, nil, suite.Options{Store: rem})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Status != JobDone {
-		t.Fatalf("job %s: %+v", info.ID, final)
-	}
-	return final
+	return rep
 }
 
-func TestE2ETwoHubShardedFleetCollapsesRoundTrips(t *testing.T) {
-	// Baseline fleet: batching off, every computed cell is one
+func TestE2EOneHubBatchedWritesCollapseRoundTrips(t *testing.T) {
+	// Baseline hub: batching off, every computed cell is one
 	// batch-of-one round trip and one hub fsync.
-	base := newShardedFleet(t)
-	baseCold := submitShardSpec(t, base.worker(t, 0))
-	if baseCold.CellsExecuted != uint64(baseCold.TotalCells) || baseCold.StoreHits != 0 {
-		t.Fatalf("baseline cold counters wrong: %+v", baseCold)
+	baseSrv, baseStore, baseCli := newStoreHub(t)
+	baseCold := runOverRemote(t, baseCli.BaseURL(), 0)
+	total := uint64(len(baseCold.Cells))
+	if baseCold.StoreMisses != total || baseCold.StoreHits != 0 {
+		t.Fatalf("baseline cold counters wrong: %d hits, %d misses of %d", baseCold.StoreHits, baseCold.StoreMisses, total)
 	}
-	baseTrips, baseSyncs := base.wireBatches(), base.syncs()
-	if baseTrips != uint64(baseCold.TotalCells) {
-		t.Fatalf("baseline: %d write round trips for %d cells, want one each", baseTrips, baseCold.TotalCells)
+	baseTrips, baseSyncs := baseSrv.met.cellsWireBatch.Load(), baseStore.Stats().Syncs
+	if baseTrips != total {
+		t.Fatalf("baseline: %d write round trips for %d cells, want one each", baseTrips, total)
 	}
 
-	// Batched fleet: the same spec through a write-through batcher sized
-	// past the plan, so the job-end Flush delivers everything in one
-	// batch POST per owning hub.
-	fleet := newShardedFleet(t)
-	workerA := fleet.worker(t, 64)
-	cold := submitShardSpec(t, workerA)
-	if cold.CellsExecuted != uint64(cold.TotalCells) || cold.StoreHits != 0 {
-		t.Fatalf("batched cold counters wrong: %+v", cold)
+	// Batched: the same spec through a write-through batcher sized past
+	// the plan against a fresh hub, so the job-end Flush delivers
+	// everything in one batch POST.
+	srv, st, cli := newStoreHub(t)
+	cold := runOverRemote(t, cli.BaseURL(), 64)
+	if cold.StoreMisses != total || cold.StoreHits != 0 {
+		t.Fatalf("batched cold counters wrong: %d hits, %d misses of %d", cold.StoreHits, cold.StoreMisses, total)
 	}
-	if cold.TotalCells < 12 {
-		t.Fatalf("spec plans %d cells, need ≥12 for the collapse bound", cold.TotalCells)
+	if total < 12 {
+		t.Fatalf("spec plans %d cells, need ≥12 for the collapse bound", total)
 	}
 
 	// The headline criterion: ≥4× fewer write round trips and hub fsyncs
 	// than the unbatched baseline.
-	batches, syncs := fleet.wireBatches(), fleet.syncs()
+	batches, syncs := srv.met.cellsWireBatch.Load(), st.Stats().Syncs
 	if batches == 0 || 4*batches > baseTrips {
 		t.Fatalf("write round trips: %d batches vs %d baseline — collapse under 4×", batches, baseTrips)
 	}
 	if syncs == 0 || 4*syncs > baseSyncs {
 		t.Fatalf("hub fsyncs: %d batched vs %d baseline — collapse under 4×", syncs, baseSyncs)
 	}
-
-	// Correctness half: every cell landed on exactly one hub...
-	var entries int
-	for i, hs := range fleet.hubStores {
-		n := hs.Stats().DiskEntries
-		if n == 0 {
-			t.Fatalf("hub %d owns no cells — rendezvous degenerate", i)
-		}
-		entries += n
-	}
-	if entries != cold.TotalCells {
-		t.Fatalf("hubs hold %d cells, plan has %d — lost or duplicated", entries, cold.TotalCells)
+	if n := st.Stats().DiskEntries; uint64(n) != total {
+		t.Fatalf("hub holds %d cells, plan has %d — lost or duplicated", n, total)
 	}
 
-	// ...a second worker over the same hubs replays warm, executing 0...
-	warm := submitShardSpec(t, fleet.worker(t, 64))
-	if warm.CellsExecuted != 0 || warm.StoreHits != uint64(warm.TotalCells) {
-		t.Fatalf("worker B re-executed cells: %+v", warm)
+	// A warm rerun through a fresh client executes nothing...
+	warm := runOverRemote(t, cli.BaseURL(), 64)
+	if warm.StoreMisses != 0 || warm.StoreHits != total {
+		t.Fatalf("warm rerun executed cells: %d hits, %d misses of %d", warm.StoreHits, warm.StoreMisses, total)
 	}
 
-	// ...and the merged report is byte-identical to a local run.
-	spec, err := suite.Parse(strings.NewReader(e2eShardSpec))
+	// ...nor does a job of the same spec submitted to the hub...
+	ctx := context.Background()
+	info, err := cli.Submit(ctx, strings.NewReader(e2eBatchSpec), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := cli.Watch(ctx, info.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.Status != JobDone || job.CellsExecuted != 0 || job.StoreHits != total {
+		t.Fatalf("hub job over client-computed cells: %+v", job)
+	}
+
+	// ...and that job's report is byte-identical to a local run.
+	spec, err := suite.Parse(strings.NewReader(e2eBatchSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +201,11 @@ func TestE2ETwoHubShardedFleetCollapsesRoundTrips(t *testing.T) {
 	if err := report.Write(&want, report.Canonical(direct)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := workerA.ReportBytes(context.Background(), "j000001", true)
+	got, err := cli.ReportBytes(ctx, info.ID, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), got) {
-		t.Fatalf("sharded fleet report differs from local canonical:\nwant:\n%s\ngot:\n%s", want.Bytes(), got)
+		t.Fatalf("hub report differs from local canonical:\nwant:\n%s\ngot:\n%s", want.Bytes(), got)
 	}
 }

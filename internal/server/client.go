@@ -269,6 +269,12 @@ func (c *Client) follow(ctx context.Context, path string, lastID uint64, onFrame
 					break // EOF or a cut read: the stream dropped
 				}
 				done, ferr := onFrame(f)
+				if done {
+					// The hub ends a job stream right after done. Reading to
+					// that end before closing hands the connection back to
+					// the pool; closing first makes the transport drop it.
+					_, _ = io.Copy(io.Discard, resp.Body)
+				}
 				if done || ferr != nil {
 					resp.Body.Close()
 					return ferr

@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -331,5 +332,40 @@ func TestWatchReconnectsWithLastEventIDExactlyOnce(t *testing.T) {
 	}
 	if got := conns.Load(); got != 2 {
 		t.Fatalf("hub saw %d connections, want 2", got)
+	}
+}
+
+func TestWatchReadsStreamToEndAndReusesConnection(t *testing.T) {
+	doneJSON, err := json.Marshal(JobInfo{ID: "j000001", Status: JobDone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A scripted hub flushes done and ends the stream a moment later. A
+	// Watch that closes the body before that end arrives makes the
+	// transport discard the connection, and the next call dials again.
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		fmt.Fprintf(w, "event: done\ndata: %s\n\n", doneJSON)
+		w.(http.Flusher).Flush()
+		time.Sleep(50 * time.Millisecond)
+	}))
+	var dials atomic.Int32
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	cli := NewClient(ts.URL)
+	for i := 0; i < 2; i++ {
+		final, err := cli.Watch(context.Background(), "j000001", nil)
+		if err != nil || final.Status != JobDone {
+			t.Fatalf("Watch %d: %+v, %v", i, final, err)
+		}
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("two Watch calls opened %d connections, want 1", got)
 	}
 }

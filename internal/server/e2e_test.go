@@ -8,11 +8,8 @@ package server
 import (
 	"bytes"
 	"context"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/report"
 	"repro/internal/store"
@@ -143,7 +140,7 @@ func TestE2EWarmResubmissionExecutesZeroCells(t *testing.T) {
 }
 
 func TestCellsEndpointsRoundtrip(t *testing.T) {
-	// The server half of the fleet-cache protocol: a batch-of-one POST
+	// The server half of the cells protocol: a batch-of-one POST
 	// stores into the daemon's store, GET serves it back, a missing key
 	// is 404.
 	st, err := store.Open(store.Config{})
@@ -153,7 +150,7 @@ func TestCellsEndpointsRoundtrip(t *testing.T) {
 	t.Cleanup(func() { _ = st.Close() })
 	_, cli := newTestServer(t, Config{Workers: 1, QueueCap: 4, Store: st})
 
-	// Drive the endpoints exactly the way a fleet worker does.
+	// Drive the endpoints exactly the way a -store-url client does.
 	remote, err := store.OpenRemote(store.RemoteConfig{BaseURL: cli.BaseURL()})
 	if err != nil {
 		t.Fatal(err)
@@ -182,120 +179,17 @@ func TestCellsEndpointsRoundtrip(t *testing.T) {
 	}
 }
 
-func TestE2ETwoDaemonsShareOneRemoteStore(t *testing.T) {
-	// The fleet acceptance criterion: a hub ptestd owns the store; two
-	// worker ptestds point their caches at it via -store-url semantics.
-	// A spec submitted to worker A then worker B executes every cell
-	// exactly once between them.
-	hubStore, err := store.Open(store.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = hubStore.Close() })
-	_, hubCli := newTestServer(t, Config{Workers: 1, QueueCap: 4, Store: hubStore})
-
-	worker := func() (*Server, *Client) {
-		t.Helper()
-		rem, err := store.OpenRemote(store.RemoteConfig{BaseURL: hubCli.BaseURL()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = rem.Close() })
-		return newTestServer(t, Config{Workers: 2, QueueCap: 8, Store: rem})
-	}
-	_, cliA := worker()
-	_, cliB := worker()
-	ctx := context.Background()
-
-	submitAndWait := func(cli *Client) JobInfo {
-		t.Helper()
-		info, err := cli.Submit(ctx, strings.NewReader(e2eSpec), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		final, err := cli.Watch(ctx, info.ID, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if final.Status != JobDone {
-			t.Fatalf("job %s: %+v", info.ID, final)
-		}
-		return final
-	}
-
-	cold := submitAndWait(cliA)
-	if cold.CellsExecuted != uint64(cold.TotalCells) || cold.StoreHits != 0 {
-		t.Fatalf("worker A cold counters wrong: %+v", cold)
-	}
-
-	warm := submitAndWait(cliB)
-	if warm.CellsExecuted != 0 {
-		t.Fatalf("worker B re-executed %d cells the fleet already computed", warm.CellsExecuted)
-	}
-	if warm.StoreHits != uint64(warm.TotalCells) {
-		t.Fatalf("worker B hit %d of %d cells", warm.StoreHits, warm.TotalCells)
-	}
-	// "Exactly once between them": the hub's store accepted each cell's
-	// put once and served worker B's lookups as hits.
-	if st := hubStore.Stats(); st.Puts != uint64(cold.TotalCells) || st.DiskEntries != cold.TotalCells {
-		t.Fatalf("hub store state wrong: %+v (want %d puts/entries)", st, cold.TotalCells)
-	}
-
-	// The canonical reports agree byte for byte across the fleet.
-	a, err := cliA.ReportBytes(ctx, "j000001", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cliB.ReportBytes(ctx, "j000001", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("fleet workers rendered different canonical reports for one spec")
-	}
-}
-
-func TestCellsSelfLoopResolvesInstantlyAsMiss(t *testing.T) {
-	// A daemon misconfigured with -store-url pointing at itself (or a
-	// worker cycle) must not circular-wait cold lookups until the HTTP
-	// timeout: the hop header makes the second traversal refuse
-	// immediately, and the caller computes locally.
-	var srv *Server
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		srv.Handler().ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-	rem, err := store.OpenRemote(store.RemoteConfig{BaseURL: ts.URL})
+func TestNewRefusesRemoteStore(t *testing.T) {
+	// A hub owns its store. A hub whose store was a Remote pointing back
+	// at itself would stall every cold lookup on its own single-flight,
+	// so New refuses any Remote before a single request is served.
+	rem, err := store.OpenRemote(store.RemoteConfig{BaseURL: "http://127.0.0.1:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = rem.Close() })
-	srv, err = New(Config{Workers: 1, QueueCap: 4, Store: rem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	t.Cleanup(srv.Drain)
-
-	start := time.Now()
-	if _, ok := rem.Get("no-such-cell"); ok {
-		t.Fatal("self-loop conjured a cell from nothing")
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("self-loop Get took %v — loop guard not refusing", d)
-	}
-	// A Put through the loop errors fast instead of hanging; the local
-	// front still serves the cell (degraded caching).
-	cell := report.Cell{ID: "w/op/n2s4/pd/adaptive", Workload: "w", Tool: "adaptive"}
-	start = time.Now()
-	if err := rem.Put("k-loop", cell); err == nil {
-		t.Fatal("self-loop put must surface an error")
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("self-loop Put took %v", d)
-	}
-	if _, ok := rem.Get("k-loop"); !ok {
-		t.Fatal("local front lost the cell after the refused push")
+	if srv, err := New(Config{Workers: 1, QueueCap: 4, Store: rem}); err == nil || srv != nil {
+		t.Fatalf("New accepted a store.Remote: srv=%v err=%v", srv, err)
 	}
 }
 

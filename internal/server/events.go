@@ -156,9 +156,8 @@ type Health struct {
 	QueueDepth  int `json:"queue_depth"`
 	JobsRunning int `json:"jobs_running"`
 	WorkersLive int `json:"workers_live"`
-	// StoreDegraded is true when the cell store lost its disk layer or
-	// its remote breaker is not closed — results stay correct, caching
-	// does not persist.
+	// StoreDegraded is true when the cell store lost its disk layer —
+	// results stay correct, caching does not persist.
 	StoreDegraded bool `json:"store_degraded"`
 	// Events reports whether the event log is enabled; LastEventSeq is
 	// its newest sequence id (a cheap liveness cursor for tailers).

@@ -99,8 +99,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	cf.with(s.met.cellsWireBatch.Load(), "verb", "batch")
 	family(w, "ptestd_cells_batch_cells_total", "counter", "Cells received inside batch requests.").sample(s.met.cellsWireBatchCells.Load())
 	// Optional store faces: the local segment-log store reports how many
-	// bytes a compaction would reclaim; local and remote stores both
-	// report degradation (dead disk / open breaker).
+	// bytes a compaction would reclaim and whether its disk layer died.
 	if rc, ok := s.store.(interface{ Reclaimable() int64 }); ok {
 		family(w, "ptestd_store_reclaimable_bytes", "gauge", "Dead segment bytes a compaction pass would free.").sample(rc.Reclaimable())
 	}
@@ -109,7 +108,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		if dg.Degraded() {
 			v = 1
 		}
-		family(w, "ptestd_store_degraded", "gauge", "1 when the store is degraded (disk dead or remote breaker not closed).").sample(v)
+		family(w, "ptestd_store_degraded", "gauge", "1 when the store's disk layer died and it serves memory-only.").sample(v)
 	}
 
 	dm := s.disp.Metrics()

@@ -15,19 +15,19 @@
 //	GET    /api/v1/jobs/{id}/report the finished report (?canonical=1)
 //	GET    /api/v1/jobs/{id}/events SSE: replay + follow `cell` events, final `done`
 //	GET    /api/v1/jobs/{id}/spec   the defaulted spec (a worker's plan-cache fill)
-//	GET    /api/v1/cells/{key}      fetch one stored cell (the fleet cache read)
-//	POST   /api/v1/cells:batch      store computed cells (the fleet cache write)
+//	GET    /api/v1/cells/{key}      fetch one stored cell (the shared cache read)
+//	POST   /api/v1/cells:batch      store computed cells (the shared cache write)
 //	POST   /api/v1/workers          register a fleet worker (see workers.go)
 //	GET    /metrics                 plain-text counters
 //	GET    /healthz                 liveness
 //
-// The cells endpoints serve this daemon's store to other processes:
-// `ptest suite -store-url` and worker ptestds (serve -store-url) read
-// and write through them via store.Remote, so a whole fleet computes
-// each cell once, ever. The workers endpoints (workers.go) are the
-// dispatch half: registered workers lease cells, the hub survives
-// their crashes via lease expiry and retry, and with zero workers
-// every job simply runs in-process.
+// A hub always owns its store. The cells endpoints serve that store to
+// `ptest suite -store-url` and `ptest run -store-url` clients, which
+// read and write through store.Remote, so a cell any client or job
+// computed is not computed again. The workers endpoints (workers.go)
+// are the one way to spread a job over machines: registered workers
+// lease cells, the hub survives their crashes via lease expiry and
+// retry, and with zero workers every job simply runs in-process.
 package server
 
 import (
@@ -68,11 +68,11 @@ type Config struct {
 	// pruned so a long-lived daemon's memory stays bounded. Queued and
 	// running jobs are never pruned.
 	MaxJobs int
-	// Store memoizes cells across jobs. Nil gets a private memory-only
-	// store so the daemon always deduplicates repeated work. A
-	// store.Remote pointed at another ptestd turns this daemon into a
-	// fleet worker sharing that hub's cache; a local disk-backed store
-	// (plus this daemon's /api/v1/cells endpoints) makes it the hub.
+	// Store memoizes cells across jobs and is what the cells endpoints
+	// serve. Nil gets a private memory-only store so the daemon always
+	// deduplicates repeated work. The daemon must own it: New refuses a
+	// *store.Remote, which would forward every cells request to another
+	// hub, or back to this one.
 	Store store.CellStore
 	// Dispatch tunes the fleet dispatcher (lease TTLs, heartbeat
 	// expiry, retry budget). The dispatcher always exists — with no
@@ -172,12 +172,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 512
 	}
-	if cfg.Store == nil {
+	switch cfg.Store.(type) {
+	case nil:
 		st, err := store.Open(store.Config{})
 		if err != nil {
 			return nil, err
 		}
 		cfg.Store = st
+	case *store.Remote:
+		// A hub whose store points back at itself would stall every cold
+		// lookup on its own single-flight; one pointing at another hub
+		// is a second path to spread work, which the dispatch fleet is.
+		return nil, errors.New("server: Config.Store is a store.Remote; a hub must own its store")
 	}
 	// The dispatcher and store share the server's recorder: every layer
 	// emits into one sequenced stream. A nil recorder makes each of
@@ -625,32 +631,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// refuseForwardedHop rejects a cells request that a Remote already
-// forwarded once when serving it would forward it again (this daemon's
-// own store is a Remote). Without the guard a daemon pointed at itself
-// via -store-url — or two workers pointed at each other — would
-// circular-wait every cold lookup until the HTTP timeout; with it the
-// loop resolves instantly into a miss and the caller computes locally.
-func (s *Server) refuseForwardedHop(w http.ResponseWriter, r *http.Request) bool {
-	if r.Header.Get(store.CellsHopHeader) == "" {
-		return false
-	}
-	chained := false
-	switch s.store.(type) {
-	case *store.Remote, *store.Sharded:
-		chained = true
-	}
-	if !chained {
-		return false
-	}
-	api.WriteError(w, http.StatusLoopDetected,
-		"cells request already forwarded once and this daemon's store is remote (-store-url loop or chain); compute locally")
-	return true
-}
-
 // throttleCells spends one cells-rate token for the request's tenant,
 // writing the 429 envelope when the bucket is empty. The cells
-// endpoints are the fleet-cache hot path, so their bucket is sized
+// endpoints are the shared cache's hot path, so their bucket is sized
 // independently of submission's.
 func (s *Server) throttleCells(w http.ResponseWriter, r *http.Request) bool {
 	t := tenant.FromContext(r.Context())
@@ -668,10 +651,10 @@ func (s *Server) throttleCells(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // handleCellGet serves one cell from the daemon's store — the read half
-// of the fleet-shared cache. 404 is the normal miss answer a
-// store.Remote maps back to "compute it yourself".
+// of the shared cache. 404 is the normal miss answer a store.Remote
+// maps back to "compute it yourself".
 func (s *Server) handleCellGet(w http.ResponseWriter, r *http.Request) {
-	if s.throttleCells(w, r) || s.refuseForwardedHop(w, r) {
+	if s.throttleCells(w, r) {
 		return
 	}
 	s.met.cellsWireGet.Add(1)
@@ -685,16 +668,16 @@ func (s *Server) handleCellGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCellBatch accepts computed cells into the daemon's store — the
-// write half of the fleet-shared cache. A store.Remote posts here: one
-// POST per write-through flush, or a batch of one per Put with
-// batching off. A local segment-log store behind this endpoint commits
-// the whole batch under a single fsync (store.PutBatch). Content
+// write half of the shared cache. A store.Remote posts here: one POST
+// per write-through flush, or a batch of one per Put with batching
+// off. A local segment-log store behind this endpoint commits the
+// whole batch under a single fsync (store.PutBatch). Content
 // addressing makes every entry idempotent: re-putting a known key is a
-// no-op, so racing workers that both computed a cell agree by
-// construction. Batches are accepted even while draining; a worker
-// finishing its last job must not lose its results.
+// no-op, so racing clients that both computed a cell agree by
+// construction. Batches are accepted even while draining; a client
+// finishing its last sweep must not lose its results.
 func (s *Server) handleCellBatch(w http.ResponseWriter, r *http.Request) {
-	if s.throttleCells(w, r) || s.refuseForwardedHop(w, r) {
+	if s.throttleCells(w, r) {
 		return
 	}
 	var body struct {

@@ -1,10 +1,13 @@
 // CellStore is the seam between the memoizing consumers (suite runs,
-// ptestd, the CLI) and a concrete result-store implementation. PR 4
-// extracted tool and workload dispatch behind registries; this is the
-// same move for result storage: everything above this package depends
-// on the interface, so a local segment-log store, a remote ptestd-backed
-// store, or anything a facade user registers slots in without touching
-// the suite runner, the daemon, or the CLI.
+// ptestd, the CLI) and a concrete result-store implementation.
+// Everything above this package depends on the interface. Two
+// implementations ship: the local segment-log Store, which a hub
+// always owns, and Remote, the client through which `ptest suite
+// -store-url` and `ptest run -store-url` share one hub's store over its
+// cells endpoints. A hub refuses a Remote as its own store
+// (server.New), so a cells request is served where the cells live and
+// never forwarded. A facade user's own implementation slots in without
+// touching the suite runner, the daemon, or the CLI.
 package store
 
 import "repro/internal/report"
@@ -60,8 +63,8 @@ type PolicyCompactor interface {
 
 // BatchPutter is the optional batched-write face of a CellStore. The
 // local Store commits the whole batch under one group fsync; Remote
-// coalesces it into one wire round trip; Sharded fans it out one
-// sub-batch per hub. Per-entry semantics are exactly Put's.
+// coalesces it into one wire round trip. Per-entry semantics are
+// exactly Put's.
 type BatchPutter interface {
 	PutBatch(entries []CellEntry) error
 }
@@ -104,7 +107,4 @@ var (
 	_ CellStore       = (*Remote)(nil)
 	_ BatchPutter     = (*Remote)(nil)
 	_ Flusher         = (*Remote)(nil)
-	_ CellStore       = (*Sharded)(nil)
-	_ BatchPutter     = (*Sharded)(nil)
-	_ Flusher         = (*Sharded)(nil)
 )

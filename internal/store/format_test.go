@@ -7,9 +7,7 @@
 package store
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"os"
 	"reflect"
 	"testing"
@@ -28,10 +26,7 @@ func appendFramed(t *testing.T, path string, payload []byte) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	hdr := make([]byte, recordHeaderLen)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := f.Write(append(hdr, payload...)); err != nil {
+	if _, err := f.Write(frameRecord(payload)); err != nil {
 		t.Fatal(err)
 	}
 }

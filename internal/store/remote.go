@@ -1,17 +1,17 @@
-// Remote is the network-backed CellStore: a thin client over a ptestd's
-// cells endpoints, so a fleet of workers shares one content-addressed
-// cache — each cell is computed once, ever, by whichever worker gets
-// there first. Reads are GET /api/v1/cells/{key}; every write is a
-// POST /api/v1/cells:batch, one cell being a batch of one. A small
+// Remote is the network-backed CellStore: a thin client over a hub
+// ptestd's cells endpoints, so `ptest suite -store-url` and `ptest run
+// -store-url` clients share the hub's content-addressed cache — a cell
+// any of them, or any hub job, computed is not computed again. Reads
+// are GET /api/v1/cells/{key}; every write is a POST
+// /api/v1/cells:batch, one cell being a batch of one. A small
 // in-process LRU front keeps repeat lookups off the wire, and
 // single-flight deduplication collapses concurrent fetches of the same
-// key (a sweep resubmitted to several workers at once) into one HTTP
-// round trip.
+// key into one HTTP round trip.
 //
 // Failure semantics follow the CellStore contract: an unreachable or
 // erroring remote degrades to a miss on Get (the caller recomputes,
 // which is always correct) and to a returned-but-ignorable error on Put.
-// A fleet never wedges on its cache. Three layers keep that degradation
+// A client never wedges on its cache. Three layers keep that degradation
 // cheap: failures internal/api classes as transient (no answer, 429,
 // 5xx) retry a bounded number of times with jittered exponential
 // backoff; a circuit breaker trips after enough consecutive failures so
@@ -28,14 +28,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/clock"
-	"repro/internal/eventlog"
 	"repro/internal/report"
 )
 
@@ -47,16 +45,6 @@ const cellsPathPrefix = "/api/v1/cells/"
 // cellsBatchPath is the write endpoint: one POST carries one or many
 // cells and the serving store group-commits them under a single fsync.
 const cellsBatchPath = "/api/v1/cells:batch"
-
-// CellsHopHeader marks a cells request as already forwarded once by a
-// Remote. A daemon whose own store is a Remote refuses to forward such
-// a request again (HTTP 508): a misconfigured -store-url pointing a
-// daemon at itself — or two workers at each other — would otherwise
-// circular-wait every cold lookup until the client timeout. Hub-serving
-// daemons (local store) ignore the header, so a worker → hub chain of
-// depth one works; deeper chains degrade to compute-locally, which is
-// always correct.
-const CellsHopHeader = "X-Ptest-Cells-Hop"
 
 // RemoteConfig configures a Remote store client.
 type RemoteConfig struct {
@@ -71,8 +59,8 @@ type RemoteConfig struct {
 	// as `Authorization: Bearer <key>`. Empty means anonymous.
 	APIKey string
 	// Retries is how many extra wire attempts follow a transient failure
-	// (default 2; negative disables retries). Authoritative answers —
-	// a 404 miss, a 508 loop refusal — never retry.
+	// (default 2; negative disables retries). Authoritative answers,
+	// such as a 404 miss, never retry.
 	Retries int
 	// RetryBase seeds the jittered exponential backoff between attempts
 	// (default 50ms, doubling, ±25% jitter).
@@ -101,7 +89,7 @@ type RemoteConfig struct {
 
 // Remote implements CellStore over a ptestd's cells API.
 type Remote struct {
-	conn      api.Conn // every request carries CellsHopHeader
+	conn      api.Conn
 	retries   int
 	retryBase time.Duration
 	wall      clock.Wall
@@ -116,7 +104,6 @@ type Remote struct {
 	front   *lruCache
 	flights map[string]*flight // key → in-progress fetch
 	closed  bool
-	events  *eventlog.Recorder // nil emits nothing
 
 	batchSize  int
 	batchDelay time.Duration
@@ -132,32 +119,6 @@ type wireCell struct {
 	Cell json.RawMessage `json:"cell"`
 }
 
-// SetEvents attaches an event recorder: wire-level store.hit/miss and
-// store.batch plus store.breaker transitions flow into it. Nil
-// detaches.
-func (r *Remote) SetEvents(rec *eventlog.Recorder) {
-	r.mu.Lock()
-	r.events = rec
-	r.mu.Unlock()
-	r.brk.setOnTransition(func(from, to string) {
-		rec.Emit(eventlog.Event{
-			Type: eventlog.TypeStoreBreaker, Detail: from + "->" + to,
-		})
-	})
-}
-
-// recorder returns the attached recorder (nil-safe to emit on).
-func (r *Remote) recorder() *eventlog.Recorder {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.events
-}
-
-// Degraded reports whether the circuit breaker is anything but closed —
-// the remote cache is failing or being probed, and lookups degrade to
-// recompute-locally.
-func (r *Remote) Degraded() bool { return r.brk.stateName() != "closed" }
-
 // flight is one in-progress remote fetch; latecomers for the same key
 // wait on done instead of issuing their own request.
 type flight struct {
@@ -166,13 +127,14 @@ type flight struct {
 	ok   bool
 }
 
-// OpenRemote builds a client for a ptestd base URL. It does not probe
-// the server — a fleet worker may come up before its cache host, and
-// every operation degrades to a miss until the remote answers.
+// OpenRemote builds a client for a ptestd base URL, refusing anything
+// but one http(s) hub (api.BaseURL). It does not probe the server — a
+// client may start before its hub, and every operation degrades to a
+// miss until the remote answers.
 func OpenRemote(cfg RemoteConfig) (*Remote, error) {
-	u, err := url.Parse(cfg.BaseURL)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		return nil, fmt.Errorf("store: remote URL %q: want http(s)://host[:port]", cfg.BaseURL)
+	base, err := api.BaseURL(cfg.BaseURL)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	if cfg.MemEntries <= 0 {
 		cfg.MemEntries = 4096
@@ -206,12 +168,7 @@ func OpenRemote(cfg RemoteConfig) (*Remote, error) {
 		cfg.BatchDelay = 50 * time.Millisecond
 	}
 	return &Remote{
-		conn: api.Conn{
-			Base:   strings.TrimRight(cfg.BaseURL, "/"),
-			HC:     hc,
-			Key:    cfg.APIKey,
-			Header: http.Header{CellsHopHeader: {"1"}},
-		},
+		conn:      api.Conn{Base: base, HC: hc, Key: cfg.APIKey},
 		retries:   cfg.Retries,
 		retryBase: cfg.RetryBase,
 		wall:      cfg.Clock,
@@ -233,10 +190,8 @@ func OpenRemote(cfg RemoteConfig) (*Remote, error) {
 func (r *Remote) Get(key string) (report.Cell, bool) {
 	r.mu.Lock()
 	if cell, ok := r.front.Get(key); ok {
-		ev := r.events
 		r.mu.Unlock()
 		r.hits.Add(1)
-		ev.Emit(eventlog.Event{Type: eventlog.TypeStoreHit, Key: key, Detail: "lru"})
 		return cell, true
 	}
 	if f, inFlight := r.flights[key]; inFlight {
@@ -260,16 +215,12 @@ func (r *Remote) Get(key string) (report.Cell, bool) {
 	if f.ok {
 		r.front.Add(key, f.cell)
 	}
-	ev := r.events
 	r.mu.Unlock()
 	close(f.done)
-	// Only the single-flight leader emits: one wire fetch, one event.
 	if f.ok {
 		r.hits.Add(1)
-		ev.Emit(eventlog.Event{Type: eventlog.TypeStoreHit, Key: key, Detail: "remote"})
 	} else {
 		r.misses.Add(1)
-		ev.Emit(eventlog.Event{Type: eventlog.TypeStoreMiss, Key: key, Detail: "remote"})
 	}
 	return f.cell, f.ok
 }
@@ -308,8 +259,8 @@ func (r *Remote) call(method, path string, in, out any) error {
 	}
 }
 
-// jitter spreads a backoff delay ±25% so a fleet of workers whose cache
-// host died does not retry in lockstep.
+// jitter spreads a backoff delay ±25% so many clients whose hub died
+// do not retry in lockstep.
 func (r *Remote) jitter(d time.Duration) time.Duration {
 	r.rndMu.Lock()
 	f := 0.75 + 0.5*r.rnd.Float64()
@@ -454,9 +405,6 @@ func (r *Remote) flushEntries(entries []wireCell) error {
 	if err != nil {
 		return fmt.Errorf("store: pushing batch of %d: %w", len(entries), err)
 	}
-	r.recorder().Emit(eventlog.Event{
-		Type: eventlog.TypeStoreBatch, Detail: fmt.Sprintf("%d cells", len(entries)),
-	})
 	return nil
 }
 
@@ -517,38 +465,6 @@ type breaker struct {
 	state    int
 	failures int
 	openedAt time.Time
-	// onTransition observes every state change (old name, new name).
-	// Called under b.mu — keep it non-blocking (the event recorder is).
-	onTransition func(from, to string)
-}
-
-func (b *breaker) setOnTransition(f func(from, to string)) {
-	b.mu.Lock()
-	b.onTransition = f
-	b.mu.Unlock()
-}
-
-// setStateLocked changes the state and notifies the observer. Callers
-// hold b.mu.
-func (b *breaker) setStateLocked(state int) {
-	if b.state == state {
-		return
-	}
-	from, to := breakerStateName(b.state), breakerStateName(state)
-	b.state = state
-	if b.onTransition != nil {
-		b.onTransition(from, to)
-	}
-}
-
-func breakerStateName(state int) string {
-	switch state {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	}
-	return "closed"
 }
 
 // allow reports whether a wire attempt may proceed, transitioning
@@ -562,7 +478,7 @@ func (b *breaker) allow() bool {
 		return true
 	case breakerOpen:
 		if b.wall.Now().Sub(b.openedAt) >= b.cooldown {
-			b.setStateLocked(breakerHalfOpen)
+			b.state = breakerHalfOpen
 			return true
 		}
 		return false
@@ -574,7 +490,7 @@ func (b *breaker) allow() bool {
 // success closes the circuit and clears the failure streak.
 func (b *breaker) success() {
 	b.mu.Lock()
-	b.setStateLocked(breakerClosed)
+	b.state = breakerClosed
 	b.failures = 0
 	b.mu.Unlock()
 }
@@ -585,7 +501,7 @@ func (b *breaker) failure() {
 	b.mu.Lock()
 	b.failures++
 	if b.state == breakerHalfOpen || b.failures >= b.threshold {
-		b.setStateLocked(breakerOpen)
+		b.state = breakerOpen
 		b.openedAt = b.wall.Now()
 	}
 	b.mu.Unlock()
@@ -594,5 +510,11 @@ func (b *breaker) failure() {
 func (b *breaker) stateName() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return breakerStateName(b.state)
+	switch b.state {
+	case breakerOpen:
+		return "open"
+	case breakerHalfOpen:
+		return "half-open"
+	}
+	return "closed"
 }

@@ -194,7 +194,7 @@ func TestRemotePutAfterCloseErrors(t *testing.T) {
 }
 
 func TestOpenRemoteRejectsBadURLs(t *testing.T) {
-	for _, bad := range []string{"", "not a url", "host:8321", "/just/a/path"} {
+	for _, bad := range []string{"", "not a url", "host:8321", "/just/a/path", "http://127.0.0.1:1,http://127.0.0.1:2"} {
 		if _, err := OpenRemote(RemoteConfig{BaseURL: bad}); err == nil {
 			t.Fatalf("URL %q accepted", bad)
 		}

@@ -484,48 +484,23 @@ func (s *Store) readLocked(ref diskRef) (report.Cell, error) {
 	return cell, nil
 }
 
-// Put stores the cell under key. Re-putting a known key is a no-op —
-// the content address guarantees the value is identical. The memory
-// layer is updated even when the disk append fails, so a full disk
-// degrades to memory-only caching with an error the caller can log.
+// Put stores the cell under key: a batch of one, so it costs one fsync
+// like any PutBatch. Re-putting a known key is a no-op — the content
+// address guarantees the value is identical. The memory layer is
+// updated even when the disk append fails, so a full disk degrades to
+// memory-only caching with an error the caller can log.
 func (s *Store) Put(key string, cell report.Cell) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	if s.front.Contains(key) {
-		return nil
-	}
-	_, onDisk := s.index[key]
-	s.puts.Add(1)
-	s.noteOpLocked()
-	s.events.Emit(eventlog.Event{Type: eventlog.TypeStorePut, Key: key})
-	// Always (re)insert into memory: if the key is indexed on disk but
-	// its record became unreadable, the LRU still serves the recomputed
-	// cell instead of forcing a re-execution on every future run.
-	s.front.Add(key, cell)
-	if s.dir == "" || onDisk {
-		return nil
-	}
-	return s.appendLocked(key, cell)
-}
-
-func (s *Store) appendLocked(key string, cell report.Cell) error {
-	now := s.wall.Now().Unix()
-	pend, err := encodePending(key, cell, now)
-	if err != nil {
-		return err
-	}
-	return s.appendRecordsLocked([]pendingRecord{pend})
+	return s.PutBatch([]CellEntry{{Key: key, Cell: cell}})
 }
 
 // PutBatch stores every entry with one group-commit fsync for the whole
 // batch — the durability cost a batched `cells:batch` request amortizes
-// over its cells, versus one fsync per single Put. Per-entry semantics
-// match Put exactly: known keys are skipped, the memory layer is
-// updated even when the disk append fails, and a non-nil error means
-// some entries may not persist, never that a cell is wrong.
+// over its cells. Per entry: a key the memory layer holds is skipped,
+// the memory layer is (re)inserted even when the key is indexed on disk
+// but its record became unreadable (the LRU then serves the recomputed
+// cell instead of forcing a re-execution on every future run), and only
+// keys not yet on disk are appended. A non-nil error means some entries
+// may not persist, never that a cell is wrong.
 func (s *Store) PutBatch(entries []CellEntry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -534,7 +509,8 @@ func (s *Store) PutBatch(entries []CellEntry) error {
 	}
 	now := s.wall.Now().Unix()
 	var (
-		pend      []pendingRecord
+		one       [1]pendingRecord // a lone Put's record stays off the heap
+		pend      = one[:0]
 		encodeErr error
 	)
 	for _, e := range entries {

@@ -150,8 +150,7 @@ func RunContext(ctx context.Context, spec *Spec, jsonl io.Writer, opts Options) 
 		// Job end is the write-back barrier: a store that queues puts
 		// (Remote's write-through batcher) must push them before this job
 		// reports done, so no computed cell outlives its job unpersisted.
-		// A flush error degrades like a failed Put — logged by the store's
-		// own breaker/events, never failing the job.
+		// A flush error degrades like a failed Put, never failing the job.
 		_ = f.Flush()
 	}
 	interrupted := errors.Is(runErr, ErrInterrupted)

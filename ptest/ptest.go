@@ -435,10 +435,12 @@ type StoreConfig = store.Config
 // OpenStore opens (or creates) a result store.
 func OpenStore(cfg StoreConfig) (*ResultStore, error) { return store.Open(cfg) }
 
-// RemoteStore is the network-backed CellStore: a client over a ptestd's
-// /api/v1/cells endpoints with an in-process LRU front and single-flight
-// fetch deduplication, so a worker fleet shares one cache and computes
-// each cell once, ever.
+// RemoteStore is the network-backed CellStore: a client over one hub
+// ptestd's /api/v1/cells endpoints with an in-process LRU front and
+// single-flight fetch deduplication, so RunSuiteContext callers on
+// many machines share the hub's store and compute each cell once,
+// ever. It backs a sweep, never a JobServer: NewJobServer refuses it,
+// because a hub owns its store.
 type RemoteStore = store.Remote
 
 // RemoteStoreConfig points a RemoteStore at a serving ptestd.
@@ -446,19 +448,6 @@ type RemoteStoreConfig = store.RemoteConfig
 
 // OpenRemoteStore builds a client for a ptestd's shared cell cache.
 func OpenRemoteStore(cfg RemoteStoreConfig) (*RemoteStore, error) { return store.OpenRemote(cfg) }
-
-// ShardedStore spreads the fleet cache over several hub ptestds by
-// rendezvous hashing: every client independently agrees which hub owns
-// which cell key, each shard keeps its own breaker and write-through
-// batcher, and a dead hub degrades only its slice of the key space.
-type ShardedStore = store.Sharded
-
-// ShardedStoreConfig lists the hub base URLs (one shard each) plus the
-// per-shard wire knobs.
-type ShardedStoreConfig = store.ShardedConfig
-
-// OpenShardedStore builds a sharded client over several hub ptestds.
-func OpenShardedStore(cfg ShardedStoreConfig) (*ShardedStore, error) { return store.OpenSharded(cfg) }
 
 // JobServer is ptestd: suite specs over HTTP onto a bounded priority
 // queue, a worker pool over the campaign engine, per-job SSE progress,
