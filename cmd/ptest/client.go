@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/api"
 	"repro/internal/eventlog"
 	"repro/internal/report"
 	"repro/internal/server"
@@ -49,12 +50,17 @@ func cmdClient(args []string) error {
 }
 
 // clientConn registers the shared -server and -api-key flags and
-// returns a constructor for the configured client. An empty key sends
-// no credential, so an anonymous hub sees byte-identical requests.
+// returns a constructor for the configured client. A -server that is
+// not one hub's base URL fails flag parsing. An empty key sends no
+// credential, so an anonymous hub sees byte-identical requests.
 func clientConn(fs *flag.FlagSet) func() *server.Client {
-	srv := fs.String("server", defaultServer, "ptestd base URL")
+	srv := defaultServer
+	fs.Func("server", "ptestd base `URL` (default "+defaultServer+")", func(raw string) (err error) {
+		srv, err = api.BaseURL(raw)
+		return err
+	})
 	key := apiKeyFlag(fs)
-	return func() *server.Client { return server.NewClient(*srv, server.WithAPIKey(*key)) }
+	return func() *server.Client { return server.NewClient(srv, server.WithAPIKey(*key)) }
 }
 
 func clientSubmit(args []string) error {

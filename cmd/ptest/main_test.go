@@ -52,6 +52,8 @@ func TestRunValidationRoutesThroughUsageError(t *testing.T) {
 	wantUsageError(t, cmdRun([]string{"-pcore", "-store-url", "hub:8321"}))                // no scheme
 	// A list of hubs, which url.Parse reads as the one host "127.0.0.1:1,http:".
 	wantUsageError(t, cmdRun([]string{"-pcore", "-store-url", "http://127.0.0.1:1,http://127.0.0.1:2"}))
+	wantUsageError(t, cmdClient([]string{"status", "-server", "hub:8321", "x"})) // no scheme
+	wantUsageError(t, cmdClient([]string{"status", "-server", "http://127.0.0.1:1,http://127.0.0.1:2", "x"}))
 }
 
 func TestServeHasNoRemoteStoreFlags(t *testing.T) {

@@ -53,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cmt := committer.New(plat.Client, merged, nil, nil, plat.Now)
+	cmt := committer.New(plat.Client, merged, merged.PerTask(), nil, nil, plat.Now)
 	plat.Master.Spawn("usage-driver", cmt.ThreadBody)
 	plat.RunUntilQuiescent(5_000_000)
 	fmt.Printf("profiled %d executed commands across %d tasks\n",

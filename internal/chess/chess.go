@@ -133,7 +133,7 @@ func Explore(cfg Config) (*Result, error) {
 			break
 		}
 		outs, runErr := engine.Run(len(batch), cfg.Parallelism,
-			func(i int) (*core.Outcome, error) { return core.RunMergedWith(cfg.Run, machine, batch[i]) },
+			func(i int) (*core.Outcome, error) { return core.RunMergedWith(cfg.Run, machine, sources, batch[i]) },
 			func(out *core.Outcome) bool { return !cfg.ExploreAll && out.Bug != nil })
 		executed := len(outs)
 		for _, out := range outs {

@@ -50,10 +50,13 @@ type Committer struct {
 	Aborted  bool // stopped early on a crashed/mute slave
 }
 
-// New creates a committer for the merged pattern. journal may be nil to
-// skip state recording; now supplies platform virtual time for records
-// (nil uses zero).
-func New(client *bridge.Client, merged pattern.Merged, policy PriorityPolicy,
+// New creates a committer for the merged pattern. perTask holds each
+// logical task's own sequence, the records' TP, as merged.PerTask()
+// returns it; a caller that merged the pattern from its sources passes
+// those, so that no trial rebuilds them. journal may be nil to skip
+// state recording; now supplies platform virtual time for records (nil
+// uses zero).
+func New(client *bridge.Client, merged pattern.Merged, perTask [][]string, policy PriorityPolicy,
 	journal *recording.Journal, now func() clock.Cycles) *Committer {
 	if policy == nil {
 		policy = DefaultPriorityPolicy
@@ -64,7 +67,7 @@ func New(client *bridge.Client, merged pattern.Merged, policy PriorityPolicy,
 	return &Committer{
 		client:  client,
 		merged:  merged,
-		perTask: merged.PerTask(),
+		perTask: perTask,
 		policy:  policy,
 		journal: journal,
 		now:     now,

@@ -78,7 +78,7 @@ func TestCommitterIssuesAllCommands(t *testing.T) {
 	w := newWorld(t)
 	merged := mustMerge(t, [][]string{{"TC", "TS", "TR", "TD"}}, pattern.OpSequential)
 	j := recording.NewJournal(0)
-	cmt := New(w.client, merged, nil, j, nil)
+	cmt := New(w.client, merged, merged.PerTask(), nil, j, nil)
 	w.os.Spawn("committer", cmt.ThreadBody)
 	pump(t, w.os, w.cmte, w.client, w.kern, 10000)
 	if !cmt.Finished {
@@ -99,7 +99,7 @@ func TestCommitterRecordsDefinition2Fields(t *testing.T) {
 	w := newWorld(t)
 	merged := mustMerge(t, [][]string{{"TC", "TD"}, {"TC", "TY"}}, pattern.OpRoundRobin)
 	j := recording.NewJournal(0)
-	cmt := New(w.client, merged, nil, j, nil)
+	cmt := New(w.client, merged, merged.PerTask(), nil, j, nil)
 	w.os.Spawn("committer", cmt.ThreadBody)
 	pump(t, w.os, w.cmte, w.client, w.kern, 10000)
 	if !cmt.Finished {
@@ -130,7 +130,7 @@ func TestCommitterRecordsDefinition2Fields(t *testing.T) {
 func TestCommitterUnknownSymbolSkipped(t *testing.T) {
 	w := newWorld(t)
 	merged := mustMerge(t, [][]string{{"TC", "BOGUS", "TD"}}, pattern.OpSequential)
-	cmt := New(w.client, merged, nil, nil, nil)
+	cmt := New(w.client, merged, merged.PerTask(), nil, nil, nil)
 	w.os.Spawn("committer", cmt.ThreadBody)
 	pump(t, w.os, w.cmte, w.client, w.kern, 10000)
 	if !cmt.Finished {
@@ -160,7 +160,7 @@ func TestCustomPolicyApplied(t *testing.T) {
 	w := newWorld(t)
 	merged := mustMerge(t, [][]string{{"TC"}}, pattern.OpSequential)
 	policy := func(task, seq int) pcore.Priority { return 11 }
-	cmt := New(w.client, merged, policy, nil, nil)
+	cmt := New(w.client, merged, merged.PerTask(), policy, nil, nil)
 	w.os.Spawn("committer", cmt.ThreadBody)
 	pump(t, w.os, w.cmte, w.client, w.kern, 10000)
 	if !cmt.Finished || cmt.Progress() != 1 {

@@ -11,17 +11,19 @@ import (
 	"repro/internal/pfa"
 )
 
-// TestBuggyTrialAllocatesUnder110KB bounds the heap bytes of one trial
+// TestBuggyTrialAllocatesUnder82KB bounds the heap bytes of one trial
 // that finds a bug: the paper's first case study, whose GC fault
 // crashes pCore after 54 commands. Recording and detection allocate
 // next to nothing per command and check, and the report's journal is a
 // view rendered only when printed, so the platform's own set-up
-// dominates at about 92 KB (97 KB under -race). A result slice sized to
-// the whole pattern, a heap-allocated clock event and closure per
-// mailbox hop, and per-command coverage keys took it to about 140 KB;
-// rendering the dump at detection, copying δS per command and
-// snapshotting the kernel per check would double that.
-func TestBuggyTrialAllocatesUnder110KB(t *testing.T) {
+// dominates at about 73 KB (78 KB under -race). A journal of 112-byte
+// entries in a doubling array, a wait-for graph built at every check
+// and the per-task sequences split again per trial took it to about
+// 92 KB; a result slice sized to the whole pattern, a heap-allocated
+// clock event and closure per mailbox hop, and per-command coverage keys
+// to about 140 KB; rendering the dump at detection, copying δS per
+// command and snapshotting the kernel per check would double that.
+func TestBuggyTrialAllocatesUnder82KB(t *testing.T) {
 	cfg := Config{
 		RE: pfa.PCoreRE, PD: pfa.PCoreDistribution(),
 		N: 16, S: 24, Op: pattern.OpRoundRobin, Seed: 3,
@@ -46,7 +48,7 @@ func TestBuggyTrialAllocatesUnder110KB(t *testing.T) {
 	if out.Bug == nil || out.Bug.Kind != detector.BugCrash {
 		t.Fatalf("trial found %v, want the GC crash", out.Bug)
 	}
-	if perTrial := (after.TotalAlloc - before.TotalAlloc) / trials; perTrial >= 110*1024 {
-		t.Fatalf("a buggy trial allocates %d bytes, want under 110 KB", perTrial)
+	if perTrial := (after.TotalAlloc - before.TotalAlloc) / trials; perTrial >= 82*1024 {
+		t.Fatalf("a buggy trial allocates %d bytes, want under 82 KB", perTrial)
 	}
 }

@@ -175,25 +175,13 @@ func adaptiveTest(cfg Config, machine *pfa.PFA) (*Outcome, error) {
 		return nil, fmt.Errorf("core: merging patterns: %w", err)
 	}
 
-	out, err := runMerged(cfg, machine, merged)
+	out, err := runMerged(cfg, machine, sources, merged)
 	if err != nil {
 		return nil, err
 	}
 	out.Patterns = pats
 	out.DuplicatesRemoved = dups
-	out.Coverage.Transitions = transitionCoverage(machine, out)
 	return out, nil
-}
-
-// transitionCoverage recomputes the PFA-transition coverage of an
-// outcome against the machine that generated its patterns.
-func transitionCoverage(machine *pfa.PFA, out *Outcome) float64 {
-	track := coverage.GetTracker()
-	defer coverage.PutTracker(track)
-	for _, e := range out.Merged.Entries[:min(out.CommandsIssued, out.Merged.Len())] {
-		track.Observe(e.Task, e.Symbol)
-	}
-	return track.TransitionCoverage(machine)
 }
 
 // RunMerged executes an explicit merged pattern against a fresh platform
@@ -208,19 +196,22 @@ func RunMerged(cfg Config, merged pattern.Merged) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: building PFA: %w", err)
 	}
-	return runMerged(cfg, machine, merged)
+	return runMerged(cfg, machine, merged.PerTask(), merged)
 }
 
-// RunMergedWith is RunMerged against an already-compiled machine — the
-// batch path for systematic explorers that execute many schedules under
-// one (RE, PD) and should not re-resolve the cache per schedule.
-func RunMergedWith(cfg Config, machine *pfa.PFA, merged pattern.Merged) (*Outcome, error) {
-	return runMerged(cfg.withDefaults(), machine, merged)
+// RunMergedWith is RunMerged against an already-compiled machine and
+// the per-task sequences merged interleaves, as merged.PerTask() would
+// return them — the batch path for systematic explorers that execute
+// many schedules of one set of sequences under one (RE, PD), and should
+// neither re-resolve the cache nor split the pattern per schedule.
+func RunMergedWith(cfg Config, machine *pfa.PFA, perTask [][]string, merged pattern.Merged) (*Outcome, error) {
+	return runMerged(cfg.withDefaults(), machine, perTask, merged)
 }
 
-// runMerged is the execution half against an already-compiled machine.
-// cfg must already carry defaults.
-func runMerged(cfg Config, machine *pfa.PFA, merged pattern.Merged) (*Outcome, error) {
+// runMerged is the execution half against an already-compiled machine;
+// perTask is merged split by logical task. cfg must already carry
+// defaults.
+func runMerged(cfg Config, machine *pfa.PFA, perTask [][]string, merged pattern.Merged) (*Outcome, error) {
 	factory := cfg.Factory
 	if cfg.NewFactory != nil {
 		factory = cfg.NewFactory()
@@ -234,7 +225,7 @@ func runMerged(cfg Config, machine *pfa.PFA, merged pattern.Merged) (*Outcome, e
 	defer plat.Shutdown()
 
 	journal := recording.NewJournal(cfg.JournalLimit)
-	cmt := committer.New(plat.Client, merged, cfg.Policy, journal, plat.Now)
+	cmt := committer.New(plat.Client, merged, perTask, cfg.Policy, journal, plat.Now)
 	if cfg.CommandGap > 0 {
 		cmt.Gap = cfg.CommandGap
 	}

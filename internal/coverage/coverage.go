@@ -17,49 +17,92 @@ import (
 )
 
 // edge is an ordered pair of symbols: a transition (previous label,
-// symbol) of one logical task, or an adjacent cross-task pair. A struct
-// key costs no string concatenation per observed command.
+// symbol) of one logical task, or an adjacent cross-task pair.
 type edge struct{ from, to string }
 
 // String renders a transition as "from>to".
 func (e edge) String() string { return e.from + ">" + e.to }
 
-// Tracker accumulates coverage over a stream of issued commands.
+// Tracker accumulates coverage over a stream of issued commands. It
+// numbers each symbol at its first appearance, the PFA start label
+// being number 0, and counts by number, so an observed command hashes
+// no string.
 type Tracker struct {
-	services    map[string]int
-	transitions map[edge]int   // (previous label, symbol) per logical task
-	pairs       map[edge]int   // adjacent cross-task symbol pairs
-	lastSym     map[int]string // per logical task: previous symbol
+	syms        []string // syms[id] is the symbol numbered id
+	services    []int    // calls by symbol number
+	transitions []int    // (previous label, symbol) per logical task, at from*stride+to
+	pairs       []bool   // adjacent cross-task symbol pairs seen, same layout
+	stride      int      // row length of transitions and pairs, at least len(syms)
+	pairCount   int      // distinct pairs seen
+	lastSym     []int    // by logical task: previous symbol, the start label before its first
 	prevTask    int
-	prevSym     string
+	prevSym     int
 	hasPrev     bool
 	commands    int
 }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{
-		services:    map[string]int{},
-		transitions: map[edge]int{},
-		pairs:       map[edge]int{},
-		lastSym:     map[int]string{},
-	}
+	const stride = 8 // room for a Table I alphabet and the start label
+	t := &Tracker{stride: stride, transitions: make([]int, stride*stride), pairs: make([]bool, stride*stride)}
+	t.Reset()
+	return t
 }
 
-// Reset clears the tracker for reuse, keeping its map storage.
+// Reset clears the tracker for reuse, keeping its storage.
 func (t *Tracker) Reset() {
-	clear(t.services)
+	t.syms = append(t.syms[:0], pfa.StartLabel)
+	t.services = append(t.services[:0], 0)
 	clear(t.transitions)
 	clear(t.pairs)
-	clear(t.lastSym)
-	t.prevTask, t.prevSym, t.hasPrev = 0, "", false
+	t.pairCount = 0
+	t.lastSym = t.lastSym[:0]
+	t.prevTask, t.prevSym, t.hasPrev = 0, 0, false
 	t.commands = 0
 }
 
-// pool recycles trackers across trials. A campaign allocates one
-// tracker (four maps) per trial per coverage pass; under the parallel
-// campaign engine that allocation shows up on the hot path, and the
-// maps' buckets are perfectly reusable.
+// lookup returns the number of a symbol, or -1 if it was never seen.
+func (t *Tracker) lookup(sym string) int {
+	// A command alphabet has a handful of symbols, and a pattern's
+	// symbols are the PFA's own strings, so equal ones compare by
+	// pointer: a scan beats hashing.
+	for id, s := range t.syms {
+		if s == sym {
+			return id
+		}
+	}
+	return -1
+}
+
+// number returns the number of a symbol, numbering it if it is new.
+func (t *Tracker) number(sym string) int {
+	if id := t.lookup(sym); id >= 0 {
+		return id
+	}
+	t.syms = append(t.syms, sym)
+	t.services = append(t.services, 0)
+	if len(t.syms) > t.stride {
+		stride := 2 * t.stride
+		t.transitions = regrid(t.transitions, t.stride, stride)
+		t.pairs = regrid(t.pairs, t.stride, stride)
+		t.stride = stride
+	}
+	return len(t.syms) - 1
+}
+
+// regrid copies a square matrix of row length from into a zeroed one
+// of row length to.
+func regrid[T any](m []T, from, to int) []T {
+	grown := make([]T, to*to)
+	for row := 0; row < from; row++ {
+		copy(grown[row*to:], m[row*from:(row+1)*from])
+	}
+	return grown
+}
+
+// pool recycles trackers across trials. A campaign needs one tracker
+// per trial; under the parallel campaign engine its allocation shows up
+// on the hot path, and its tables are perfectly reusable.
 var pool = sync.Pool{New: func() any { return NewTracker() }}
 
 // GetTracker returns a cleared tracker from the pool. Release it with
@@ -79,27 +122,45 @@ func PutTracker(t *Tracker) {
 }
 
 // Observe records one issued command (logical task, service symbol) in
-// merged-pattern order.
+// merged-pattern order. task is a logical task index, from 0.
 func (t *Tracker) Observe(task int, symbol string) {
 	t.commands++
-	t.services[symbol]++
-	prev, ok := t.lastSym[task]
-	if !ok {
-		prev = pfa.StartLabel
+	sym := t.number(symbol)
+	t.services[sym]++
+	if task >= len(t.lastSym) {
+		t.lastSym = append(t.lastSym, make([]int, task+1-len(t.lastSym))...)
 	}
-	t.transitions[edge{prev, symbol}]++
-	t.lastSym[task] = symbol
+	t.transitions[t.lastSym[task]*t.stride+sym]++
+	t.lastSym[task] = sym
 	if t.hasPrev && t.prevTask != task {
-		t.pairs[edge{t.prevSym, symbol}]++
+		if p := &t.pairs[t.prevSym*t.stride+sym]; !*p {
+			*p = true
+			t.pairCount++
+		}
 	}
-	t.prevTask, t.prevSym, t.hasPrev = task, symbol, true
+	t.prevTask, t.prevSym, t.hasPrev = task, sym, true
+}
+
+// transitionCount returns how often the transition (from, to) was
+// observed.
+func (t *Tracker) transitionCount(from, to string) int {
+	f, s := t.lookup(from), t.lookup(to)
+	if f < 0 || s < 0 {
+		return 0
+	}
+	return t.transitions[f*t.stride+s]
 }
 
 // Commands returns the number of observed commands.
 func (t *Tracker) Commands() int { return t.commands }
 
 // ServiceCount returns how many times a service symbol was issued.
-func (t *Tracker) ServiceCount(symbol string) int { return t.services[symbol] }
+func (t *Tracker) ServiceCount(symbol string) int {
+	if id := t.lookup(symbol); id >= 0 {
+		return t.services[id]
+	}
+	return 0
+}
 
 // ServiceCoverage returns the fraction of the alphabet that was invoked
 // at least once.
@@ -109,7 +170,7 @@ func (t *Tracker) ServiceCoverage(alphabet []string) float64 {
 	}
 	hit := 0
 	for _, s := range alphabet {
-		if t.services[s] > 0 {
+		if t.ServiceCount(s) > 0 {
 			hit++
 		}
 	}
@@ -138,7 +199,7 @@ func (t *Tracker) TransitionCoverage(p *pfa.PFA) float64 {
 				continue
 			}
 			edges = append(edges, e)
-			if t.transitions[e] > 0 {
+			if t.transitionCount(e.from, e.to) > 0 {
 				hit++
 			}
 		}
@@ -151,7 +212,7 @@ func (t *Tracker) TransitionCoverage(p *pfa.PFA) float64 {
 
 // PairCount returns the number of distinct cross-task adjacent service
 // pairs observed — a proxy for interleaving coverage.
-func (t *Tracker) PairCount() int { return len(t.pairs) }
+func (t *Tracker) PairCount() int { return t.pairCount }
 
 // Summary is a compact coverage result for reports.
 type Summary struct {
@@ -186,8 +247,12 @@ func (t *Tracker) TopTransitions(n int) []string {
 		v int
 	}
 	var all []kv
-	for e, v := range t.transitions {
-		all = append(all, kv{e.String(), v})
+	for from := range t.syms {
+		for to := range t.syms {
+			if v := t.transitions[from*t.stride+to]; v > 0 {
+				all = append(all, kv{edge{t.syms[from], t.syms[to]}.String(), v})
+			}
+		}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].v != all[j].v {

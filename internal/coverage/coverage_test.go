@@ -77,10 +77,10 @@ func TestPerTaskTransitionTracking(t *testing.T) {
 	tr.Observe(1, "TC")
 	tr.Observe(1, "TS")
 	tr.Observe(0, "TD")
-	if tr.transitions[edge{"TC", "TD"}] != 1 {
-		t.Fatalf("transitions %v", tr.transitions)
+	if tr.transitionCount("TC", "TD") != 1 {
+		t.Fatalf("transitions %v", tr.TopTransitions(100))
 	}
-	if tr.transitions[edge{"TS", "TD"}] != 0 {
+	if tr.transitionCount("TS", "TD") != 0 {
 		t.Fatal("cross-task chaining")
 	}
 }

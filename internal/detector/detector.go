@@ -8,7 +8,6 @@ package detector
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 
 	"repro/internal/clock"
@@ -93,22 +92,29 @@ type Detector struct {
 
 	lastTotalProgress uint64
 	lastProgressAt    clock.Cycles
-	perTaskProgress   map[pcore.TaskID]uint64
-	perTaskStampedAt  map[pcore.TaskID]clock.Cycles
-	steps             int
+	perTask           []taskMark           // by task id
+	untilCheck        int                  // steps left until the next periodic check
 	recordsChecked    uint64               // journal entries already consistency-checked
 	tasks             []pcore.TaskProgress // progressCheck's reused buffer
+	owners, walked    []pcore.TaskID       // the deadlock check's arrays, by task id
+}
+
+// taskMark is the progress a task slot last showed and when it rose.
+type taskMark struct {
+	seen      bool
+	progress  uint64
+	stampedAt clock.Cycles
 }
 
 // New creates a detector for the platform; journal may be nil.
 func New(p *platform.Platform, journal *recording.Journal, opts Options) *Detector {
-	return &Detector{
-		p:                p,
-		journal:          journal,
-		opts:             opts.withDefaults(),
-		perTaskProgress:  map[pcore.TaskID]uint64{},
-		perTaskStampedAt: map[pcore.TaskID]clock.Cycles{},
-	}
+	d := &Detector{p: p, journal: journal, opts: opts.withDefaults()}
+	d.untilCheck = d.opts.CheckEvery
+	// Every array indexed by task id spans the kernel's TCB table.
+	d.owners = p.Slave.WaitOwners(nil)
+	d.walked = make([]pcore.TaskID, len(d.owners))
+	d.perTask = make([]taskMark, len(d.owners))
+	return d
 }
 
 func (d *Detector) report(kind BugKind, detail string) *Report {
@@ -138,7 +144,8 @@ func (d *Detector) Check() *Report {
 			fmt.Sprintf("master thread %d panicked: %s", p.Thread, p.Detail))
 	}
 	// 3. Deadlock: cycle in the wait-for graph.
-	if cycle := FindCycle(d.p.Slave.WaitForGraph()); len(cycle) > 0 {
+	d.owners = d.p.Slave.WaitOwners(d.owners)
+	if cycle := waitCycle(d.owners, d.walked); len(cycle) > 0 {
 		r := d.report(BugDeadlock, describeCycle(d.p.Slave, cycle))
 		r.Cycle = cycle
 		return r
@@ -202,10 +209,10 @@ func (d *Detector) progressCheck() *Report {
 	var total uint64
 	for _, ts := range d.tasks {
 		total += ts.Progress
-		prev, seen := d.perTaskProgress[ts.ID]
-		if !seen || ts.Progress > prev {
-			d.perTaskProgress[ts.ID] = ts.Progress
-			d.perTaskStampedAt[ts.ID] = now
+		// A slot keeps its mark across task incarnations: a new task
+		// counts as progressing once it passes the last one's count.
+		if m := &d.perTask[ts.ID]; !m.seen || ts.Progress > m.progress {
+			*m = taskMark{seen: true, progress: ts.Progress, stampedAt: now}
 		}
 	}
 	if total > d.lastTotalProgress || d.lastProgressAt == 0 {
@@ -225,7 +232,7 @@ func (d *Detector) progressCheck() *Report {
 		if ts.State != pcore.StateReady && ts.State != pcore.StateBlocked && ts.State != pcore.StateRunning {
 			continue // suspended tasks are intentionally stopped
 		}
-		stamped := d.perTaskStampedAt[ts.ID]
+		stamped := d.perTask[ts.ID].stampedAt
 		if now-stamped > window && d.lastProgressAt > stamped {
 			return d.report(BugStarvation,
 				fmt.Sprintf("task %d (%s, %s) made no progress for %d cycles while others advanced",
@@ -254,8 +261,12 @@ func (d *Detector) Run(maxSteps int) *Report {
 func (d *Detector) RunUntil(maxSteps int, done func() bool) *Report {
 	var found *Report
 	stopped := d.p.Run(maxSteps, func(alive bool) bool {
-		d.steps++
-		if d.steps%d.opts.CheckEvery == 0 || !alive {
+		d.untilCheck--
+		due := d.untilCheck == 0
+		if due {
+			d.untilCheck = d.opts.CheckEvery
+		}
+		if due || !alive {
 			// The simulator switches tasks by coroutine, so this loop
 			// never enters the Go scheduler on its own, whichever stack
 			// runs it. Without a scheduling point the fractional GC mark
@@ -280,57 +291,36 @@ func (d *Detector) RunUntil(maxSteps int, done func() bool) *Report {
 	return d.Check()
 }
 
-// FindCycle finds a cycle in a wait-for graph and returns it as a task
-// sequence (first element repeated implicitly), or nil. Deterministic:
-// nodes are explored in ascending id order.
-func FindCycle(g map[pcore.TaskID][]pcore.TaskID) []pcore.TaskID {
-	if len(g) == 0 {
-		return nil // the common case, checked every interval
-	}
-	nodes := make([]pcore.TaskID, 0, len(g))
-	for n := range g {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[pcore.TaskID]int{}
-	var stack []pcore.TaskID
-	var cycle []pcore.TaskID
-
-	var dfs func(n pcore.TaskID) bool
-	dfs = func(n pcore.TaskID) bool {
-		color[n] = gray
-		stack = append(stack, n)
-		for _, m := range g[n] {
-			switch color[m] {
-			case gray:
-				// Found: extract the cycle from the stack.
-				for i := len(stack) - 1; i >= 0; i-- {
-					if stack[i] == m {
-						cycle = append([]pcore.TaskID{}, stack[i:]...)
-						return true
-					}
-				}
-				cycle = []pcore.TaskID{m, n}
-				return true
-			case white:
-				if dfs(m) {
-					return true
-				}
-			}
+// waitCycle finds a cycle in the wait-for graph owner describes, where
+// task id waits on task owner[id] and InvalidTask means it waits on
+// nobody. It returns the cycle as a task sequence (first element
+// repeated implicitly), or nil; walked is scratch space as long as
+// owner. A blocked task waits on one mutex, so every task has at most
+// one edge and the graph is a set of chains: the walk follows them from
+// each task in ascending id order, and returns the same cycle, from the
+// same first task, as a depth-first search that visits nodes in that
+// order.
+func waitCycle(owner, walked []pcore.TaskID) []pcore.TaskID {
+	clear(walked)
+	for first := range owner {
+		start := pcore.TaskID(first)
+		if owner[start] == pcore.InvalidTask || walked[start] != pcore.InvalidTask {
+			continue
 		}
-		stack = stack[:len(stack)-1]
-		color[n] = black
-		return false
-	}
-	for _, n := range nodes {
-		if color[n] == white && dfs(n) {
-			return cycle
+		for id := start; ; {
+			walked[id] = start
+			next := owner[id]
+			if next == pcore.InvalidTask || (walked[next] != pcore.InvalidTask && walked[next] != start) {
+				break // the chain ends, or joins one already walked
+			}
+			if walked[next] == start {
+				cycle := []pcore.TaskID{next}
+				for t := owner[next]; t != next; t = owner[t] {
+					cycle = append(cycle, t)
+				}
+				return cycle
+			}
+			id = next
 		}
 	}
 	return nil

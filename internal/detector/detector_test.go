@@ -346,3 +346,41 @@ func TestFindCycle(t *testing.T) {
 		t.Fatalf("nondeterministic start %v", c1)
 	}
 }
+
+// TestCheckDoesNotAllocate pins the periodic check's cost while the
+// wait-for graph has an edge: a task blocked on a mutex whose owner
+// runs. The check walks the graph in the detector's own arrays, so it
+// allocates nothing; building the graph as a map and searching it
+// allocated at every check that found a blocked task.
+func TestCheckDoesNotAllocate(t *testing.T) {
+	p := newP(t, platform.Config{Factory: spinFactory})
+	m := pcore.NewMutex("m")
+	holder, err := p.Slave.CreateTask("holder", 5, func(c *pcore.Ctx) {
+		c.Lock(m)
+		for {
+			c.Yield()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiter, err := p.Slave.CreateTask("waiter", 5, func(c *pcore.Ctx) { c.Lock(m) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := recording.NewJournal(0)
+	j.Append(1, 0, recording.Record{QM: "issue:TC", QS: "ready", TP: []string{"TC"}, SN: 1})
+	d := New(p, j, Options{})
+	for i := 0; i < 8; i++ {
+		p.Step()
+	}
+	if info, _ := p.Slave.TaskInfo(waiter); info.State != pcore.StateBlocked || m.Owner() != holder {
+		t.Fatalf("waiter %v, mutex owner %d; want blocked on task %d", info.State, m.Owner(), holder)
+	}
+	if r := d.Check(); r != nil {
+		t.Fatalf("check reported %v", r)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = d.Check() }); allocs != 0 {
+		t.Fatalf("Check makes %.1f allocations with a task blocked on a running owner, want 0", allocs)
+	}
+}

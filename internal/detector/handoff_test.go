@@ -274,7 +274,7 @@ func (sc equivalenceScenario) drive(t *testing.T, loop bool) runOutcome {
 		out.events = append(out.events, fmt.Sprintf("master %d %d %s", e.At, e.Thread, e.What))
 	})
 	j := recording.NewJournal(0)
-	cmt := committer.New(p.Client, merged, nil, j, p.Now)
+	cmt := committer.New(p.Client, merged, merged.PerTask(), nil, j, p.Now)
 	p.Master.Spawn("committer", cmt.ThreadBody)
 	d := New(p, j, Options{})
 	settle := 0

@@ -4,7 +4,10 @@
 // are precise at kernel-event granularity).
 package interrupt
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Line identifies an interrupt line on one controller.
 type Line int
@@ -93,15 +96,24 @@ func (c *Controller) Masked(l Line) bool {
 // pending — the owning kernel polls them explicitly.
 func (c *Controller) Dispatch() int {
 	n := 0
-	for l := Line(0); l < NumLines; l++ {
-		bit := uint32(1) << uint(l)
-		if c.pending&bit == 0 || c.masked&bit != 0 || c.handlers[l] == nil {
+	// Jump from one pending unmasked line to the next, re-reading the
+	// lines after each handler: a line raised by a handler is served in
+	// this pass when it comes later in line order, in the next otherwise.
+	for next := 0; next < NumLines; {
+		live := (c.pending &^ c.masked) >> next
+		if live == 0 {
+			break
+		}
+		l := next + bits.TrailingZeros32(live)
+		next = l + 1
+		h := c.handlers[l]
+		if h == nil {
 			continue
 		}
-		c.pending &^= bit
+		c.pending &^= 1 << uint(l)
 		c.dispatched++
 		n++
-		c.handlers[l]()
+		h()
 	}
 	return n
 }

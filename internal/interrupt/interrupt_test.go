@@ -94,6 +94,39 @@ func TestHandlerMayReRaise(t *testing.T) {
 	}
 }
 
+// TestHandlerChangesLaterLines pins what a pass sees of a handler's
+// changes: a line raised after the running one is served in the same
+// pass, an earlier one waits for the next, and a later line masked by
+// the handler is not served.
+func TestHandlerChangesLaterLines(t *testing.T) {
+	c := New("t")
+	var order []Line
+	for l := Line(0); l < NumLines; l++ {
+		l := l
+		c.Handle(l, func() {
+			order = append(order, l)
+			if l == 2 {
+				c.Raise(1)
+				c.Raise(5)
+				c.Mask(6)
+			}
+		})
+	}
+	c.Raise(2)
+	c.Raise(6)
+	c.Raise(7)
+	if n := c.Dispatch(); n != 3 || len(order) != 3 || order[0] != 2 || order[1] != 5 || order[2] != 7 {
+		t.Fatalf("first pass ran %d handlers in order %v, want 2, 5, 7", n, order)
+	}
+	if !c.Pending(1) || !c.Pending(6) {
+		t.Fatalf("pending lines 1=%v 6=%v, want both still pending", c.Pending(1), c.Pending(6))
+	}
+	order = nil
+	if n := c.Dispatch(); n != 1 || len(order) != 1 || order[0] != 1 {
+		t.Fatalf("second pass ran %d handlers in order %v, want 1", n, order)
+	}
+}
+
 func TestUnhandledLineStaysPending(t *testing.T) {
 	c := New("t")
 	c.Raise(5)

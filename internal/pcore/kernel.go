@@ -2,6 +2,7 @@ package pcore
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/clock"
 )
@@ -79,8 +80,8 @@ type Kernel struct {
 
 	onEvent func(Event)
 
-	svcCalls    map[Service]uint64
-	svcCycles   map[Service]clock.Cycles
+	svcCalls    [len(tableI)]uint64 // by Table I index
+	svcCycles   [len(tableI)]clock.Cycles
 	ctxSwitches uint64
 }
 
@@ -93,8 +94,6 @@ func New(cfg Config) *Kernel {
 		tasks:     make([]*Task, cfg.MaxTasks+1),
 		tcbPool:   NewPool("tcb", cfg.MaxTasks),
 		stackPool: NewPool("stack", cfg.MaxTasks),
-		svcCalls:  make(map[Service]uint64),
-		svcCycles: make(map[Service]clock.Cycles),
 	}
 	return k
 }
@@ -179,22 +178,17 @@ func (k *Kernel) pickNext() *Task {
 	if k.readyMask == 0 {
 		return nil
 	}
-	for p := 0; p < NumPriorities; p++ {
-		if k.readyMask&(1<<uint(p)) == 0 {
-			continue
-		}
-		// Shift in place so the queue keeps its front capacity;
-		// reslicing q[1:] would lose a slot per pop.
-		q := k.ready[p]
-		id := q[0]
-		copy(q, q[1:])
-		k.ready[p] = q[:len(q)-1]
-		if len(k.ready[p]) == 0 {
-			k.readyMask &^= 1 << uint(p)
-		}
-		return k.tasks[id]
+	p := bits.TrailingZeros32(k.readyMask)
+	// Shift in place so the queue keeps its front capacity; reslicing
+	// q[1:] would lose a slot per pop.
+	q := k.ready[p]
+	id := q[0]
+	copy(q, q[1:])
+	k.ready[p] = q[:len(q)-1]
+	if len(k.ready[p]) == 0 {
+		k.readyMask &^= 1 << uint(p)
 	}
-	return nil
+	return k.tasks[id]
 }
 
 // ReadyCount returns the number of ready tasks.
@@ -262,7 +256,7 @@ func (k *Kernel) Resume() { k.current.resume() }
 func (k *Kernel) Complete() clock.Cycles {
 	t := k.current
 	t.syscalls++
-	cost := k.stepCost + k.handle(k.curReq)
+	cost := k.stepCost + k.handle(&k.curReq)
 	k.current = nil
 	k.cycles += cost
 	return cost
@@ -293,7 +287,10 @@ func (k *Kernel) RunUntilIdle(maxSteps int) int {
 
 // handle processes one task request and returns its cycle cost. On
 // return the requesting task is in a well-defined non-running state.
-func (k *Kernel) handle(req request) clock.Cycles {
+// req is the kernel's request slot, which a killed body overwrites with
+// its final request as it unwinds: read what a case needs from req
+// before it kills a task.
+func (k *Kernel) handle(req *request) clock.Cycles {
 	t := req.task
 	t.syscallErr = nil
 	switch req.kind {

@@ -672,11 +672,11 @@ func TestWaitForGraphDeadlockCycle(t *testing.T) {
 	if k.Crashed() {
 		t.Fatalf("crashed: %v", k.Fault())
 	}
-	g := k.WaitForGraph()
-	if len(g[a]) != 1 || g[a][0] != b {
+	g := k.WaitOwners(nil)
+	if g[a] != b {
 		t.Fatalf("graph %v", g)
 	}
-	if len(g[b]) != 1 || g[b][0] != a {
+	if g[b] != a {
 		t.Fatalf("graph %v", g)
 	}
 	// Both blocked, nothing ready: the kernel is idle (hung).

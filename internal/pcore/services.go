@@ -3,6 +3,7 @@ package pcore
 import (
 	"fmt"
 	"iter"
+	"slices"
 
 	"repro/internal/clock"
 )
@@ -12,11 +13,12 @@ import (
 // thread in Linux". The committee dispatches incoming remote commands to
 // these methods.
 
-func (k *Kernel) meter(s Service, cost clock.Cycles) {
-	k.svcCalls[s]++
-	k.svcCycles[s] += cost
+// meter charges one call of the service with Table I index i.
+func (k *Kernel) meter(i int, cost clock.Cycles) {
+	k.svcCalls[i]++
+	k.svcCycles[i] += cost
 	k.cycles += cost
-	k.emit(Event{Kind: EvService, Service: s})
+	k.emit(Event{Kind: EvService, Service: tableI[i]})
 	k.maybeGC()
 }
 
@@ -103,7 +105,7 @@ func (k *Kernel) CreateTask(name string, prio Priority, entry func(*Ctx)) (TaskI
 	t.resume, _ = iter.Pull(t.trampoline) // the body first runs at its first dispatch
 	k.tasks[slot] = t
 	k.enqueueBack(t)
-	k.meter(SvcTaskCreate, CostTaskCreate)
+	k.meter(idxTC, CostTaskCreate)
 	return slot, nil
 }
 
@@ -124,7 +126,7 @@ func (k *Kernel) DeleteTask(id TaskID) error {
 	if k.fault != nil {
 		return k.fault
 	}
-	k.meter(SvcTaskDelete, CostTaskDelete)
+	k.meter(idxTD, CostTaskDelete)
 	return nil
 }
 
@@ -166,7 +168,7 @@ func (k *Kernel) SuspendTask(id TaskID) error {
 	}
 	t.state = StateSuspended
 	k.emit(Event{Task: id, Kind: EvBlock, Detail: "suspended"})
-	k.meter(SvcTaskSuspend, CostTaskSuspend)
+	k.meter(idxTS, CostTaskSuspend)
 	return nil
 }
 
@@ -188,12 +190,12 @@ func (k *Kernel) ResumeTask(id TaskID) error {
 	k.fstate.resumeCalls++
 	if k.plan.DropResumeEvery > 0 && k.fstate.resumeCalls%k.plan.DropResumeEvery == 0 {
 		// Lost wakeup: report success, change nothing.
-		k.meter(SvcTaskResume, CostTaskResume)
+		k.meter(idxTR, CostTaskResume)
 		return nil
 	}
 	k.enqueueBack(t)
 	k.emit(Event{Task: id, Kind: EvWake, Detail: "resumed"})
-	k.meter(SvcTaskResume, CostTaskResume)
+	k.meter(idxTR, CostTaskResume)
 	return nil
 }
 
@@ -223,7 +225,7 @@ func (k *Kernel) ChangePriority(id TaskID, prio Priority) error {
 	} else {
 		t.prio = applied
 	}
-	k.meter(SvcTaskChanprio, CostTaskChanprio)
+	k.meter(idxTCH, CostTaskChanprio)
 	return nil
 }
 
@@ -243,7 +245,7 @@ func (k *Kernel) TerminateTask(id TaskID) error {
 	if k.fault != nil {
 		return k.fault
 	}
-	k.meter(SvcTaskYield, CostTaskYield)
+	k.meter(idxTY, CostTaskYield)
 	return nil
 }
 
@@ -381,32 +383,28 @@ func (k *Kernel) LiveTasks() []TaskID {
 	return out
 }
 
-// WaitForGraph returns the blocked-on-mutex edges task → current owner,
-// the input to the detector's deadlock (cycle) analysis. Edges to dead
-// owners are excluded: a mutex whose owner was deleted (pCore leaks such
-// locks deliberately) is an orphaned lock, reported separately through
+// WaitOwners fills owner with the wait-for graph the detector's
+// deadlock (cycle) analysis reads, and returns it: resized to the TCB
+// table, owner[id] is the current owner of the mutex task id is blocked
+// on, and InvalidTask for every other slot. Edges to dead owners are
+// excluded: a mutex whose owner was deleted (pCore leaks such locks
+// deliberately) is an orphaned lock, reported separately through
 // OrphanedWaiters — and because TCB slots are reused, a stale owner
 // pointer must be compared by identity, not by id. A blocked task waits
-// on one mutex, so every task has at most one edge. The graph is nil
-// when no task waits on a live owner, which the detector checks every
-// interval.
-func (k *Kernel) WaitForGraph() map[TaskID][]TaskID {
-	var g map[TaskID][]TaskID
-	for id := TaskID(1); int(id) <= k.cfg.MaxTasks; id++ {
-		t := k.tasks[id]
+// on one mutex, so every task has at most one edge. Passing back the
+// previous result fills it without allocating.
+func (k *Kernel) WaitOwners(owner []TaskID) []TaskID {
+	owner = slices.Grow(owner[:0], len(k.tasks))[:len(k.tasks)]
+	for id, t := range k.tasks {
+		owner[id] = InvalidTask
 		if t == nil || t.state != StateBlocked || t.waitMu == nil || t.waitMu.owner == nil {
 			continue
 		}
-		owner := t.waitMu.owner
-		if k.tasks[owner.id] != owner {
-			continue // owner terminated; slot may hold a new incarnation
+		if o := t.waitMu.owner; k.tasks[o.id] == o {
+			owner[id] = o.id
 		}
-		if g == nil {
-			g = map[TaskID][]TaskID{}
-		}
-		g[id] = []TaskID{owner.id}
 	}
-	return g
+	return owner
 }
 
 // OrphanedWaiters returns tasks blocked on mutexes whose owners have
@@ -430,13 +428,13 @@ func (k *Kernel) OrphanedWaiters() []TaskID {
 
 // ServiceStats returns per-service call counts and cumulative cycles.
 func (k *Kernel) ServiceStats() (calls map[Service]uint64, cycles map[Service]clock.Cycles) {
-	calls = make(map[Service]uint64, len(k.svcCalls))
-	cycles = make(map[Service]clock.Cycles, len(k.svcCycles))
-	for s, n := range k.svcCalls {
-		calls[s] = n
-	}
-	for s, c := range k.svcCycles {
-		cycles[s] = c
+	calls = make(map[Service]uint64, len(tableI))
+	cycles = make(map[Service]clock.Cycles, len(tableI))
+	for i, s := range tableI {
+		if k.svcCalls[i] > 0 {
+			calls[s] = k.svcCalls[i]
+			cycles[s] = k.svcCycles[i]
+		}
 	}
 	return calls, cycles
 }

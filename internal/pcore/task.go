@@ -66,6 +66,7 @@ type Task struct {
 	entry func(*Ctx)
 
 	k      *Kernel
+	ctx    Ctx // the entry function's handle on this task
 	resume func() (struct{}, bool)
 	yield  func(struct{}) bool
 
@@ -152,23 +153,31 @@ func (t *Task) body() (final request) {
 	if t.killed {
 		panic(killedSignal{})
 	}
-	t.entry(&Ctx{t: t})
+	t.ctx.t = t
+	t.entry(&t.ctx)
 	return request{kind: reqExit, task: t}
 }
 
-// syscall posts the request to the kernel and suspends the task's
-// coroutine until the kernel resumes it: at its next dispatch, or to
-// unwind it when killed. Under a run loop the task first completes the
-// request itself through the handoff hook, which runs the loop on this
-// stack until the next dispatch; if that dispatch is this task again,
-// the call returns without a coroutine switch.
-func (t *Task) syscall(req request) error {
-	k := t.k
+// post starts a system call: it returns the kernel's request slot,
+// reset to a request of the given kind from this task, for the caller
+// to fill in before calling syscall. A request is built once, in place.
+func (t *Task) post(kind reqKind) *request {
 	if t.killed {
 		// A deferred kernel call while a kill unwinds the body.
 		panic(killedSignal{})
 	}
-	k.curReq = req
+	t.k.curReq = request{kind: kind, task: t}
+	return &t.k.curReq
+}
+
+// syscall hands the posted request to the kernel and suspends the
+// task's coroutine until the kernel resumes it: at its next dispatch,
+// or to unwind it when killed. Under a run loop the task first
+// completes the request itself through the handoff hook, which runs the
+// loop on this stack until the next dispatch; if that dispatch is this
+// task again, the call returns without a coroutine switch.
+func (t *Task) syscall() error {
+	k := t.k
 	if k.handoff != nil {
 		k.onStack = t
 		k.handoff()
@@ -206,7 +215,10 @@ func (c *Ctx) Priority() Priority { return c.t.prio }
 
 // Yield gives up the processor to other ready tasks (the yield() of the
 // paper's Figure 1) without changing state.
-func (c *Ctx) Yield() { _ = c.t.syscall(request{kind: reqYield, task: c.t}) }
+func (c *Ctx) Yield() {
+	c.t.post(reqYield)
+	_ = c.t.syscall()
+}
 
 // Compute charges a burst of virtual cycles of pure computation; it is a
 // preemption point but keeps the task ready.
@@ -214,13 +226,17 @@ func (c *Ctx) Compute(cycles int) {
 	if cycles <= 0 {
 		return
 	}
-	_ = c.t.syscall(request{kind: reqCompute, task: c.t, cycles: clock.Cycles(cycles)})
+	c.t.post(reqCompute).cycles = clock.Cycles(cycles)
+	_ = c.t.syscall()
 }
 
 // Progress marks application-level progress; the bug detector treats a
 // task that keeps scheduling without marking progress as potentially
 // livelocked/starved.
-func (c *Ctx) Progress() { _ = c.t.syscall(request{kind: reqProgress, task: c.t}) }
+func (c *Ctx) Progress() {
+	c.t.post(reqProgress)
+	_ = c.t.syscall()
+}
 
 // Exit terminates the calling task voluntarily. It unwinds the task body
 // and never returns.
@@ -232,19 +248,21 @@ func (c *Ctx) Exit() {
 // task's 512-byte stack; it returns an error only through kernel faulting
 // (overflow crashes the slave, it does not return). Balance with StackPop.
 func (c *Ctx) StackPush(bytes int) {
-	_ = c.t.syscall(request{kind: reqStackPush, task: c.t, bytes: bytes})
+	c.t.post(reqStackPush).bytes = bytes
+	_ = c.t.syscall()
 }
 
 // StackPop models leaving a function frame.
 func (c *Ctx) StackPop(bytes int) {
-	_ = c.t.syscall(request{kind: reqStackPop, task: c.t, bytes: bytes})
+	c.t.post(reqStackPop).bytes = bytes
+	_ = c.t.syscall()
 }
 
 // SemWait blocks until the semaphore has a unit available and consumes it.
 func (c *Ctx) SemWait(s *Sem) {
 	for {
-		err := c.t.syscall(request{kind: reqSemWait, task: c.t, sem: s})
-		if err != errRetry {
+		c.t.post(reqSemWait).sem = s
+		if err := c.t.syscall(); err != errRetry {
 			return
 		}
 	}
@@ -252,14 +270,15 @@ func (c *Ctx) SemWait(s *Sem) {
 
 // SemSignal releases one unit of the semaphore.
 func (c *Ctx) SemSignal(s *Sem) {
-	_ = c.t.syscall(request{kind: reqSemSignal, task: c.t, sem: s})
+	c.t.post(reqSemSignal).sem = s
+	_ = c.t.syscall()
 }
 
 // Lock acquires the mutex, blocking while another task owns it.
 func (c *Ctx) Lock(m *Mutex) {
 	for {
-		err := c.t.syscall(request{kind: reqMutexLock, task: c.t, mu: m})
-		if err != errRetry {
+		c.t.post(reqMutexLock).mu = m
+		if err := c.t.syscall(); err != errRetry {
 			return
 		}
 	}
@@ -269,14 +288,16 @@ func (c *Ctx) Lock(m *Mutex) {
 // a kernel assert (crashes the simulated slave, as on a tiny RTOS with
 // assertions enabled).
 func (c *Ctx) Unlock(m *Mutex) {
-	_ = c.t.syscall(request{kind: reqMutexUnlock, task: c.t, mu: m})
+	c.t.post(reqMutexUnlock).mu = m
+	_ = c.t.syscall()
 }
 
 // QueueSend enqueues a message, blocking while the queue is full.
 func (c *Ctx) QueueSend(q *MsgQueue, msg uint32) {
 	for {
-		err := c.t.syscall(request{kind: reqQueueSend, task: c.t, q: q, msg: msg})
-		if err != errRetry {
+		r := c.t.post(reqQueueSend)
+		r.q, r.msg = q, msg
+		if err := c.t.syscall(); err != errRetry {
 			return
 		}
 	}
@@ -285,8 +306,8 @@ func (c *Ctx) QueueSend(q *MsgQueue, msg uint32) {
 // QueueRecv dequeues a message, blocking while the queue is empty.
 func (c *Ctx) QueueRecv(q *MsgQueue) uint32 {
 	for {
-		err := c.t.syscall(request{kind: reqQueueRecv, task: c.t, q: q})
-		if err != errRetry {
+		c.t.post(reqQueueRecv).q = q
+		if err := c.t.syscall(); err != errRetry {
 			return c.t.recvVal
 		}
 	}

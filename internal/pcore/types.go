@@ -17,6 +17,7 @@ package pcore
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/clock"
 )
@@ -87,11 +88,23 @@ const (
 	SvcTaskYield    Service = "TY"  // task_yield: terminate the running task
 )
 
+// tableI lists the six services in Table I order; a service's index
+// selects its slot in the kernel's meters.
+var tableI = [...]Service{SvcTaskCreate, SvcTaskDelete, SvcTaskSuspend,
+	SvcTaskResume, SvcTaskChanprio, SvcTaskYield}
+
+// Table I indices of the services, in tableI's order.
+const (
+	idxTC = iota
+	idxTD
+	idxTS
+	idxTR
+	idxTCH
+	idxTY
+)
+
 // TableIServices lists the six services in Table I order.
-func TableIServices() []Service {
-	return []Service{SvcTaskCreate, SvcTaskDelete, SvcTaskSuspend,
-		SvcTaskResume, SvcTaskChanprio, SvcTaskYield}
-}
+func TableIServices() []Service { return slices.Clone(tableI[:]) }
 
 // ServiceDescription returns Table I's description column.
 func ServiceDescription(s Service) string {

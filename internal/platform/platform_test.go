@@ -146,7 +146,7 @@ func TestCommitterIssuesMergedPattern(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := recording.NewJournal(0)
-	cmt := committer.New(p.Client, merged, nil, j, p.Now)
+	cmt := committer.New(p.Client, merged, merged.PerTask(), nil, j, p.Now)
 	p.Master.Spawn("committer", cmt.ThreadBody)
 	p.RunUntilQuiescent(50000)
 	if !cmt.Finished {
@@ -187,7 +187,7 @@ func TestSlaveCrashLeavesCommitterParked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmt := committer.New(p.Client, merged, nil, nil, p.Now)
+	cmt := committer.New(p.Client, merged, merged.PerTask(), nil, nil, p.Now)
 	id := p.Master.Spawn("committer", cmt.ThreadBody)
 	p.RunUntilQuiescent(200000)
 	if !p.Slave.Crashed() {
@@ -215,7 +215,7 @@ func TestPlatformDeterminism(t *testing.T) {
 		sources := [][]string{{"TC", "TS", "TR", "TD"}, {"TC", "TCH", "TY"}}
 		merged, _ := pattern.Merge(sources, pattern.OpRoundRobin, nil, pattern.Options{})
 		j := recording.NewJournal(0)
-		cmt := committer.New(p.Client, merged, nil, j, p.Now)
+		cmt := committer.New(p.Client, merged, merged.PerTask(), nil, j, p.Now)
 		p.Master.Spawn("committer", cmt.ThreadBody)
 		p.RunUntilQuiescent(50000)
 		return uint64(p.Now()), j.Len(), j.Dump()

@@ -43,7 +43,7 @@ func TestCollectorThroughPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmt := committer.New(plat.Client, merged, nil, recording.NewJournal(0), plat.Now)
+	cmt := committer.New(plat.Client, merged, merged.PerTask(), nil, recording.NewJournal(0), plat.Now)
 	plat.Master.Spawn("driver", cmt.ThreadBody)
 	plat.RunUntilQuiescent(2_000_000)
 	if !cmt.Finished {

@@ -1,6 +1,7 @@
 package recording
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -269,5 +270,72 @@ func TestJournalJSONAndDump(t *testing.T) {
 	dump := j.Dump()
 	if !strings.Contains(dump, "(m1, ready, TC->TD, 1, TD)") {
 		t.Fatalf("dump %q", dump)
+	}
+}
+
+// TestJournalKeepsRecordsExactly checks that the compact store gives
+// back every record exactly as appended, whether its δS is the
+// Remaining(TP, SN) the committer writes or anything else, and whatever
+// its task and SN, and that views taken along the way stay frozen
+// across chunk boundaries and evictions.
+func TestJournalKeepsRecordsExactly(t *testing.T) {
+	tp := []string{"TC", "TS", "TR", "TD"}
+	record := func(i int) (int, Record) {
+		sn := i % 6
+		r := Record{QM: "issue:" + tp[i%len(tp)], QS: "ready", TP: tp, SN: sn, Sub: Remaining(tp, sn)}
+		task := i % 3
+		switch i % 7 {
+		case 1:
+			r.Sub = nil // δS left out
+		case 2:
+			r.Sub = []string{"TD"} // a δS that does not follow TP
+		case 3:
+			r.Sub = []string{} // empty but not nil
+		case 4:
+			r.SN = 1 << 40 // past 32 bits
+		case 5:
+			task = -1 << 35
+		}
+		return task, r
+	}
+	for _, limit := range []int{0, 5, 2*chunkLen + 3} {
+		j := NewJournal(limit)
+		var model []Entry
+		type frozen struct {
+			v    View
+			want []Entry
+		}
+		var views []frozen
+		for i := 1; i <= 4*chunkLen+5; i++ {
+			task, r := record(i)
+			j.Append(uint64(10*i), task, r)
+			model = append(model, Entry{Seq: uint64(i), At: uint64(10 * i), Task: task, Record: r})
+			if limit > 0 && len(model) > limit {
+				model = model[1:]
+			}
+			if got := j.Entries(); !reflect.DeepEqual(got, model) {
+				t.Fatalf("limit %d, append %d: entries\n%v\nwant\n%v", limit, i, got, model)
+			}
+			views = append(views, frozen{j.View(), slices.Clone(model)})
+		}
+		for k, f := range views {
+			if got := slices.Collect(f.v.Since(0)); !reflect.DeepEqual(got, f.want) {
+				t.Fatalf("limit %d: view %d changed to\n%v\nwant\n%v", limit, k, got, f.want)
+			}
+		}
+		got, err := json.Marshal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("limit %d: JSON %s, want %s", limit, got, want)
+		}
+	}
+	if got, err := json.Marshal(NewJournal(0)); err != nil || string(got) != "null" {
+		t.Fatalf("empty journal encodes as %s, %v; want null", got, err)
 	}
 }

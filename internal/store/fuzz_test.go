@@ -69,7 +69,8 @@ func FuzzSegmentReplay(f *testing.F) {
 	// TestMixedV1V2RecordsReplayFromOneSegment, the last three bytes
 	// TestTornV2TailTruncatedOnReopen cuts, the half record
 	// TestTornTailAtSegmentRotationBoundary leaves, a CRC mismatch, a
-	// length past MaxRecordBytes, and a tail that re-puts key 0.
+	// length past MaxRecordBytes, a tail that re-puts key 0, and the
+	// 60 MiB claim of TestTornHugeClaimAllocatesNothingOnOpen.
 	torn := v2Record(f, 2)
 	flipped := v1Record(f, 1)
 	flipped[len(flipped)-2] ^= 0xff
@@ -80,6 +81,7 @@ func FuzzSegmentReplay(f *testing.F) {
 	f.Add(uint8(1), uint8(1), flipped)
 	f.Add(uint8(1), uint8(0), []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Add(uint8(2), uint8(0), v2Record(f, 0))
+	f.Add(uint8(0), uint8(0), hugeClaimSegment())
 
 	f.Fuzz(func(t *testing.T, n, v1mask uint8, tail []byte) {
 		n %= 5

@@ -366,6 +366,11 @@ func (s *Store) replaySegment(id int, isLast bool) error {
 // transient read error comes back as err — callers must not truncate
 // on it.
 func walkRecords(f *os.File, visit func(key string, payloadOff int64, payloadLen int, meta recMeta)) (off int64, clean bool, err error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, false, err
+	}
+	size := st.Size()
 	hdr := make([]byte, recordHeaderLen)
 	for {
 		if n, err := f.ReadAt(hdr, off); err != nil {
@@ -381,6 +386,11 @@ func walkRecords(f *os.File, visit func(key string, payloadOff int64, payloadLen
 		want := binary.LittleEndian.Uint32(hdr[4:8])
 		if n > MaxRecordBytes {
 			return off, false, nil // corrupt length field — don't allocate gigabytes
+		}
+		if int64(n) > size-off-recordHeaderLen {
+			// Torn payload: the segment ends inside it. Checked before
+			// allocating, so a corrupt length costs nothing either.
+			return off, false, nil
 		}
 		payload := make([]byte, n)
 		if _, err := f.ReadAt(payload, off+recordHeaderLen); err != nil {

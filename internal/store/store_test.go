@@ -1,10 +1,12 @@
 package store
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -191,6 +193,41 @@ func TestTornTailRecordIsTruncatedOnOpen(t *testing.T) {
 	defer s3.Close()
 	if _, ok := s3.Get(key(9)); !ok {
 		t.Fatal("append after torn-tail recovery lost")
+	}
+}
+
+// hugeClaimSegment is a 9-byte segment whose one record header claims
+// a 60 MiB payload: a corrupt length field, or the first bytes of a
+// large record torn by a crash.
+func hugeClaimSegment() []byte {
+	seg := make([]byte, recordHeaderLen+1)
+	binary.LittleEndian.PutUint32(seg[0:4], 60<<20)
+	return seg
+}
+
+// TestTornHugeClaimAllocatesNothingOnOpen pins that replay checks a
+// record's claimed length against what the segment holds before it
+// allocates the payload: Open treats the claim as a torn tail, allocates
+// well under a MiB doing so, and truncates the segment to 0 bytes.
+func TestTornHugeClaimAllocatesNothingOnOpen(t *testing.T) {
+	dir := t.TempDir()
+	path := segFile(dir, 1)
+	if err := os.WriteFile(path, hugeClaimSegment(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := Open(Config{Dir: dir})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("torn tail must not fail open: %v", err)
+	}
+	defer s.Close()
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("Open allocated %d bytes for a 9-byte segment, want under 1 MiB", n)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != 0 {
+		t.Fatalf("segment after Open: %v, %v; want truncated to 0 bytes", st, err)
 	}
 }
 

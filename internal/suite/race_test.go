@@ -1,0 +1,5 @@
+//go:build race
+
+package suite
+
+const raceEnabled = true
