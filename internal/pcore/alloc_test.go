@@ -67,3 +67,27 @@ func TestReadyQueueCycleDoesNotAllocate(t *testing.T) {
 		t.Fatal("queue not empty after popping every task")
 	}
 }
+
+var errSink error
+
+// TestRefusedServiceAllocatesOnce pins a refusal's cost: the committee
+// reads only the error's type, so a refused service builds the
+// *ServiceError and no text.
+func TestRefusedServiceAllocatesOnce(t *testing.T) {
+	k := newK(t, Config{})
+	id, err := k.CreateTask("ready", 5, func(c *Ctx) {
+		for {
+			c.Yield()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() { errSink = k.ResumeTask(id) })
+	if _, ok := errSink.(*ServiceError); !ok {
+		t.Fatalf("ResumeTask of a ready task returned %v, want a *ServiceError", errSink)
+	}
+	if allocs > 1 {
+		t.Fatalf("a refused ResumeTask makes %.1f allocations, want at most 1", allocs)
+	}
+}

@@ -12,3 +12,6 @@ func CountResumes(k *Kernel, id TaskID) *int {
 	}
 	return n
 }
+
+// ParkedCoroutines returns how many coroutines k holds for reuse.
+func ParkedCoroutines(k *Kernel) int { return len(k.parked) }

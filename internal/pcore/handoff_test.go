@@ -61,6 +61,7 @@ func TestTaskEndingsUnderRunLoop(t *testing.T) {
 			events := pcore.RecordEvents(p.Slave)
 			tc.Run(t, p.Slave, loopDriver(p))
 			tc.Check(t, p.Slave, *events)
+			p.Shutdown()
 			pcore.SettleGoroutines(t, before)
 		})
 	}
@@ -116,6 +117,10 @@ func TestCommitteeDeletesTaskRunningTheLoop(t *testing.T) {
 		if served, errs := p.Committee.Stats(); served != 2 || errs != 0 {
 			t.Errorf("committee served %d commands with %d errors, want TC and TD", served, errs)
 		}
+		if n := pcore.ParkedCoroutines(p.Slave); n != 1 {
+			t.Errorf("%d coroutines parked after TD, want the deleted task's", n)
+		}
+		p.Shutdown()
 		pcore.SettleGoroutines(t, before)
 		return *events
 	}

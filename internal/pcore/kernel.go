@@ -70,10 +70,14 @@ type Kernel struct {
 	// handoff, set while a run loop drives the kernel, completes a step
 	// on the stack of the task that posted the request (see SetHandoff);
 	// onStack is that task while the hook runs. A panic that unwinds the
-	// hook leaves onStack set, which tells the task's trampoline that
-	// the panic is the host's.
+	// hook leaves onStack set, which tells the task's body that the
+	// panic is the host's.
 	handoff func()
 	onStack *Task
+
+	// parked holds the coroutines of ended tasks, each suspended until
+	// CreateTask lends it to a new task.
+	parked []*coroutine
 
 	fstate   faultState
 	svcCount int
@@ -85,7 +89,9 @@ type Kernel struct {
 	ctxSwitches uint64
 }
 
-// New boots a kernel with the given configuration.
+// New boots a kernel with the given configuration. The kernel keeps the
+// coroutines of ended tasks for reuse until Shutdown ends them, so call
+// Shutdown once the kernel is no longer needed.
 func New(cfg Config) *Kernel {
 	cfg = cfg.withDefaults()
 	k := &Kernel{
@@ -444,7 +450,8 @@ func (k *Kernel) neighborOf(t *Task) *Task {
 
 // cleanupLocked terminates a task whose body has already ended (it just
 // posted its final request): releases its pool blocks and clears its
-// slot. Its coroutine is finished and is never resumed again.
+// slot. The task is never resumed again; its coroutine parks for the
+// next task.
 func (k *Kernel) cleanupLocked(t *Task, why string) {
 	k.releaseTask(t, why)
 }
@@ -489,10 +496,11 @@ func (k *Kernel) releaseTask(t *Task, why string) {
 
 // killParked terminates a task whose coroutine is suspended — not yet
 // started, or inside a kernel call: resuming it with killed set makes
-// the body unwind to the trampoline, which posts reqKilledAck and ends
-// the coroutine, and the kernel reclaims the slot. The task whose stack
-// runs the handoff hook cannot be resumed from its own stack: it is
-// released at once, and it unwinds when the hook returns to it.
+// the body unwind to the coroutine's loop, which posts reqKilledAck and
+// parks the coroutine (on a faulted kernel, ends it), and the kernel
+// reclaims the slot. The task whose stack runs the handoff hook cannot
+// be resumed from its own stack: it is released at once, and it unwinds
+// when the hook returns to it.
 func (k *Kernel) killParked(t *Task, why string) {
 	t.killed = true
 	if t != k.onStack {

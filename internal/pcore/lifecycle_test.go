@@ -4,22 +4,24 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
 
 // SettleGoroutines fails the test if runtime.NumGoroutine stays above
-// want, the count read before the task was created. A task's coroutine
-// ends inside the call that ends the task, so the count is back at once.
-// It may end below want: the goroutine the testing package ran an
-// earlier test or subtest on can still be on its way out when want is
-// read. A body that outlives its task keeps the count above want.
+// want, the count read before the kernel was made. A task's coroutine
+// outlives the task, parked for the kernel's next one, and ends inside
+// Kernel.Shutdown, so after Shutdown the count is back at once. It may
+// end below want: the goroutine the testing package ran an earlier test
+// or subtest on can still be on its way out when want is read. A
+// coroutine that outlives its kernel keeps the count above want.
 func SettleGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > want {
 		if time.Now().After(deadline) {
-			t.Fatalf("NumGoroutine = %d, want at most %d: a task's body outlived the task", runtime.NumGoroutine(), want)
+			t.Fatalf("NumGoroutine = %d, want at most %d: a coroutine outlived its kernel", runtime.NumGoroutine(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -210,6 +212,18 @@ func TaskEndings() []TaskEnding {
 			events: []string{"service 0 TC", "service 0 TC", "dispatch 1", "block 1 sem s",
 				"exit 1 shutdown", "exit 2 shutdown"},
 		},
+		{
+			// Under the run loop the shutdown runs on the stack of the
+			// body that has just ended, before its coroutine parks.
+			Name: "Kernel.Shutdown as the body ends",
+			Run: func(t *testing.T, k *Kernel, drive Driver) {
+				mustCreate(t, k, "t", yieldThen(func(*Ctx) {}))
+				drive(2, k.Shutdown)
+			},
+			req:    reqExit,
+			fault:  "shutdown",
+			events: []string{"service 0 TC", "dispatch 1", "dispatch 1", "exit 1 exit"},
+		},
 	}
 }
 
@@ -231,7 +245,9 @@ func RecordEvents(k *Kernel) *[]string {
 }
 
 // Check compares what k shows after the ending with the case: the last
-// request, the fault, the event trail, and no live task left.
+// request, the fault, the event trail, no live task left, and the
+// coroutine of every task that ended parked for reuse (none once the
+// kernel is shut down, at most that many once it has crashed).
 func (tc TaskEnding) Check(t *testing.T, k *Kernel, events []string) {
 	t.Helper()
 	if k.curReq.kind != tc.req {
@@ -249,11 +265,33 @@ func (tc TaskEnding) Check(t *testing.T, k *Kernel, events []string) {
 	if live := k.LiveTasks(); len(live) != 0 {
 		t.Errorf("live tasks %v after the ending", live)
 	}
+	ended := 0
+	for _, e := range events {
+		if strings.HasPrefix(e, "exit ") {
+			ended++
+		}
+	}
+	// A body that ends once the kernel has faulted returns instead of
+	// parking, and Shutdown stops the parked ones. Under the run loop the
+	// body whose final request crashes the kernel sees the fault on its
+	// own stack; stepped by hand it parks before the kernel handles that
+	// request.
+	switch n, f := len(k.parked), k.Fault(); {
+	case n > k.cfg.MaxTasks:
+		t.Errorf("%d coroutines parked, want at most MaxTasks %d", n, k.cfg.MaxTasks)
+	case f == nil && n != ended:
+		t.Errorf("%d coroutines parked, want %d: one for each task that ended", n, ended)
+	case f != nil && f.Reason == "shutdown" && n != 0:
+		t.Errorf("%d coroutines parked after Shutdown, want 0", n)
+	case n > ended:
+		t.Errorf("%d coroutines parked after a crash, want at most %d: one for each task that ended", n, ended)
+	}
 }
 
 // TestTaskEndings pins every way a task can end: the request the kernel
-// receives last, the fault it records, the event trail, and that the
-// task's body is gone afterwards.
+// receives last, the fault it records, the event trail, that the task's
+// coroutine is parked for reuse afterwards, and that none is left once
+// the kernel shuts down.
 func TestTaskEndings(t *testing.T) {
 	for _, tc := range TaskEndings() {
 		t.Run(tc.Name, func(t *testing.T) {
@@ -262,13 +300,15 @@ func TestTaskEndings(t *testing.T) {
 			events := RecordEvents(k)
 			tc.Run(t, k, StepDriver(k))
 			tc.Check(t, k, *events)
+			k.Shutdown()
 			SettleGoroutines(t, before)
 		})
 	}
 }
 
 // TestTableIServicesLeaveNoGoroutines churns every Table I service and
-// checks that each created task's body is gone once the task is.
+// checks that the kernel keeps one coroutine per task it had live at
+// once, and none after Shutdown.
 func TestTableIServicesLeaveNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := New(Config{})
@@ -301,6 +341,74 @@ func TestTableIServicesLeaveNoGoroutines(t *testing.T) {
 	if k.Crashed() {
 		t.Fatalf("kernel crashed: %v", k.Fault())
 	}
+	if n := len(k.parked); n != 2 {
+		t.Errorf("%d coroutines parked after 100 tasks ended, two at a time; want 2", n)
+	}
+	k.Shutdown()
+	SettleGoroutines(t, before)
+}
+
+// TestTaskCoroutinesAreReused checks that a kernel lends the coroutine
+// of an ended task to the next task it creates: a reused coroutine runs
+// the new task's entry with that task's own Ctx, and a task killed
+// before its first dispatch never runs its entry.
+func TestTaskCoroutinesAreReused(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := New(Config{})
+	spin := func(c *Ctx) {
+		for {
+			c.Yield()
+		}
+	}
+	for i := 0; i < 50; i++ {
+		mustCreate(t, k, "returns", func(c *Ctx) { c.Yield() })
+		id := mustCreate(t, k, "spins", spin)
+		k.RunUntilIdle(3)
+		if err := k.DeleteTask(id); err != nil {
+			t.Fatal(err)
+		}
+		if live := k.LiveTasks(); len(live) != 0 {
+			t.Fatalf("round %d: live tasks %v", i, live)
+		}
+	}
+	if n := len(k.parked); n != 2 {
+		t.Fatalf("50 rounds of two tasks made %d coroutines, want 2", n)
+	}
+	if n := runtime.NumGoroutine(); n > before+2 {
+		t.Fatalf("NumGoroutine = %d after 50 rounds, want at most %d", n, before+2)
+	}
+
+	next := k.parked[len(k.parked)-1]
+	var gotID TaskID
+	var gotName string
+	var gotPrio Priority
+	id, err := k.CreateTask("reused", 7, func(c *Ctx) { gotID, gotName, gotPrio = c.ID(), c.Name(), c.Priority() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.task != k.tasks[id] || len(k.parked) != 1 {
+		t.Fatalf("task %d did not take the last parked coroutine", id)
+	}
+	k.RunUntilIdle(10)
+	if gotID != id || gotName != "reused" || gotPrio != 7 {
+		t.Errorf("entry ran as task %d %q at priority %d, want %d \"reused\" at 7", gotID, gotName, gotPrio, id)
+	}
+
+	ran := false
+	id = mustCreate(t, k, "killed", func(*Ctx) { ran = true })
+	if len(k.parked) != 1 {
+		t.Fatalf("task %d did not take a parked coroutine", id)
+	}
+	if err := k.DeleteTask(id); err != nil {
+		t.Fatal(err)
+	}
+	if ran {
+		t.Error("a task deleted before its first dispatch ran its entry")
+	}
+	if n := len(k.parked); n != 2 || k.curReq.kind != reqKilledAck {
+		t.Errorf("%d coroutines parked, last request %d; want 2 and the kill's acknowledgement", n, k.curReq.kind)
+	}
+	k.Shutdown()
 	SettleGoroutines(t, before)
 }
 

@@ -10,9 +10,9 @@ import "fmt"
 // reproduces that failure mode here.
 type Pool struct {
 	name    string
-	free    []int
+	free    []int // free and garbage share one array, n blocks each
 	garbage []int
-	inUse   map[int]bool
+	inUse   []bool // by block index
 	size    int
 
 	// leak counters for the injected fault
@@ -23,7 +23,9 @@ type Pool struct {
 
 // NewPool returns a pool of n blocks, all free.
 func NewPool(name string, n int) *Pool {
-	p := &Pool{name: name, size: n, inUse: make(map[int]bool, n)}
+	lists := make([]int, 2*n)
+	p := &Pool{name: name, size: n, inUse: make([]bool, n),
+		free: lists[:0:n], garbage: lists[n : n : 2*n]}
 	for i := n - 1; i >= 0; i-- {
 		p.free = append(p.free, i)
 	}
@@ -39,8 +41,9 @@ func (p *Pool) Free() int { return len(p.free) }
 // Garbage returns the count of blocks awaiting collection.
 func (p *Pool) Garbage() int { return len(p.garbage) }
 
-// InUse returns the count of live blocks.
-func (p *Pool) InUse() int { return len(p.inUse) }
+// InUse returns the count of live blocks: every block is free, garbage,
+// in use or leaked.
+func (p *Pool) InUse() int { return p.size - len(p.free) - len(p.garbage) - p.leaked }
 
 // Leaked returns the number of blocks lost to the injected GC fault.
 func (p *Pool) Leaked() int { return p.leaked }
@@ -62,10 +65,10 @@ func (p *Pool) Alloc() (int, bool) {
 // off-CPU). Releasing an unknown block returns an error that the kernel
 // converts into a double-free fault.
 func (p *Pool) Release(b int) error {
-	if !p.inUse[b] {
+	if b < 0 || b >= p.size || !p.inUse[b] {
 		return fmt.Errorf("pool %s: release of block %d not in use", p.name, b)
 	}
-	delete(p.inUse, b)
+	p.inUse[b] = false
 	p.garbage = append(p.garbage, b)
 	return nil
 }

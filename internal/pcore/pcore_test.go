@@ -1,6 +1,7 @@
 package pcore
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -178,6 +179,57 @@ func TestServiceErrorsOnBadIDs(t *testing.T) {
 		if _, ok := err.(*ServiceError); !ok {
 			t.Fatalf("got %T: %v", err, err)
 		}
+	}
+}
+
+// TestServiceRefusalText pins the text of every refusal a Table I
+// service can return, which Error builds from the kept format.
+func TestServiceRefusalText(t *testing.T) {
+	k := newK(t, Config{MaxTasks: 2})
+	spin := func(c *Ctx) {
+		for {
+			c.Yield()
+		}
+	}
+	ready := mustCreate(t, k, "ready", spin)
+	suspended := mustCreate(t, k, "suspended", spin)
+	if err := k.SuspendTask(suspended); err != nil {
+		t.Fatal(err)
+	}
+	create := func(prio Priority, entry func(*Ctx)) error {
+		_, err := k.CreateTask("x", prio, entry)
+		return err
+	}
+	cannotSuspend := func() error {
+		k.tasks[ready].state = StateTerminated
+		defer func() { k.tasks[ready].state = StateReady }()
+		return k.SuspendTask(ready)
+	}
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{create(NumPriorities, spin), "pcore: TC(task 0): priority 32 out of range"},
+		{create(5, nil), "pcore: TC(task 0): nil entry"},
+		{create(5, spin), "pcore: TC(task 0): all 2 task slots in use"},
+		{k.DeleteTask(0), "pcore: TD(task 0): no such task"},
+		{k.SuspendTask(99), "pcore: TS(task 99): no such task"},
+		{k.SuspendTask(suspended), "pcore: TS(task 2): already suspended"},
+		{cannotSuspend(), "pcore: TS(task 1): cannot suspend terminated task"},
+		{k.ResumeTask(ready), "pcore: TR(task 1): task is ready, not suspended"},
+		{k.ChangePriority(ready, 40), "pcore: TCH(task 1): priority 40 out of range"},
+		{k.TerminateTask(3), "pcore: TY(task 3): no such task"},
+	} {
+		if _, ok := tc.err.(*ServiceError); !ok {
+			t.Errorf("got %T %v, want a *ServiceError reading %q", tc.err, tc.err, tc.want)
+			continue
+		}
+		if got := tc.err.Error(); got != tc.want {
+			t.Errorf("refusal reads %q, want %q", got, tc.want)
+		}
+	}
+	if k.Crashed() {
+		t.Fatalf("a refusal crashed the kernel: %v", k.Fault())
 	}
 }
 
@@ -998,6 +1050,47 @@ func TestPoolLeakAccounting(t *testing.T) {
 	}
 	if p.Free() != 3 {
 		t.Fatalf("free %d, want 3 (one block gone)", p.Free())
+	}
+}
+
+// TestPoolListsShareOneArray churns a pool whose free and garbage lists
+// share one array: neither list may overwrite the other, every block
+// comes back exactly once, and a block index the pool never issued is
+// refused like a double free.
+func TestPoolListsShareOneArray(t *testing.T) {
+	p := NewPool("t", 4)
+	for round := 0; round < 3; round++ {
+		var got []int
+		for {
+			b, ok := p.Alloc()
+			if !ok {
+				break
+			}
+			got = append(got, b)
+		}
+		if slices.Sort(got); !slices.Equal(got, []int{0, 1, 2, 3}) || p.InUse() != 4 || !p.Exhausted() {
+			t.Fatalf("round %d: allocated %v, in use %d", round, got, p.InUse())
+		}
+		for _, b := range got[:3] {
+			if err := p.Release(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r, l := p.Collect(0); r != 3 || l != 0 || p.Free() != 3 || p.InUse() != 1 {
+			t.Fatalf("round %d: collect %d %d, free %d, in use %d", round, r, l, p.Free(), p.InUse())
+		}
+		if err := p.Release(got[3]); err != nil {
+			t.Fatal(err)
+		}
+		if p.Garbage() != 1 || p.Free() != 3 || p.InUse() != 0 {
+			t.Fatalf("round %d: garbage %d, free %d, in use %d", round, p.Garbage(), p.Free(), p.InUse())
+		}
+		p.Collect(0)
+	}
+	for _, b := range []int{-1, 4} {
+		if err := p.Release(b); err == nil {
+			t.Errorf("release of block %d accepted", b)
+		}
 	}
 }
 

@@ -22,17 +22,19 @@ func (k *Kernel) meter(i int, cost clock.Cycles) {
 	k.maybeGC()
 }
 
-func (k *Kernel) serviceErr(s Service, id TaskID, format string, args ...any) error {
-	return &ServiceError{Service: s, Task: id, Msg: fmt.Sprintf(format, args...)}
+// serviceErr refuses service s on task id for the reason format, with
+// arg as its operand (nil when it has none).
+func (k *Kernel) serviceErr(s Service, id TaskID, format string, arg any) error {
+	return &ServiceError{Service: s, Task: id, format: format, arg: arg}
 }
 
 func (k *Kernel) liveTask(s Service, id TaskID) (*Task, error) {
 	if id == InvalidTask || int(id) > k.cfg.MaxTasks {
-		return nil, k.serviceErr(s, id, "no such task")
+		return nil, k.serviceErr(s, id, "no such task", nil)
 	}
 	t := k.tasks[id]
 	if t == nil {
-		return nil, k.serviceErr(s, id, "no such task")
+		return nil, k.serviceErr(s, id, "no such task", nil)
 	}
 	if t.corrupted {
 		// A stack overflow with the guard disabled scribbled over this
@@ -57,7 +59,7 @@ func (k *Kernel) CreateTask(name string, prio Priority, entry func(*Ctx)) (TaskI
 		return InvalidTask, k.serviceErr(SvcTaskCreate, 0, "priority %d out of range", prio)
 	}
 	if entry == nil {
-		return InvalidTask, k.serviceErr(SvcTaskCreate, 0, "nil entry")
+		return InvalidTask, k.serviceErr(SvcTaskCreate, 0, "nil entry", nil)
 	}
 	slot := InvalidTask
 	for id := TaskID(1); int(id) <= k.cfg.MaxTasks; id++ {
@@ -102,11 +104,26 @@ func (k *Kernel) CreateTask(name string, prio Priority, entry func(*Ctx)) (TaskI
 		stackBlock: stackBlock,
 		created:    k.cycles,
 	}
-	t.resume, _ = iter.Pull(t.trampoline) // the body first runs at its first dispatch
+	k.lendCoroutine(t)
 	k.tasks[slot] = t
 	k.enqueueBack(t)
 	k.meter(idxTC, CostTaskCreate)
 	return slot, nil
+}
+
+// lendCoroutine lends t a parked coroutine, or makes one when none is
+// parked. The body first runs at t's first dispatch.
+func (k *Kernel) lendCoroutine(t *Task) {
+	var c *coroutine
+	if n := len(k.parked); n > 0 {
+		c = k.parked[n-1]
+		k.parked = k.parked[:n-1]
+	} else {
+		c = new(coroutine)
+		c.resume, c.stop = iter.Pull(c.run)
+	}
+	c.task = t
+	t.resume = c.resume
 }
 
 // DeleteTask implements task_delete (TD): terminate the task in any
@@ -162,7 +179,7 @@ func (k *Kernel) SuspendTask(id TaskID) error {
 		}
 		t.syscallErr = errRetry
 	case StateSuspended:
-		return k.serviceErr(SvcTaskSuspend, id, "already suspended")
+		return k.serviceErr(SvcTaskSuspend, id, "already suspended", nil)
 	default:
 		return k.serviceErr(SvcTaskSuspend, id, "cannot suspend %s task", t.state)
 	}
@@ -439,10 +456,17 @@ func (k *Kernel) ServiceStats() (calls map[Service]uint64, cycles map[Service]cl
 	return calls, cycles
 }
 
-// Shutdown kills every remaining task, so each one's coroutine unwinds
-// and ends. The kernel is unusable afterwards. Safe to call on a crashed
-// kernel.
+// Shutdown halts the kernel: it records a "shutdown" fault unless the
+// kernel has already faulted, kills every remaining task, and stops
+// every parked coroutine. Because the fault comes first, each body the
+// kill unwinds ends its coroutine instead of parking it, and so does the
+// task whose stack runs the handoff hook, once the hook returns to it:
+// no coroutine outlives the kernel. The kernel is unusable afterwards.
+// Safe to call on a crashed kernel, and more than once.
 func (k *Kernel) Shutdown() {
+	if k.fault == nil {
+		k.fault = &KernelFault{Reason: "shutdown", Detail: "kernel halted", At: k.cycles}
+	}
 	for id := TaskID(1); int(id) <= k.cfg.MaxTasks; id++ {
 		t := k.tasks[id]
 		if t == nil {
@@ -450,7 +474,8 @@ func (k *Kernel) Shutdown() {
 		}
 		k.killParked(t, "shutdown")
 	}
-	if k.fault == nil {
-		k.fault = &KernelFault{Reason: "shutdown", Detail: "kernel halted", At: k.cycles}
+	for _, c := range k.parked {
+		c.stop()
 	}
+	k.parked = nil
 }

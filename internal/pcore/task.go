@@ -57,7 +57,9 @@ type request struct {
 // a kernel call, to hand that request back. Control passes by a direct
 // coroutine switch, so no Go scheduler round trip sits on the path.
 // Under a run loop (Kernel.SetHandoff) the body completes its own
-// request and yields only when the next dispatch is another body.
+// request and yields only when the next dispatch is another body. The
+// coroutine is the kernel's, lent to the task from creation to its end
+// (see coroutine).
 type Task struct {
 	id    TaskID
 	name  string
@@ -66,8 +68,8 @@ type Task struct {
 	entry func(*Ctx)
 
 	k      *Kernel
-	ctx    Ctx // the entry function's handle on this task
-	resume func() (struct{}, bool)
+	ctx    Ctx                     // the entry function's handle on this task
+	resume func() (struct{}, bool) // the resume of the coroutine lent to it
 	yield  func(struct{}) bool
 
 	killed bool
@@ -107,21 +109,46 @@ func (t *Task) State() State { return t.state }
 // Progress returns the application progress counter.
 func (t *Task) Progress() uint64 { return t.progress }
 
-// trampoline is the coroutine body hosting the task's entry function.
-// It posts its final request and returns, which ends the coroutine, so
-// every reqExit/reqKilledAck/reqTaskPanic the kernel receives comes from
-// a task that needs no further resume. Nothing stops the coroutine from
-// outside: a kill resumes it with killed set, or, when the task's own
-// stack runs the loop, makes it unwind once the hook returns; either
-// way it unwinds through the recover in body. Under a run loop the
-// final exit or panic request completes on this stack too, and the
-// loop carries on here until it dispatches another body.
-func (t *Task) trampoline(yield func(struct{}) bool) {
-	t.yield = yield
-	k := t.k
-	k.curReq = t.body()
-	if k.handoff != nil && !t.killed {
-		k.handoff()
+// coroutine is an iter.Pull coroutine that runs task bodies for one
+// kernel, one task after another. CreateTask lends a task a parked one,
+// or makes one when none is parked, so a kernel makes only as many as
+// it ever has tasks live at once instead of one per created task.
+type coroutine struct {
+	resume func() (struct{}, bool)
+	stop   func()
+	task   *Task // whose body runs at the next resume
+}
+
+// run is the coroutine's body. For each task it is lent to, it runs the
+// task's body, which posts the task's final request, so every
+// reqExit/reqKilledAck/reqTaskPanic the kernel receives comes from a
+// task that needs no further resume. Nothing stops a body from outside:
+// a kill resumes it with killed set, or, when the task's own stack runs
+// the loop, makes it unwind once the hook returns; either way it unwinds
+// through the recover in body. Under a run loop the final exit or panic
+// request completes on this stack too, and the loop carries on here
+// until it dispatches another body. The coroutine then parks on the
+// kernel's free list and yields until CreateTask lends it to the next
+// task; Shutdown stops it there. A body that ends once the kernel has
+// faulted (Shutdown faults it first) returns instead, which ends its
+// coroutine: a faulted kernel creates no task to lend it to.
+func (c *coroutine) run(yield func(struct{}) bool) {
+	for {
+		t := c.task
+		t.yield = yield
+		k := t.k
+		k.curReq = t.body()
+		if k.handoff != nil && !t.killed {
+			k.handoff()
+		}
+		c.task = nil
+		if k.fault != nil {
+			return
+		}
+		k.parked = append(k.parked, c)
+		if !yield(struct{}{}) {
+			return // stopped by Shutdown
+		}
 	}
 }
 

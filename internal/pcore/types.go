@@ -6,13 +6,15 @@
 // mutexes, and a block-pool allocator whose garbage collector is the
 // fault site of the paper's first case study.
 //
-// Determinism: each task body runs as a coroutine (iter.Pull), and
+// Determinism: each task body runs on a coroutine (iter.Pull), and
 // exactly one of them executes at any instant — the kernel resumes a
 // task to dispatch it and the task hands control back at its kernel
 // calls (under a run loop, only when the next dispatch is another body;
 // see Kernel.SetHandoff) — so the Go scheduler never influences
-// simulated behaviour. All simulated faults are captured as
-// *KernelFault values; they never escape as Go panics.
+// simulated behaviour. A kernel lends each task it creates a coroutine
+// parked by a task that ended, making a new one only when none is
+// parked, and ends them all at Kernel.Shutdown. All simulated faults
+// are captured as *KernelFault values; they never escape as Go panics.
 package pcore
 
 import (
@@ -166,16 +168,23 @@ const (
 	FaultDoubleFree    = "double-free"    // block freed twice
 )
 
-// Errors returned by kernel services (API-level failures, distinct from
-// kernel faults: the kernel survives them).
+// ServiceError is a service the kernel refused: an API-level failure,
+// distinct from a kernel fault, which the kernel survives. The committee
+// reads only its type, so it keeps the reason as a format and its
+// operand and builds the text only when Error is called.
 type ServiceError struct {
 	Service Service
 	Task    TaskID
-	Msg     string
+	format  string
+	arg     any // format's one operand; nil when it has none
 }
 
 func (e *ServiceError) Error() string {
-	return fmt.Sprintf("pcore: %s(task %d): %s", e.Service, e.Task, e.Msg)
+	reason := e.format
+	if e.arg != nil {
+		reason = fmt.Sprintf(e.format, e.arg)
+	}
+	return fmt.Sprintf("pcore: %s(task %d): %s", e.Service, e.Task, reason)
 }
 
 // Event is a kernel trace event, consumed by the recording layer.

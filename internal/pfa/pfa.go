@@ -240,11 +240,7 @@ func (p *PFA) MakeChoice(q nfa.StateID, rng *stats.RNG) (Transition, error) {
 	case 1:
 		return ts[0], nil
 	}
-	weights := make([]float64, len(ts))
-	for i, t := range ts {
-		weights[i] = t.Prob
-	}
-	idx, err := rng.Categorical(weights)
+	idx, err := rng.CategoricalFunc(len(ts), func(i int) float64 { return ts[i].Prob })
 	if err != nil {
 		return Transition{}, err
 	}

@@ -387,6 +387,25 @@ func TestMakeChoiceRespectsProbabilities(t *testing.T) {
 	}
 }
 
+var choiceSink Transition
+
+// TestMakeChoiceDoesNotAllocate pins the in-place draw: a multi-way
+// choice reads the transitions' probabilities through
+// stats.RNG.CategoricalFunc instead of building a weights slice.
+func TestMakeChoiceDoesNotAllocate(t *testing.T) {
+	p := mustPCore(t)
+	rng := stats.New(37)
+	for s := 0; s < p.NumStates(); s++ {
+		q := nfa.StateID(s)
+		if len(p.Transitions(q)) < 2 {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(100, func() { choiceSink, _ = p.MakeChoice(q, rng) }); allocs != 0 {
+			t.Fatalf("a %d-way choice makes %.1f allocations, want 0", len(p.Transitions(q)), allocs)
+		}
+	}
+}
+
 func TestMakeChoiceNoTransitions(t *testing.T) {
 	p := mustPCore(t)
 	for s := 0; s < p.NumStates(); s++ {

@@ -141,12 +141,20 @@ var ErrEmptyDistribution = errors.New("stats: empty or zero-weight distribution"
 // Categorical samples an index from the given non-negative weight vector,
 // with probability proportional to weight. The weights need not sum to 1.
 func (r *RNG) Categorical(weights []float64) (int, error) {
+	return r.CategoricalFunc(len(weights), func(i int) float64 { return weights[i] })
+}
+
+// CategoricalFunc is Categorical over the n weights w(0), ..., w(n-1), for
+// a caller that holds its weights in something other than a []float64.
+// It keeps no reference to w, so a closure passed as w need not escape.
+func (r *RNG) CategoricalFunc(n int, w func(int) float64) (int, error) {
 	total := 0.0
-	for i, w := range weights {
-		if w < 0 {
-			return 0, fmt.Errorf("stats: negative weight %v at index %d", w, i)
+	for i := 0; i < n; i++ {
+		wi := w(i)
+		if wi < 0 {
+			return 0, fmt.Errorf("stats: negative weight %v at index %d", wi, i)
 		}
-		total += w
+		total += wi
 	}
 	if total <= 0 {
 		return 0, ErrEmptyDistribution
@@ -154,12 +162,13 @@ func (r *RNG) Categorical(weights []float64) (int, error) {
 	x := r.Float64() * total
 	acc := 0.0
 	last := -1
-	for i, w := range weights {
-		if w <= 0 {
+	for i := 0; i < n; i++ {
+		wi := w(i)
+		if wi <= 0 {
 			continue
 		}
 		last = i
-		acc += w
+		acc += wi
 		if x < acc {
 			return i, nil
 		}

@@ -10,13 +10,15 @@ import (
 // TestChessCellAllocationBudget bounds what one chess cell of the
 // perfbench sweep-local mix allocates: producer-consumer at n=16, s=24,
 // whose 128 schedules all run to the end, 49,152 remote commands in
-// all. Per command that is about 3.2 objects and 264 bytes (3.3 and 281
-// under -race): the platform boot, the coroutine of each created task,
-// and the committer's records. Journal entries of 112 bytes in a
-// doubling array, and the per-task sequences split again per schedule,
-// took it to about 3.4 objects and 530 bytes; per-trial result slices,
-// a clock event per mailbox hop, per-notification closures and
-// per-command coverage keys to about 10.4 objects and 800 bytes.
+// all. Per command that is about 0.97 objects and 198 bytes (1.02 and
+// 200 under -race): the platform boot, the committer's records, and a
+// coroutine for each task a kernel has live at once. A coroutine for
+// every created task took it to about 3.2 objects and 264 bytes;
+// journal entries of 112 bytes in a doubling array, and the per-task
+// sequences split again per schedule, to about 3.4 objects and 530
+// bytes; per-trial result slices, a clock event per mailbox hop,
+// per-notification closures and per-command coverage keys to about
+// 10.4 objects and 800 bytes.
 func TestChessCellAllocationBudget(t *testing.T) {
 	s, err := Parse(strings.NewReader(`{"name":"chess-cell","seed":1,"trials":10,"keep_going":true,
 "workloads":[{"name":"prodcons","items":10}],"ops":["roundrobin"],"points":[{"n":16,"s":24}],
@@ -45,8 +47,8 @@ func TestChessCellAllocationBudget(t *testing.T) {
 	objs := float64(after.Mallocs-before.Mallocs) / float64(cmds)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(cmds)
 	t.Logf("%.2f objects, %.0f bytes per command", objs, bytes)
-	if objs >= 3.5 || bytes >= 300 {
-		t.Fatalf("the cell allocates %.2f objects and %.0f bytes per command, want under 3.5 and 300", objs, bytes)
+	if objs >= 1.1 || bytes >= 220 {
+		t.Fatalf("the cell allocates %.2f objects and %.0f bytes per command, want under 1.1 and 220", objs, bytes)
 	}
 }
 
@@ -61,14 +63,17 @@ const sweepLocalSpec = `{"name":"sweep-local","seed":1,"trials":10,"keep_going":
  {"name":"contest","noise_p":0.2},{"name":"chess","preemption_bound":1,"max_schedules":128},{"name":"pct","depth":3}]}`
 
 // The measured counts of one sweep, without and with -race (Go 1.24,
-// linux/amd64). Before the chain-walk deadlock check, the compact
-// journal and the per-step diet, a sweep allocated 1,082,345 objects
-// and 118,847,528 bytes (1,108,377 and 126,469,552 under -race).
+// linux/amd64). Before the kernels reused task coroutines, and refused
+// services, PFA draws and block pools stopped allocating, a sweep
+// allocated 883,777 objects and 72.1 MB (917,195 and 77.5 MB under
+// -race). Before the chain-walk deadlock check, the compact journal and
+// the per-step diet, it allocated 1,082,345 objects and 118,847,528
+// bytes (1,108,377 and 126,469,552 under -race).
 const (
-	sweepObjects     = 883_800
-	sweepBytes       = 72_120_000
-	sweepObjectsRace = 917_200
-	sweepBytesRace   = 77_550_000
+	sweepObjects     = 487_800
+	sweepBytes       = 59_280_000
+	sweepObjectsRace = 515_700
+	sweepBytesRace   = 62_500_000
 )
 
 // TestSweepAllocationBudget bounds what one sweep of perfbench's
