@@ -99,7 +99,11 @@ func benchDispatchWire(b *testing.B, leaseBatch int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cells := spec.Expand()
+	plan, err := suite.NewPlan(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cells := plan.Cells()
 
 	d := New(Config{})
 	defer d.Close()
@@ -138,7 +142,7 @@ func benchDispatchWire(b *testing.B, leaseBatch int) {
 		wg.Add(1)
 		go func(r int) {
 			defer func() { <-sem; wg.Done() }()
-			exec := d.Executor(fmt.Sprintf("bench-%06d", r), "bench", 0, spec)
+			exec := d.Executor(fmt.Sprintf("bench-%06d", r), "bench", 0, plan)
 			var cw sync.WaitGroup
 			for _, c := range cells {
 				cw.Add(1)

@@ -673,17 +673,17 @@ func (d *Dispatcher) Metrics() Metrics {
 // --- hub-side execution seam ------------------------------------------------
 
 // Executor returns the suite.CellExec that fans one job's store misses
-// out to the fleet. spec is the job's spec as submitted, and priority
+// out to the fleet. plan is the job's plan as submitted, and priority
 // ranks its cells for grants the way the job queue ranks jobs. The
-// caller may run the plan wider than spec's cell_parallelism, so that
+// caller may run the plan wider than its cell_parallelism, so that
 // every miss waits for a lease at once. Degradation is built in at
 // every decision point: no live workers or an exhausted attempt budget
 // fall back to in-process execution — the exact code path a
 // dispatcher-less daemon runs — and a per-job semaphore admits at most
 // cell_parallelism of those at a time, so a job that loses its fleet
 // mid-run computes exactly as a single daemon would.
-func (d *Dispatcher) Executor(jobID, tenantName string, priority int, spec *suite.Spec) suite.CellExec {
-	local := make(chan struct{}, engine.Normalize(spec.CellParallelism))
+func (d *Dispatcher) Executor(jobID, tenantName string, priority int, plan *suite.Plan) suite.CellExec {
+	local := make(chan struct{}, engine.Normalize(plan.Spec().CellParallelism))
 	runLocal := func(ctx context.Context, sp *suite.Spec, c suite.Cell) (report.Cell, error) {
 		select {
 		case local <- struct{}{}:
@@ -699,13 +699,13 @@ func (d *Dispatcher) Executor(jobID, tenantName string, priority int, spec *suit
 	var (
 		once sync.Once
 		j    *job
-		plan map[string]int // cell ID → plan position
+		pos  map[string]int // cell ID → plan position
 	)
 	prepare := func() {
-		j = d.newJob(jobID, tenantName, priority, spec.Digest())
-		plan = map[string]int{}
-		for i, c := range spec.Expand() {
-			plan[c.ID] = i
+		j = d.newJob(jobID, tenantName, priority, plan.Digest())
+		pos = make(map[string]int, len(plan.Cells()))
+		for i, c := range plan.Cells() {
+			pos[c.ID] = i
 		}
 	}
 	return func(ctx context.Context, sp *suite.Spec, c suite.Cell) (report.Cell, error) {
@@ -713,7 +713,7 @@ func (d *Dispatcher) Executor(jobID, tenantName string, priority int, spec *suit
 		if d.LiveWorkers() == 0 {
 			return runLocal(ctx, sp, c)
 		}
-		u := d.enqueue(j, c.ID, plan[c.ID])
+		u := d.enqueue(j, c.ID, pos[c.ID])
 		defer d.release(u)
 		select {
 		case <-u.done:

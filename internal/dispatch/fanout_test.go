@@ -92,16 +92,16 @@ func TestLocalFallbackHonorsCellParallelismWhenFleetLeaves(t *testing.T) {
 	w := d.Register("leaving").WorkerID
 
 	// The plan runs at full width, as the hub runs it with a live fleet.
-	wide := *spec
-	wide.CellParallelism = len(cells)
+	plan := mustPlan(t, spec)
+	wide := plan.WithCellParallelism(len(cells))
 	type result struct {
 		rep *report.Report
 		err error
 	}
 	done := make(chan result, 1)
 	go func() {
-		rep, err := suite.RunContext(context.Background(), &wide, nil,
-			suite.Options{Exec: d.Executor("j1", "t1", 0, spec)})
+		rep, err := wide.Run(context.Background(), nil,
+			suite.Options{Exec: d.Executor("j1", "t1", 0, plan)})
 		done <- result{rep, err}
 	}()
 	waitPending(t, d, len(cells))

@@ -99,11 +99,11 @@ type Worker struct {
 	completedCount atomic.Uint64
 }
 
-// specPlan caches one parsed spec and its expanded cells so a sweep's
-// worth of leases parses the spec once.
+// specPlan caches one resolved plan, with its cells' positions indexed
+// by ID, so a sweep's worth of leases parses the spec once.
 type specPlan struct {
-	spec  *suite.Spec
-	cells map[string]suite.Cell
+	plan  *suite.Plan
+	cells map[string]int // cell ID → index in plan.Cells()
 }
 
 // specFetch is one in-flight GET /api/v1/jobs/{id}/spec: concurrent
@@ -313,12 +313,12 @@ func (w *Worker) executeGrant(ctx context.Context, g Grant) *CompleteRequest {
 		w.cfg.Logf("dispatch worker %s: lease %s spec unusable: %v", w.cfg.Name, g.LeaseID, err)
 		return nil
 	}
-	cell, ok := plan.cells[g.CellID]
+	i, ok := plan.cells[g.CellID]
 	if !ok {
 		w.cfg.Logf("dispatch worker %s: lease %s names unknown cell %s", w.cfg.Name, g.LeaseID, g.CellID)
 		return nil
 	}
-	res, err := suite.ExecuteCell(plan.spec, cell)
+	res, err := suite.ExecuteCell(plan.plan.Spec(), plan.plan.Cells()[i])
 	if err != nil {
 		w.cfg.Logf("dispatch worker %s: cell %s failed: %v", w.cfg.Name, g.CellID, err)
 		return nil
@@ -360,11 +360,11 @@ func (w *Worker) planFor(ctx context.Context, g Grant) (*specPlan, error) {
 	if err == nil {
 		p, err = compilePlan(raw)
 	}
-	if err == nil && p.spec.Digest() != g.SpecDigest {
+	if err == nil && p.plan.Digest() != g.SpecDigest {
 		// The job's spec does not hash to the grant's digest — never
 		// poison the content-addressed cache with it.
 		p, err = nil, fmt.Errorf("dispatch: job %s spec digest %s != grant digest %s",
-			g.JobID, p.spec.Digest(), g.SpecDigest)
+			g.JobID, p.plan.Digest(), g.SpecDigest)
 	}
 	f.p, f.err = p, err
 	w.mu.Lock()
@@ -377,15 +377,15 @@ func (w *Worker) planFor(ctx context.Context, g Grant) (*specPlan, error) {
 	return p, err
 }
 
-// compilePlan parses one spec and indexes its expanded cells.
+// compilePlan resolves one spec and indexes its cells.
 func compilePlan(raw json.RawMessage) (*specPlan, error) {
-	spec, err := suite.Parse(bytes.NewReader(raw))
+	plan, err := suite.ParsePlan(bytes.NewReader(raw))
 	if err != nil {
 		return nil, err
 	}
-	p := &specPlan{spec: spec, cells: map[string]suite.Cell{}}
-	for _, c := range spec.Expand() {
-		p.cells[c.ID] = c
+	p := &specPlan{plan: plan, cells: make(map[string]int, len(plan.Cells()))}
+	for i, c := range plan.Cells() {
+		p.cells[c.ID] = i
 	}
 	return p, nil
 }

@@ -33,6 +33,16 @@ func TestNewWorkerRejectsBadHubURLs(t *testing.T) {
 	}
 }
 
+// mustPlan resolves spec into the plan a hub hands its executor.
+func mustPlan(t *testing.T, spec *suite.Spec) *suite.Plan {
+	t.Helper()
+	p, err := suite.NewPlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestWorkerFinalFlushRetriesLeaseBatch(t *testing.T) {
 	spec, err := suite.Parse(strings.NewReader(benchSpec))
 	if err != nil {
@@ -50,7 +60,7 @@ func TestWorkerFinalFlushRetriesLeaseBatch(t *testing.T) {
 	// executor enqueues every cell for a lease instead of running it
 	// in-process, and the worker's first poll is granted the whole plan.
 	d.Register("placeholder")
-	exec := d.Executor("j1", "t1", 0, spec)
+	exec := d.Executor("j1", "t1", 0, mustPlan(t, spec))
 	waiters := make(chan error, len(cells))
 	for _, c := range cells {
 		go func(c suite.Cell) {
@@ -186,7 +196,7 @@ func TestWorkerDropsCompletionsRefusedForGood(t *testing.T) {
 	d := New(Config{})
 	t.Cleanup(d.Close)
 	d.Register("placeholder")
-	exec := d.Executor("j1", "t1", 0, spec)
+	exec := d.Executor("j1", "t1", 0, mustPlan(t, spec))
 	execCtx, stopExec := context.WithCancel(context.Background())
 	t.Cleanup(stopExec)
 	for _, c := range cells {

@@ -13,6 +13,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
+
+	"repro/internal/jsonenc"
 )
 
 // SchemaVersion is stamped into every report; Read rejects reports from
@@ -158,16 +161,26 @@ func Canonical(r *Report) *Report {
 	return &out
 }
 
-// Write encodes the report as indented JSON with a trailing newline.
+// Write encodes the report as indented JSON with a trailing newline:
+// the bytes json.MarshalIndent(r, "", "  ") writes, plus '\n'.
 func Write(w io.Writer, r *Report) error {
-	data, err := json.MarshalIndent(r, "", "  ")
+	bp := bufs.Get().(*[]byte)
+	data, err := appendReport((*bp)[:0], r)
 	if err != nil {
-		return fmt.Errorf("report: encoding: %w", err)
+		err = fmt.Errorf("report: encoding: %w", err)
+	} else {
+		data = append(data, '\n')
+		_, err = w.Write(data)
 	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
+	*bp = data
+	bufs.Put(bp)
 	return err
 }
+
+// bufs recycles encoding buffers: a hub encodes a JSONL line for every
+// cell it serves and a report for every fetch. An io.Writer never
+// keeps the slice it is given, so a buffer is free again once written.
+var bufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // WriteFile writes the report to path.
 func WriteFile(path string, r *Report) error {
@@ -212,11 +225,129 @@ func ReadFile(path string) (*Report, error) {
 // WriteJSONL appends one cell as a single JSON line — the streaming
 // encoding the suite runner emits as cells complete.
 func WriteJSONL(w io.Writer, c Cell) error {
-	data, err := json.Marshal(c)
+	bp := bufs.Get().(*[]byte)
+	data, err := AppendCell((*bp)[:0], &c)
 	if err != nil {
-		return fmt.Errorf("report: encoding cell %s: %w", c.ID, err)
+		err = fmt.Errorf("report: encoding cell %s: %w", c.ID, err)
+	} else {
+		data = append(data, '\n')
+		_, err = w.Write(data)
 	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
+	*bp = data
+	bufs.Put(bp)
 	return err
+}
+
+// appendReport appends r exactly as json.MarshalIndent(r, "", "  ")
+// encodes it, without reflection. FuzzReportEncoding holds the two
+// equal, so a field added to Report, Totals, Cell or CampaignSummary
+// must be added here too.
+func appendReport(dst []byte, r *Report) ([]byte, error) {
+	w := jsonenc.Writer{B: dst, Indent: true}
+	w.BeginObject()
+	w.Int("schema_version", int64(r.SchemaVersion))
+	w.String("suite", r.Suite)
+	if r.SpecDigest != "" {
+		w.String("spec_digest", r.SpecDigest)
+	}
+	if r.Cells == nil {
+		w.Null("cells")
+	} else {
+		w.Array("cells")
+		for i := range r.Cells {
+			w.BeginObject()
+			writeCellFields(&w, &r.Cells[i])
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	t := &r.Totals
+	w.Object("totals")
+	w.Int("cells", int64(t.Cells))
+	w.Int("cells_with_bugs", int64(t.CellsWithBugs))
+	w.Float("detection_rate", t.DetectionRate)
+	w.Int("trials", int64(t.Trials))
+	w.Int("bugs", int64(t.Bugs))
+	w.Int("total_commands", int64(t.TotalCommands))
+	w.Uint("total_cycles", t.TotalCycles)
+	w.EndObject()
+	if r.Interrupted {
+		w.Bool("interrupted", true)
+	}
+	if r.PFACompiles != 0 {
+		w.Uint("pfa_compiles", r.PFACompiles)
+	}
+	if r.StoreHits != 0 {
+		w.Uint("store_hits", r.StoreHits)
+	}
+	if r.StoreMisses != 0 {
+		w.Uint("store_misses", r.StoreMisses)
+	}
+	w.Float("wall_ms", r.WallMS)
+	if r.CreatedAt != "" {
+		w.String("created_at", r.CreatedAt)
+	}
+	w.EndObject()
+	return w.B, w.Err()
+}
+
+// AppendCell appends c exactly as json.Marshal(c) encodes it, without
+// reflection: the JSONL line, and the cell a store record carries.
+func AppendCell(dst []byte, c *Cell) ([]byte, error) {
+	w := jsonenc.Writer{B: dst}
+	w.BeginObject()
+	writeCellFields(&w, c)
+	w.EndObject()
+	return w.B, w.Err()
+}
+
+// writeCellFields writes the members of one cell object, in either
+// layout.
+func writeCellFields(w *jsonenc.Writer, c *Cell) {
+	w.String("id", c.ID)
+	w.String("workload", c.Workload)
+	if c.Op != "" {
+		w.String("op", c.Op)
+	}
+	w.Int("n", int64(c.N))
+	if c.S != 0 {
+		w.Int("s", int64(c.S))
+	}
+	if c.PD != "" {
+		w.String("pd", c.PD)
+	}
+	w.String("tool", c.Tool)
+	w.Uint("seed", c.Seed)
+	s := &c.Summary
+	w.Object("summary")
+	w.Int("trials", int64(s.Trials))
+	w.Int("bugs", int64(s.Bugs))
+	w.Float("bug_rate", s.BugRate)
+	if s.FirstBugTrial != 0 {
+		w.Int("first_bug_trial", int64(s.FirstBugTrial))
+	}
+	if s.FirstBug != "" {
+		w.String("first_bug", s.FirstBug)
+	}
+	if s.CleanFinishes != 0 {
+		w.Int("clean_finishes", int64(s.CleanFinishes))
+	}
+	if s.TotalCommands != 0 {
+		w.Int("total_commands", int64(s.TotalCommands))
+	}
+	w.Uint("total_cycles", s.TotalCycles)
+	if s.SpaceExhausted {
+		w.Bool("space_exhausted", true)
+	}
+	if s.ServiceCoverage != 0 {
+		w.Float("service_coverage", s.ServiceCoverage)
+	}
+	if s.TransitionCoverage != 0 {
+		w.Float("transition_coverage", s.TransitionCoverage)
+	}
+	if s.InterleavingPairs != 0 {
+		w.Int("interleaving_pairs", int64(s.InterleavingPairs))
+	}
+	w.EndObject()
+	w.Float("wall_ms", c.WallMS)
 }

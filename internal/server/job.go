@@ -6,6 +6,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"time"
 
@@ -63,9 +64,14 @@ type JobInfo struct {
 // on the generation channel, which is closed and replaced on every
 // mutation.
 type Job struct {
-	mu      sync.Mutex
-	info    JobInfo
+	mu   sync.Mutex
+	info JobInfo
+	// spec is the defaulted spec the spec route serves for the job's
+	// whole life; plan, resolved once at submit, serves the run and is
+	// dropped once the job is terminal, so the retained jobs do not
+	// keep their expanded cells.
 	spec    *suite.Spec
+	plan    *suite.Plan
 	tenant  tenant.Tenant // immutable after newJob
 	rep     *report.Report
 	lines   []string // completed cells as JSONL, plan order
@@ -73,7 +79,7 @@ type Job struct {
 	cancel  context.CancelFunc // non-nil while running
 }
 
-func newJob(id string, spec *suite.Spec, priority int, t tenant.Tenant) *Job {
+func newJob(id string, plan *suite.Plan, priority int, t tenant.Tenant) *Job {
 	wireTenant := t.Name
 	if t == tenant.Anonymous {
 		wireTenant = "" // omitted: anonymous daemons keep the old shape
@@ -81,15 +87,16 @@ func newJob(id string, spec *suite.Spec, priority int, t tenant.Tenant) *Job {
 	return &Job{
 		info: JobInfo{
 			ID:          id,
-			Suite:       spec.Name,
-			SpecDigest:  spec.Digest(),
+			Suite:       plan.Spec().Name,
+			SpecDigest:  plan.Digest(),
 			Tenant:      wireTenant,
 			Priority:    priority,
 			Status:      JobQueued,
-			TotalCells:  len(spec.Expand()),
+			TotalCells:  len(plan.Cells()),
 			SubmittedAt: time.Now().UTC().Format(time.RFC3339),
 		},
-		spec:    spec,
+		spec:    plan.Spec(),
+		plan:    plan,
 		tenant:  t,
 		updated: make(chan struct{}),
 	}
@@ -108,6 +115,13 @@ func (j *Job) Info() JobInfo {
 	return j.info
 }
 
+// status reads the lifecycle state alone, without copying the info.
+func (j *Job) status() JobStatus {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.info.Status
+}
+
 // Report returns the finished (or partial, when cancelled) report.
 func (j *Job) Report() *report.Report {
 	j.mu.Lock()
@@ -115,19 +129,19 @@ func (j *Job) Report() *report.Report {
 	return j.rep
 }
 
-// start transitions queued → running. False when the job was cancelled
-// while queued — the worker skips it.
-func (j *Job) start(cancel context.CancelFunc) bool {
+// start transitions queued → running and returns the plan to run. Nil
+// when the job was cancelled while queued — the worker skips it.
+func (j *Job) start(cancel context.CancelFunc) *suite.Plan {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.info.Status != JobQueued {
-		return false
+		return nil
 	}
 	j.info.Status = JobRunning
 	j.info.StartedAt = time.Now().UTC().Format(time.RFC3339)
 	j.cancel = cancel
 	j.notifyLocked()
-	return true
+	return j.plan
 }
 
 // finish records the terminal state and the report (which may be a
@@ -141,6 +155,7 @@ func (j *Job) finish(status JobStatus, rep *report.Report, err error) {
 	j.info.Status = status
 	j.info.FinishedAt = time.Now().UTC().Format(time.RFC3339)
 	j.cancel = nil
+	j.plan = nil
 	if rep != nil {
 		j.rep = rep
 		j.info.StoreHits = rep.StoreHits
@@ -166,6 +181,7 @@ func (j *Job) requestCancel() (ok, wasQueued bool) {
 	case j.info.Status == JobQueued:
 		j.info.Status = JobCancelled
 		j.info.FinishedAt = time.Now().UTC().Format(time.RFC3339)
+		j.plan = nil
 		j.notifyLocked()
 		return true, true
 	case j.info.Status == JobRunning:
@@ -198,21 +214,19 @@ func (j *Job) watch(from int) (lines []string, upd <-chan struct{}, info JobInfo
 }
 
 // jsonlSplitter adapts the suite runner's JSONL stream (io.Writer) to
-// per-cell appendCell calls. The ordered emitter serializes writes, so
-// no internal locking is needed beyond the job's own.
-type jsonlSplitter struct {
-	j    *Job
-	pend []byte
-}
+// per-cell appendCell calls. The ordered emitter serializes writes and
+// writes each cell as one whole line (JSON escapes any newline inside
+// it), so anything else is refused, which fails the job rather than
+// storing a torn line.
+type jsonlSplitter struct{ j *Job }
 
-func (w *jsonlSplitter) Write(p []byte) (int, error) {
-	w.pend = append(w.pend, p...)
-	for {
-		i := bytes.IndexByte(w.pend, '\n')
-		if i < 0 {
-			return len(p), nil
-		}
-		w.j.appendCell(string(w.pend[:i]))
-		w.pend = w.pend[i+1:]
+var errNotOneLine = errors.New("server: JSONL write is not exactly one line")
+
+func (w jsonlSplitter) Write(p []byte) (int, error) {
+	n := len(p)
+	if n == 0 || bytes.IndexByte(p, '\n') != n-1 {
+		return 0, errNotOneLine
 	}
+	w.j.appendCell(string(p[:n-1]))
+	return n, nil
 }

@@ -325,7 +325,7 @@ func (s *Server) Drain() {
 	s.draining.Store(true)
 	s.mu.Lock()
 	for _, id := range s.ord {
-		if j := s.jobs[id]; j.Info().Status == JobQueued {
+		if j := s.jobs[id]; j.status() == JobQueued {
 			if ok, wasQueued := j.requestCancel(); ok && wasQueued {
 				s.met.cancelled.Add(1)
 				s.events.Emit(eventlog.Event{
@@ -346,31 +346,29 @@ func (s *Server) Drain() {
 func (s *Server) runJob(j *Job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
-	if !j.start(cancel) {
+	plan := j.start(cancel)
+	if plan == nil {
 		return // cancelled while queued
 	}
 	scope := eventlog.Scoped{R: s.events, Job: j.info.ID, Tenant: j.tenant.Name}
 	scope.Emit(eventlog.Event{Type: eventlog.TypeJobStarted})
 	runStart := time.Now()
-	info := j.Info()
-	plan := j.spec
+	run := plan
 	if s.disp.LiveWorkers() > 0 {
 		// A fleet takes every store miss at once: at full width each miss
 		// is a pending lease from the start, so a worker's first
 		// lease:batch fills its pipeline instead of finding one cell.
 		// Digest and CellKey exclude the field, so the report and the
 		// stored cells are the same at any width.
-		wide := *j.spec
-		wide.CellParallelism = info.TotalCells
-		plan = &wide
+		run = plan.WithCellParallelism(len(plan.Cells()))
 	}
-	rep, err := suite.RunContext(ctx, plan, &jsonlSplitter{j: j}, suite.Options{
+	rep, err := run.Run(ctx, jsonlSplitter{j: j}, suite.Options{
 		Store: s.store,
 		// The dispatcher decides per cell: farmed to a live fleet worker
 		// under a lease, or — zero workers, exhausted retry budget —
 		// executed right here, at most the job's own cell_parallelism at
 		// a time. Store hits never reach it.
-		Exec:   s.disp.Executor(j.info.ID, j.tenant.Name, info.Priority, j.spec),
+		Exec:   s.disp.Executor(j.info.ID, j.tenant.Name, j.info.Priority, plan),
 		Events: scope,
 	})
 	durMS := float64(time.Since(runStart).Microseconds()) / 1000
@@ -443,10 +441,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// client adjustment: an admin job always outranks a default job
 	// always outranks a batch job, whatever ?priority claims.
 	priority := t.Role.QueuePriority(requested)
-	// suite.Parse is the same single validation path the CLI uses: a bad
-	// spec comes back as one greppable message, here with status 400.
-	// Specs are small; a body past 8 MiB is abuse, not a matrix.
-	spec, err := suite.Parse(http.MaxBytesReader(w, r.Body, 8<<20))
+	// suite.ParsePlan validates exactly as suite.Parse, the CLI's path,
+	// does: a bad spec comes back as one greppable message, here with
+	// status 400. The plan it returns is the only place the job's spec is
+	// expanded and digested. Specs are small; a body past 8 MiB is abuse,
+	// not a matrix.
+	plan, err := suite.ParsePlan(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err != nil {
 		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -469,7 +469,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.seq++
 	id := fmt.Sprintf("j%06d", s.seq)
-	j := newJob(id, spec, priority, t)
+	j := newJob(id, plan, priority, t)
 	s.jobs[id] = j
 	s.ord = append(s.ord, id)
 	s.pruneLocked()
@@ -479,7 +479,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// its job.started must not precede its job.submitted in the log.
 	s.events.Emit(eventlog.Event{
 		Type: eventlog.TypeJobSubmitted, Job: id, Tenant: t.Name,
-		Detail: fmt.Sprintf("%s: %d cells, priority %d", spec.Name, j.Info().TotalCells, priority),
+		Detail: fmt.Sprintf("%s: %d cells, priority %d", j.info.Suite, j.info.TotalCells, priority),
 	})
 	if err := s.queue.Push(j, priority); err != nil {
 		// Keep the job registered but resolve it as failed — deleting it
@@ -504,7 +504,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) queuedForLocked(name string) int {
 	n := 0
 	for _, j := range s.jobs {
-		if j.tenant.Name == name && j.Info().Status == JobQueued {
+		if j.tenant.Name == name && j.status() == JobQueued {
 			n++
 		}
 	}
@@ -512,15 +512,21 @@ func (s *Server) queuedForLocked(name string) int {
 }
 
 // pruneLocked drops the oldest terminal jobs past MaxJobs so reports
-// and progress logs don't accumulate forever. Callers hold s.mu.
+// and progress logs don't accumulate forever. It runs on every submit
+// once the hub is full, so it stops at the last job it drops. Callers
+// hold s.mu.
 func (s *Server) pruneLocked() {
-	if len(s.ord) <= s.cfg.MaxJobs {
+	excess := len(s.ord) - s.cfg.MaxJobs
+	if excess <= 0 {
 		return
 	}
 	kept := s.ord[:0]
-	excess := len(s.ord) - s.cfg.MaxJobs
-	for _, id := range s.ord {
-		if excess > 0 && s.jobs[id].Info().Status.Terminal() {
+	for i, id := range s.ord {
+		if excess == 0 {
+			kept = append(kept, s.ord[i:]...)
+			break
+		}
+		if s.jobs[id].status().Terminal() {
 			delete(s.jobs, id)
 			excess--
 			continue

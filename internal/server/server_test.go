@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dispatch"
 	"repro/internal/report"
 )
 
@@ -318,33 +319,112 @@ func TestDrainRefusesNewWorkAndFinishesRunning(t *testing.T) {
 }
 
 func TestOldTerminalJobsArePruned(t *testing.T) {
-	_, cli := newTestServer(t, Config{Workers: 1, QueueCap: 8, MaxJobs: 2})
+	// An hour-long worker TTL keeps the idle worker live for the
+	// whole test.
+	s, cli := newTestServer(t, Config{Workers: 2, QueueCap: 8, MaxJobs: 2,
+		Dispatch: dispatch.Config{WorkerTTL: time.Hour}})
 	ctx := context.Background()
-	var ids []string
-	for i := 0; i < 4; i++ {
-		info, err := cli.Submit(ctx, strings.NewReader(tinySpec), 0)
+	run := func(spec string) string {
+		t.Helper()
+		info, err := cli.Submit(ctx, strings.NewReader(spec), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := cli.Watch(ctx, info.ID, nil); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, info.ID)
+		return info.ID
+	}
+	first := run(tinySpec) // stores tinySpec's cell, so later runs are hits
+	// A registered worker that never polls holds a cold cell's lease
+	// pending, so the job older than every later one stays running.
+	s.disp.Register("idle")
+	held, err := cli.Submit(ctx, strings.NewReader(strings.Replace(tinySpec, `"trials": 1`, `"trials": 2`, 1)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		info, err := cli.Job(ctx, held.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Status == JobRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("held job %s, want running", info.Status)
+		}
+	}
+	var ids []string
+	for i := 0; i < 3; i++ {
+		ids = append(ids, run(tinySpec))
 	}
 	jobs, err := cli.Jobs(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs) > 3 {
+	if len(jobs) != 2 {
 		t.Fatalf("retention not bounded: %d jobs listed (MaxJobs=2)", len(jobs))
 	}
-	// The earliest job was pruned entirely.
-	if _, err := cli.Job(ctx, ids[0]); err == nil || !strings.Contains(err.Error(), "HTTP 404") {
-		t.Fatalf("oldest job not pruned: %v", err)
+	// The oldest terminal jobs were pruned entirely.
+	for _, id := range []string{first, ids[0], ids[1]} {
+		if _, err := cli.Job(ctx, id); err == nil || !strings.Contains(err.Error(), "HTTP 404") {
+			t.Fatalf("old job %s not pruned: %v", id, err)
+		}
 	}
-	// The newest survives with its report.
-	if _, err := cli.Report(ctx, ids[3], false); err != nil {
+	// The running job is kept, though it is the oldest.
+	if info, err := cli.Job(ctx, held.ID); err != nil || info.Status != JobRunning {
+		t.Fatalf("running job %s: %+v, %v; want kept and running", held.ID, info, err)
+	}
+	// The newest survives with its report, and its spec is still served,
+	// but as a finished job it no longer holds its plan.
+	if _, err := cli.Report(ctx, ids[2], false); err != nil {
 		t.Fatalf("newest job's report lost: %v", err)
+	}
+	resp, err := http.Get(cli.BaseURL() + "/api/v1/jobs/" + ids[2] + "/spec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("finished job's spec: HTTP %d", resp.StatusCode)
+	}
+	s.mu.Lock()
+	newest, running := s.jobs[ids[2]], s.jobs[held.ID]
+	s.mu.Unlock()
+	newest.mu.Lock()
+	dropped := newest.plan == nil
+	newest.mu.Unlock()
+	running.mu.Lock()
+	kept := running.plan != nil
+	running.mu.Unlock()
+	if !dropped || !kept {
+		t.Fatalf("finished job holds its plan: %v, running job holds its plan: %v; want false, true", !dropped, kept)
+	}
+	if _, err := cli.Cancel(ctx, held.ID); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := cli.Watch(ctx, held.ID, nil); err != nil || info.Status != JobCancelled {
+		t.Fatalf("held job after cancel: %+v, %v", info, err)
+	}
+}
+
+// The ordered emitter writes each cell as one whole line; the splitter
+// takes exactly that and refuses any other write, so a torn or merged
+// write fails the job instead of being stored as a corrupt line.
+func TestJSONLSplitterTakesOnlyWholeLines(t *testing.T) {
+	j := &Job{updated: make(chan struct{})}
+	w := jsonlSplitter{j: j}
+	if n, err := w.Write([]byte("{\"id\":\"a\"}\n")); err != nil || n != 11 {
+		t.Fatalf("whole line: n=%d err=%v", n, err)
+	}
+	for _, bad := range []string{"", "{\"id\"", "\n\n", "{}\n{}\n", "{}\n{"} {
+		if n, err := w.Write([]byte(bad)); err == nil || n != 0 {
+			t.Errorf("Write(%q) = %d, %v; want 0 and an error", bad, n, err)
+		}
+	}
+	if lines, _, _, _ := j.watch(0); len(lines) != 1 || lines[0] != `{"id":"a"}` {
+		t.Fatalf("lines = %q, want the one whole line", lines)
 	}
 }
 

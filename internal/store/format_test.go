@@ -42,6 +42,37 @@ func v1Payload(t *testing.T, key string, cell report.Cell) []byte {
 	return b
 }
 
+// TestV2PayloadIsItsPersistRecordJSON pins the bytes a put writes:
+// encodePending builds them without reflection, and they must stay
+// exactly json.Marshal of the record's persistRecord.
+func TestV2PayloadIsItsPersistRecordJSON(t *testing.T) {
+	odd := cellFor(3)
+	odd.ID, odd.Summary.FirstBug = "w/<&>", "tab\there \"quoted\" \xff"
+	for _, tc := range []struct {
+		cell report.Cell
+		now  int64
+	}{{cellFor(1), 1_700_000_000}, {odd, 1_700_000_001}, {cellFor(2), 0}} {
+		p, err := encodePending("k", tc.cell, tc.now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cellJSON, err := json.Marshal(tc.cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(persistRecord{
+			Key: "k", V: recordVersion, Schema: report.SchemaVersion,
+			Created: tc.now, Hit: tc.now, Cell: cellJSON,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(p.payload) != string(want) {
+			t.Fatalf("payload\n%s\nwant\n%s", p.payload, want)
+		}
+	}
+}
+
 func TestMixedV1V2RecordsReplayFromOneSegment(t *testing.T) {
 	// A store upgraded mid-life has v1 and v2 records interleaved in the
 	// same segment. Replay must serve both, forever.

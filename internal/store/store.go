@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/eventlog"
+	"repro/internal/jsonenc"
 	"repro/internal/report"
 )
 
@@ -555,20 +556,28 @@ type pendingRecord struct {
 	meta    recMeta
 }
 
-// encodePending marshals one cell into a framed-ready v2 payload.
+// encodePending encodes one cell into a framed-ready v2 payload: the
+// bytes json.Marshal writes for its persistRecord, without reflection.
 func encodePending(key string, cell report.Cell, now int64) (pendingRecord, error) {
-	cellJSON, err := json.Marshal(cell)
-	if err != nil {
-		return pendingRecord{}, fmt.Errorf("store: encoding %s: %w", key, err)
-	}
 	meta := recMeta{v: recordVersion, schema: report.SchemaVersion, created: now, hit: now}
-	payload, err := json.Marshal(persistRecord{
-		Key: key, V: meta.v, Schema: meta.schema,
-		Created: meta.created, Hit: meta.hit, Cell: cellJSON,
-	})
-	if err != nil {
+	w := jsonenc.Writer{B: make([]byte, 0, 640)}
+	w.BeginObject()
+	w.String("key", key)
+	// v and schema are nonzero constants, so their omitempty never
+	// applies; a clock at the epoch leaves out created and hit.
+	w.Int("v", int64(meta.v))
+	w.Int("schema", int64(meta.schema))
+	if now != 0 {
+		w.Int("created", now)
+		w.Int("hit", now)
+	}
+	w.Field("cell")
+	var err error
+	if w.B, err = report.AppendCell(w.B, &cell); err != nil {
 		return pendingRecord{}, fmt.Errorf("store: encoding %s: %w", key, err)
 	}
+	w.EndObject()
+	payload := w.B
 	if len(payload)+recordHeaderLen > MaxRecordBytes {
 		// Never write what replay would refuse to read back.
 		return pendingRecord{}, fmt.Errorf("store: record for %s is %d bytes (max %d); kept memory-only", key, len(payload), MaxRecordBytes)

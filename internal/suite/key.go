@@ -11,15 +11,20 @@ package suite
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
+	"maps"
+	"slices"
+	"sync"
 
+	"repro/internal/jsonenc"
 	"repro/internal/report"
 )
 
-// cellKeyEnvelope is the serialization the key hashes. Field set and
-// json tags are part of the on-disk cache contract: changing either
-// (or the report schema) re-keys the world, which is exactly the safe
-// failure mode — stale entries become unreachable instead of wrong.
+// cellKeyEnvelope is the serialization the key hashes: appendCellKey
+// writes its json.Marshal bytes directly, and the key tests marshal it
+// as the reference. Field set and json tags are part of the on-disk
+// cache contract: changing either (or the report schema) re-keys the
+// world, which is exactly the safe failure mode — stale entries become
+// unreachable instead of wrong.
 type cellKeyEnvelope struct {
 	Schema     int          `json:"schema"`
 	RE         string       `json:"re"`
@@ -45,30 +50,76 @@ type cellKeyEnvelope struct {
 // configuration. Call it on a defaulted spec (Run does) so implicit
 // and explicit defaults key identically.
 func (s *Spec) CellKey(c Cell) string {
-	env := cellKeyEnvelope{
-		Schema:     report.SchemaVersion,
-		RE:         s.RE,
-		Trials:     s.Trials,
-		KeepGoing:  s.KeepGoing,
-		MaxSteps:   s.MaxSteps,
-		CommandGap: s.CommandGap,
-		Dedup:      s.Dedup,
-		Workload:   c.Workload,
-		Op:         c.OpName,
-		N:          c.Point.N,
-		S:          c.Point.S,
-		PD:         c.PD,
-		Tool:       c.Tool,
-		Seed:       c.Seed,
-	}
-	// Marshal sorts map keys (inline PD distributions), so the
-	// serialization is canonical.
-	data, err := json.Marshal(env)
+	bp := keyBufs.Get().(*[]byte)
+	data, err := appendCellKey((*bp)[:0], s, &c)
 	if err != nil {
-		// Every field is a plain value type; Marshal cannot fail. Keep a
+		// Only a NaN or an infinite float in an inline distribution or a
+		// tool knob gets here, which no JSON spec can carry. Keep a
 		// deterministic fallback rather than a panic in the hot path.
-		data = []byte(c.ID)
+		data = append(data[:0], c.ID...)
 	}
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	*bp = data
+	keyBufs.Put(bp)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
+}
+
+// keyBufs recycles the buffers CellKey serializes into: a hub computes
+// a key for every cell of every job it serves.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendCellKey appends the bytes CellKey hashes: exactly what
+// json.Marshal writes for the cell's cellKeyEnvelope, built without
+// reflection. Map keys are sorted as encoding/json sorts them, so the
+// serialization is canonical. The workload and tool specs encode
+// themselves beside their tags; FuzzCellKeyBytes and
+// TestCellKeyBytesWriteEveryField hold the whole equal to json.Marshal,
+// so a field added to the envelope or PDSpec must be added here too.
+func appendCellKey(dst []byte, s *Spec, c *Cell) ([]byte, error) {
+	w := jsonenc.Writer{B: dst}
+	w.BeginObject()
+	w.Int("schema", report.SchemaVersion)
+	w.String("re", s.RE)
+	w.Int("trials", int64(s.Trials))
+	w.Bool("keep_going", s.KeepGoing)
+	w.Int("max_steps", int64(s.MaxSteps))
+	w.Int("command_gap", int64(s.CommandGap))
+	w.Bool("dedup", s.Dedup)
+
+	c.Workload.AppendJSON(&w, "workload")
+
+	w.String("op", c.OpName)
+	w.Int("n", int64(c.Point.N))
+	w.Int("s", int64(c.Point.S))
+
+	w.Object("pd")
+	w.String("name", c.PD.Name)
+	if c.PD.Builtin != "" {
+		w.String("builtin", c.PD.Builtin)
+	}
+	if len(c.PD.Dist) > 0 {
+		w.Object("dist")
+		for _, from := range slices.Sorted(maps.Keys(c.PD.Dist)) {
+			cond := c.PD.Dist[from]
+			if cond == nil {
+				w.Null(from)
+				continue
+			}
+			w.Object(from)
+			for _, sym := range slices.Sorted(maps.Keys(cond)) {
+				w.Float(sym, cond[sym])
+			}
+			w.EndObject()
+		}
+		w.EndObject()
+	}
+	w.EndObject()
+
+	c.Tool.AppendJSON(&w, "tool")
+
+	w.Uint("seed", c.Seed)
+	w.EndObject()
+	return w.B, w.Err()
 }

@@ -75,16 +75,16 @@ func Run(spec *Spec, jsonl io.Writer) (*report.Report, error) {
 // Interrupted report together with ErrInterrupted, so callers can
 // persist what was computed instead of dying mid-write.
 func RunContext(ctx context.Context, spec *Spec, jsonl io.Writer, opts Options) (*report.Report, error) {
-	s := *spec
-	s.applyDefaults()
-	if err := s.Validate(); err != nil {
+	p, err := NewPlan(spec)
+	if err != nil {
 		return nil, err
 	}
-	spec = &s
-	cells := spec.Expand()
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("suite: spec %q expands to zero cells", spec.Name)
-	}
+	return p.Run(ctx, jsonl, opts)
+}
+
+// Run executes the plan as RunContext executes a spec.
+func (p *Plan) Run(ctx context.Context, jsonl io.Writer, opts Options) (*report.Report, error) {
+	spec, cells := p.spec, p.cells
 	start := time.Now()
 	compilesBefore := pfa.CompileCount()
 	emit := newOrderedEmitter(jsonl)
@@ -164,7 +164,7 @@ func RunContext(ctx context.Context, spec *Spec, jsonl io.Writer, opts Options) 
 	rep := &report.Report{
 		SchemaVersion: report.SchemaVersion,
 		Suite:         spec.Name,
-		SpecDigest:    spec.Digest(),
+		SpecDigest:    p.digest,
 		Cells:         results,
 		Interrupted:   interrupted,
 		PFACompiles:   pfa.CompileCount() - compilesBefore,

@@ -111,15 +111,24 @@ type Spec struct {
 // Parse decodes, defaults and validates a spec. Unknown fields are
 // rejected so a typoed axis name cannot silently shrink the matrix.
 func Parse(r io.Reader) (*Spec, error) {
+	s, err := decode(r)
+	if err != nil {
+		return nil, err
+	}
+	s.applyDefaults()
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// decode reads one spec, refusing unknown fields.
+func decode(r io.Reader) (*Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("suite: spec: %w", err)
-	}
-	s.applyDefaults()
-	if err := s.Validate(); err != nil {
-		return nil, err
 	}
 	return &s, nil
 }

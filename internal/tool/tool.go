@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"repro/internal/committee"
+	"repro/internal/jsonenc"
 	"repro/internal/pattern"
 	"repro/internal/pcore"
 	"repro/internal/pfa"
@@ -62,6 +63,41 @@ type Spec struct {
 
 	// PCT: number of priority-change points per trial (default 3).
 	Depth int `json:"depth,omitempty"`
+}
+
+// AppendJSON writes s as the member name of w's open object, in exactly
+// the bytes json.Marshal writes for it under the tags above. Cell keys
+// hash these bytes, so a knob added to Spec must be added here too;
+// internal/suite's TestCellKeyBytesWriteEveryField and FuzzCellKeyBytes
+// hold the two equal.
+func (s *Spec) AppendJSON(w *jsonenc.Writer, name string) {
+	w.Object(name)
+	w.String("name", s.Name)
+	if s.Label != "" {
+		w.String("label", s.Label)
+	}
+	if s.Refine {
+		w.Bool("refine", true)
+	}
+	if s.Alpha != 0 {
+		w.Float("alpha", s.Alpha)
+	}
+	if s.Window != 0 {
+		w.Int("window", int64(s.Window))
+	}
+	if s.NoiseP != 0 {
+		w.Float("noise_p", s.NoiseP)
+	}
+	if s.PreemptionBound != nil {
+		w.Int("preemption_bound", int64(*s.PreemptionBound))
+	}
+	if s.MaxSchedules != 0 {
+		w.Int("max_schedules", int64(s.MaxSchedules))
+	}
+	if s.Depth != 0 {
+		w.Int("depth", int64(s.Depth))
+	}
+	w.EndObject()
 }
 
 // DisplayLabel is the spec's identity in cell IDs and reports: the

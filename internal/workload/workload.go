@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/committee"
+	"repro/internal/jsonenc"
 	"repro/internal/pcore"
 )
 
@@ -58,6 +59,34 @@ type Spec struct {
 	GCLeakEvery           int `json:"gc_leak_every,omitempty"`
 	DropResumeEvery       int `json:"drop_resume_every,omitempty"`
 	MisplacePriorityEvery int `json:"misplace_priority_every,omitempty"`
+}
+
+// AppendJSON writes s as the member name of w's open object, in exactly
+// the bytes json.Marshal writes for it under the tags above. Cell keys
+// hash these bytes, so a knob added to Spec must be added here too;
+// internal/suite's TestCellKeyBytesWriteEveryField and FuzzCellKeyBytes
+// hold the two equal.
+func (s *Spec) AppendJSON(w *jsonenc.Writer, name string) {
+	w.Object(name)
+	w.String("name", s.Name)
+	if s.Seed != 0 {
+		w.Uint("seed", s.Seed)
+	}
+	for _, k := range [...]struct {
+		name string
+		v    int
+	}{
+		{"rounds", s.Rounds}, {"items", s.Items}, {"hog_bursts", s.HogBursts},
+		{"gc_every", s.GCEvery}, {"quantum", s.Quantum}, {"max_tasks", s.MaxTasks},
+		{"stack_size", s.StackSize}, {"gc_leak_every", s.GCLeakEvery},
+		{"drop_resume_every", s.DropResumeEvery},
+		{"misplace_priority_every", s.MisplacePriorityEvery},
+	} {
+		if k.v != 0 {
+			w.Int(k.name, int64(k.v))
+		}
+	}
+	w.EndObject()
 }
 
 // WithDefaults normalizes workload knobs to their execution defaults.
