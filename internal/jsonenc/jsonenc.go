@@ -2,9 +2,10 @@
 // encoding/json writes for the same values: json.Marshal's compact
 // layout or json.MarshalIndent(v, "", "  ")'s indented one, the same
 // HTML-safe string escaping, and the same float formatting. The report
-// encoders and the cell key build on it, because the hub writes both
-// for every cell it serves; encoding/json stays the reference their
-// fuzz tests compare against.
+// encoders, the cell key, the spec digest and the hub's job replies
+// build on it, because the hub writes them for every job and cell it
+// serves; encoding/json stays the reference their tests compare
+// against.
 //
 // A Writer knows nothing of Go types. Its caller writes a struct's
 // members in declaration order and leaves out the empty omitempty
@@ -80,6 +81,12 @@ func (w *Writer) Field(name string) {
 // String writes a string member.
 func (w *Writer) String(name, v string) {
 	w.Field(name)
+	w.B = appendString(w.B, v)
+}
+
+// StringElem writes a string as the next element of the open array.
+func (w *Writer) StringElem(v string) {
+	w.next()
 	w.B = appendString(w.B, v)
 }
 

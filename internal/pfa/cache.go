@@ -31,16 +31,41 @@ func CompileCount() uint64 { return compileCount.Load() }
 // is dropped wholesale — simpler than LRU and harmless at this size.
 const cacheLimit = 256
 
+// cacheKey is a machine's identity: the regular expression and the
+// fingerprint of its distribution.
+type cacheKey struct{ re, dist string }
+
 var cache = struct {
 	sync.Mutex
-	m map[string]*PFA
-}{m: make(map[string]*PFA)}
+	m map[cacheKey]*PFA
+}{m: make(map[cacheKey]*PFA)}
 
 // Compile returns the PFA for (re, d), building it with FromRegex on
 // the first request and serving the shared immutable machine from the
 // cache afterwards. Construction errors are not cached.
 func Compile(re string, d Distribution) (*PFA, error) {
-	key := fingerprint(re, d)
+	return compile(cacheKey{re, fingerprint(d)}, d)
+}
+
+// Fixed is a distribution that never changes, fingerprinted once, so
+// compiling against it again costs only the cache lookup. A suite
+// checks every distribution variant of every spec it is given against
+// the spec's RE, and most name one of the paper's.
+type Fixed struct {
+	d  Distribution
+	fp string
+}
+
+// Fix fingerprints d, which nobody may modify afterwards; nil is the
+// uniform distribution.
+func Fix(d Distribution) *Fixed { return &Fixed{d: d, fp: fingerprint(d)} }
+
+// Compile is Compile(re, d) for the fixed distribution d.
+func (f *Fixed) Compile(re string) (*PFA, error) {
+	return compile(cacheKey{re, f.fp}, f.d)
+}
+
+func compile(key cacheKey, d Distribution) (*PFA, error) {
 	cache.Lock()
 	if p, ok := cache.m[key]; ok {
 		cache.Unlock()
@@ -48,7 +73,7 @@ func Compile(re string, d Distribution) (*PFA, error) {
 	}
 	cache.Unlock()
 
-	p, err := FromRegex(re, d)
+	p, err := FromRegex(key.re, d)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +84,7 @@ func Compile(re string, d Distribution) (*PFA, error) {
 		p = prior
 	} else {
 		if len(cache.m) >= cacheLimit {
-			cache.m = make(map[string]*PFA)
+			cache.m = make(map[cacheKey]*PFA)
 		}
 		cache.m[key] = p
 	}
@@ -67,17 +92,17 @@ func Compile(re string, d Distribution) (*PFA, error) {
 	return p, nil
 }
 
-// fingerprint renders (re, d) canonically: labels and symbols sorted,
+// fingerprint renders d canonically: labels and symbols sorted,
 // probabilities in full precision. Distributions are tiny (states ×
 // symbols of the service alphabet), so this is orders of magnitude
-// cheaper than the construction it keys.
-func fingerprint(re string, d Distribution) string {
-	var sb strings.Builder
-	sb.WriteString(re)
+// cheaper than the construction it keys. Every non-empty rendering
+// starts with a zero byte, so the uniform marker cannot collide with
+// one.
+func fingerprint(d Distribution) string {
 	if d == nil {
-		sb.WriteString("\x00uniform")
-		return sb.String()
+		return "uniform"
 	}
+	var sb strings.Builder
 	labels := make([]string, 0, len(d))
 	for l := range d {
 		labels = append(labels, l)

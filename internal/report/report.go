@@ -161,20 +161,26 @@ func Canonical(r *Report) *Report {
 	return &out
 }
 
-// Write encodes the report as indented JSON with a trailing newline:
-// the bytes json.MarshalIndent(r, "", "  ") writes, plus '\n'.
+// Write encodes the report as Append does.
 func Write(w io.Writer, r *Report) error {
 	bp := bufs.Get().(*[]byte)
-	data, err := appendReport((*bp)[:0], r)
-	if err != nil {
-		err = fmt.Errorf("report: encoding: %w", err)
-	} else {
-		data = append(data, '\n')
+	data, err := Append((*bp)[:0], r)
+	if err == nil {
 		_, err = w.Write(data)
 	}
 	*bp = data
 	bufs.Put(bp)
 	return err
+}
+
+// Append appends the report as indented JSON with a trailing newline:
+// the bytes json.MarshalIndent(r, "", "  ") writes, plus '\n'.
+func Append(dst []byte, r *Report) ([]byte, error) {
+	data, err := appendReport(dst, r)
+	if err != nil {
+		return data, fmt.Errorf("report: encoding: %w", err)
+	}
+	return append(data, '\n'), nil
 }
 
 // bufs recycles encoding buffers: a hub encodes a JSONL line for every

@@ -19,15 +19,19 @@ const warmSpec = `{"name":"quick","seed":7,"trials":2,"keep_going":true,"max_ste
 "tools":[{"name":"adaptive"},{"name":"chess","max_schedules":2},{"name":"pct","depth":2}]}`
 
 // The measured allocations of one all-hit job, without and with -race
-// (Go 1.24, linux/amd64, 2 CPUs). Before each job's spec was resolved
-// once into a plan, and reports, JSONL lines and cell keys were encoded
-// without reflection, a job allocated 615 objects and 91.5 kB (700 and
-// 130.8 kB under -race).
+// (Go 1.24, linux/amd64, 2 CPUs). Before the store lookups ran in one
+// pass ahead of any fan-out, finished replies went out in one sized
+// write, and specs, digests and JobInfo were resolved and encoded
+// without rebuilt tables or reflection, a job allocated 500 objects and
+// 65.5 kB (563 and 102.8 kB under -race). Before each job's spec was
+// resolved once into a plan, and reports, JSONL lines and cell keys
+// were encoded without reflection, it allocated 615 objects and
+// 91.5 kB (700 and 130.8 kB under -race).
 const (
-	warmJobObjects     = 500
-	warmJobBytes       = 65_500
-	warmJobObjectsRace = 563
-	warmJobBytesRace   = 102_800
+	warmJobObjects     = 427
+	warmJobBytes       = 52_400
+	warmJobObjectsRace = 478
+	warmJobBytesRace   = 87_600
 )
 
 // TestWarmJobAllocationBudget bounds what one hub job whose every cell

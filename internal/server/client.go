@@ -120,7 +120,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, retry
 		resp, err := c.conn.Do(ctx, method, path, body)
 		if err == nil {
 			defer resp.Body.Close()
-			raw, err := io.ReadAll(resp.Body)
+			raw, err := readBody(resp)
 			if err != nil {
 				return nil, fmt.Errorf("client: reading %s: %w", path, err)
 			}
@@ -143,6 +143,26 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, retry
 		}
 		delay *= 2
 	}
+}
+
+// maxSizedBody caps the buffer a declared Content-Length sizes up
+// front, so a reply that claims more than it carries cannot make the
+// client allocate it.
+const maxSizedBody = 16 << 20
+
+// readBody reads a response body. One of known length, as every reply
+// about a finished job is, goes into one buffer of exactly that length
+// instead of through io.ReadAll's growing ones.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxSizedBody {
+		return io.ReadAll(resp.Body)
+	}
+	raw := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, raw); err != nil {
+		return nil, err
+	}
+	return raw, nil
 }
 
 // call is do plus decoding the success body into a T.

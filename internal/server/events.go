@@ -98,7 +98,10 @@ const sseKeepalive = 15 * time.Second
 // and whether the stream has ended; serveSSE writes the frames and
 // parks on that channel until the stream ends or the client leaves.
 // When the hub drains it writes what the stream holds one last time
-// and ends it.
+// and ends it. Nothing is flushed ahead of frames already in hand, and
+// an ended stream is not flushed at all: returning sends the headers
+// and every frame together, so the stream of a finished job goes out
+// in one write while it fits the server's 4 KB conn buffer.
 func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, next func() ([]api.Frame, <-chan struct{}, bool)) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -110,24 +113,25 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, next func() ([
 	h.Set("Cache-Control", "no-cache")
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
-	// Push the headers out before parking on an idle stream, so clients
-	// (and proxies with header timeouts) see it live.
-	fl.Flush()
 
 	idle := time.NewTimer(sseKeepalive)
 	defer idle.Stop()
-	for draining := false; ; {
+	for draining, live := false, false; ; {
 		frames, upd, end := next()
 		for _, f := range frames {
 			if api.WriteFrame(w, f) != nil {
 				return
 			}
 		}
-		if len(frames) > 0 {
-			fl.Flush()
-		}
 		if end || draining {
 			return
+		}
+		if len(frames) > 0 || !live {
+			// Push the frames out before parking, and on an idle start the
+			// headers, so clients (and proxies with header timeouts) see
+			// the stream live.
+			fl.Flush()
+			live = true
 		}
 		idle.Reset(sseKeepalive)
 		select {
@@ -192,7 +196,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	var running int
 	for _, j := range s.jobs {
-		if j.Info().Status == JobRunning {
+		if j.status() == JobRunning {
 			running++
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/jsonenc"
 	"repro/internal/report"
 	"repro/internal/suite"
 	"repro/internal/tenant"
@@ -58,6 +59,51 @@ type JobInfo struct {
 	SubmittedAt string `json:"submitted_at"`
 	StartedAt   string `json:"started_at,omitempty"`
 	FinishedAt  string `json:"finished_at,omitempty"`
+}
+
+// appendJobInfo appends info in exactly the bytes json.Marshal writes
+// for it or, with indent, the bytes writeJSON writes (json.Encoder's
+// two-space layout and its trailing newline), without reflection. A hub
+// writes it for every submit and every finished job's done frame.
+// TestJobInfoEncoding holds it to both, so a field added to JobInfo
+// must be added here too.
+func appendJobInfo(dst []byte, info *JobInfo, indent bool) []byte {
+	w := jsonenc.Writer{B: dst, Indent: indent}
+	w.BeginObject()
+	w.String("id", info.ID)
+	w.String("suite", info.Suite)
+	w.String("spec_digest", info.SpecDigest)
+	if info.Tenant != "" {
+		w.String("tenant", info.Tenant)
+	}
+	w.Int("priority", int64(info.Priority))
+	w.String("status", string(info.Status))
+	w.Int("total_cells", int64(info.TotalCells))
+	w.Int("done_cells", int64(info.DoneCells))
+	if info.StoreHits != 0 {
+		w.Uint("store_hits", info.StoreHits)
+	}
+	if info.CellsExecuted != 0 {
+		w.Uint("cells_executed", info.CellsExecuted)
+	}
+	if info.Interrupted {
+		w.Bool("interrupted", true)
+	}
+	if info.Error != "" {
+		w.String("error", info.Error)
+	}
+	w.String("submitted_at", info.SubmittedAt)
+	if info.StartedAt != "" {
+		w.String("started_at", info.StartedAt)
+	}
+	if info.FinishedAt != "" {
+		w.String("finished_at", info.FinishedAt)
+	}
+	w.EndObject()
+	if indent {
+		w.B = append(w.B, '\n')
+	}
+	return w.B
 }
 
 // Job is the server-side state. All fields behind mu; watchers block

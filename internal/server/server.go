@@ -413,6 +413,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeJobInfo is writeJSON for one JobInfo, in the same bytes.
+func writeJobInfo(w http.ResponseWriter, code int, info JobInfo) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(appendJobInfo(make([]byte, 0, 512), &info, true))
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		api.WriteError(w, http.StatusServiceUnavailable, "server draining")
@@ -496,7 +503,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.submitted.Add(1)
-	writeJSON(w, http.StatusAccepted, j.Info())
+	writeJobInfo(w, http.StatusAccepted, j.Info())
 }
 
 // queuedForLocked counts one tenant's still-queued jobs. Callers hold
@@ -561,7 +568,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.Info())
+	writeJobInfo(w, http.StatusOK, j.Info())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -587,7 +594,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 			Detail: "cancelled while queued",
 		})
 	}
-	writeJSON(w, http.StatusOK, j.Info())
+	writeJobInfo(w, http.StatusOK, j.Info())
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -604,9 +611,25 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("canonical") != "" {
 		rep = report.Canonical(rep)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = report.Write(w, rep)
+	// The report is encoded whole before anything is sent, so the reply
+	// declares its length instead of going out chunked.
+	bp := reportBufs.Get().(*[]byte)
+	data, err := report.Append((*bp)[:0], rep)
+	if err != nil {
+		api.WriteError(w, http.StatusInternalServerError, "job %s: %v", id, err)
+	} else {
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(data)))
+		_, _ = w.Write(data)
+	}
+	*bp = data
+	reportBufs.Put(bp)
 }
+
+// reportBufs recycles report replies' encoding buffers; a ResponseWriter
+// keeps no slice it is given, so a buffer is free once written.
+var reportBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // handleEvents is the job's SSE stream: the completed plan-order
 // prefix, then live cells, then one terminal `done` event. Cell events
@@ -630,8 +653,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			frames = append(frames, api.Frame{ID: from, Event: "cell", Data: []byte(line)})
 		}
 		if terminal {
-			data, _ := json.Marshal(info)
-			frames = append(frames, api.Frame{Event: "done", Data: data})
+			frames = append(frames, api.Frame{Event: "done", Data: appendJobInfo(make([]byte, 0, 512), &info, false)})
 		}
 		return frames, upd, terminal
 	})

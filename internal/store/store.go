@@ -113,7 +113,16 @@ const statsFlushEvery = 256
 type Store struct {
 	hits, misses, puts atomic.Uint64
 	syncs              atomic.Uint64
-	base               Counters // lifetime counters loaded from the sidecar
+	ops                atomic.Uint64 // Get/Put outcomes, toward the periodic sidecar flush
+	base               Counters      // lifetime counters loaded from the sidecar
+
+	// statsMu serializes the sidecar writes, which run outside mu so that
+	// no Get or Put waits behind file I/O; statsDone is set once Close
+	// has written the final counters. writeSidecar is os.WriteFile, or a
+	// test's hook.
+	statsMu      sync.Mutex
+	statsDone    bool
+	writeSidecar func(name string, data []byte, perm os.FileMode) error
 
 	mu      sync.Mutex
 	front   *lruCache
@@ -137,7 +146,6 @@ type Store struct {
 	autoMin               int64   // Config.AutoCompactMinBytes
 	autoRatio             float64 // Config.AutoCompactRatio
 	compacting            bool    // one background compaction at a time
-	unflushed             int     // Get/Put outcomes since the last sidecar flush
 	diskDead              bool    // disk layer failed; serve memory-only
 	closed                bool
 	events                *eventlog.Recorder // nil emits nothing
@@ -224,15 +232,16 @@ func Open(cfg Config) (*Store, error) {
 		cfg.Clock = clock.System()
 	}
 	s := &Store{
-		front:     newLRU(cfg.MemEntries),
-		dir:       cfg.Dir,
-		segMax:    cfg.SegMaxBytes,
-		wall:      cfg.Clock,
-		gc:        cfg.GC,
-		autoMin:   cfg.AutoCompactMinBytes,
-		autoRatio: cfg.AutoCompactRatio,
-		index:     map[string]diskRef{},
-		readers:   map[int]*os.File{},
+		writeSidecar: os.WriteFile,
+		front:        newLRU(cfg.MemEntries),
+		dir:          cfg.Dir,
+		segMax:       cfg.SegMaxBytes,
+		wall:         cfg.Clock,
+		gc:           cfg.GC,
+		autoMin:      cfg.AutoCompactMinBytes,
+		autoRatio:    cfg.AutoCompactRatio,
+		index:        map[string]diskRef{},
+		readers:      map[int]*os.File{},
 	}
 	if cfg.Dir == "" {
 		return s, nil
@@ -444,8 +453,13 @@ func (s *Store) openActive() error {
 // which is exactly when the MaxIdle GC policy consults it.
 func (s *Store) Get(key string) (report.Cell, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.noteOpLocked()
+	cell, ok := s.getLocked(key)
+	s.mu.Unlock()
+	s.noteOps(1)
+	return cell, ok
+}
+
+func (s *Store) getLocked(key string) (report.Cell, bool) {
 	if cell, ok := s.front.Get(key); ok {
 		s.touchLocked(key)
 		s.hits.Add(1)
@@ -514,15 +528,24 @@ func (s *Store) Put(key string, cell report.Cell) error {
 // may not persist, never that a cell is wrong.
 func (s *Store) PutBatch(entries []CellEntry) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	puts, err := s.putBatchLocked(entries)
+	s.mu.Unlock()
+	s.noteOps(puts)
+	return err
+}
+
+// putBatchLocked is PutBatch under mu; it also returns how many entries
+// it accepted.
+func (s *Store) putBatchLocked(entries []CellEntry) (uint64, error) {
 	if s.closed {
-		return fmt.Errorf("store: closed")
+		return 0, fmt.Errorf("store: closed")
 	}
 	now := s.wall.Now().Unix()
 	var (
 		one       [1]pendingRecord // a lone Put's record stays off the heap
 		pend      = one[:0]
 		encodeErr error
+		puts      uint64
 	)
 	for _, e := range entries {
 		if s.front.Contains(e.Key) {
@@ -530,7 +553,7 @@ func (s *Store) PutBatch(entries []CellEntry) error {
 		}
 		_, onDisk := s.index[e.Key]
 		s.puts.Add(1)
-		s.noteOpLocked()
+		puts++
 		s.events.Emit(eventlog.Event{Type: eventlog.TypeStorePut, Key: e.Key, Detail: "batch"})
 		s.front.Add(e.Key, e.Cell)
 		if s.dir == "" || onDisk {
@@ -544,9 +567,9 @@ func (s *Store) PutBatch(entries []CellEntry) error {
 		pend = append(pend, p)
 	}
 	if len(pend) == 0 {
-		return encodeErr
+		return puts, encodeErr
 	}
-	return errors.Join(encodeErr, s.appendRecordsLocked(pend))
+	return puts, errors.Join(encodeErr, s.appendRecordsLocked(pend))
 }
 
 // pendingRecord is one encoded-but-unwritten record of an append batch.
@@ -755,7 +778,7 @@ func (s *Store) closeLocked() error {
 		return nil
 	}
 	s.closed = true
-	s.flushStatsLocked()
+	s.flushStats(true)
 	var first error
 	if s.active != nil {
 		if err := s.active.Close(); err != nil {
@@ -782,37 +805,43 @@ func (s *Store) closeLocked() error {
 	return nil
 }
 
-// noteOpLocked counts one Get/Put outcome toward the periodic sidecar
-// flush, so lifetime counters survive a crash or SIGKILL instead of
-// existing only in memory until Close.
-func (s *Store) noteOpLocked() {
-	if s.dir == "" || s.lock == nil {
+// noteOps counts n Get/Put outcomes and rewrites the sidecar each time
+// the count passes a multiple of statsFlushEvery, so lifetime counters
+// survive a crash or SIGKILL instead of existing only in memory until
+// Close. Callers do not hold mu: the rewrite runs on their goroutine
+// while every other Get and Put goes on.
+func (s *Store) noteOps(n uint64) {
+	if s.dir == "" || n == 0 {
 		return
 	}
-	s.unflushed++
-	if s.unflushed >= statsFlushEvery {
-		s.flushStatsLocked()
+	if after := s.ops.Add(n); after/statsFlushEvery != (after-n)/statsFlushEvery {
+		s.flushStats(false)
 	}
 }
 
-// flushStatsLocked rewrites the stats.json sidecar with the cumulative
-// counters. Written only while the flock is held, so two stores never
-// race on it — but the lockless Stat path reads it concurrently, so the
-// replace must be atomic (write-temp + rename): a truncate-then-write
-// would hand Stat an empty or partial file, and a crash between the
-// two would destroy exactly the history the periodic flush exists to
-// preserve. Best-effort: counter history is advisory.
-func (s *Store) flushStatsLocked() {
-	s.unflushed = 0
-	if s.dir == "" || s.lock == nil {
+// flushStats rewrites the stats.json sidecar with the cumulative
+// counters; final marks Close's write, after which none follows. The
+// writes are serialized and each reads the counters it writes under
+// statsMu, so the sidecar never goes back in time. Written only while
+// the flock is held, so two stores never race on it — but the lockless
+// Stat path reads it concurrently, so the replace must be atomic
+// (write-temp + rename): a truncate-then-write would hand Stat an empty
+// or partial file, and a crash between the two would destroy exactly
+// the history the periodic flush exists to preserve. Best-effort:
+// counter history is advisory.
+func (s *Store) flushStats(final bool) {
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	if s.dir == "" || s.statsDone {
 		return
 	}
+	s.statsDone = final
 	data, err := json.Marshal(s.Lifetime())
 	if err != nil {
 		return
 	}
 	tmp := filepath.Join(s.dir, statsSidecar+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	if err := s.writeSidecar(tmp, append(data, '\n'), 0o644); err != nil {
 		return
 	}
 	_ = os.Rename(tmp, filepath.Join(s.dir, statsSidecar))

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/report"
 )
@@ -361,6 +362,55 @@ func TestStatsFlushSurvivesCrashWithoutClose(t *testing.T) {
 		t.Fatalf("flushed counters wrong: %+v", c)
 	}
 	_ = s.Close()
+}
+
+// TestSidecarWriteBlocksNoGet holds the periodic sidecar write inside
+// a hook and shows that another Get still returns meanwhile: the write
+// runs outside the store's mutex, on the goroutine whose operation made
+// it due.
+func TestSidecarWriteBlocksNoGet(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(key(1), cellFor(1)); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.writeSidecar = func(name string, data []byte, perm os.FileMode) error {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return os.WriteFile(name, data, perm)
+	}
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		for i := 1; i < statsFlushEvery; i++ { // the Put was the first operation
+			s.Get(key(1))
+		}
+	}()
+	<-entered
+	got := make(chan bool)
+	go func() {
+		_, ok := s.Get(key(1))
+		got <- ok
+	}()
+	select {
+	case ok := <-got:
+		if !ok {
+			t.Fatal("Get missed a stored key")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Get waited behind the sidecar write")
+	}
+	close(release)
+	<-flushed
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDirectoryLockIsExclusive(t *testing.T) {

@@ -168,10 +168,43 @@ func fill(v reflect.Value) {
 	}
 }
 
+// checkDigestBytes compares appendDigest with encoding/json's bytes for
+// the spec's digestSpec, errors included.
+func checkDigestBytes(t *testing.T, s *Spec) {
+	t.Helper()
+	want, wantErr := json.Marshal(digestSpec{
+		Name: s.Name, RE: s.RE, Seed: s.Seed, Trials: s.Trials,
+		KeepGoing: s.KeepGoing, MaxSteps: s.MaxSteps, CommandGap: s.CommandGap,
+		Dedup: s.Dedup, Workloads: s.Workloads, Ops: s.Ops, Points: s.Points,
+		PDs: s.PDs, Tools: s.Tools,
+	})
+	got, err := appendDigest(nil, s)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("appendDigest error %v, encoding/json error %v", err, wantErr)
+	}
+	if err == nil && !bytes.Equal(got, want) {
+		t.Fatalf("appendDigest wrote\n%s\nencoding/json wrote\n%s", got, want)
+	}
+}
+
+// TestDigestBytesWriteEveryField sets every field of a spec to a
+// non-zero value by reflection, and then leaves every one zero, and
+// compares the digest bytes with encoding/json each time, so a field
+// added to Spec and digestSpec but not to appendDigest fails here.
+func TestDigestBytesWriteEveryField(t *testing.T) {
+	var s Spec
+	fill(reflect.ValueOf(&s).Elem())
+	checkDigestBytes(t, &s)
+	checkDigestBytes(t, &Spec{})
+	checkDigestBytes(t, &Spec{Ops: []string{}, PDs: []PDSpec{{Dist: map[string]map[string]float64{"^": nil}}}})
+}
+
 // FuzzParseSpec feeds the submit path arbitrary bytes. Parsing never
 // panics; Parse and ParsePlan accept and refuse the same specs with
-// the same message; and a spec that parses, encoded to JSON and parsed
-// again, resolves to the same digest and the same cell keys.
+// the same message; the bytes a spec's digest hashes are json.Marshal's
+// for its digestSpec, whether or not it validates; and a spec that
+// parses, encoded to JSON and parsed again, resolves to the same digest
+// and the same cell keys.
 func FuzzParseSpec(f *testing.F) {
 	seeds, err := filepath.Glob("../../examples/suite/*.json")
 	if err != nil {
@@ -185,6 +218,9 @@ func FuzzParseSpec(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if s, err := decode(bytes.NewReader(data)); err == nil {
+			checkDigestBytes(t, s)
+		}
 		p, err := ParsePlan(bytes.NewReader(data))
 		_, perr := Parse(bytes.NewReader(data))
 		if (err == nil) != (perr == nil) || (err != nil && err.Error() != perr.Error()) {
@@ -193,6 +229,7 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkDigestBytes(t, p.Spec())
 		js, err := json.Marshal(p.Spec())
 		if err != nil {
 			t.Fatalf("re-encoding a parsed spec: %v", err)

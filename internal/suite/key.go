@@ -72,9 +72,8 @@ var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendCellKey appends the bytes CellKey hashes: exactly what
 // json.Marshal writes for the cell's cellKeyEnvelope, built without
-// reflection. Map keys are sorted as encoding/json sorts them, so the
-// serialization is canonical. The workload and tool specs encode
-// themselves beside their tags; FuzzCellKeyBytes and
+// reflection. The workload, PD and tool specs encode their members
+// beside their tags; FuzzCellKeyBytes and
 // TestCellKeyBytesWriteEveryField hold the whole equal to json.Marshal,
 // so a field added to the envelope or PDSpec must be added here too.
 func appendCellKey(dst []byte, s *Spec, c *Cell) ([]byte, error) {
@@ -88,38 +87,51 @@ func appendCellKey(dst []byte, s *Spec, c *Cell) ([]byte, error) {
 	w.Int("command_gap", int64(s.CommandGap))
 	w.Bool("dedup", s.Dedup)
 
-	c.Workload.AppendJSON(&w, "workload")
+	w.Object("workload")
+	c.Workload.AppendMembers(&w)
+	w.EndObject()
 
 	w.String("op", c.OpName)
 	w.Int("n", int64(c.Point.N))
 	w.Int("s", int64(c.Point.S))
 
 	w.Object("pd")
-	w.String("name", c.PD.Name)
-	if c.PD.Builtin != "" {
-		w.String("builtin", c.PD.Builtin)
-	}
-	if len(c.PD.Dist) > 0 {
-		w.Object("dist")
-		for _, from := range slices.Sorted(maps.Keys(c.PD.Dist)) {
-			cond := c.PD.Dist[from]
-			if cond == nil {
-				w.Null(from)
-				continue
-			}
-			w.Object(from)
-			for _, sym := range slices.Sorted(maps.Keys(cond)) {
-				w.Float(sym, cond[sym])
-			}
-			w.EndObject()
-		}
-		w.EndObject()
-	}
+	c.PD.appendMembers(&w)
 	w.EndObject()
 
-	c.Tool.AppendJSON(&w, "tool")
+	w.Object("tool")
+	c.Tool.AppendMembers(&w)
+	w.EndObject()
 
 	w.Uint("seed", c.Seed)
 	w.EndObject()
 	return w.B, w.Err()
+}
+
+// appendMembers writes the members of p into w's open object, in
+// exactly the bytes json.Marshal writes for them. Distribution keys are
+// sorted as encoding/json sorts map keys, so the serialization is
+// canonical.
+func (p *PDSpec) appendMembers(w *jsonenc.Writer) {
+	w.String("name", p.Name)
+	if p.Builtin != "" {
+		w.String("builtin", p.Builtin)
+	}
+	if len(p.Dist) == 0 {
+		return
+	}
+	w.Object("dist")
+	for _, from := range slices.Sorted(maps.Keys(p.Dist)) {
+		cond := p.Dist[from]
+		if cond == nil {
+			w.Null(from)
+			continue
+		}
+		w.Object(from)
+		for _, sym := range slices.Sorted(maps.Keys(cond)) {
+			w.Float(sym, cond[sym])
+		}
+		w.EndObject()
+	}
+	w.EndObject()
 }

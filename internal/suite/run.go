@@ -1,6 +1,7 @@
-// Suite execution: cells shard across the campaign engine's worker
-// pool, trials run parallel within a cell, and results stream to JSONL
-// in plan order while the aggregated report accumulates. Every cell is
+// Suite execution: store hits are resolved first, the cells that miss
+// shard across the campaign engine's worker pool, trials run parallel
+// within a cell, and results stream to JSONL in plan order while the
+// aggregated report accumulates. Every cell is
 // deterministic in (spec, cell ID), so the canonical report is
 // byte-identical across reruns at any parallelism. Tool dispatch is
 // entirely the internal/tool registry's: runCell resolves the cell's
@@ -82,69 +83,81 @@ func RunContext(ctx context.Context, spec *Spec, jsonl io.Writer, opts Options) 
 	return p.Run(ctx, jsonl, opts)
 }
 
-// Run executes the plan as RunContext executes a spec.
+// Run executes the plan as RunContext executes a spec. With a store,
+// every cell is looked up first, in plan order on the calling
+// goroutine, and only the misses go to the engine's workers: a job
+// whose every cell is stored runs in one pass, with no fan-out.
 func (p *Plan) Run(ctx context.Context, jsonl io.Writer, opts Options) (*report.Report, error) {
 	spec, cells := p.spec, p.cells
 	start := time.Now()
 	compilesBefore := pfa.CompileCount()
-	emit := newOrderedEmitter(jsonl)
-	var hits, misses atomic.Uint64
+	var keys []string
+	if opts.Store != nil {
+		keys = make([]string, len(cells))
+	}
+	set := newSettler(ctx, jsonl, opts.Events, cells, keys)
+	var misses []int
+	for i := range cells {
+		// A cancelled sweep looks up nothing more; the cells past here
+		// never settle, so the report keeps a prefix.
+		if ctx.Err() != nil {
+			break
+		}
+		if opts.Store != nil {
+			keys[i] = spec.CellKey(cells[i])
+			if rc, ok := opts.Store.Get(keys[i]); ok {
+				set.settle(i, rc, stored)
+				continue
+			}
+		}
+		misses = append(misses, i)
+	}
 
-	results, runErr := engine.Run(len(cells), spec.CellParallelism,
-		func(i int) (report.Cell, error) {
+	var missed atomic.Uint64 // misses reached before any cancellation
+	_, runErr := engine.Run(len(misses), spec.CellParallelism,
+		func(j int) (struct{}, error) {
+			i := misses[j]
+			c := &cells[i]
 			// The cell boundary is the interrupt granularity: a cancelled
 			// context stops new cells, and the engine keeps exactly the
 			// completed prefix a sequential scan would have.
 			if ctx.Err() != nil {
-				return report.Cell{}, fmt.Errorf("suite: cell %s: %w", cells[i].ID, ErrInterrupted)
+				return struct{}{}, fmt.Errorf("suite: cell %s: %w", c.ID, ErrInterrupted)
 			}
-			opts.Events.Emit(eventlog.Event{
-				Type: eventlog.TypeCellStart, Cell: cells[i].ID, Tool: cells[i].Tool.Name,
-			})
-			var key string
+			opts.Events.Emit(eventlog.Event{Type: eventlog.TypeCellStart, Cell: c.ID, Tool: c.Tool.Name})
 			if opts.Store != nil {
-				key = spec.CellKey(cells[i])
-				if rc, ok := opts.Store.Get(key); ok {
-					hits.Add(1)
-					opts.Events.Emit(eventlog.Event{
-						Type: eventlog.TypeCellCached, Cell: cells[i].ID,
-						Tool: cells[i].Tool.Name, Key: key,
-					})
-					emit.emit(i, rc)
-					return rc, nil
-				}
-				misses.Add(1)
+				missed.Add(1)
 			}
 			cellStart := time.Now()
 			var rc report.Cell
 			var err error
 			if opts.Exec != nil {
-				rc, err = opts.Exec(ctx, spec, cells[i])
+				rc, err = opts.Exec(ctx, spec, *c)
 			} else {
-				rc, err = runCell(spec, cells[i])
+				rc, err = runCell(spec, *c)
 			}
 			if err != nil {
 				if !errors.Is(err, ErrInterrupted) {
 					opts.Events.Emit(eventlog.Event{
-						Type: eventlog.TypeCellFailed, Cell: cells[i].ID,
-						Tool: cells[i].Tool.Name, Detail: err.Error(),
+						Type: eventlog.TypeCellFailed, Cell: c.ID,
+						Tool: c.Tool.Name, Detail: err.Error(),
 						DurMS: float64(time.Since(cellStart).Microseconds()) / 1000,
 					})
 				}
-				return report.Cell{}, fmt.Errorf("suite: cell %s: %w", cells[i].ID, err)
+				return struct{}{}, fmt.Errorf("suite: cell %s: %w", c.ID, err)
 			}
 			opts.Events.Emit(eventlog.Event{
-				Type: eventlog.TypeCellExecuted, Cell: cells[i].ID,
-				Tool:  cells[i].Tool.Name,
+				Type: eventlog.TypeCellExecuted, Cell: c.ID,
+				Tool:  c.Tool.Name,
 				DurMS: float64(time.Since(cellStart).Microseconds()) / 1000,
 			})
 			if opts.Store != nil {
 				// A failed disk append degrades the store to memory-only for
 				// this entry; the computed result is still correct.
-				_ = opts.Store.Put(key, rc)
+				_ = opts.Store.Put(keys[i], rc)
 			}
-			emit.emit(i, rc)
-			return rc, nil
+			set.settle(i, rc, computed)
+			return struct{}{}, nil
 		}, nil)
 	if f, ok := opts.Store.(store.Flusher); ok {
 		// Job end is the write-back barrier: a store that queues puts
@@ -153,13 +166,14 @@ func (p *Plan) Run(ctx context.Context, jsonl io.Writer, opts Options) (*report.
 		// A flush error degrades like a failed Put, never failing the job.
 		_ = f.Flush()
 	}
-	interrupted := errors.Is(runErr, ErrInterrupted)
-	if runErr != nil && !interrupted {
+	if runErr != nil && !errors.Is(runErr, ErrInterrupted) {
 		return nil, runErr
 	}
-	if err := emit.err(); err != nil {
+	results, hits, err := set.done()
+	if err != nil {
 		return nil, fmt.Errorf("suite: streaming JSONL: %w", err)
 	}
+	interrupted := len(results) < len(cells)
 
 	rep := &report.Report{
 		SchemaVersion: report.SchemaVersion,
@@ -168,8 +182,8 @@ func (p *Plan) Run(ctx context.Context, jsonl io.Writer, opts Options) (*report.
 		Cells:         results,
 		Interrupted:   interrupted,
 		PFACompiles:   pfa.CompileCount() - compilesBefore,
-		StoreHits:     hits.Load(),
-		StoreMisses:   misses.Load(),
+		StoreHits:     hits,
+		StoreMisses:   missed.Load(),
 		WallMS:        float64(time.Since(start).Microseconds()) / 1000,
 		CreatedAt:     time.Now().UTC().Format(time.RFC3339),
 	}
@@ -243,47 +257,75 @@ func runCell(spec *Spec, c Cell) (report.Cell, error) {
 	}, nil
 }
 
-// orderedEmitter writes cells to the JSONL stream in plan order even
-// when parallel workers complete out of order: results arriving early
-// buffer until every lower index has flushed.
-type orderedEmitter struct {
+// cellState is where one cell of a run stands.
+type cellState uint8
+
+const (
+	unsettled cellState = iota // not looked up yet, or a miss still running
+	stored                     // a store hit, whose events go out as it settles
+	computed                   // executed, its events already out
+)
+
+// settler hands cells to the JSONL stream and the report in plan order,
+// whichever worker finishes first: a cell settles once it is a store
+// hit or has executed and every cell before it has settled. A hit's
+// start and cached events go out as it settles, after a check for
+// cancellation, since that is the cell boundary a sequential scan
+// would cross there; a cancellation seen there ends the prefix.
+type settler struct {
+	ctx    context.Context
+	w      io.Writer
+	events eventlog.Scoped
+	cells  []Cell
+	keys   []string // each cell's store key; nil without a store
+
 	mu      sync.Mutex
-	w       io.Writer
+	results []report.Cell
+	state   []cellState
 	next    int
-	pending map[int]report.Cell
+	hits    uint64
+	stopped bool
 	failed  error
 }
 
-func newOrderedEmitter(w io.Writer) *orderedEmitter {
-	return &orderedEmitter{w: w, pending: map[int]report.Cell{}}
-}
-
-func (e *orderedEmitter) emit(i int, c report.Cell) {
-	if e.w == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.failed != nil {
-		return
-	}
-	e.pending[i] = c
-	for {
-		cell, ok := e.pending[e.next]
-		if !ok {
-			return
-		}
-		delete(e.pending, e.next)
-		if err := report.WriteJSONL(e.w, cell); err != nil {
-			e.failed = err
-			return
-		}
-		e.next++
+func newSettler(ctx context.Context, w io.Writer, events eventlog.Scoped, cells []Cell, keys []string) *settler {
+	return &settler{
+		ctx: ctx, w: w, events: events, cells: cells, keys: keys,
+		results: make([]report.Cell, len(cells)),
+		state:   make([]cellState, len(cells)),
 	}
 }
 
-func (e *orderedEmitter) err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.failed
+// settle records cell i as stored or computed and settles every cell
+// of the plan-order prefix that is now complete.
+func (s *settler) settle(i int, rc report.Cell, st cellState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.results[i], s.state[i] = rc, st
+	for !s.stopped && s.next < len(s.state) && s.state[s.next] != unsettled {
+		if s.state[s.next] == stored {
+			if s.ctx.Err() != nil {
+				s.stopped = true
+				return
+			}
+			c := &s.cells[s.next]
+			s.events.Emit(eventlog.Event{Type: eventlog.TypeCellStart, Cell: c.ID, Tool: c.Tool.Name})
+			s.events.Emit(eventlog.Event{
+				Type: eventlog.TypeCellCached, Cell: c.ID, Tool: c.Tool.Name, Key: s.keys[s.next],
+			})
+			s.hits++
+		}
+		if s.w != nil && s.failed == nil {
+			s.failed = report.WriteJSONL(s.w, s.results[s.next])
+		}
+		s.next++
+	}
+}
+
+// done returns the settled plan-order prefix, the store hits in it and
+// the first JSONL write error. Call it once every worker has returned.
+func (s *settler) done() ([]report.Cell, uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.results[:s.next], s.hits, s.failed
 }

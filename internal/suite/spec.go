@@ -25,8 +25,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 
+	"repro/internal/jsonenc"
 	"repro/internal/pattern"
 	"repro/internal/pfa"
 	"repro/internal/tool"
@@ -272,14 +274,20 @@ func (s *Spec) Validate() error {
 			bad("tools[%d] (%s): %v", i, label, err)
 		}
 	}
-	if _, err := pfa.Compile(s.RE, nil); err != nil {
+	if _, err := builtinPDs[""].Compile(s.RE); err != nil {
 		bad("re: %v", err)
 	} else {
 		// Every PD variant must compile against the RE up front — an
 		// unnormalized inline dist failing mid-sweep after minutes of
 		// completed cells is exactly what Validate exists to prevent.
 		for i, pd := range s.PDs {
-			if _, err := pfa.Compile(s.RE, pd.Distribution()); err != nil {
+			var err error
+			if f, ok := builtinPDs[pd.Builtin]; ok && pd.Dist == nil {
+				_, err = f.Compile(s.RE)
+			} else {
+				_, err = pfa.Compile(s.RE, pd.Distribution())
+			}
+			if err != nil {
 				bad("pds[%d] (%s): %v", i, pd.Name, err)
 			}
 		}
@@ -288,6 +296,16 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("suite: invalid spec: %s", strings.Join(probs, "; "))
 	}
 	return nil
+}
+
+// builtinPDs are the builtin distributions, built and fingerprinted
+// once, so that validating a spec does neither for each PD variant.
+// The empty name is uniform, like the builtin "uniform".
+var builtinPDs = map[string]*pfa.Fixed{
+	"":        pfa.Fix(nil),
+	"uniform": pfa.Fix(nil),
+	"pcore":   pfa.Fix(pfa.PCoreDistribution()),
+	"figure3": pfa.Fix(pfa.Figure3Distribution()),
 }
 
 // Distribution resolves the PD variant to the machine form.
@@ -316,11 +334,10 @@ func (p PDSpec) Distribution() pfa.Distribution {
 
 // digestSpec is the serialization Digest hashes: the Spec field for
 // field, minus the execution knobs that cannot change results
-// (parallelism). A dedicated struct instead of a copy-and-zero keeps
-// the digest infallible by construction — there is no error path that
-// could silently collapse every spec onto the empty digest. Field
-// order and tags mirror Spec exactly; the rendered bytes are the
-// pre-refactor ones, pinned by TestGoldenIdentity.
+// (parallelism). appendDigest writes its json.Marshal bytes directly;
+// the struct stays as the reference the digest tests marshal, and
+// TestDigestSpecMirrorsSpec holds its fields to Spec's. The rendered
+// bytes are the pre-refactor ones, pinned by TestGoldenIdentity.
 type digestSpec struct {
 	Name       string         `json:"name"`
 	RE         string         `json:"re,omitempty"`
@@ -342,37 +359,115 @@ type digestSpec struct {
 // warn when a baseline was produced from a different spec. Execution
 // knobs that cannot change results (parallelism) are excluded, so the
 // same matrix digests identically at any worker count. Digest never
-// returns "": a marshal failure (possible only for an unvalidatable
-// inline distribution holding NaN/Inf) falls back to hashing the Go
-// representation instead of swallowing the error into an empty string.
+// returns "": a non-finite float, which only an unvalidatable inline
+// distribution or tool knob can hold, is sanitized and the spec
+// encoded again, rather than collapsing every such spec onto one
+// digest.
 func (s *Spec) Digest() string {
-	d := digestSpec{
-		Name: s.Name, RE: s.RE, Seed: s.Seed, Trials: s.Trials,
-		KeepGoing: s.KeepGoing, MaxSteps: s.MaxSteps,
-		CommandGap: s.CommandGap, Dedup: s.Dedup,
-		Workloads: s.Workloads, Ops: s.Ops, Points: s.Points,
-		PDs: s.PDs, Tools: s.Tools,
-	}
-	data, err := json.Marshal(&d)
+	data, err := appendDigest(nil, s)
 	if err != nil {
-		// The only marshal failure a Spec can express is a non-finite
-		// float (NaN/Inf in an inline distribution or a knob) — and such
-		// a spec can never validate, so its digest only needs to be
-		// non-empty and deterministic. Sanitize and re-marshal; pointer
-		// formatting (%#v-style) is out, it would bake in addresses.
-		data, err = json.Marshal(sanitizeNonFinite(d))
-		if err != nil {
-			data = []byte(d.Name)
+		// Such a spec can never validate, so its digest only needs to be
+		// non-empty and deterministic. Pointer formatting (%#v-style) is
+		// out, it would bake in addresses.
+		clean := sanitizeNonFinite(*s)
+		if data, err = appendDigest(data[:0], &clean); err != nil {
+			data = []byte(s.Name)
 		}
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:6])
 }
 
+// appendDigest appends the bytes Digest hashes: exactly what
+// json.Marshal writes for the spec's digestSpec, built without
+// reflection. FuzzParseSpec and TestDigestBytesWriteEveryField hold the
+// two equal, so a field added to Spec and digestSpec must be added here
+// too.
+func appendDigest(dst []byte, s *Spec) ([]byte, error) {
+	w := jsonenc.Writer{B: dst}
+	w.BeginObject()
+	w.String("name", s.Name)
+	if s.RE != "" {
+		w.String("re", s.RE)
+	}
+	if s.Seed != 0 {
+		w.Uint("seed", s.Seed)
+	}
+	if s.Trials != 0 {
+		w.Int("trials", int64(s.Trials))
+	}
+	if s.KeepGoing {
+		w.Bool("keep_going", true)
+	}
+	if s.MaxSteps != 0 {
+		w.Int("max_steps", int64(s.MaxSteps))
+	}
+	if s.CommandGap != 0 {
+		w.Int("command_gap", int64(s.CommandGap))
+	}
+	if s.Dedup {
+		w.Bool("dedup", true)
+	}
+	if s.Workloads == nil {
+		w.Null("workloads")
+	} else {
+		w.Array("workloads")
+		for i := range s.Workloads {
+			w.BeginObject()
+			s.Workloads[i].AppendMembers(&w)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	if s.Ops == nil {
+		w.Null("ops")
+	} else {
+		w.Array("ops")
+		for _, op := range s.Ops {
+			w.StringElem(op)
+		}
+		w.EndArray()
+	}
+	if s.Points == nil {
+		w.Null("points")
+	} else {
+		w.Array("points")
+		for _, p := range s.Points {
+			w.BeginObject()
+			w.Int("n", int64(p.N))
+			w.Int("s", int64(p.S))
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	if len(s.PDs) > 0 {
+		w.Array("pds")
+		for i := range s.PDs {
+			w.BeginObject()
+			s.PDs[i].appendMembers(&w)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	if s.Tools == nil {
+		w.Null("tools")
+	} else {
+		w.Array("tools")
+		for i := range s.Tools {
+			w.BeginObject()
+			s.Tools[i].AppendMembers(&w)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.EndObject()
+	return w.B, w.Err()
+}
+
 // sanitizeNonFinite replaces NaN/Inf floats with sentinels json.Marshal
 // accepts, deterministically in the input. Only Digest's fallback path
 // uses it; validated specs never reach it.
-func sanitizeNonFinite(d digestSpec) digestSpec {
+func sanitizeNonFinite(d Spec) Spec {
 	fix := func(f float64) float64 {
 		switch {
 		case math.IsNaN(f):
@@ -435,8 +530,9 @@ type Cell struct {
 // registered Axes collapse the axes it ignores — the plan never
 // contains two cells that would execute identically.
 func (s *Spec) Expand() []Cell {
-	var cells []Cell
-	seen := map[string]bool{}
+	n := s.planHint()
+	cells := make([]Cell, 0, n)
+	seen := make(map[string]bool, n)
 	for _, w := range s.Workloads {
 		for _, pt := range s.Points {
 			for _, pd := range s.PDs {
@@ -472,6 +568,32 @@ func (s *Spec) Expand() []Cell {
 	return cells
 }
 
+// maxPlanHint caps the cells Expand makes room for up front. Past it a
+// few regrowths cost nothing beside the cells' execution, and a spec
+// whose points collapse (repeated, or differing only in an s that a
+// tool ignores) cannot reserve room for cells it never makes.
+const maxPlanHint = 1024
+
+// planHint is the number of cells Expand makes when no points collapse,
+// at most maxPlanHint: each tool adds the product of the axes it
+// consumes, not of every axis.
+func (s *Spec) planHint() int {
+	mul := func(a, b int) int { return min(min(a, maxPlanHint)*min(b, maxPlanHint), maxPlanHint) }
+	n := 0
+	for _, ts := range s.Tools {
+		axes, _ := toolAxes(ts)
+		k := mul(len(s.Workloads), len(s.Points))
+		if axes.PD {
+			k = mul(k, len(s.PDs))
+		}
+		if axes.Op {
+			k = mul(k, len(s.Ops))
+		}
+		n = min(n+k, maxPlanHint)
+	}
+	return n
+}
+
 // toolAxes resolves a tool spec's consumed axes and display label. An
 // unregistered name (only reachable from an unvalidated spec; runCell
 // rejects it with a real error) conservatively keeps the size and PD
@@ -487,20 +609,19 @@ func toolAxes(ts ToolSpec) (tool.Axes, string) {
 // "quicksort/cyclic/n4s12/figure5/adaptive", "quicksort/n4s12/figure5/chess",
 // "quicksort/n4/contest".
 func cellID(c Cell, label string) string {
-	parts := []string{c.Workload.Name}
+	var buf [128]byte // holds any usual ID, so the string is the one allocation
+	b := append(buf[:0], c.Workload.Name...)
 	if c.OpName != "" {
-		parts = append(parts, c.OpName)
+		b = append(append(b, '/'), c.OpName...)
 	}
+	b = strconv.AppendInt(append(b, "/n"...), int64(c.Point.N), 10)
 	if c.Point.S > 0 {
-		parts = append(parts, fmt.Sprintf("n%ds%d", c.Point.N, c.Point.S))
-	} else {
-		parts = append(parts, fmt.Sprintf("n%d", c.Point.N))
+		b = strconv.AppendInt(append(b, 's'), int64(c.Point.S), 10)
 	}
 	if c.PD.Name != "" {
-		parts = append(parts, c.PD.Name)
+		b = append(append(b, '/'), c.PD.Name...)
 	}
-	parts = append(parts, label)
-	return strings.Join(parts, "/")
+	return string(append(append(b, '/'), label...))
 }
 
 // deriveSeed hashes the cell identity into the 64-bit seed space and

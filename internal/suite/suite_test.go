@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -136,6 +137,42 @@ func TestExpandCollapsesUnusedAxes(t *testing.T) {
 	// contest ignores op, s and pd: 2 workloads × 2 distinct n.
 	if counts["contest"] != 4 {
 		t.Errorf("contest cells = %d, want 4", counts["contest"])
+	}
+}
+
+// TestExpandSizesFromConsumedAxes expands specs whose full axis product
+// far exceeds the cells their tool makes: the room the plan takes
+// follows the cells it holds, not the product.
+func TestExpandSizesFromConsumedAxes(t *testing.T) {
+	pctSpec := func(points, pds int, point func(k int) Point) *Spec {
+		s := &Spec{
+			Name: "big", Seed: 1, Workloads: []WorkloadSpec{{Name: "spin"}},
+			Ops: []string{"cyclic"}, Tools: []ToolSpec{{Name: "pct"}},
+		}
+		for k := 1; k <= points; k++ {
+			s.Points = append(s.Points, point(k))
+		}
+		for k := 1; k <= pds; k++ {
+			s.PDs = append(s.PDs, PDSpec{Name: "p" + strconv.Itoa(k)})
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name          string
+		spec          *Spec
+		cells, maxCap int
+	}{
+		// pct ignores op, s and pd: one cell per distinct n.
+		{"distinct n", pctSpec(500, 500, func(k int) Point { return Point{N: k, S: 1} }), 500, 500},
+		// Points that differ only in s collapse into one cell; the room
+		// reserved for them stops at maxPlanHint.
+		{"one n", pctSpec(2000, 1, func(k int) Point { return Point{N: 1, S: k} }), 1, maxPlanHint},
+	} {
+		cells := tc.spec.Expand()
+		if len(cells) != tc.cells || cap(cells) > tc.maxCap {
+			t.Errorf("%s: %d cells in room for %d, want %d in room for at most %d",
+				tc.name, len(cells), cap(cells), tc.cells, tc.maxCap)
+		}
 	}
 }
 

@@ -65,13 +65,13 @@ type Spec struct {
 	Depth int `json:"depth,omitempty"`
 }
 
-// AppendJSON writes s as the member name of w's open object, in exactly
-// the bytes json.Marshal writes for it under the tags above. Cell keys
-// hash these bytes, so a knob added to Spec must be added here too;
-// internal/suite's TestCellKeyBytesWriteEveryField and FuzzCellKeyBytes
+// AppendMembers writes the members of s into w's open object, in
+// exactly the bytes json.Marshal writes for them under the tags above.
+// Cell keys and spec digests hash these bytes, so a knob added to Spec
+// must be added here too; internal/suite's
+// TestCellKeyBytesWriteEveryField, FuzzCellKeyBytes and FuzzParseSpec
 // hold the two equal.
-func (s *Spec) AppendJSON(w *jsonenc.Writer, name string) {
-	w.Object(name)
+func (s *Spec) AppendMembers(w *jsonenc.Writer) {
 	w.String("name", s.Name)
 	if s.Label != "" {
 		w.String("label", s.Label)
@@ -97,7 +97,6 @@ func (s *Spec) AppendJSON(w *jsonenc.Writer, name string) {
 	if s.Depth != 0 {
 		w.Int("depth", int64(s.Depth))
 	}
-	w.EndObject()
 }
 
 // DisplayLabel is the spec's identity in cell IDs and reports: the

@@ -61,13 +61,13 @@ type Spec struct {
 	MisplacePriorityEvery int `json:"misplace_priority_every,omitempty"`
 }
 
-// AppendJSON writes s as the member name of w's open object, in exactly
-// the bytes json.Marshal writes for it under the tags above. Cell keys
-// hash these bytes, so a knob added to Spec must be added here too;
-// internal/suite's TestCellKeyBytesWriteEveryField and FuzzCellKeyBytes
+// AppendMembers writes the members of s into w's open object, in
+// exactly the bytes json.Marshal writes for them under the tags above.
+// Cell keys and spec digests hash these bytes, so a knob added to Spec
+// must be added here too; internal/suite's
+// TestCellKeyBytesWriteEveryField, FuzzCellKeyBytes and FuzzParseSpec
 // hold the two equal.
-func (s *Spec) AppendJSON(w *jsonenc.Writer, name string) {
-	w.Object(name)
+func (s *Spec) AppendMembers(w *jsonenc.Writer) {
 	w.String("name", s.Name)
 	if s.Seed != 0 {
 		w.Uint("seed", s.Seed)
@@ -86,7 +86,6 @@ func (s *Spec) AppendJSON(w *jsonenc.Writer, name string) {
 			w.Int(k.name, int64(k.v))
 		}
 	}
-	w.EndObject()
 }
 
 // WithDefaults normalizes workload knobs to their execution defaults.
