@@ -42,6 +42,28 @@ func TestWriteFrameWireBytes(t *testing.T) {
 	}
 }
 
+// TestWriteFrameDoesNotAllocate: a frame whose data is one line, as a
+// cell's JSONL line always is, is written without allocating. The race
+// detector's sync.Pool drops buffers at random, so a race build only
+// checks the bytes.
+func TestWriteFrameDoesNotAllocate(t *testing.T) {
+	f := Frame{ID: 12, Event: "cell", Data: []byte(`{"id":"quicksort/roundrobin/n2s4/figure5/adaptive"}`)}
+	var b bytes.Buffer
+	b.Grow(256)
+	allocs := testing.AllocsPerRun(100, func() {
+		b.Reset()
+		if err := WriteFrame(&b, f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := "id: 12\nevent: cell\ndata: " + string(f.Data) + "\n\n"; b.String() != want {
+		t.Fatalf("WriteFrame wrote %q, want %q", b.String(), want)
+	}
+	if allocs != 0 && !raceEnabled {
+		t.Fatalf("WriteFrame of a one-line frame allocates %.0f objects, want 0", allocs)
+	}
+}
+
 // FuzzSSEFrames checks the reader against arbitrary bytes (no panic,
 // ids never decrease) and against the writer (what it writes reads
 // back identical, across a keepalive comment).

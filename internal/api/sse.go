@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"io"
 	"strconv"
+	"sync"
 )
 
 // Frame is one server-sent event. Event ids ascend within a stream and
@@ -21,9 +22,10 @@ type Frame struct {
 }
 
 // WriteFrame writes f in SSE framing, ending with the blank line that
-// dispatches it.
+// dispatches it, in one Write from a recycled buffer.
 func WriteFrame(w io.Writer, f Frame) error {
-	b := make([]byte, 0, 64+len(f.Event)+len(f.Data))
+	bp := frameBufs.Get().(*[]byte)
+	b := *bp
 	if f.ID > 0 {
 		b = strconv.AppendUint(append(b, "id: "...), f.ID, 10)
 		b = append(b, '\n')
@@ -31,12 +33,25 @@ func WriteFrame(w io.Writer, f Frame) error {
 	if f.Event != "" {
 		b = append(append(append(b, "event: "...), f.Event...), '\n')
 	}
-	for _, line := range bytes.Split(f.Data, []byte("\n")) {
-		b = append(append(append(b, "data: "...), line...), '\n')
+	data := f.Data
+	for {
+		i := bytes.IndexByte(data, '\n')
+		if i < 0 {
+			break
+		}
+		b = append(append(append(b, "data: "...), data[:i]...), '\n')
+		data = data[i+1:]
 	}
-	_, err := w.Write(append(b, '\n'))
+	b = append(append(append(b, "data: "...), data...), '\n', '\n')
+	_, err := w.Write(b)
+	*bp = b[:0]
+	frameBufs.Put(bp)
 	return err
 }
+
+// frameBufs recycles WriteFrame's buffers; a Writer keeps no slice it
+// is given.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Reader parses an SSE stream into frames.
 type Reader struct {

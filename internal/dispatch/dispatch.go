@@ -683,48 +683,60 @@ func (d *Dispatcher) Metrics() Metrics {
 // cell_parallelism of those at a time, so a job that loses its fleet
 // mid-run computes exactly as a single daemon would.
 func (d *Dispatcher) Executor(jobID, tenantName string, priority int, plan *suite.Plan) suite.CellExec {
-	local := make(chan struct{}, engine.Normalize(plan.Spec().CellParallelism))
-	runLocal := func(ctx context.Context, sp *suite.Spec, c suite.Cell) (report.Cell, error) {
-		select {
-		case local <- struct{}{}:
-		case <-ctx.Done():
-			return report.Cell{}, fmt.Errorf("dispatch: cell %s: %w", c.ID, suite.ErrInterrupted)
-		}
-		defer func() { <-local }()
-		d.countLocal()
-		return d.execLocal(sp, c)
+	e := &jobExec{d: d, id: jobID, tenant: tenantName, priority: priority, plan: plan}
+	return e.exec
+}
+
+// jobExec is one job's side of the executor. Its lease state and its
+// local semaphore are built together at the job's first store miss, so
+// a job served entirely from the store builds neither.
+type jobExec struct {
+	d        *Dispatcher
+	id       string
+	tenant   string
+	priority int
+	plan     *suite.Plan
+
+	once  sync.Once
+	j     *job
+	local chan struct{} // admits cell_parallelism local executions
+}
+
+func (e *jobExec) prepare() {
+	e.j = e.d.newJob(e.id, e.tenant, e.priority, e.plan.Digest())
+	e.local = make(chan struct{}, engine.Normalize(e.plan.Spec().CellParallelism))
+}
+
+func (e *jobExec) exec(ctx context.Context, sp *suite.Spec, c suite.Cell) (report.Cell, error) {
+	e.once.Do(e.prepare)
+	if e.d.LiveWorkers() == 0 {
+		return e.runLocal(ctx, sp, c)
 	}
-	// The lease-side state is built at the first store miss, so a job
-	// served entirely from the store never pays for it.
-	var (
-		once sync.Once
-		j    *job
-		pos  map[string]int // cell ID → plan position
-	)
-	prepare := func() {
-		j = d.newJob(jobID, tenantName, priority, plan.Digest())
-		pos = make(map[string]int, len(plan.Cells()))
-		for i, c := range plan.Cells() {
-			pos[c.ID] = i
-		}
+	pos, _ := e.plan.CellIndex(c.ID)
+	u := e.d.enqueue(e.j, c.ID, pos)
+	defer e.d.release(u)
+	select {
+	case <-u.done:
+	case <-ctx.Done():
+		return report.Cell{}, fmt.Errorf("dispatch: cell %s: %w", c.ID, suite.ErrInterrupted)
 	}
-	return func(ctx context.Context, sp *suite.Spec, c suite.Cell) (report.Cell, error) {
-		once.Do(prepare)
-		if d.LiveWorkers() == 0 {
-			return runLocal(ctx, sp, c)
-		}
-		u := d.enqueue(j, c.ID, pos[c.ID])
-		defer d.release(u)
-		select {
-		case <-u.done:
-		case <-ctx.Done():
-			return report.Cell{}, fmt.Errorf("dispatch: cell %s: %w", c.ID, suite.ErrInterrupted)
-		}
-		if u.localize {
-			return runLocal(ctx, sp, c)
-		}
-		return u.result, nil
+	if u.localize {
+		return e.runLocal(ctx, sp, c)
 	}
+	return u.result, nil
+}
+
+// runLocal executes a cell in-process once the job's semaphore admits
+// it.
+func (e *jobExec) runLocal(ctx context.Context, sp *suite.Spec, c suite.Cell) (report.Cell, error) {
+	select {
+	case e.local <- struct{}{}:
+	case <-ctx.Done():
+		return report.Cell{}, fmt.Errorf("dispatch: cell %s: %w", c.ID, suite.ErrInterrupted)
+	}
+	defer func() { <-e.local }()
+	e.d.countLocal()
+	return e.d.execLocal(sp, c)
 }
 
 func (d *Dispatcher) countLocal() {

@@ -13,8 +13,9 @@
 //
 // The wire is a single pump loop over POST lease:batch: each round
 // trip delivers the finished completions and refills the in-flight
-// pipeline with up to LeaseBatch digest-only grants. Compiled plans are
-// cached by spec digest and filled via one GET /api/v1/jobs/{id}/spec
+// pipeline with up to LeaseBatch digest-only grants. Resolved plans
+// are cached by spec digest, within the same budget of estimated bytes
+// as a hub's plan cache, and filled via one GET /api/v1/jobs/{id}/spec
 // per job. Hub and workers ship from one commit, so there is no other
 // wire to fall back to.
 package dispatch
@@ -70,8 +71,6 @@ type WorkerConfig struct {
 	// batch-mates before its completion is flushed (default 100ms;
 	// < 0 flushes every completion at the next pump turn).
 	CompleteLinger time.Duration
-	// PlanCacheSize caps the compiled-plan LRU, in specs (default 8).
-	PlanCacheSize int
 	// Clock abstracts sleeps and backoff for tests (default: system).
 	Clock clock.Wall
 	// Hooks inject faults for chaos tests; nil in production.
@@ -88,8 +87,8 @@ type Worker struct {
 
 	mu    sync.Mutex
 	reg   Registration
-	plans *lru.Cache[*specPlan] // spec digest → compiled plan
-	fetch map[string]*specFetch // digest → in-flight spec fetch (single-flight)
+	plans *lru.Cache[*suite.Plan] // spec digest → resolved plan
+	fetch map[string]*specFetch   // digest → in-flight spec fetch (single-flight)
 
 	killed atomic.Bool
 	killc  chan struct{}
@@ -99,19 +98,12 @@ type Worker struct {
 	completedCount atomic.Uint64
 }
 
-// specPlan caches one resolved plan, with its cells' positions indexed
-// by ID, so a sweep's worth of leases parses the spec once.
-type specPlan struct {
-	plan  *suite.Plan
-	cells map[string]int // cell ID → index in plan.Cells()
-}
-
 // specFetch is one in-flight GET /api/v1/jobs/{id}/spec: concurrent
 // slots missing the same digest wait on done instead of each paying
 // the fetch.
 type specFetch struct {
 	done chan struct{}
-	p    *specPlan
+	p    *suite.Plan
 	err  error
 }
 
@@ -151,13 +143,10 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.CompleteLinger == 0 {
 		cfg.CompleteLinger = 100 * time.Millisecond
 	}
-	if cfg.PlanCacheSize <= 0 {
-		cfg.PlanCacheSize = 8
-	}
 	return &Worker{
 		cfg:   cfg,
 		conn:  api.Conn{Base: base, HC: cfg.HTTPClient, Key: cfg.APIKey},
-		plans: lru.New[*specPlan](cfg.PlanCacheSize),
+		plans: lru.New[*suite.Plan](suite.PlanCacheBudget),
 		fetch: map[string]*specFetch{},
 		killc: make(chan struct{}),
 	}, nil
@@ -313,12 +302,12 @@ func (w *Worker) executeGrant(ctx context.Context, g Grant) *CompleteRequest {
 		w.cfg.Logf("dispatch worker %s: lease %s spec unusable: %v", w.cfg.Name, g.LeaseID, err)
 		return nil
 	}
-	i, ok := plan.cells[g.CellID]
+	i, ok := plan.CellIndex(g.CellID)
 	if !ok {
 		w.cfg.Logf("dispatch worker %s: lease %s names unknown cell %s", w.cfg.Name, g.LeaseID, g.CellID)
 		return nil
 	}
-	res, err := suite.ExecuteCell(plan.plan.Spec(), plan.plan.Cells()[i])
+	res, err := suite.ExecuteCell(plan.Spec(), plan.Cells()[i])
 	if err != nil {
 		w.cfg.Logf("dispatch worker %s: cell %s failed: %v", w.cfg.Name, g.CellID, err)
 		return nil
@@ -332,10 +321,10 @@ func (w *Worker) executeGrant(ctx context.Context, g Grant) *CompleteRequest {
 	return &CompleteRequest{LeaseID: g.LeaseID, JobID: g.JobID, CellID: g.CellID, Cell: res}
 }
 
-// planFor returns the grant's compiled plan: LRU hit by digest, else
+// planFor returns the grant's resolved plan: LRU hit by digest, else
 // fetched once per job over GET /api/v1/jobs/{id}/spec, with concurrent
 // misses of one digest collapsed into a single fetch.
-func (w *Worker) planFor(ctx context.Context, g Grant) (*specPlan, error) {
+func (w *Worker) planFor(ctx context.Context, g Grant) (*suite.Plan, error) {
 	w.mu.Lock()
 	if p, ok := w.plans.Get(g.SpecDigest); ok {
 		w.mu.Unlock()
@@ -356,38 +345,25 @@ func (w *Worker) planFor(ctx context.Context, g Grant) (*specPlan, error) {
 
 	var raw json.RawMessage
 	err := w.conn.JSON(ctx, http.MethodGet, "/api/v1/jobs/"+url.PathEscape(g.JobID)+"/spec", nil, &raw)
-	var p *specPlan
+	var p *suite.Plan
 	if err == nil {
-		p, err = compilePlan(raw)
+		p, err = suite.ParsePlan(bytes.NewReader(raw))
 	}
-	if err == nil && p.plan.Digest() != g.SpecDigest {
+	if err == nil && p.Digest() != g.SpecDigest {
 		// The job's spec does not hash to the grant's digest — never
 		// poison the content-addressed cache with it.
 		p, err = nil, fmt.Errorf("dispatch: job %s spec digest %s != grant digest %s",
-			g.JobID, p.plan.Digest(), g.SpecDigest)
+			g.JobID, p.Digest(), g.SpecDigest)
 	}
 	f.p, f.err = p, err
 	w.mu.Lock()
 	delete(w.fetch, g.SpecDigest)
 	if err == nil {
-		w.plans.Add(g.SpecDigest, p)
+		w.plans.Add(g.SpecDigest, p, p.Weight(len(raw)))
 	}
 	w.mu.Unlock()
 	close(f.done)
 	return p, err
-}
-
-// compilePlan resolves one spec and indexes its cells.
-func compilePlan(raw json.RawMessage) (*specPlan, error) {
-	plan, err := suite.ParsePlan(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	p := &specPlan{plan: plan, cells: make(map[string]int, len(plan.Cells()))}
-	for i, c := range plan.Cells() {
-		p.cells[c.ID] = i
-	}
-	return p, nil
 }
 
 // slotResult is one execution slot's answer for one grant: the

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -19,30 +20,64 @@ const warmSpec = `{"name":"quick","seed":7,"trials":2,"keep_going":true,"max_ste
 "tools":[{"name":"adaptive"},{"name":"chess","max_schedules":2},{"name":"pct","depth":2}]}`
 
 // The measured allocations of one all-hit job, without and with -race
-// (Go 1.24, linux/amd64, 2 CPUs). Before the store lookups ran in one
-// pass ahead of any fan-out, finished replies went out in one sized
-// write, and specs, digests and JobInfo were resolved and encoded
-// without rebuilt tables or reflection, a job allocated 500 objects and
-// 65.5 kB (563 and 102.8 kB under -race). Before each job's spec was
-// resolved once into a plan, and reports, JSONL lines and cell keys
-// were encoded without reflection, it allocated 615 objects and
-// 91.5 kB (700 and 130.8 kB under -race).
+// (Go 1.24, linux/amd64, 2 CPUs), resubmitting the same spec bytes, so
+// the hub's plan cache serves its plan, and renaming the spec on every
+// job, so the plan cache misses while every cell still hits the store
+// (the name is not part of a cell key). Before the plan cache, the
+// lazy generation channel, the pooled SSE frame buffer and the lazily
+// built executor, both read 426 objects and 52.2 kB (476 and
+// 82.4–83.4 kB under -race). Before the store lookups ran in one pass ahead of any
+// fan-out, finished replies went out in one sized write, and specs,
+// digests and JobInfo were resolved and encoded without rebuilt tables
+// or reflection, a job allocated 500 objects and 65.5 kB (563 and
+// 102.8 kB under -race).
 const (
-	warmJobObjects     = 427
-	warmJobBytes       = 52_400
-	warmJobObjectsRace = 478
-	warmJobBytesRace   = 87_600
+	warmJobObjects        = 344
+	warmJobBytes          = 42_200
+	warmJobObjectsRace    = 393
+	warmJobBytesRace      = 73_700
+	renamedJobObjects     = 405
+	renamedJobBytes       = 48_800
+	renamedJobObjectsRace = 466
+	renamedJobBytesRace   = 80_300
 )
 
 // TestWarmJobAllocationBudget bounds what one hub job whose every cell
 // is a store hit allocates, in objects and bytes, from Submit through
 // Watch to the canonical report: perfbench's hub-warm operation, on an
-// in-process hub with a disk store. Both counts repeat closely from run
-// to run where its wall time does not. The warm-up runs past MaxJobs,
-// so retention pruning is part of the measured steady state. The bounds
-// are the measured counts plus 5%; sync.Pool drops items at random
-// under the race detector, so a race build gets its own bounds.
+// in-process hub with a disk store. Every job submits the same bytes,
+// so its plan comes from the hub's plan cache. Both counts repeat
+// closely from run to run where its wall time does not. The warm-up
+// runs past MaxJobs, so retention pruning is part of the measured
+// steady state. The bounds are the measured counts plus 5%; sync.Pool
+// drops items at random under the race detector, so a race build gets
+// its own bounds.
 func TestWarmJobAllocationBudget(t *testing.T) {
+	objs, kb := measureWarmJobs(t, false)
+	checkBudget(t, objs, kb, warmJobObjects, warmJobBytes, warmJobObjectsRace, warmJobBytesRace)
+}
+
+// TestRenamedWarmJobAllocationBudget is TestWarmJobAllocationBudget
+// with the spec renamed on every job: each submit misses the plan cache
+// and resolves its spec, while each cell still hits the store.
+func TestRenamedWarmJobAllocationBudget(t *testing.T) {
+	objs, kb := measureWarmJobs(t, true)
+	checkBudget(t, objs, kb, renamedJobObjects, renamedJobBytes, renamedJobObjectsRace, renamedJobBytesRace)
+}
+
+// measureWarmJobs runs one job that stores the six cells, 600 warm-up
+// jobs and 2,000 measured ones, and returns the objects and kB one
+// measured job allocates. With rename, the i-th job's spec is named
+// q0000 + i instead of quick.
+func measureWarmJobs(t *testing.T, rename bool) (objs, kb float64) {
+	const warmups, jobs = 600, 2000
+	specs := make([]string, 1+warmups+jobs)
+	for i := range specs {
+		specs[i] = warmSpec
+		if rename {
+			specs[i] = strings.Replace(warmSpec, `"name":"quick"`, fmt.Sprintf(`"name":"q%04d"`, i), 1)
+		}
+	}
 	st, err := store.Open(store.Config{Dir: t.TempDir(), MemEntries: 4096})
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +95,17 @@ func TestWarmJobAllocationBudget(t *testing.T) {
 	ctx := context.Background()
 
 	var want []byte
+	// A renamed spec changes the report's suite name and spec digest,
+	// both of one length here, and nothing else; they are blanked in
+	// place.
+	blank := []struct{ field, with []byte }{
+		{[]byte(`"suite": "`), []byte("quick")},
+		{[]byte(`"spec_digest": "`), []byte("000000000000")},
+	}
+	n := 0
 	job := func(warm bool) {
-		info, err := cli.Submit(ctx, strings.NewReader(warmSpec), 0)
+		info, err := cli.Submit(ctx, strings.NewReader(specs[n]), 0)
+		n++
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,6 +119,11 @@ func TestWarmJobAllocationBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, f := range blank {
+			if i := bytes.Index(canon, f.field); i >= 0 {
+				copy(canon[i+len(f.field):], f.with)
+			}
+		}
 		if want == nil {
 			want = canon
 		} else if !bytes.Equal(canon, want) {
@@ -82,22 +131,27 @@ func TestWarmJobAllocationBudget(t *testing.T) {
 		}
 	}
 	job(false) // executes and stores the six cells
-	for i := 0; i < 600; i++ {
+	for i := 0; i < warmups; i++ {
 		job(true)
 	}
-	const jobs = 2000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < jobs; i++ {
 		job(true)
 	}
 	runtime.ReadMemStats(&after)
-	objs := float64(after.Mallocs-before.Mallocs) / jobs
-	kb := float64(after.TotalAlloc-before.TotalAlloc) / jobs / 1000
+	objs = float64(after.Mallocs-before.Mallocs) / jobs
+	kb = float64(after.TotalAlloc-before.TotalAlloc) / jobs / 1000
 	t.Logf("one warm job allocates %.0f objects and %.1f kB", objs, kb)
-	maxObjs, maxKB := float64(warmJobObjects)*1.05, float64(warmJobBytes)*1.05/1000
+	return objs, kb
+}
+
+// checkBudget fails the test when objs or kb exceed the measured counts
+// of this build, without or with -race, by more than 5%.
+func checkBudget(t *testing.T, objs, kb float64, wantObjs, wantBytes, wantObjsRace, wantBytesRace int) {
+	maxObjs, maxKB := float64(wantObjs)*1.05, float64(wantBytes)*1.05/1000
 	if raceEnabled {
-		maxObjs, maxKB = float64(warmJobObjectsRace)*1.05, float64(warmJobBytesRace)*1.05/1000
+		maxObjs, maxKB = float64(wantObjsRace)*1.05, float64(wantBytesRace)*1.05/1000
 	}
 	if objs > maxObjs || kb > maxKB {
 		t.Fatalf("one warm job allocates %.0f objects and %.1f kB, want at most %.0f and %.1f", objs, kb, maxObjs, maxKB)

@@ -107,21 +107,21 @@ func appendJobInfo(dst []byte, info *JobInfo, indent bool) []byte {
 }
 
 // Job is the server-side state. All fields behind mu; watchers block
-// on the generation channel, which is closed and replaced on every
-// mutation.
+// on the generation channel, which watch makes when a watcher needs one
+// and the next mutation closes.
 type Job struct {
 	mu   sync.Mutex
 	info JobInfo
 	// spec is the defaulted spec the spec route serves for the job's
-	// whole life; plan, resolved once at submit, serves the run and is
-	// dropped once the job is terminal, so the retained jobs do not
-	// keep their expanded cells.
+	// whole life; plan, from the hub's plan cache, serves the run and is
+	// dropped once the job is terminal, so a retained job does not keep
+	// the expanded cells of a plan the cache has let go.
 	spec    *suite.Spec
 	plan    *suite.Plan
 	tenant  tenant.Tenant // immutable after newJob
 	rep     *report.Report
-	lines   []string // completed cells as JSONL, plan order
-	updated chan struct{}
+	lines   []string           // completed cells as JSONL, plan order
+	updated chan struct{}      // nil until watch hands one out
 	cancel  context.CancelFunc // non-nil while running
 }
 
@@ -141,17 +141,19 @@ func newJob(id string, plan *suite.Plan, priority int, t tenant.Tenant) *Job {
 			TotalCells:  len(plan.Cells()),
 			SubmittedAt: time.Now().UTC().Format(time.RFC3339),
 		},
-		spec:    plan.Spec(),
-		plan:    plan,
-		tenant:  t,
-		updated: make(chan struct{}),
+		spec:   plan.Spec(),
+		plan:   plan,
+		tenant: t,
 	}
 }
 
-// notifyLocked wakes every watcher. Callers hold mu.
+// notifyLocked wakes every watcher. A mutation that no watcher waits
+// for makes and closes nothing. Callers hold mu.
 func (j *Job) notifyLocked() {
-	close(j.updated)
-	j.updated = make(chan struct{})
+	if j.updated != nil {
+		close(j.updated)
+		j.updated = nil
+	}
 }
 
 // Info snapshots the wire representation.
@@ -248,15 +250,20 @@ func (j *Job) appendCell(line string) {
 	j.notifyLocked()
 }
 
-// watch returns the lines past from, the current generation channel to
-// wait on, the latest info, and whether the job is terminal.
+// watch returns the lines past from, the channel the next mutation
+// closes, the latest info, and whether the job is terminal. A terminal
+// job changes no more, so its channel is nil.
 func (j *Job) watch(from int) (lines []string, upd <-chan struct{}, info JobInfo, terminal bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if from < len(j.lines) {
 		lines = append(lines, j.lines[from:]...)
 	}
-	return lines, j.updated, j.info, j.info.Status.Terminal()
+	terminal = j.info.Status.Terminal()
+	if !terminal && j.updated == nil {
+		j.updated = make(chan struct{})
+	}
+	return lines, j.updated, j.info, terminal
 }
 
 // jsonlSplitter adapts the suite runner's JSONL stream (io.Writer) to

@@ -31,10 +31,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -47,6 +50,7 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/engine"
 	"repro/internal/eventlog"
+	"repro/internal/lru"
 	"repro/internal/report"
 	"repro/internal/store"
 	"repro/internal/suite"
@@ -162,6 +166,9 @@ type Server struct {
 	jobs map[string]*Job
 	ord  []string // submission order
 	seq  uint64
+
+	planMu sync.Mutex
+	plans  *lru.Cache[*suite.Plan] // SHA-256 of a submitted body → its plan
 }
 
 // New builds a server. It does not start workers or listen.
@@ -203,6 +210,7 @@ func New(cfg Config) (*Server, error) {
 		guard:   tenant.NewGuard(cfg.Tenancy),
 		queue:   newJobQueue(cfg.QueueCap),
 		jobs:    map[string]*Job{},
+		plans:   lru.New[*suite.Plan](suite.PlanCacheBudget),
 		events:  cfg.Events,
 		started: time.Now(),
 	}
@@ -448,12 +456,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// client adjustment: an admin job always outranks a default job
 	// always outranks a batch job, whatever ?priority claims.
 	priority := t.Role.QueuePriority(requested)
-	// suite.ParsePlan validates exactly as suite.Parse, the CLI's path,
-	// does: a bad spec comes back as one greppable message, here with
-	// status 400. The plan it returns is the only place the job's spec is
-	// expanded and digested. Specs are small; a body past 8 MiB is abuse,
-	// not a matrix.
-	plan, err := suite.ParsePlan(http.MaxBytesReader(w, r.Body, 8<<20))
+	plan, err := s.resolvePlan(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
 		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -505,6 +508,59 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.met.submitted.Add(1)
 	writeJobInfo(w, http.StatusAccepted, j.Info())
 }
+
+// maxSpecBytes bounds a submitted spec. Specs are small; a body past
+// 8 MiB is abuse, not a matrix.
+const maxSpecBytes = 8 << 20
+
+// resolvePlan returns the plan of a submitted spec body. A hub resolves
+// each distinct body once: the plan cache holds the plans of the bodies
+// it was submitted, keyed by their SHA-256, so a resubmitted spec skips
+// decoding, defaults, validation, expansion, digest and cell keys. On a
+// miss suite.ParsePlan validates exactly as suite.Parse, the CLI's
+// path, does: a bad spec comes back as one greppable message, which
+// handleSubmit answers with status 400, and is not cached.
+func (s *Server) resolvePlan(body io.Reader) (*suite.Plan, error) {
+	bp := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(bp)
+	buf := bytes.NewBuffer((*bp)[:0])
+	_, err := buf.ReadFrom(body)
+	src := buf.Bytes()
+	*bp = src
+	if err != nil {
+		// A body past the limit, or cut short, is decoded from the bytes
+		// read and then the error, as if the decoder read the body
+		// itself, so its answer stays what it was; it is not cached.
+		return suite.ParsePlan(io.MultiReader(bytes.NewReader(src), errReader{err}))
+	}
+	sum := sha256.Sum256(src)
+	s.planMu.Lock()
+	plan, ok := s.plans.Get(string(sum[:]))
+	s.planMu.Unlock()
+	if ok {
+		return plan, nil
+	}
+	if plan, err = suite.ParsePlan(bytes.NewReader(src)); err != nil {
+		return nil, err
+	}
+	s.planMu.Lock()
+	if cached, ok := s.plans.Get(string(sum[:])); ok {
+		plan = cached // a concurrent submit of the same bytes got here first
+	} else {
+		s.plans.Add(string(sum[:]), plan, plan.Weight(len(src)))
+	}
+	s.planMu.Unlock()
+	return plan, nil
+}
+
+// bodyBufs recycles the buffers submitted specs are read into; a plan
+// keeps nothing of the bytes it was decoded from.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // queuedForLocked counts one tenant's still-queued jobs. Callers hold
 // s.mu.

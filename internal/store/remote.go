@@ -213,7 +213,7 @@ func (r *Remote) Get(key string) (report.Cell, bool) {
 	r.mu.Lock()
 	delete(r.flights, key)
 	if f.ok {
-		r.front.Add(key, f.cell)
+		r.front.Add(key, f.cell, 1)
 	}
 	r.mu.Unlock()
 	close(f.done)
@@ -289,7 +289,7 @@ func (r *Remote) Put(key string, cell report.Cell) error {
 		r.mu.Unlock()
 		return nil
 	}
-	r.front.Add(key, cell)
+	r.front.Add(key, cell, 1)
 	r.mu.Unlock()
 	r.puts.Add(1)
 
@@ -321,7 +321,7 @@ func (r *Remote) PutBatch(entries []CellEntry) error {
 			r.mu.Unlock()
 			continue
 		}
-		r.front.Add(e.Key, e.Cell)
+		r.front.Add(e.Key, e.Cell, 1)
 		r.mu.Unlock()
 		r.puts.Add(1)
 		body, err := json.Marshal(e.Cell)

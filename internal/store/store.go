@@ -469,7 +469,7 @@ func (s *Store) getLocked(key string) (report.Cell, bool) {
 	if ref, ok := s.index[key]; ok {
 		cell, err := s.readLocked(ref)
 		if err == nil {
-			s.front.Add(key, cell)
+			s.front.Add(key, cell, 1)
 			s.touchLocked(key)
 			s.hits.Add(1)
 			s.events.Emit(eventlog.Event{Type: eventlog.TypeStoreHit, Key: key, Detail: "disk"})
@@ -555,7 +555,7 @@ func (s *Store) putBatchLocked(entries []CellEntry) (uint64, error) {
 		s.puts.Add(1)
 		puts++
 		s.events.Emit(eventlog.Event{Type: eventlog.TypeStorePut, Key: e.Key, Detail: "batch"})
-		s.front.Add(e.Key, e.Cell)
+		s.front.Add(e.Key, e.Cell, 1)
 		if s.dir == "" || onDisk {
 			continue
 		}

@@ -93,7 +93,7 @@ func (p *Plan) Run(ctx context.Context, jsonl io.Writer, opts Options) (*report.
 	compilesBefore := pfa.CompileCount()
 	var keys []string
 	if opts.Store != nil {
-		keys = make([]string, len(cells))
+		keys = p.Keys()
 	}
 	set := newSettler(ctx, jsonl, opts.Events, cells, keys)
 	var misses []int
@@ -104,7 +104,6 @@ func (p *Plan) Run(ctx context.Context, jsonl io.Writer, opts Options) (*report.
 			break
 		}
 		if opts.Store != nil {
-			keys[i] = spec.CellKey(cells[i])
 			if rc, ok := opts.Store.Get(keys[i]); ok {
 				set.settle(i, rc, stored)
 				continue
@@ -206,7 +205,7 @@ func ExecuteCell(spec *Spec, c Cell) (report.Cell, error) {
 
 // CellByID finds one cell of the spec's expanded plan by expanding it
 // and scanning. Only tests call it; fleet workers resolve leased cell
-// IDs through the index their plan cache builds once per spec digest.
+// IDs through the index of the plan they cache per spec digest.
 func (s *Spec) CellByID(id string) (Cell, bool) {
 	for _, c := range s.Expand() {
 		if c.ID == id {

@@ -530,9 +530,17 @@ type Cell struct {
 // registered Axes collapse the axes it ignores — the plan never
 // contains two cells that would execute identically.
 func (s *Spec) Expand() []Cell {
+	cells, _ := s.expand()
+	return cells
+}
+
+// expand is Expand, also returning each cell's position in the plan by
+// ID: the map that drops duplicate cells, which a Plan keeps as its
+// index.
+func (s *Spec) expand() ([]Cell, map[string]int) {
 	n := s.planHint()
 	cells := make([]Cell, 0, n)
-	seen := make(map[string]bool, n)
+	index := make(map[string]int, n)
 	for _, w := range s.Workloads {
 		for _, pt := range s.Points {
 			for _, pd := range s.PDs {
@@ -554,10 +562,10 @@ func (s *Spec) Expand() []Cell {
 							c.PD = PDSpec{}
 						}
 						c.ID = cellID(c, label)
-						if seen[c.ID] {
+						if _, dup := index[c.ID]; dup {
 							continue
 						}
-						seen[c.ID] = true
+						index[c.ID] = len(cells)
 						c.Seed = deriveSeed(s.Seed, c.ID)
 						cells = append(cells, c)
 					}
@@ -565,7 +573,7 @@ func (s *Spec) Expand() []Cell {
 			}
 		}
 	}
-	return cells
+	return cells, index
 }
 
 // maxPlanHint caps the cells Expand makes room for up front. Past it a
