@@ -8,10 +8,42 @@ package app
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/committee"
 	"repro/internal/pcore"
 	"repro/internal/stats"
+)
+
+// names renders prefix+id, the name of a created task or a fork. The
+// ids pCore's 16-slot TCB table holds come from a table built once per
+// prefix, so naming a task allocates nothing; a larger id is formatted.
+type names struct {
+	prefix string
+	table  [16]string
+}
+
+func newNames(prefix string) *names {
+	n := &names{prefix: prefix}
+	for i := range n.table {
+		n.table[i] = prefix + strconv.Itoa(i)
+	}
+	return n
+}
+
+func (n *names) of(id uint32) string {
+	if id < uint32(len(n.table)) {
+		return n.table[id]
+	}
+	return n.prefix + strconv.FormatUint(uint64(id), 10)
+}
+
+var (
+	spinNames      = newNames("spin-")
+	qsortNames     = newNames("qsort-")
+	unboundedNames = newNames("qsort-unbounded-")
+	philNames      = newNames("phil-")
+	forkNames      = newNames("fork-")
 )
 
 // SpinFactory returns tasks that loop marking progress and yielding —
@@ -21,7 +53,7 @@ import (
 func SpinFactory() committee.Factory {
 	return func(logical uint32) committee.CreateSpec {
 		return committee.CreateSpec{
-			Name: fmt.Sprintf("spin-%d", logical),
+			Name: spinNames.of(logical),
 			Prio: 5,
 			Entry: func(c *pcore.Ctx) {
 				for {
@@ -48,7 +80,7 @@ func QuicksortFactory(seed uint64) committee.Factory {
 	return func(logical uint32) committee.CreateSpec {
 		taskSeed := seed ^ (uint64(logical)+1)*0x9e3779b97f4a7c15
 		return committee.CreateSpec{
-			Name:  fmt.Sprintf("qsort-%d", logical),
+			Name:  qsortNames.of(logical),
 			Prio:  pcore.Priority(2 + logical%(pcore.NumPriorities-2)),
 			Entry: quicksortEntry(taskSeed),
 		}
@@ -128,7 +160,7 @@ func partition(c *pcore.Ctx, data []int16, lo, hi int) int {
 func UnboundedQuicksortFactory() committee.Factory {
 	return func(logical uint32) committee.CreateSpec {
 		return committee.CreateSpec{
-			Name: fmt.Sprintf("qsort-unbounded-%d", logical),
+			Name: unboundedNames.of(logical),
 			Prio: pcore.Priority(2 + logical%(pcore.NumPriorities-2)),
 			Entry: func(c *pcore.Ctx) {
 				data := make([]int16, QuicksortElems)
@@ -174,7 +206,7 @@ func UnboundedQuicksortFactory() committee.Factory {
 func Philosophers(n, rounds int, ordered bool) (committee.Factory, []*pcore.Mutex) {
 	forks := make([]*pcore.Mutex, n)
 	for i := range forks {
-		forks[i] = pcore.NewMutex(fmt.Sprintf("fork-%d", i))
+		forks[i] = pcore.NewMutex(forkNames.of(uint32(i)))
 	}
 	factory := func(logical uint32) committee.CreateSpec {
 		i := int(logical) % n
@@ -184,7 +216,7 @@ func Philosophers(n, rounds int, ordered bool) (committee.Factory, []*pcore.Mute
 			first, second = right, left
 		}
 		return committee.CreateSpec{
-			Name: fmt.Sprintf("phil-%d", i),
+			Name: philNames.of(uint32(i)),
 			Prio: 5, // equal priorities: fairness comes from the stress pattern
 			Entry: func(c *pcore.Ctx) {
 				for r := 0; r < rounds; r++ {

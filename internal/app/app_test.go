@@ -1,6 +1,7 @@
 package app
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bridge"
@@ -203,5 +204,20 @@ func TestFigure1BadOrderLivelocks(t *testing.T) {
 	y, _ := p.SoC.SRAM.Read32(yAddr)
 	if x != 1 || y != 1 {
 		t.Fatalf("flags x=%d y=%d, want both 1 (spinning)", x, y)
+	}
+}
+
+// TestTaskNamesMatchFormatting pins the name tables to the strings
+// fmt.Sprintf used to build, inside the table and past it.
+func TestTaskNamesMatchFormatting(t *testing.T) {
+	for _, n := range []*names{spinNames, qsortNames, unboundedNames, philNames, forkNames} {
+		for _, id := range []uint32{0, 1, 9, 10, 15, 16, 17, 99, 1000, 1<<32 - 1} {
+			if got, want := n.of(id), fmt.Sprintf("%s%d", n.prefix, id); got != want {
+				t.Fatalf("name of %d is %q, want %q", id, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = qsortNames.of(15) }); allocs != 0 {
+		t.Fatalf("naming a task in the table makes %.1f allocations, want 0", allocs)
 	}
 }

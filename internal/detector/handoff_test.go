@@ -140,6 +140,9 @@ func TestHostPanicLeavesRunUntil(t *testing.T) {
 			if got != boom {
 				t.Fatalf("RunUntil panicked with %v, want the factory's value %v", got, boom)
 			}
+			if n := running.Load(); n != 0 {
+				t.Errorf("%d run loops counted active after the panic, want 0", n)
+			}
 			if where != tc.stack {
 				t.Errorf("factory's second call ran on the %s's stack, want the %s's", where, tc.stack)
 			}

@@ -52,7 +52,11 @@ type Kernel struct {
 	cfg  Config
 	plan FaultPlan
 
-	tasks     []*Task // index 1..MaxTasks; nil = free slot
+	tasks []*Task // index 1..MaxTasks; nil = free slot
+	// ready holds a FIFO queue per priority. Each queue is a window of
+	// one array that New sizes by the TCB table, MaxTasks slots per
+	// priority: a task waits in one queue at a time, so no queue grows
+	// past its window.
 	ready     [NumPriorities][]TaskID
 	readyMask uint32
 
@@ -100,6 +104,10 @@ func New(cfg Config) *Kernel {
 		tasks:     make([]*Task, cfg.MaxTasks+1),
 		tcbPool:   NewPool("tcb", cfg.MaxTasks),
 		stackPool: NewPool("stack", cfg.MaxTasks),
+	}
+	slots := make([]TaskID, NumPriorities*cfg.MaxTasks)
+	for p := range k.ready {
+		k.ready[p] = slots[p*cfg.MaxTasks : p*cfg.MaxTasks : (p+1)*cfg.MaxTasks]
 	}
 	return k
 }

@@ -23,23 +23,25 @@ const warmSpec = `{"name":"quick","seed":7,"trials":2,"keep_going":true,"max_ste
 // (Go 1.24, linux/amd64, 2 CPUs), resubmitting the same spec bytes, so
 // the hub's plan cache serves its plan, and renaming the spec on every
 // job, so the plan cache misses while every cell still hits the store
-// (the name is not part of a cell key). Before the plan cache, the
-// lazy generation channel, the pooled SSE frame buffer and the lazily
-// built executor, both read 426 objects and 52.2 kB (476 and
-// 82.4–83.4 kB under -race). Before the store lookups ran in one pass ahead of any
-// fan-out, finished replies went out in one sized write, and specs,
-// digests and JobInfo were resolved and encoded without rebuilt tables
-// or reflection, a job allocated 500 objects and 65.5 kB (563 and
-// 102.8 kB under -race).
+// (the name is not part of a cell key). Before SSE cell frames referred
+// to the job's stored lines instead of copying them, the two read 344
+// and 405 objects and 42.1 and 48.8 kB (391 and 463, 74.1 and 81.0 kB
+// under -race). Before the plan cache, the lazy generation channel, the
+// pooled SSE frame buffer and the lazily built executor, both read 426
+// objects and 52.2 kB (476 and 82.4–83.4 kB under -race). Before the
+// store lookups ran in one pass ahead of any fan-out, finished replies
+// went out in one sized write, and specs, digests and JobInfo were
+// resolved and encoded without rebuilt tables or reflection, a job
+// allocated 500 objects and 65.5 kB (563 and 102.8 kB under -race).
 const (
-	warmJobObjects        = 344
-	warmJobBytes          = 42_200
-	warmJobObjectsRace    = 393
-	warmJobBytesRace      = 73_700
-	renamedJobObjects     = 405
-	renamedJobBytes       = 48_800
-	renamedJobObjectsRace = 466
-	renamedJobBytesRace   = 80_300
+	warmJobObjects        = 338
+	warmJobBytes          = 40_400
+	warmJobObjectsRace    = 384
+	warmJobBytesRace      = 72_100
+	renamedJobObjects     = 398
+	renamedJobBytes       = 47_000
+	renamedJobObjectsRace = 457
+	renamedJobBytesRace   = 79_100
 )
 
 // TestWarmJobAllocationBudget bounds what one hub job whose every cell

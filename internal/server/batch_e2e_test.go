@@ -11,6 +11,7 @@ import (
 	"context"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -69,6 +70,50 @@ func TestCellBatchEndpointStoresUnderOneRequest(t *testing.T) {
 	}
 	if got := srv.met.cellsWireBatch.Load(); got != 1 {
 		t.Fatalf("rejected batches counted: %d", got)
+	}
+}
+
+// putOnlyStore hides a disk store's PutBatch, so that cells:batch takes
+// its fallback loop of Puts, and counts the flushes.
+type putOnlyStore struct {
+	store.CellStore
+	disk    *store.Store
+	flushes atomic.Int32
+}
+
+func (p *putOnlyStore) Flush() error {
+	p.flushes.Add(1)
+	return p.disk.Flush()
+}
+
+// TestCellBatchFallbackFlushesBeforeReply: behind a store without
+// PutBatch, cells:batch puts one cell at a time and flushes them before
+// its 204, so a client is never told a batch landed that is not durable.
+func TestCellBatchFallbackFlushesBeforeReply(t *testing.T) {
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	ps := &putOnlyStore{CellStore: st, disk: st}
+	_, cli := newTestServer(t, Config{Workers: 1, QueueCap: 4, Store: ps})
+	body := `{"cells": [
+		{"key": "fk1", "cell": {"id": "w/op/n2s4/pd/adaptive", "workload": "w", "tool": "adaptive"}},
+		{"key": "fk2", "cell": {"id": "w/op/n2s4/pd/pct", "workload": "w", "tool": "pct"}}
+	]}`
+	resp, err := http.Post(cli.BaseURL()+"/api/v1/cells:batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("batch POST = %d, want 204", resp.StatusCode)
+	}
+	if got := ps.flushes.Load(); got != 1 {
+		t.Fatalf("the fallback flushed %d times, want 1", got)
+	}
+	if st := st.Stats(); st.Puts != 2 || st.Syncs != 1 {
+		t.Fatalf("%d puts under %d fsyncs before the reply, want 2 under 1", st.Puts, st.Syncs)
 	}
 }
 

@@ -120,7 +120,7 @@ type Job struct {
 	plan    *suite.Plan
 	tenant  tenant.Tenant // immutable after newJob
 	rep     *report.Report
-	lines   []string           // completed cells as JSONL, plan order
+	lines   [][]byte           // completed cells as JSONL, plan order; read-only once appended
 	updated chan struct{}      // nil until watch hands one out
 	cancel  context.CancelFunc // non-nil while running
 }
@@ -242,7 +242,8 @@ func (j *Job) requestCancel() (ok, wasQueued bool) {
 }
 
 // appendCell records one completed cell's JSONL line, in plan order.
-func (j *Job) appendCell(line string) {
+// The job keeps line itself, which no one writes to again.
+func (j *Job) appendCell(line []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.lines = append(j.lines, line)
@@ -252,12 +253,13 @@ func (j *Job) appendCell(line string) {
 
 // watch returns the lines past from, the channel the next mutation
 // closes, the latest info, and whether the job is terminal. A terminal
-// job changes no more, so its channel is nil.
-func (j *Job) watch(from int) (lines []string, upd <-chan struct{}, info JobInfo, terminal bool) {
+// job changes no more, so its channel is nil. The lines are the job's
+// own: appends go past their end, and no line is written to again.
+func (j *Job) watch(from int) (lines [][]byte, upd <-chan struct{}, info JobInfo, terminal bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if from < len(j.lines) {
-		lines = append(lines, j.lines[from:]...)
+		lines = j.lines[from:len(j.lines):len(j.lines)]
 	}
 	terminal = j.info.Status.Terminal()
 	if !terminal && j.updated == nil {
@@ -280,6 +282,6 @@ func (w jsonlSplitter) Write(p []byte) (int, error) {
 	if n == 0 || bytes.IndexByte(p, '\n') != n-1 {
 		return 0, errNotOneLine
 	}
-	w.j.appendCell(string(p[:n-1]))
+	w.j.appendCell(bytes.Clone(p[:n-1]))
 	return n, nil
 }

@@ -232,8 +232,8 @@ func TestJobWatcherWakes(t *testing.T) {
 		mutate func()
 	}{
 		{"start", func() { j.start(func() {}) }},
-		{"first cell", func() { j.appendCell(`{"id":"a"}`) }},
-		{"second cell", func() { j.appendCell(`{"id":"b"}`) }},
+		{"first cell", func() { j.appendCell([]byte(`{"id":"a"}`)) }},
+		{"second cell", func() { j.appendCell([]byte(`{"id":"b"}`)) }},
 		{"finish", func() { j.finish(JobDone, nil, nil) }},
 	}
 	for _, st := range steps {

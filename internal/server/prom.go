@@ -87,7 +87,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	family(w, "ptestd_store_hits_total", "counter", "Store lookups answered from cache.").sample(st.Hits)
 	family(w, "ptestd_store_misses_total", "counter", "Store lookups that missed.").sample(st.Misses)
 	family(w, "ptestd_store_puts_total", "counter", "Cells inserted into the store.").sample(st.Puts)
-	family(w, "ptestd_store_syncs_total", "counter", "Segment-log fsyncs (one per single put, one per whole batch).").sample(st.Syncs)
+	family(w, "ptestd_store_syncs_total", "counter", "Segment-log fsyncs (one per flush of a run's puts, one per whole batch).").sample(st.Syncs)
 	family(w, "ptestd_store_mem_entries", "gauge", "Cells in the in-memory LRU front.").sample(st.MemEntries)
 	family(w, "ptestd_store_disk_entries", "gauge", "Cells indexed in the segment log.").sample(st.DiskEntries)
 

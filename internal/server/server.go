@@ -706,7 +706,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		frames := make([]api.Frame, 0, len(lines)+1)
 		for _, line := range lines {
 			from++
-			frames = append(frames, api.Frame{ID: from, Event: "cell", Data: []byte(line)})
+			frames = append(frames, api.Frame{ID: from, Event: "cell", Data: line})
 		}
 		if terminal {
 			frames = append(frames, api.Frame{Event: "done", Data: appendJobInfo(make([]byte, 0, 512), &info, false)})
@@ -755,11 +755,12 @@ func (s *Server) handleCellGet(w http.ResponseWriter, r *http.Request) {
 // write half of the shared cache. A store.Remote posts here: one POST
 // per write-through flush, or a batch of one per Put with batching
 // off. A local segment-log store behind this endpoint commits the
-// whole batch under a single fsync (store.PutBatch). Content
-// addressing makes every entry idempotent: re-putting a known key is a
-// no-op, so racing clients that both computed a cell agree by
-// construction. Batches are accepted even while draining; a client
-// finishing its last sweep must not lose its results.
+// whole batch under a single fsync (store.PutBatch), and any store's
+// cells are durable before the 204. Content addressing makes every
+// entry idempotent: re-putting a known key is a no-op, so racing
+// clients that both computed a cell agree by construction. Batches
+// are accepted even while draining; a client finishing its last sweep
+// must not lose its results.
 func (s *Server) handleCellBatch(w http.ResponseWriter, r *http.Request) {
 	if s.throttleCells(w, r) {
 		return
@@ -790,6 +791,9 @@ func (s *Server) handleCellBatch(w http.ResponseWriter, r *http.Request) {
 				err = perr
 				break
 			}
+		}
+		if f, ok := s.store.(store.Flusher); ok && err == nil {
+			err = f.Flush()
 		}
 	}
 	if err != nil {

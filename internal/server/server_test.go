@@ -423,7 +423,7 @@ func TestJSONLSplitterTakesOnlyWholeLines(t *testing.T) {
 			t.Errorf("Write(%q) = %d, %v; want 0 and an error", bad, n, err)
 		}
 	}
-	if lines, _, _, _ := j.watch(0); len(lines) != 1 || lines[0] != `{"id":"a"}` {
+	if lines, _, _, _ := j.watch(0); len(lines) != 1 || string(lines[0]) != `{"id":"a"}` {
 		t.Fatalf("lines = %q, want the one whole line", lines)
 	}
 }

@@ -24,7 +24,8 @@ import "repro/internal/report"
 //   - Put stores the cell under key. Re-putting a known key is a no-op
 //     (content addressing guarantees the value is identical). A non-nil
 //     error means the write may not persist, never that the computed
-//     cell is wrong — callers log and continue.
+//     cell is wrong — callers log and continue. A store whose Put is not
+//     durable on return implements Flusher.
 //   - Stats and Lifetime are telemetry: session counters and cumulative
 //     history. Neither is consulted for correctness.
 //   - Close releases resources; Put after Close errors.
@@ -69,10 +70,11 @@ type BatchPutter interface {
 	PutBatch(entries []CellEntry) error
 }
 
-// Flusher is the optional write-back face of a CellStore that queues
-// writes (Remote's write-through batcher). The suite runner flushes at
-// job end so a queued cell never outlives the job that computed it;
-// Close implies a final flush too.
+// Flusher is the optional write-back face of a CellStore whose puts are
+// not durable on return: Remote queues them for its write-through
+// batcher, and the local Store appends them without an fsync. The
+// suite runner flushes at job end, so a run's puts become durable
+// together before the run reports; Close implies a final flush too.
 type Flusher interface {
 	Flush() error
 }
@@ -104,6 +106,7 @@ var (
 	_ Compactor       = (*Store)(nil)
 	_ PolicyCompactor = (*Store)(nil)
 	_ BatchPutter     = (*Store)(nil)
+	_ Flusher         = (*Store)(nil)
 	_ CellStore       = (*Remote)(nil)
 	_ BatchPutter     = (*Remote)(nil)
 	_ Flusher         = (*Remote)(nil)

@@ -111,8 +111,9 @@ func TestRemoteBatcherFlushAndCloseDrain(t *testing.T) {
 }
 
 func TestStorePutBatchSingleFsyncAndDurability(t *testing.T) {
-	// The group-commit contract: one PutBatch of N cells costs one fsync
-	// (vs N for N single Puts), and every cell survives a reopen.
+	// The group-commit contract: one PutBatch of N cells costs one fsync,
+	// as does one Flush after N single Puts, and every cell survives a
+	// reopen.
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir})
 	if err != nil {
@@ -132,22 +133,27 @@ func TestStorePutBatchSingleFsyncAndDurability(t *testing.T) {
 	if st.Puts != 10 || st.DiskEntries != 10 {
 		t.Fatalf("batch accounting wrong: %+v", st)
 	}
-	// The single-put path pays one fsync per cell — the baseline the
-	// batch collapses.
+	// Single puts append without an fsync; one Flush covers them all.
 	if err := s.Put(key(10), cellFor(10)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put(key(11), cellFor(11)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().Syncs; got != 3 {
-		t.Fatalf("2 single puts after the batch: syncs = %d, want 3", got)
+	if got := s.Stats().Syncs; got != 1 {
+		t.Fatalf("2 single puts after the batch: syncs = %d, want 1", got)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Syncs; got != 2 {
+		t.Fatalf("a flush after 2 single puts: syncs = %d, want 2", got)
 	}
 	// Re-batching known keys is a no-op (content addressing).
 	if err := s.PutBatch(entries[:3]); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().Syncs; got != 3 {
+	if got := s.Stats().Syncs; got != 2 {
 		t.Fatalf("no-op re-batch still fsynced: syncs = %d", got)
 	}
 	if err := s.Close(); err != nil {

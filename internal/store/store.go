@@ -7,7 +7,9 @@
 // append-only on-disk segment log behind it: evicted entries stay
 // readable from disk, a reopened store serves every record ever
 // written, and a torn tail record (crash mid-append) is truncated on
-// open instead of poisoning the log.
+// open instead of poisoning the log. A Put is appended without an
+// fsync; Flush makes a run's puts durable together, PutBatch and Close
+// sync before they return, and Get syncs a record before serving it.
 package store
 
 import (
@@ -75,9 +77,9 @@ type Stats struct {
 	// Hits/Misses count Get outcomes (a disk hit is still a hit);
 	// Puts counts accepted inserts (duplicate keys are not re-stored).
 	Hits, Misses, Puts uint64
-	// Syncs counts fsync calls on the segment log: one per single Put,
-	// one per whole PutBatch — the group-commit collapse the batch path
-	// exists for, observable.
+	// Syncs counts fsync calls on the segment log: one per Flush after
+	// any number of Puts, one per whole PutBatch, one per retired
+	// segment — the group-commit collapse, observable.
 	Syncs uint64
 	// MemEntries/DiskEntries are current sizes of the two layers.
 	MemEntries, DiskEntries int
@@ -135,6 +137,10 @@ type Store struct {
 	active  *os.File           // append handle of the newest segment
 	actID   int
 	actSize int64
+	// synced is how many bytes of the active segment an fsync covers.
+	// Every other segment is synced whole: rotation syncs the segment it
+	// retires, and compaction syncs what it writes.
+	synced  int64
 	scratch []byte   // grown frame buffer reused across appends
 	lock    *os.File // flock holder: one process per Dir
 	// totalBytes/liveBytes track the segment-directory accounting the
@@ -295,6 +301,13 @@ func Open(cfg Config) (*Store, error) {
 		s.closeLocked()
 		return nil, err
 	}
+	// A process that ended before its Flush can leave records only the
+	// page cache holds. Sync them before this one serves any.
+	s.synced = 0
+	if err := s.syncLocked(); err != nil {
+		s.closeLocked()
+		return nil, err
+	}
 	// Sum segment sizes after replay (replay may have truncated a torn
 	// tail), completing the live-vs-total accounting replaySegment began.
 	for id := range s.readers {
@@ -424,7 +437,7 @@ func walkRecords(f *os.File, visit func(key string, payloadOff int64, payloadLen
 }
 
 // openActive opens (or creates) the append handle for segment actID
-// and records its current size.
+// and records its current size, all of it taken as synced.
 func (s *Store) openActive() error {
 	f, err := os.OpenFile(s.segPath(s.actID), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -435,7 +448,7 @@ func (s *Store) openActive() error {
 		_ = f.Close()
 		return fmt.Errorf("store: %w", err)
 	}
-	s.active, s.actSize = f, st.Size()
+	s.active, s.actSize, s.synced = f, st.Size(), st.Size()
 	if s.readers[s.actID] == nil {
 		r, err := os.Open(s.segPath(s.actID))
 		if err != nil {
@@ -450,7 +463,9 @@ func (s *Store) openActive() error {
 // through to the segment index; disk hits are promoted back into
 // memory. Every hit refreshes the entry's last-hit time in the index —
 // in memory only; the refreshed value persists at the next compaction,
-// which is exactly when the MaxIdle GC policy consults it.
+// which is exactly when the MaxIdle GC policy consults it. A hit on a
+// record no fsync covers yet syncs the active segment first, so no
+// caller builds on a cell a power loss could still take away.
 func (s *Store) Get(key string) (report.Cell, bool) {
 	s.mu.Lock()
 	cell, ok := s.getLocked(key)
@@ -481,11 +496,17 @@ func (s *Store) getLocked(key string) (report.Cell, bool) {
 	return report.Cell{}, false
 }
 
-// touchLocked refreshes the indexed entry's last-hit time.
+// touchLocked refreshes the indexed entry's last-hit time and syncs
+// its record if no fsync covers it yet. A failed sync still serves the
+// cell, as a Put whose append failed still serves it from memory; the
+// next Flush, PutBatch or Close retries the sync and reports it.
 func (s *Store) touchLocked(key string) {
 	if ref, ok := s.index[key]; ok {
 		ref.meta.hit = s.wall.Now().Unix()
 		s.index[key] = ref
+		if ref.seg == s.actID && ref.off+int64(ref.n) > s.synced {
+			_ = s.syncLocked()
+		}
 	}
 }
 
@@ -509,33 +530,73 @@ func (s *Store) readLocked(ref diskRef) (report.Cell, error) {
 	return cell, nil
 }
 
-// Put stores the cell under key: a batch of one, so it costs one fsync
-// like any PutBatch. Re-putting a known key is a no-op — the content
-// address guarantees the value is identical. The memory layer is
-// updated even when the disk append fails, so a full disk degrades to
-// memory-only caching with an error the caller can log.
+// Put stores the cell under key as a batch of one, appended without an
+// fsync: Flush, which the suite runner calls at the end of every run,
+// makes all of a run's puts durable under one. Re-putting a known key
+// is a no-op — the content address guarantees the value is identical.
+// The memory layer is updated even when the disk append fails, so a
+// full disk degrades to memory-only caching with an error the caller
+// can log.
 func (s *Store) Put(key string, cell report.Cell) error {
-	return s.PutBatch([]CellEntry{{Key: key, Cell: cell}})
-}
-
-// PutBatch stores every entry with one group-commit fsync for the whole
-// batch — the durability cost a batched `cells:batch` request amortizes
-// over its cells. Per entry: a key the memory layer holds is skipped,
-// the memory layer is (re)inserted even when the key is indexed on disk
-// but its record became unreadable (the LRU then serves the recomputed
-// cell instead of forcing a re-execution on every future run), and only
-// keys not yet on disk are appended. A non-nil error means some entries
-// may not persist, never that a cell is wrong.
-func (s *Store) PutBatch(entries []CellEntry) error {
 	s.mu.Lock()
-	puts, err := s.putBatchLocked(entries)
+	puts, err := s.putBatchLocked([]CellEntry{{Key: key, Cell: cell}})
 	s.mu.Unlock()
 	s.noteOps(puts)
 	return err
 }
 
-// putBatchLocked is PutBatch under mu; it also returns how many entries
-// it accepted.
+// PutBatch stores every entry and returns once they are durable, with
+// one group-commit fsync for the whole batch — the durability cost a
+// batched `cells:batch` request amortizes over its cells. Per entry: a
+// key the memory layer holds is skipped, the memory layer is
+// (re)inserted even when the key is indexed on disk but its record
+// became unreadable (the LRU then serves the recomputed cell instead
+// of forcing a re-execution on every future run), and only keys not
+// yet on disk are appended. The fsync also covers records earlier Puts
+// left unsynced, a skipped key's among them. A non-nil error means
+// some entries may not persist, never that a cell is wrong.
+func (s *Store) PutBatch(entries []CellEntry) error {
+	s.mu.Lock()
+	puts, err := s.putBatchLocked(entries)
+	if !s.closed {
+		err = errors.Join(err, s.syncLocked())
+	}
+	s.mu.Unlock()
+	s.noteOps(puts)
+	return err
+}
+
+// Flush makes every record appended so far durable, with one fsync of
+// the active segment when it holds records no fsync covers yet, and
+// with none otherwise. Flush after Close returns nil: Close has synced.
+func (s *Store) Flush() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	return s.syncLocked()
+}
+
+// syncLocked fsyncs the active segment when it holds records no fsync
+// covers yet.
+func (s *Store) syncLocked() error {
+	if s.active == nil || s.synced >= s.actSize {
+		return nil
+	}
+	if s.diskDead {
+		return fmt.Errorf("store: disk layer disabled after an append failure")
+	}
+	if err := s.active.Sync(); err != nil {
+		return fmt.Errorf("store: fsync: %w", err)
+	}
+	s.syncs.Add(1)
+	s.synced = s.actSize
+	return nil
+}
+
+// putBatchLocked stores entries under mu without syncing them; it also
+// returns how many entries it accepted.
 func (s *Store) putBatchLocked(entries []CellEntry) (uint64, error) {
 	if s.closed {
 		return 0, fmt.Errorf("store: closed")
@@ -608,11 +669,10 @@ func encodePending(key string, cell report.Cell, now int64) (pendingRecord, erro
 	return pendingRecord{key: key, payload: payload, meta: meta}, nil
 }
 
-// appendRecordsLocked frames recs into the reused scratch buffer and
-// commits them with one write plus one fsync — the group commit
-// PutBatch amortizes and a single Put degenerates to. Preallocating the
-// whole frame run and reusing the grown buffer keeps the hot path free
-// of per-append allocations.
+// appendRecordsLocked frames recs into the reused scratch buffer,
+// appends them with one write and indexes them; the fsync is the
+// caller's (syncLocked). Preallocating the whole frame run and reusing
+// the grown buffer keeps the hot path free of per-append allocations.
 func (s *Store) appendRecordsLocked(recs []pendingRecord) error {
 	if s.diskDead {
 		return fmt.Errorf("store: disk layer disabled after an append failure")
@@ -654,12 +714,6 @@ func (s *Store) appendRecordsLocked(recs []pendingRecord) error {
 		}
 		return fmt.Errorf("store: appending %s: %w", recs[0].key, werr)
 	}
-	// The group commit: whatever this call wrote — one record or a whole
-	// batch — becomes durable under a single fsync.
-	serr := s.active.Sync()
-	if serr == nil {
-		s.syncs.Add(1)
-	}
 	off := start
 	for _, r := range recs {
 		s.index[r.key] = diskRef{seg: s.actID, off: off + recordHeaderLen, n: len(r.payload), meta: r.meta}
@@ -667,12 +721,6 @@ func (s *Store) appendRecordsLocked(recs []pendingRecord) error {
 		off += recordHeaderLen + int64(len(r.payload))
 	}
 	s.maybeAutoCompactLocked()
-	if serr != nil {
-		// The records are indexed (the bytes are in the page cache and
-		// readable) but durability is not guaranteed — surface that like
-		// any other degraded write.
-		return fmt.Errorf("store: fsync after appending %s: %w", recs[0].key, serr)
-	}
 	return nil
 }
 
@@ -707,7 +755,11 @@ func (s *Store) maybeAutoCompactLocked() {
 	}()
 }
 
+// rotateLocked retires the active segment, synced, and opens the next.
 func (s *Store) rotateLocked() error {
+	if err := s.syncLocked(); err != nil {
+		return fmt.Errorf("store: rotating: %w", err)
+	}
 	if err := s.active.Close(); err != nil {
 		return fmt.Errorf("store: rotating: %w", err)
 	}
@@ -764,9 +816,10 @@ func (s *Store) Lifetime() Counters {
 	}
 }
 
-// Close releases every file handle and persists the lifetime counters.
-// The memory layer stays readable in principle but Put rejects a closed
-// store; Close is for shutdown.
+// Close syncs the active segment, releases every file handle and
+// persists the lifetime counters. The memory layer stays readable in
+// principle but Put rejects a closed store; Close is for shutdown. A
+// second Close returns nil.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -779,9 +832,9 @@ func (s *Store) closeLocked() error {
 	}
 	s.closed = true
 	s.flushStats(true)
-	var first error
+	first := s.syncLocked()
 	if s.active != nil {
-		if err := s.active.Close(); err != nil {
+		if err := s.active.Close(); err != nil && first == nil {
 			first = err
 		}
 		s.active = nil

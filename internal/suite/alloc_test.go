@@ -63,17 +63,21 @@ const sweepLocalSpec = `{"name":"sweep-local","seed":1,"trials":10,"keep_going":
  {"name":"contest","noise_p":0.2},{"name":"chess","preemption_bound":1,"max_schedules":128},{"name":"pct","depth":3}]}`
 
 // The measured counts of one sweep, without and with -race (Go 1.24,
-// linux/amd64). Before the kernels reused task coroutines, and refused
+// linux/amd64). Before each kernel's ready queues took windows of one
+// array and the workloads named tasks from tables, a sweep allocated
+// 487,397 objects and 59.23 MB (514,636 and 62.39 MB under -race); the
+// array adds a kilobyte per kernel, so bytes rose. Before the kernels
+// reused task coroutines, and refused
 // services, PFA draws and block pools stopped allocating, a sweep
 // allocated 883,777 objects and 72.1 MB (917,195 and 77.5 MB under
 // -race). Before the chain-walk deadlock check, the compact journal and
 // the per-step diet, it allocated 1,082,345 objects and 118,847,528
 // bytes (1,108,377 and 126,469,552 under -race).
 const (
-	sweepObjects     = 487_800
-	sweepBytes       = 59_280_000
-	sweepObjectsRace = 515_700
-	sweepBytesRace   = 62_500_000
+	sweepObjects     = 445_500
+	sweepBytes       = 60_430_000
+	sweepObjectsRace = 463_100
+	sweepBytesRace   = 62_210_000
 )
 
 // TestSweepAllocationBudget bounds what one sweep of perfbench's

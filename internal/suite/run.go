@@ -159,10 +159,12 @@ func (p *Plan) Run(ctx context.Context, jsonl io.Writer, opts Options) (*report.
 			return struct{}{}, nil
 		}, nil)
 	if f, ok := opts.Store.(store.Flusher); ok {
-		// Job end is the write-back barrier: a store that queues puts
-		// (Remote's write-through batcher) must push them before this job
-		// reports done, so no computed cell outlives its job unpersisted.
-		// A flush error degrades like a failed Put, never failing the job.
+		// Job end is the write-back barrier: a store whose puts are not
+		// yet durable (Remote's write-through batcher, the local store's
+		// unsynced appends) must persist them before this job reports
+		// done, so no computed cell outlives its job unpersisted, and a
+		// run's puts share one fsync. A flush error degrades like a
+		// failed Put, never failing the job.
 		_ = f.Flush()
 	}
 	if runErr != nil && !errors.Is(runErr, ErrInterrupted) {

@@ -401,9 +401,10 @@ type StorePolicyCompactor = store.PolicyCompactor
 // client coalesces it into one round trip.
 type StoreBatchPutter = store.BatchPutter
 
-// StoreFlusher is the optional write-back face of a CellStore that
-// queues writes (the remote client's write-through batcher); flush at
-// job end so no computed cell outlives its job unpersisted.
+// StoreFlusher is the optional write-back face of a CellStore whose
+// puts are not durable on return (the remote client's write-through
+// batcher, the local store's unsynced appends); flush at job end so no
+// computed cell outlives its job unpersisted.
 type StoreFlusher = store.Flusher
 
 // StoreCellEntry is one (key, cell) pair of a batched put.
