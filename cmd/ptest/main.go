@@ -5,6 +5,7 @@
 //	               original behavior; "ptest -pcore ..." still works)
 //	ptest suite    expand a declarative matrix spec into a run plan,
 //	               execute every cell, and emit machine-readable reports
+//	               — locally, or with -hub-url as a job on a hub ptestd
 //	ptest compare  diff two suite reports and fail on regressions —
 //	               the CI gate
 //	ptest serve    run ptestd, the campaign job server: HTTP submissions,
@@ -28,7 +29,7 @@
 //	ptest run -re 'TC (TS TR)+ TD$' -n 3 -s 41 -op cyclic -workload philosophers
 //	ptest suite -spec examples/suite/smoke.json -out report.json -jsonl cells.jsonl
 //	ptest suite -spec sweep.json -store ~/.cache/ptest-store   # warm cells skip execution
-//	ptest suite -spec sweep.json -store-url http://hub:8321    # share a hub ptestd's store
+//	ptest suite -spec sweep.json -hub-url http://hub:8321      # run it as a job on a hub ptestd
 //	ptest compare -max-rate-drop 0.05 baseline.json report.json
 //	ptest serve -addr :8321 -store /var/lib/ptestd/store
 //	ptest serve -hub-url http://hub:8321 -name rack3   # fleet cell worker
@@ -133,7 +134,8 @@ func usage(w *os.File) {
 
 subcommands:
   run      run one campaign (default when the first argument is a flag)
-  suite    expand a matrix spec, run every cell, write JSON/JSONL reports
+  suite    expand a matrix spec, run every cell, write JSON/JSONL reports;
+           with -hub-url, run it as a job on a hub ptestd instead
   compare  diff two suite reports; exit non-zero on regression
   serve    run ptestd, the campaign job server (HTTP + SSE + result store);
            -events N adds the fleet event log and /ui dashboard;

@@ -40,30 +40,49 @@ func TestRunValidationRoutesThroughUsageError(t *testing.T) {
 	wantUsageError(t, cmdClient([]string{"bogus"}))                          // unknown verb
 	wantUsageError(t, cmdClient([]string{"submit"}))                         // missing -spec
 	wantUsageError(t, cmdClient([]string{"submit", "-spec", "/nonexistent/spec.json"}))
-	wantUsageError(t, cmdClient([]string{"watch"}))                                        // missing job id
-	wantUsageError(t, cmdClient([]string{"report", "a", "b"}))                             // wrong arity
-	wantUsageError(t, cmdClient([]string{"cancel"}))                                       // missing job id
-	wantUsageError(t, cmdRun([]string{"-pcore", "-store", "x", "-dump-journal"}))          // store vs journal
-	wantUsageError(t, cmdStoreAdmin(nil))                                                  // missing verb
-	wantUsageError(t, cmdStoreAdmin([]string{"bogus"}))                                    // unknown verb
-	wantUsageError(t, cmdStoreAdmin([]string{"compact"}))                                  // missing -dir
-	wantUsageError(t, cmdRun([]string{"-pcore", "-store", "a", "-store-url", "http://b"})) // mutually exclusive
-	wantUsageError(t, cmdServe([]string{"-store-autocompact", "1"}))                       // autocompact needs -store
-	wantUsageError(t, cmdRun([]string{"-pcore", "-store-url", "hub:8321"}))                // no scheme
+	wantUsageError(t, cmdClient([]string{"watch"}))                               // missing job id
+	wantUsageError(t, cmdClient([]string{"report", "a", "b"}))                    // wrong arity
+	wantUsageError(t, cmdClient([]string{"cancel"}))                              // missing job id
+	wantUsageError(t, cmdRun([]string{"-pcore", "-store", "x", "-dump-journal"})) // store vs journal
+	wantUsageError(t, cmdStoreAdmin(nil))                                         // missing verb
+	wantUsageError(t, cmdStoreAdmin([]string{"bogus"}))                           // unknown verb
+	wantUsageError(t, cmdStoreAdmin([]string{"compact"}))                         // missing -dir
+	wantUsageError(t, cmdServe([]string{"-store-autocompact", "1"}))              // autocompact needs -store
+	// A -hub-url run is the hub's job: the local store and width flags
+	// do not apply. The URL is never dialled.
+	for _, local := range [][]string{{"-store", "a"}, {"-store-mem", "8"}, {"-cells", "2"}} {
+		wantUsageError(t, cmdSuite(append([]string{"-spec", smokeSpec, "-hub-url", "http://127.0.0.1:1"}, local...)))
+	}
+	wantUsageError(t, cmdSuite([]string{"-spec", smokeSpec, "-hub-url", "hub:8321"})) // no scheme
 	// A list of hubs, which url.Parse reads as the one host "127.0.0.1:1,http:".
-	wantUsageError(t, cmdRun([]string{"-pcore", "-store-url", "http://127.0.0.1:1,http://127.0.0.1:2"}))
+	wantUsageError(t, cmdSuite([]string{"-spec", smokeSpec, "-hub-url", "http://127.0.0.1:1,http://127.0.0.1:2"}))
 	wantUsageError(t, cmdClient([]string{"status", "-server", "hub:8321", "x"})) // no scheme
 	wantUsageError(t, cmdClient([]string{"status", "-server", "http://127.0.0.1:1,http://127.0.0.1:2", "x"}))
 }
 
 func TestServeHasNoRemoteStoreFlags(t *testing.T) {
-	// A hub owns its store: serve takes no remote-store flags. The
-	// trailing -queue 0 keeps a regression from starting a listener.
-	for _, gone := range []string{"-store-url", "-store-batch"} {
-		err := cmdServe([]string{gone, "1", "-queue", "0"})
+	// A job is the only way into a hub's store: no subcommand takes a
+	// flag to read, write or meter it directly. The trailing -queue 0
+	// keeps a serve regression from starting a listener.
+	for _, tc := range []struct {
+		cmd  string
+		run  func([]string) error
+		args []string
+	}{
+		{"suite", cmdSuite, []string{"-store-url", "http://127.0.0.1:1"}},
+		{"suite", cmdSuite, []string{"-store-batch", "1"}},
+		{"run", cmdRun, []string{"-store-url", "http://127.0.0.1:1"}},
+		{"run", cmdRun, []string{"-store-batch", "1"}},
+		{"run", cmdRun, []string{"-api-key", "k"}},
+		{"serve", cmdServe, []string{"-store-url", "http://127.0.0.1:1", "-queue", "0"}},
+		{"serve", cmdServe, []string{"-store-batch", "1", "-queue", "0"}},
+		{"serve", cmdServe, []string{"-cells-rate", "1", "-queue", "0"}},
+		{"serve", cmdServe, []string{"-cells-burst", "1", "-queue", "0"}},
+	} {
+		err := tc.run(tc.args)
 		wantUsageError(t, err)
 		if !strings.Contains(err.Error(), "not defined") {
-			t.Fatalf("serve %s: %v, want an unknown-flag error", gone, err)
+			t.Fatalf("%s %s: %v, want an unknown-flag error", tc.cmd, tc.args[0], err)
 		}
 	}
 }

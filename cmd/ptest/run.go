@@ -73,34 +73,31 @@ func newWorkloadFactory(workload string, n, rounds int, seed uint64) (func() com
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("ptest run", flag.ContinueOnError)
 	var (
-		re         = fs.String("re", "", "service regular expression")
-		pdSpec     = fs.String("pd", "", "probability distribution: from:symbol=prob,... ('^' = start)")
-		usePcore   = fs.Bool("pcore", false, "use the paper's expression (2) + Figure 5 distribution")
-		toolName   = fs.String("tool", "adaptive", "testing tool: "+tool.NamesHint()+" (non-adaptive tools run as a one-cell suite with the tool's default knobs)")
-		n          = fs.Int("n", 4, "number of test patterns (logical tasks)")
-		s          = fs.Int("s", 12, "pattern size")
-		opName     = fs.String("op", "roundrobin", "merge op: roundrobin|random|cyclic|priority|sequential")
-		seed       = fs.Uint64("seed", 1, "base seed")
-		trials     = fs.Int("trials", 1, "campaign trials (seed increments per trial)")
-		parallel   = fs.Int("parallel", 1, "trial workers: 1 = sequential, 0 = one per CPU (results identical either way)")
-		keepGoing  = fs.Bool("keep-going", false, "do not stop the campaign at the first bug")
-		dedup      = fs.Bool("dedup", false, "discard replicated patterns before merging")
-		gap        = fs.Int("gap", 0, "inter-command gap in cycles (stress density)")
-		workloadF  = fs.String("workload", "spin", "slave workload: "+workload.NamesHint())
-		rounds     = fs.Int("rounds", suite.DefaultRounds, "philosopher eating rounds")
-		quantum    = fs.Int("quantum", 0, "slave quantum in cycles")
-		gcLeak     = fs.Int("gc-leak-every", 0, "arm the GC leak fault")
-		dropTR     = fs.Int("drop-resume-every", 0, "arm the lost-wakeup fault")
-		misprio    = fs.Int("misplace-prio-every", 0, "arm the priority-misplacement fault")
-		jsonOut    = fs.Bool("json", false, "print the campaign summary as JSON instead of text")
-		dumpJ      = fs.Bool("dump-journal", false, "print the Definition 2 record journal of the failing run")
-		saveRepro  = fs.String("save-repro", "", "write a reproduction file for the first failing run")
-		replayF    = fs.String("replay", "", "re-execute a reproduction file instead of generating patterns")
-		storeDir   = fs.String("store", "", "content-addressed result store directory: execute as a one-cell suite, skipping cells already computed by run/suite/ptestd (campaign seeds derive from the cell identity, not -seed directly)")
-		storeURL   = fs.String("store-url", "", "remote result store: one hub ptestd's base URL, whose store this run reads and writes (mutually exclusive with -store)")
-		storeMem   = fs.Int("store-mem", 4096, "result-store in-memory LRU entries")
-		storeBatch = fs.Int("store-batch", 16, "coalesce remote store writes into batches of this many cells (0 = each write a synchronous batch of one; -store-url only)")
-		apiKey     = apiKeyFlag(fs)
+		re        = fs.String("re", "", "service regular expression")
+		pdSpec    = fs.String("pd", "", "probability distribution: from:symbol=prob,... ('^' = start)")
+		usePcore  = fs.Bool("pcore", false, "use the paper's expression (2) + Figure 5 distribution")
+		toolName  = fs.String("tool", "adaptive", "testing tool: "+tool.NamesHint()+" (non-adaptive tools run as a one-cell suite with the tool's default knobs)")
+		n         = fs.Int("n", 4, "number of test patterns (logical tasks)")
+		s         = fs.Int("s", 12, "pattern size")
+		opName    = fs.String("op", "roundrobin", "merge op: roundrobin|random|cyclic|priority|sequential")
+		seed      = fs.Uint64("seed", 1, "base seed")
+		trials    = fs.Int("trials", 1, "campaign trials (seed increments per trial)")
+		parallel  = fs.Int("parallel", 1, "trial workers: 1 = sequential, 0 = one per CPU (results identical either way)")
+		keepGoing = fs.Bool("keep-going", false, "do not stop the campaign at the first bug")
+		dedup     = fs.Bool("dedup", false, "discard replicated patterns before merging")
+		gap       = fs.Int("gap", 0, "inter-command gap in cycles (stress density)")
+		workloadF = fs.String("workload", "spin", "slave workload: "+workload.NamesHint())
+		rounds    = fs.Int("rounds", suite.DefaultRounds, "philosopher eating rounds")
+		quantum   = fs.Int("quantum", 0, "slave quantum in cycles")
+		gcLeak    = fs.Int("gc-leak-every", 0, "arm the GC leak fault")
+		dropTR    = fs.Int("drop-resume-every", 0, "arm the lost-wakeup fault")
+		misprio   = fs.Int("misplace-prio-every", 0, "arm the priority-misplacement fault")
+		jsonOut   = fs.Bool("json", false, "print the campaign summary as JSON instead of text")
+		dumpJ     = fs.Bool("dump-journal", false, "print the Definition 2 record journal of the failing run")
+		saveRepro = fs.String("save-repro", "", "write a reproduction file for the first failing run")
+		replayF   = fs.String("replay", "", "re-execute a reproduction file instead of generating patterns")
+		storeDir  = fs.String("store", "", "content-addressed result store directory: execute as a one-cell suite, skipping cells already computed by run/suite/ptestd (campaign seeds derive from the cell identity, not -seed directly)")
+		storeMem  = fs.Int("store-mem", 4096, "result-store in-memory LRU entries")
 	)
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -113,7 +110,7 @@ func cmdRun(args []string) error {
 	if !ok {
 		return usagef("run: unknown tool %q (want %s)", *toolName, tool.NamesHint())
 	}
-	direct := tl.Name() == "adaptive" && *storeDir == "" && *storeURL == ""
+	direct := tl.Name() == "adaptive" && *storeDir == ""
 	if !direct && (*saveRepro != "" || *dumpJ) {
 		// The one-cell-suite path (and cached cells) carries only the
 		// campaign summary, not per-trial outcomes — it could not honor
@@ -204,8 +201,7 @@ func cmdRun(args []string) error {
 			workload: *workloadF, rounds: *rounds, quantum: *quantum,
 			gcLeak: *gcLeak, dropTR: *dropTR, misprio: *misprio,
 			parallelism: parallelism, jsonOut: *jsonOut,
-			storeDir: *storeDir, storeURL: *storeURL, storeMem: *storeMem,
-			storeBatch: *storeBatch, apiKey: *apiKey,
+			storeDir: *storeDir, storeMem: *storeMem,
 		})
 	}
 
@@ -287,8 +283,7 @@ type runSpecArgs struct {
 	re, pdSpec, opName        string
 	tool                      string
 	workload                  string
-	storeDir, storeURL        string
-	apiKey                    string
+	storeDir                  string
 	pd                        pfa.Distribution
 	n, s, trials, rounds      int
 	quantum, gap              int
@@ -296,7 +291,6 @@ type runSpecArgs struct {
 	seed                      uint64
 	keepGoing, dedup, jsonOut bool
 	parallelism, storeMem     int
-	storeBatch                int
 }
 
 // runViaSpec executes the run as a one-cell suite — the path every
@@ -341,8 +335,8 @@ func runViaSpec(a runSpecArgs) error {
 	}
 
 	var opts suite.Options
-	if a.storeDir != "" || a.storeURL != "" {
-		st, err := openStoreFlag(store.Config{Dir: a.storeDir, MemEntries: a.storeMem}, a.storeURL, a.apiKey, a.storeBatch)
+	if a.storeDir != "" {
+		st, err := store.Open(store.Config{Dir: a.storeDir, MemEntries: a.storeMem})
 		if err != nil {
 			return err
 		}

@@ -29,28 +29,6 @@ import (
 	"repro/internal/tenant"
 )
 
-// openStoreFlag builds the store suite and run share behind the
-// CellStore seam: a client of one hub ptestd's store when -store-url
-// names it, a disk-backed local store when -store names a directory,
-// memory-only otherwise. apiKey authenticates the remote path against
-// a hub running -auth-keys; batch enables write-through batching
-// (cells per flush, 0 = each put a synchronous batch of one).
-func openStoreFlag(cfg store.Config, remoteURL, apiKey string, batch int) (store.CellStore, error) {
-	if remoteURL == "" {
-		return store.Open(cfg)
-	}
-	if cfg.Dir != "" {
-		return nil, usagef("-store and -store-url are mutually exclusive")
-	}
-	st, err := store.OpenRemote(store.RemoteConfig{
-		BaseURL: remoteURL, MemEntries: cfg.MemEntries, APIKey: apiKey, BatchSize: batch,
-	})
-	if err != nil {
-		return nil, usagef("-store-url: %w", err)
-	}
-	return st, nil
-}
-
 // apiKeyFlag registers the shared -api-key flag; $PTEST_API_KEY is the
 // default so shared-hub credentials stay out of shell history.
 func apiKeyFlag(fs *flag.FlagSet) *string {
@@ -82,8 +60,6 @@ func cmdServe(args []string) error {
 		authKeys    = fs.String("auth-keys", "", "keyfile of `key tenant role` lines; set to require auth on /api/v1 (empty: anonymous mode)")
 		submitRate  = fs.Float64("submit-rate", 0, "per-tenant job submissions per second (0 = unlimited)")
 		submitBurst = fs.Int("submit-burst", 1, "per-tenant submission burst (with -submit-rate)")
-		cellsRate   = fs.Float64("cells-rate", 0, "per-tenant cells requests per second (0 = unlimited)")
-		cellsBurst  = fs.Int("cells-burst", 1, "per-tenant cells burst (with -cells-rate)")
 		maxInflight = fs.Int("max-inflight", 0, "per-tenant concurrently running jobs (0 = uncapped; admins exempt)")
 		maxQueued   = fs.Int("max-queued", 0, "per-tenant queued-job backlog (0 = uncapped; admins exempt)")
 		apiKey      = apiKeyFlag(fs)
@@ -101,7 +77,7 @@ func cmdServe(args []string) error {
 			case "addr", "queue", "max-jobs", "store", "store-mem", "store-autocompact",
 				"store-max-age", "store-max-idle",
 				"events", "events-log",
-				"auth-keys", "submit-rate", "submit-burst", "cells-rate", "cells-burst", "max-inflight", "max-queued":
+				"auth-keys", "submit-rate", "submit-burst", "max-inflight", "max-queued":
 				conflict = f.Name
 			}
 		})
@@ -134,7 +110,6 @@ func cmdServe(args []string) error {
 	}
 	tenancy := tenant.Config{
 		SubmitRate: *submitRate, SubmitBurst: *submitBurst,
-		CellsRate: *cellsRate, CellsBurst: *cellsBurst,
 		MaxInFlight: *maxInflight, MaxQueued: *maxQueued,
 	}
 	if *authKeys != "" {

@@ -9,8 +9,8 @@
 //	{"error": {"code": "rate_limited", "message": "...", "retry_after_s": 2}}
 //
 // Machine-stable codes let clients branch without parsing prose. The
-// package classifies and never retries: the job client, the fleet
-// worker and the remote store each keep their own retry policy.
+// package classifies and never retries: the job client and the fleet
+// worker each keep their own retry policy.
 package api
 
 import (
@@ -118,8 +118,6 @@ func defaultCode(status int) string {
 		return "rate_limited"
 	case http.StatusServiceUnavailable:
 		return "unavailable"
-	case http.StatusInsufficientStorage:
-		return "store_degraded"
 	default:
 		return "internal"
 	}

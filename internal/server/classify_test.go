@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/dispatch"
-	"repro/internal/store"
 )
 
 // scriptedHub is an in-memory hub behind an http.RoundTripper. The first
@@ -71,10 +70,10 @@ func (instantWall) After(time.Duration) <-chan time.Time {
 	return c
 }
 
-// TestClientsClassifyStatusesAlike runs the job client, the fleet worker
-// and the remote store against one list of hub answers and pins that
-// all three repeat a request exactly when the answer is transient: no
-// answer at all, 429, 500, 502, 503 or 504.
+// TestClientsClassifyStatusesAlike runs the job client and the fleet
+// worker against one list of hub answers and pins that both repeat a
+// request exactly when the answer is transient: no answer at all, 429,
+// 500, 502, 503 or 504.
 func TestClientsClassifyStatusesAlike(t *testing.T) {
 	const base = "http://hub.invalid"
 	clients := []struct {
@@ -123,21 +122,6 @@ func TestClientsClassifyStatusesAlike(t *testing.T) {
 			}
 			cancel()
 			<-done
-		},
-	}, {
-		name: "store.Remote Get", method: http.MethodGet, path: "/api/v1/cells/k",
-		ok: func(*http.Request) (int, string) {
-			return http.StatusOK, `{"id":"c1"}`
-		},
-		run: func(t *testing.T, hub *scriptedHub) {
-			r, err := store.OpenRemote(store.RemoteConfig{
-				BaseURL: base, HTTPClient: &http.Client{Transport: hub}, Retries: 1, RetryBase: time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			_, _ = r.Get("k")
 		},
 	}}
 

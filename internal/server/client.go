@@ -95,8 +95,8 @@ func NewClient(base string, opts ...ClientOption) *Client {
 	return c
 }
 
-// BaseURL returns the normalized base URL this client talks to — what
-// a store.Remote pointed at the same daemon should be built from.
+// BaseURL returns the normalized base URL this client talks to, with
+// no trailing slash.
 func (c *Client) BaseURL() string { return c.conn.Base }
 
 // APIError is the decoded error envelope a Client call returns for a

@@ -139,60 +139,6 @@ func TestE2EWarmResubmissionExecutesZeroCells(t *testing.T) {
 	}
 }
 
-func TestCellsEndpointsRoundtrip(t *testing.T) {
-	// The server half of the cells protocol: a batch-of-one POST
-	// stores into the daemon's store, GET serves it back, a missing key
-	// is 404.
-	st, err := store.Open(store.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = st.Close() })
-	_, cli := newTestServer(t, Config{Workers: 1, QueueCap: 4, Store: st})
-
-	// Drive the endpoints exactly the way a -store-url client does.
-	remote, err := store.OpenRemote(store.RemoteConfig{BaseURL: cli.BaseURL()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = remote.Close() })
-
-	cell := report.Cell{ID: "w/op/n2s4/pd/adaptive", Workload: "w", Tool: "adaptive", N: 2, S: 4}
-	if _, ok := remote.Get("k1"); ok {
-		t.Fatal("empty daemon served a cell")
-	}
-	if err := remote.Put("k1", cell); err != nil {
-		t.Fatal(err)
-	}
-	// The daemon's own store holds it now.
-	if got, ok := st.Get("k1"); !ok || got.ID != cell.ID {
-		t.Fatalf("put did not land in the daemon store: %+v ok=%v", got, ok)
-	}
-	// A second worker (fresh LRU) reads it over the wire.
-	remote2, err := store.OpenRemote(store.RemoteConfig{BaseURL: cli.BaseURL()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = remote2.Close() })
-	if got, ok := remote2.Get("k1"); !ok || got.ID != cell.ID {
-		t.Fatalf("second worker could not read the shared cell: %+v ok=%v", got, ok)
-	}
-}
-
-func TestNewRefusesRemoteStore(t *testing.T) {
-	// A hub owns its store. A hub whose store was a Remote pointing back
-	// at itself would stall every cold lookup on its own single-flight,
-	// so New refuses any Remote before a single request is served.
-	rem, err := store.OpenRemote(store.RemoteConfig{BaseURL: "http://127.0.0.1:1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = rem.Close() })
-	if srv, err := New(Config{Workers: 1, QueueCap: 4, Store: rem}); err == nil || srv != nil {
-		t.Fatalf("New accepted a store.Remote: srv=%v err=%v", srv, err)
-	}
-}
-
 func TestE2EStoreSurvivesDaemonRestart(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()

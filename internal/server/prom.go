@@ -91,13 +91,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	family(w, "ptestd_store_mem_entries", "gauge", "Cells in the in-memory LRU front.").sample(st.MemEntries)
 	family(w, "ptestd_store_disk_entries", "gauge", "Cells indexed in the segment log.").sample(st.DiskEntries)
 
-	// Cells wire traffic: round trips by verb, plus the cells the batch
-	// round trips carried — batch_cells/batch is the collapse factor the
-	// write-through batcher achieves.
-	cf := family(w, "ptestd_cells_requests_total", "counter", "Cells endpoint requests served, by verb.")
-	cf.with(s.met.cellsWireGet.Load(), "verb", "get")
-	cf.with(s.met.cellsWireBatch.Load(), "verb", "batch")
-	family(w, "ptestd_cells_batch_cells_total", "counter", "Cells received inside batch requests.").sample(s.met.cellsWireBatchCells.Load())
 	// Optional store faces: the local segment-log store reports how many
 	// bytes a compaction would reclaim and whether its disk layer died.
 	if rc, ok := s.store.(interface{ Reclaimable() int64 }); ok {
@@ -123,7 +116,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	family(w, "ptestd_dispatch_completions_orphan_total", "counter", "Completions for cells no longer tracked.").sample(dm.OrphanCompletions)
 	family(w, "ptestd_dispatch_cells_local_total", "counter", "Cells executed in-process (no fleet, or budget exhausted).").sample(dm.LocalCells)
 	family(w, "ptestd_dispatch_cells_pending", "gauge", "Cells waiting at the hub for a lease grant.").sample(dm.CellsPending)
-	// The dispatch-plane twin of the cells batch pair:
 	// lease_batch_cells/lease_batch_calls is the live batching factor.
 	family(w, "ptestd_dispatch_lease_batch_calls_total", "counter", "lease:batch round trips that granted cells or settled completions.").sample(dm.LeaseBatchCalls)
 	family(w, "ptestd_dispatch_lease_batch_cells_total", "counter", "Cells granted inside lease:batch responses.").sample(dm.LeaseBatchCells)

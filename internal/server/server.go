@@ -15,19 +15,19 @@
 //	GET    /api/v1/jobs/{id}/report the finished report (?canonical=1)
 //	GET    /api/v1/jobs/{id}/events SSE: replay + follow `cell` events, final `done`
 //	GET    /api/v1/jobs/{id}/spec   the defaulted spec (a worker's plan-cache fill)
-//	GET    /api/v1/cells/{key}      fetch one stored cell (the shared cache read)
-//	POST   /api/v1/cells:batch      store computed cells (the shared cache write)
 //	POST   /api/v1/workers          register a fleet worker (see workers.go)
 //	GET    /metrics                 plain-text counters
 //	GET    /healthz                 liveness
 //
-// A hub always owns its store. The cells endpoints serve that store to
-// `ptest suite -store-url` and `ptest run -store-url` clients, which
-// read and write through store.Remote, so a cell any client or job
-// computed is not computed again. The workers endpoints (workers.go)
-// are the one way to spread a job over machines: registered workers
-// lease cells, the hub survives their crashes via lease expiry and
-// retry, and with zero workers every job simply runs in-process.
+// A hub always owns its store, and a job is the only way into it: a
+// client that wants the hub's cells submits its spec (`ptest suite
+// -hub-url`) and reads the job's stream and report. Cells enter the
+// store only as results of the hub's jobs, computed in-process or
+// completed over the workers endpoints. The workers endpoints
+// (workers.go) are the one way to spread a job over machines:
+// registered workers lease cells, the hub survives their crashes via
+// lease expiry and retry, and with zero workers every job simply runs
+// in-process.
 package server
 
 import (
@@ -72,11 +72,8 @@ type Config struct {
 	// pruned so a long-lived daemon's memory stays bounded. Queued and
 	// running jobs are never pruned.
 	MaxJobs int
-	// Store memoizes cells across jobs and is what the cells endpoints
-	// serve. Nil gets a private memory-only store so the daemon always
-	// deduplicates repeated work. The daemon must own it: New refuses a
-	// *store.Remote, which would forward every cells request to another
-	// hub, or back to this one.
+	// Store memoizes cells across jobs. Nil gets a private memory-only
+	// store so the daemon always deduplicates repeated work.
 	Store store.CellStore
 	// Dispatch tunes the fleet dispatcher (lease TTLs, heartbeat
 	// expiry, retry budget). The dispatcher always exists — with no
@@ -101,17 +98,9 @@ type metrics struct {
 	submitted, rejected, completed, failed, cancelled atomic.Uint64
 	cellsExecuted, cellsCached                        atomic.Uint64
 
-	// Wire traffic on the cells endpoints: requests by verb, plus how
-	// many cells the batch requests carried — the pair that shows the
-	// round-trip collapse batching buys (batchCells/batch ≈ cells per
-	// round trip).
-	cellsWireGet                        atomic.Uint64
-	cellsWireBatch, cellsWireBatchCells atomic.Uint64
-
 	// Wire traffic on the dispatch endpoints: lease:batch requests
-	// and the cells they granted (the dispatch-plane twin of the cells
-	// batch pair above), plus once-per-job spec fetches by plan-cache
-	// misses.
+	// and the cells they granted, plus once-per-job spec fetches by
+	// plan-cache misses.
 	leaseWireBatch, leaseWireBatchCells atomic.Uint64
 	specWireGet                         atomic.Uint64
 
@@ -179,18 +168,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 512
 	}
-	switch cfg.Store.(type) {
-	case nil:
+	if cfg.Store == nil {
 		st, err := store.Open(store.Config{})
 		if err != nil {
 			return nil, err
 		}
 		cfg.Store = st
-	case *store.Remote:
-		// A hub whose store points back at itself would stall every cold
-		// lookup on its own single-flight; one pointing at another hub
-		// is a second path to spread work, which the dispatch fleet is.
-		return nil, errors.New("server: Config.Store is a store.Remote; a hub must own its store")
 	}
 	// The dispatcher and store share the server's recorder: every layer
 	// emits into one sequenced stream. A nil recorder makes each of
@@ -222,8 +205,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/report", s.handleReport)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /api/v1/cells/{key}", s.handleCellGet)
-	s.mux.HandleFunc("POST /api/v1/cells:batch", s.handleCellBatch)
 	s.mux.HandleFunc("POST /api/v1/workers", s.handleWorkerRegister)
 	s.mux.HandleFunc("GET /api/v1/workers", s.handleWorkerList)
 	s.mux.HandleFunc("DELETE /api/v1/workers/{id}", s.handleWorkerDeregister)
@@ -713,97 +694,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		return frames, upd, terminal
 	})
-}
-
-// throttleCells spends one cells-rate token for the request's tenant,
-// writing the 429 envelope when the bucket is empty. The cells
-// endpoints are the shared cache's hot path, so their bucket is sized
-// independently of submission's.
-func (s *Server) throttleCells(w http.ResponseWriter, r *http.Request) bool {
-	t := tenant.FromContext(r.Context())
-	ra, ok := s.guard.AllowCells(t)
-	if !ok {
-		secs := tenant.RetryAfterSeconds(ra)
-		s.events.Emit(eventlog.Event{
-			Type: eventlog.TypeTenantThrottled, Tenant: t.Name,
-			Detail: fmt.Sprintf("cells rate; retry in %ds", secs),
-		})
-		api.WriteErrorCode(w, http.StatusTooManyRequests, "rate_limited", secs,
-			"tenant %s over its cells rate; retry in %ds", t.Name, secs)
-	}
-	return !ok
-}
-
-// handleCellGet serves one cell from the daemon's store — the read half
-// of the shared cache. 404 is the normal miss answer a store.Remote
-// maps back to "compute it yourself".
-func (s *Server) handleCellGet(w http.ResponseWriter, r *http.Request) {
-	if s.throttleCells(w, r) {
-		return
-	}
-	s.met.cellsWireGet.Add(1)
-	key := r.PathValue("key")
-	cell, ok := s.store.Get(key)
-	if !ok {
-		api.WriteError(w, http.StatusNotFound, "no cell %q", key)
-		return
-	}
-	writeJSON(w, http.StatusOK, cell)
-}
-
-// handleCellBatch accepts computed cells into the daemon's store — the
-// write half of the shared cache. A store.Remote posts here: one POST
-// per write-through flush, or a batch of one per Put with batching
-// off. A local segment-log store behind this endpoint commits the
-// whole batch under a single fsync (store.PutBatch), and any store's
-// cells are durable before the 204. Content addressing makes every
-// entry idempotent: re-putting a known key is a no-op, so racing
-// clients that both computed a cell agree by construction. Batches
-// are accepted even while draining; a client finishing its last sweep
-// must not lose its results.
-func (s *Server) handleCellBatch(w http.ResponseWriter, r *http.Request) {
-	if s.throttleCells(w, r) {
-		return
-	}
-	var body struct {
-		Cells []store.CellEntry `json:"cells"`
-	}
-	// The wire cap is exactly the store's own record bound: the
-	// batcher's flush sizing keeps real batches far below it, and a
-	// batch the store could not hold must not be readable into memory
-	// here either.
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, store.MaxRecordBytes)).Decode(&body); err != nil {
-		api.WriteError(w, http.StatusBadRequest, "bad batch body: %v", err)
-		return
-	}
-	if len(body.Cells) == 0 {
-		api.WriteError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	s.met.cellsWireBatch.Add(1)
-	s.met.cellsWireBatchCells.Add(uint64(len(body.Cells)))
-	var err error
-	if bp, ok := s.store.(store.BatchPutter); ok {
-		err = bp.PutBatch(body.Cells)
-	} else {
-		for _, e := range body.Cells {
-			if perr := s.store.Put(e.Key, e.Cell); perr != nil {
-				err = perr
-				break
-			}
-		}
-		if f, ok := s.store.(store.Flusher); ok && err == nil {
-			err = f.Flush()
-		}
-	}
-	if err != nil {
-		// The store degraded (full disk, closed): the computed cells are
-		// still correct on the worker's side, but this daemon could not
-		// persist them.
-		api.WriteError(w, http.StatusInsufficientStorage, "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleMetrics lives in prom.go: real Prometheus exposition format

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/clock"
 	"repro/internal/report"
+	"repro/internal/store"
 	"repro/internal/suite"
 	"repro/internal/tenant"
 )
@@ -46,8 +48,6 @@ var apiRoutes = []struct {
 	{"GET", "/api/v1/jobs/j000001/report"},
 	{"GET", "/api/v1/jobs/j000001/events"},
 	{"GET", "/api/v1/jobs/j000001/spec"},
-	{"GET", "/api/v1/cells/somekey"},
-	{"POST", "/api/v1/cells:batch"},
 	{"POST", "/api/v1/workers"},
 	{"GET", "/api/v1/workers"},
 	{"DELETE", "/api/v1/workers/w1"},
@@ -106,6 +106,75 @@ func TestAuthMatrixEveryRoute(t *testing.T) {
 		if rec := call(enforced.Handler(), "GET", path, ""); rec.Code != http.StatusOK {
 			t.Errorf("enforced GET %s without key: got %d, want 200", path, rec.Code)
 		}
+	}
+}
+
+// TestClientCannotWriteTheStore: a tenant that posts a forged cell
+// under a real cell key, in the body the hub's old cells:batch route
+// took, finds no route, and a later job over that key reports what the
+// simulator computes.
+func TestClientCannotWriteTheStore(t *testing.T) {
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	s, err := New(Config{Workers: 1, QueueCap: 4, Store: st, Tenancy: tenant.Config{Keys: testKeyring()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(s.Drain)
+
+	plan, err := suite.ParsePlan(strings.NewReader(e2eSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := fmt.Sprintf(`{"cells": [{"key": %q, "cell": {"id": %q, "workload": "forged", "tool": "adaptive", "summary": {"trials": 999}}}]}`,
+		plan.Keys()[0], plan.Cells()[0].ID)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/api/v1/cells:batch", strings.NewReader(forged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer bob-batch-key-1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("batch tenant's cell write: got %d, want 404", resp.StatusCode)
+	}
+
+	spec, err := suite.Parse(strings.NewReader(e2eSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := suite.Run(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := report.Write(&want, report.Canonical(direct)); err != nil {
+		t.Fatal(err)
+	}
+	admin := NewClient(ts.URL, WithAPIKey("alice-admin-key"))
+	ctx := context.Background()
+	info, err := admin.Submit(ctx, strings.NewReader(e2eSpec), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := admin.Watch(ctx, info.ID, nil); err != nil || final.Status != JobDone {
+		t.Fatalf("admin job: %+v, %v", final, err)
+	}
+	got, err := admin.ReportBytes(ctx, info.ID, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("admin job's report differs from a local run:\nwant:\n%s\ngot:\n%s", want.Bytes(), got)
 	}
 }
 

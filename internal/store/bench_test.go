@@ -2,9 +2,7 @@ package store
 
 import (
 	"fmt"
-	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // Store hot-path benches: Get and Put sit on every cell of every warm
@@ -68,10 +66,9 @@ func BenchmarkStoreCompact(b *testing.B) {
 	}
 }
 
-// BenchmarkStorePutBatch measures the group-commit write path the
-// cells:batch endpoint rides: batchCells cells per PutBatch, one fsync
-// each. Compare ns/op against batchCells× BenchmarkStorePut to see the
-// fsync collapse.
+// BenchmarkStorePutBatch measures the group-commit write path:
+// batchCells cells per PutBatch, one fsync each. Compare ns/op against
+// batchCells× BenchmarkStorePut to see the fsync collapse.
 func BenchmarkStorePutBatch(b *testing.B) {
 	const batchCells = 16
 	s := benchStore(b, 0)
@@ -88,36 +85,3 @@ func BenchmarkStorePutBatch(b *testing.B) {
 	b.ReportMetric(batchCells, "cells/op")
 	b.ReportMetric(float64(s.Stats().Syncs)/float64(b.N), "fsyncs/op")
 }
-
-// benchRemote drives a Remote at an in-process hub and reports the
-// wire round trips each stored cell cost — the number Store v2's
-// write-through batching is built to collapse.
-func benchRemote(b *testing.B, batchSize int) {
-	b.Helper()
-	fake := newFakeCellServer()
-	ts := httptest.NewServer(fake.handler())
-	b.Cleanup(ts.Close)
-	r, err := OpenRemote(RemoteConfig{
-		BaseURL: ts.URL, BatchSize: batchSize, BatchDelay: time.Hour, Retries: 0,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := r.Put(fmt.Sprintf("bench-%08d", i), cellFor(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := r.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	if err := r.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(fake.batches.Load())/float64(b.N), "roundtrips/cell")
-}
-
-func BenchmarkRemotePut_Single(b *testing.B)  { benchRemote(b, 0) }
-func BenchmarkRemotePut_Batched(b *testing.B) { benchRemote(b, 16) }

@@ -1,13 +1,11 @@
 // CellStore is the seam between the memoizing consumers (suite runs,
 // ptestd, the CLI) and a concrete result-store implementation.
-// Everything above this package depends on the interface. Two
-// implementations ship: the local segment-log Store, which a hub
-// always owns, and Remote, the client through which `ptest suite
-// -store-url` and `ptest run -store-url` share one hub's store over its
-// cells endpoints. A hub refuses a Remote as its own store
-// (server.New), so a cells request is served where the cells live and
-// never forwarded. A facade user's own implementation slots in without
-// touching the suite runner, the daemon, or the CLI.
+// Everything above this package depends on the interface. One
+// implementation ships: the local segment-log Store. A hub owns its
+// store, and its job API is the only way in: a client that wants the
+// hub's cells submits a job (`ptest suite -hub-url`). A facade user's
+// own implementation slots in without touching the suite runner, the
+// daemon, or the CLI.
 package store
 
 import "repro/internal/report"
@@ -18,9 +16,9 @@ import "repro/internal/report"
 // already relied on from *Store:
 //
 //   - Get returns the stored cell and true on a hit. A miss — including
-//     any internal failure the implementation degrades over (unreadable
-//     record, unreachable remote) — returns false: the caller then
-//     recomputes the cell, which is always correct.
+//     any internal failure the implementation degrades over (an
+//     unreadable record) — returns false: the caller then recomputes
+//     the cell, which is always correct.
 //   - Put stores the cell under key. Re-putting a known key is a no-op
 //     (content addressing guarantees the value is identical). A non-nil
 //     error means the write may not persist, never that the computed
@@ -43,7 +41,7 @@ type CellStore interface {
 // Compactor is the optional garbage-collection face of a CellStore:
 // stores whose representation accumulates dead bytes (the local
 // segment log's torn tails and superseded records) implement it; a
-// pure pass-through like Remote does not. Callers type-assert:
+// pure pass-through does not. Callers type-assert:
 //
 //	if c, ok := cs.(store.Compactor); ok { c.Compact() }
 type Compactor interface {
@@ -63,18 +61,17 @@ type PolicyCompactor interface {
 }
 
 // BatchPutter is the optional batched-write face of a CellStore. The
-// local Store commits the whole batch under one group fsync; Remote
-// coalesces it into one wire round trip. Per-entry semantics are
-// exactly Put's.
+// local Store commits the whole batch under one group fsync. Per-entry
+// semantics are exactly Put's.
 type BatchPutter interface {
 	PutBatch(entries []CellEntry) error
 }
 
 // Flusher is the optional write-back face of a CellStore whose puts are
-// not durable on return: Remote queues them for its write-through
-// batcher, and the local Store appends them without an fsync. The
-// suite runner flushes at job end, so a run's puts become durable
-// together before the run reports; Close implies a final flush too.
+// not durable on return: the local Store appends them without an
+// fsync. The suite runner flushes at job end, so a run's puts become
+// durable together before the run reports; Close implies a final flush
+// too.
 type Flusher interface {
 	Flush() error
 }
@@ -107,7 +104,4 @@ var (
 	_ PolicyCompactor = (*Store)(nil)
 	_ BatchPutter     = (*Store)(nil)
 	_ Flusher         = (*Store)(nil)
-	_ CellStore       = (*Remote)(nil)
-	_ BatchPutter     = (*Remote)(nil)
-	_ Flusher         = (*Remote)(nil)
 )

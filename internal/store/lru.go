@@ -1,10 +1,9 @@
-// The in-memory front both store implementations share: the local
-// Store keeps it ahead of the segment log, Remote ahead of the
-// network. It is the shared generic internal/lru cache instantiated at
-// report.Cell — the same implementation the plan caches use — with a
-// weight of 1 per cell, so its budget is a count of cells. Not safe for
-// concurrent use — callers hold their own lock, as the cache is always
-// touched together with other state.
+// The in-memory front the Store keeps ahead of its segment log. It is
+// the shared generic internal/lru cache instantiated at report.Cell —
+// the same implementation the plan caches use — with a weight of 1 per
+// cell, so its budget is a count of cells. Not safe for concurrent use
+// — callers hold their own lock, as the cache is always touched
+// together with other state.
 package store
 
 import (

@@ -51,11 +51,10 @@ type Config struct {
 	// live entries. 0 (the default) disables auto-compaction; explicit
 	// `ptest store compact` always works. Note the pass holds the store
 	// lock for one sequential read + synced write of the live data, so
-	// Get/Put (and a hub daemon's /api/v1/cells traffic) stall for its
-	// duration — size the threshold so a pass rewrites megabytes, not
-	// gigabytes. A pass that fails disarms auto-compaction for the rest
-	// of the session instead of re-paying the aborted rewrite on every
-	// append.
+	// Get/Put (and a hub's jobs) stall for its duration — size the
+	// threshold so a pass rewrites megabytes, not gigabytes. A pass that
+	// fails disarms auto-compaction for the rest of the session instead
+	// of re-paying the aborted rewrite on every append.
 	AutoCompactMinBytes int64
 	// AutoCompactRatio is the reclaimable/total fraction that must also
 	// be exceeded before auto-compaction fires (default 0.5 when
@@ -205,8 +204,8 @@ type persistRecord struct {
 
 // CellEntry is one key→cell pair of a batched put.
 type CellEntry struct {
-	Key  string      `json:"key"`
-	Cell report.Cell `json:"cell"`
+	Key  string
+	Cell report.Cell
 }
 
 const recordHeaderLen = 8 // u32 LE payload length + u32 LE CRC32(payload)
@@ -215,11 +214,10 @@ const recordHeaderLen = 8 // u32 LE payload length + u32 LE CRC32(payload)
 // rotation size: replay uses it to reject corrupt length headers
 // without multi-GiB allocations, and Put refuses to write anything
 // bigger — so reopening with a different SegMaxBytes can never
-// misclassify valid records as corrupt. Exported so the daemon's
-// cells:batch endpoint caps request bodies at exactly what the store
-// behind it would accept: a smaller wire cap would make large cells
-// storable locally but never pushable to a hub, breaking "computed
-// once, ever" for precisely the most expensive cells.
+// misclassify valid records as corrupt. Exported so the hub's
+// lease:batch endpoint caps request bodies at exactly what the store
+// behind it would accept: a smaller wire cap would let a worker compute
+// a large cell whose completion the hub could never read.
 const MaxRecordBytes = 64 << 20
 
 // Open builds the store, replaying any existing segments in Dir into
@@ -546,15 +544,14 @@ func (s *Store) Put(key string, cell report.Cell) error {
 }
 
 // PutBatch stores every entry and returns once they are durable, with
-// one group-commit fsync for the whole batch — the durability cost a
-// batched `cells:batch` request amortizes over its cells. Per entry: a
-// key the memory layer holds is skipped, the memory layer is
-// (re)inserted even when the key is indexed on disk but its record
-// became unreadable (the LRU then serves the recomputed cell instead
-// of forcing a re-execution on every future run), and only keys not
-// yet on disk are appended. The fsync also covers records earlier Puts
-// left unsynced, a skipped key's among them. A non-nil error means
-// some entries may not persist, never that a cell is wrong.
+// one group-commit fsync for the whole batch. Per entry: a key the
+// memory layer holds is skipped, the memory layer is (re)inserted even
+// when the key is indexed on disk but its record became unreadable (the
+// LRU then serves the recomputed cell instead of forcing a re-execution
+// on every future run), and only keys not yet on disk are appended. The
+// fsync also covers records earlier Puts left unsynced, a skipped key's
+// among them. A non-nil error means some entries may not persist, never
+// that a cell is wrong.
 func (s *Store) PutBatch(entries []CellEntry) error {
 	s.mu.Lock()
 	puts, err := s.putBatchLocked(entries)

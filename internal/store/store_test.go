@@ -456,3 +456,67 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("concurrent puts produced %d disk entries, want 20", st.DiskEntries)
 	}
 }
+
+func TestStorePutBatchSingleFsyncAndDurability(t *testing.T) {
+	// The group-commit contract: one PutBatch of N cells costs one fsync,
+	// as does one Flush after N single Puts, and every cell survives a
+	// reopen.
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []CellEntry
+	for i := 0; i < 10; i++ {
+		entries = append(entries, CellEntry{Key: key(i), Cell: cellFor(i)})
+	}
+	if err := s.PutBatch(entries); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Syncs != 1 {
+		t.Fatalf("batch of 10 cost %d fsyncs, want 1", st.Syncs)
+	}
+	if st.Puts != 10 || st.DiskEntries != 10 {
+		t.Fatalf("batch accounting wrong: %+v", st)
+	}
+	// Single puts append without an fsync; one Flush covers them all.
+	if err := s.Put(key(10), cellFor(10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(key(11), cellFor(11)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Syncs; got != 1 {
+		t.Fatalf("2 single puts after the batch: syncs = %d, want 1", got)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Syncs; got != 2 {
+		t.Fatalf("a flush after 2 single puts: syncs = %d, want 2", got)
+	}
+	// Re-batching known keys is a no-op (content addressing).
+	if err := s.PutBatch(entries[:3]); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Syncs; got != 2 {
+		t.Fatalf("no-op re-batch still fsynced: syncs = %d", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for i := 0; i < 12; i++ {
+		if _, ok := s2.Get(key(i)); !ok {
+			t.Fatalf("key %d lost across reopen after batch commit", i)
+		}
+	}
+}
+
+// waitFor polls cond briefly — for the handful of spots where a

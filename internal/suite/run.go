@@ -45,7 +45,8 @@ type Options struct {
 	// Store is the content-addressed result store: each cell is looked
 	// up by its CellKey before executing and stored after. Nil disables
 	// memoization. Any CellStore implementation slots in — the local
-	// segment-log store, a remote ptestd-backed one, or a caller's own.
+	// segment-log store (a hub job runs over the hub's) or a caller's
+	// own.
 	Store store.CellStore
 	// Exec overrides how a cell that missed the store executes. Nil runs
 	// it in-process. The store check, the put of the computed result and
@@ -160,11 +161,10 @@ func (p *Plan) Run(ctx context.Context, jsonl io.Writer, opts Options) (*report.
 		}, nil)
 	if f, ok := opts.Store.(store.Flusher); ok {
 		// Job end is the write-back barrier: a store whose puts are not
-		// yet durable (Remote's write-through batcher, the local store's
-		// unsynced appends) must persist them before this job reports
-		// done, so no computed cell outlives its job unpersisted, and a
-		// run's puts share one fsync. A flush error degrades like a
-		// failed Put, never failing the job.
+		// yet durable (the local store's unsynced appends) must persist
+		// them before this job reports done, so no computed cell outlives
+		// its job unpersisted, and a run's puts share one fsync. A flush
+		// error degrades like a failed Put, never failing the job.
 		_ = f.Flush()
 	}
 	if runErr != nil && !errors.Is(runErr, ErrInterrupted) {

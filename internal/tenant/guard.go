@@ -28,10 +28,6 @@ type Config struct {
 	// unlimited.
 	SubmitRate  float64
 	SubmitBurst int
-	// CellsRate / CellsBurst shape the per-tenant bucket on the cells
-	// endpoints — the fleet-cache read/write path.
-	CellsRate  float64
-	CellsBurst int
 	// MaxInFlight caps how many of one tenant's jobs run concurrently;
 	// enforcement happens at dequeue, so over-cap jobs wait in the queue
 	// rather than being rejected. Zero means uncapped.
@@ -67,7 +63,6 @@ type Stats struct {
 type Guard struct {
 	keys        Keyring
 	submit      *Limiter
-	cells       *Limiter
 	maxInFlight int
 	maxQueued   int
 
@@ -85,13 +80,9 @@ func NewGuard(cfg Config) *Guard {
 	if cfg.SubmitBurst <= 0 {
 		cfg.SubmitBurst = 8
 	}
-	if cfg.CellsBurst <= 0 {
-		cfg.CellsBurst = 64
-	}
 	return &Guard{
 		keys:        cfg.Keys,
 		submit:      NewLimiter(cfg.SubmitRate, cfg.SubmitBurst, wall),
-		cells:       NewLimiter(cfg.CellsRate, cfg.CellsBurst, wall),
 		maxInFlight: cfg.MaxInFlight,
 		maxQueued:   cfg.MaxQueued,
 		tenants:     map[string]*Stats{},
@@ -147,19 +138,10 @@ func (g *Guard) Authenticate(r *http.Request) (Tenant, error) {
 
 // AllowSubmit spends one submission token. Admins are exempt.
 func (g *Guard) AllowSubmit(t Tenant) (time.Duration, bool) {
-	return g.allow(t, g.submit)
-}
-
-// AllowCells spends one cells-endpoint token. Admins are exempt.
-func (g *Guard) AllowCells(t Tenant) (time.Duration, bool) {
-	return g.allow(t, g.cells)
-}
-
-func (g *Guard) allow(t Tenant, l *Limiter) (time.Duration, bool) {
 	if t.Role == RoleAdmin {
 		return 0, true
 	}
-	ra, ok := l.Allow(t.Name)
+	ra, ok := g.submit.Allow(t.Name)
 	if !ok {
 		g.with(t, func(st *Stats) { st.Throttled++ })
 	}

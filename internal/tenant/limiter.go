@@ -1,6 +1,6 @@
 // The per-tenant token-bucket rate limiter. One Limiter guards one
-// operation class (job submission, cells traffic); each tenant gets its
-// own lazily-created bucket. Time comes from a clock.Wall, so tests pin
+// operation class (job submission); each tenant gets its own
+// lazily-created bucket. Time comes from a clock.Wall, so tests pin
 // refill and Retry-After arithmetic on a FakeWall with no sleeps.
 package tenant
 

@@ -384,7 +384,8 @@ func WorkloadNames() []string { return workload.Names() }
 // CellStore is the pluggable result-store seam: anything answering
 // content-addressed Get/Put (plus the telemetry methods) slots into
 // SuiteOptions.Store, JobServerConfig.Store and the rest of the stack.
-// ResultStore and RemoteStore are the built-in implementations.
+// ResultStore is the built-in implementation; a JobServer's store is
+// reached through its jobs, never directly.
 type CellStore = store.CellStore
 
 // StoreCompactor is the optional garbage-collection face of a
@@ -397,14 +398,12 @@ type StoreCompactor = store.Compactor
 type StorePolicyCompactor = store.PolicyCompactor
 
 // StoreBatchPutter is the optional batched-write face of a CellStore:
-// the local store commits a whole batch under one fsync, the remote
-// client coalesces it into one round trip.
+// the local store commits a whole batch under one fsync.
 type StoreBatchPutter = store.BatchPutter
 
 // StoreFlusher is the optional write-back face of a CellStore whose
-// puts are not durable on return (the remote client's write-through
-// batcher, the local store's unsynced appends); flush at job end so no
-// computed cell outlives its job unpersisted.
+// puts are not durable on return (the local store's unsynced appends);
+// flush at job end so no computed cell outlives its job unpersisted.
 type StoreFlusher = store.Flusher
 
 // StoreCellEntry is one (key, cell) pair of a batched put.
@@ -435,20 +434,6 @@ type StoreConfig = store.Config
 
 // OpenStore opens (or creates) a result store.
 func OpenStore(cfg StoreConfig) (*ResultStore, error) { return store.Open(cfg) }
-
-// RemoteStore is the network-backed CellStore: a client over one hub
-// ptestd's /api/v1/cells endpoints with an in-process LRU front and
-// single-flight fetch deduplication, so RunSuiteContext callers on
-// many machines share the hub's store and compute each cell once,
-// ever. It backs a sweep, never a JobServer: NewJobServer refuses it,
-// because a hub owns its store.
-type RemoteStore = store.Remote
-
-// RemoteStoreConfig points a RemoteStore at a serving ptestd.
-type RemoteStoreConfig = store.RemoteConfig
-
-// OpenRemoteStore builds a client for a ptestd's shared cell cache.
-func OpenRemoteStore(cfg RemoteStoreConfig) (*RemoteStore, error) { return store.OpenRemote(cfg) }
 
 // JobServer is ptestd: suite specs over HTTP onto a bounded priority
 // queue, a worker pool over the campaign engine, per-job SSE progress,

@@ -1,9 +1,8 @@
 #!/bin/sh
-# Runs the Store v2 write-path benchmarks and renders the numbers that
-# matter — ns/op plus the per-cell round-trip and fsync counts the
-# batching work collapses — into BENCH_store.json. CI runs this and
-# commits/refreshes the artifact so the collapse ratio is reviewable in
-# the diff; locally:
+# Runs the store write-path benchmarks and renders the numbers that
+# matter — ns/op plus the cells and fsyncs of one group-committed batch
+# — into BENCH_store.json. CI runs this and commits/refreshes the
+# artifact so the group commit is reviewable in the diff; locally:
 #
 #   scripts/bench-store.sh [benchtime]     # default 100x
 #
@@ -14,7 +13,7 @@ benchtime="${1:-100x}"
 out="BENCH_store.json"
 cd "$(dirname "$0")/.."
 
-raw=$(go test -run '^$' -bench 'BenchmarkStorePut$|BenchmarkStorePutBatch|BenchmarkRemotePut_Single|BenchmarkRemotePut_Batched' \
+raw=$(go test -run '^$' -bench 'BenchmarkStorePut$|BenchmarkStorePutBatch' \
 	-benchtime "$benchtime" ./internal/store)
 
 printf '%s\n' "$raw" | awk -v benchtime="$benchtime" '
