@@ -64,9 +64,44 @@ func TestWriteFrameDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// loopReader reads b over and over.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.b[l.off:])
+	l.off = (l.off + n) % len(l.b)
+	return n, nil
+}
+
+// TestReaderNextDoesNotAllocate: once its buffers are warm, a Reader
+// returns the hub's cell and done frames without allocating: the
+// frame's Data is the reader's buffer and the two event names are
+// constants.
+func TestReaderNextDoesNotAllocate(t *testing.T) {
+	rd := NewReader(&loopReader{b: []byte(sseSeeds[1])}, 0)
+	var f Frame
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if f, err = rd.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Next allocates %.1f objects per frame, want 0", allocs)
+	}
+	if f.Event != "done" && f.Event != "cell" {
+		t.Fatalf("read %+v", f)
+	}
+	rd.Release()
+}
+
 // FuzzSSEFrames checks the reader against arbitrary bytes (no panic,
 // ids never decrease) and against the writer (what it writes reads
-// back identical, across a keepalive comment).
+// back identical, across a keepalive comment). Each frame is compared
+// before the next Next, since its Data lives only until then.
 func FuzzSSEFrames(f *testing.F) {
 	for _, s := range sseSeeds {
 		f.Add([]byte(s), uint64(1), "cell", []byte(`{"id":"cell-a"}`))
@@ -85,6 +120,7 @@ func FuzzSSEFrames(f *testing.F) {
 			}
 			last = fr.ID
 		}
+		rd.Release()
 
 		// SSE has no way to carry a carriage return, nor a line break in
 		// the event name.
@@ -122,6 +158,7 @@ func FuzzSSEFrames(f *testing.F) {
 		if _, err := rd.Next(); err != io.EOF {
 			t.Fatalf("after the last frame: %v, want io.EOF", err)
 		}
+		rd.Release()
 	})
 }
 

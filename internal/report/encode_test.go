@@ -76,6 +76,7 @@ func fuzzReport(s1, s2 string, f1, f2 float64, u uint64, i int64, mask uint32) *
 // FuzzReportEncoding holds the direct encoders to encoding/json: Write
 // writes json.MarshalIndent's bytes plus a newline, AppendCell writes
 // json.Marshal's, and a NaN or an infinity is an error for all three.
+// AppendCanonical writes what Append writes for Canonical's copy.
 func FuzzReportEncoding(f *testing.F) {
 	const all = 1<<17 - 1
 	f.Add("quicksort/roundrobin/n4s8/figure5/adaptive", "[crash] at t=123: pool-exhausted", 0.4, 12.5, uint64(42), int64(5), uint32(all))
@@ -96,6 +97,14 @@ func FuzzReportEncoding(f *testing.F) {
 		}
 		if err == nil && !bytes.Equal(got.Bytes(), append(want, '\n')) {
 			t.Fatalf("Write wrote\n%s\nencoding/json wrote\n%s", got.Bytes(), want)
+		}
+		wantCanon, wantErr := Append(nil, Canonical(r))
+		gotCanon, err := AppendCanonical([]byte("x"), r)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("AppendCanonical error %v, Append of the canonical copy: %v", err, wantErr)
+		}
+		if err == nil && !bytes.Equal(gotCanon, append([]byte("x"), wantCanon...)) {
+			t.Fatalf("AppendCanonical wrote\n%s\nAppend of the canonical copy wrote\n%s", gotCanon, wantCanon)
 		}
 		for k := range r.Cells {
 			want, wantErr := json.Marshal(r.Cells[k])
@@ -128,6 +137,13 @@ func TestEncodersWriteEveryField(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), append(want, '\n')) {
 		t.Fatalf("Write wrote\n%s\nencoding/json wrote\n%s", got.Bytes(), want)
+	}
+	wantCanon, err := Append(nil, Canonical(&r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotCanon, _ := AppendCanonical(nil, &r); !bytes.Equal(gotCanon, wantCanon) {
+		t.Fatalf("AppendCanonical wrote\n%s\nAppend of the canonical copy wrote\n%s", gotCanon, wantCanon)
 	}
 	wantCell, err := json.Marshal(r.Cells[0])
 	if err != nil {

@@ -176,7 +176,19 @@ func Write(w io.Writer, r *Report) error {
 // Append appends the report as indented JSON with a trailing newline:
 // the bytes json.MarshalIndent(r, "", "  ") writes, plus '\n'.
 func Append(dst []byte, r *Report) ([]byte, error) {
-	data, err := appendReport(dst, r)
+	return appendIndented(dst, r, false)
+}
+
+// AppendCanonical appends the bytes Append(dst, Canonical(r)) would,
+// without Canonical's copy of the report and its cells: the fields
+// Canonical zeroes are written as zero, and nil cells as the empty
+// list Canonical makes of them.
+func AppendCanonical(dst []byte, r *Report) ([]byte, error) {
+	return appendIndented(dst, r, true)
+}
+
+func appendIndented(dst []byte, r *Report, canonical bool) ([]byte, error) {
+	data, err := appendReport(dst, r, canonical)
 	if err != nil {
 		return data, fmt.Errorf("report: encoding: %w", err)
 	}
@@ -245,10 +257,11 @@ func WriteJSONL(w io.Writer, c Cell) error {
 }
 
 // appendReport appends r exactly as json.MarshalIndent(r, "", "  ")
-// encodes it, without reflection. FuzzReportEncoding holds the two
-// equal, so a field added to Report, Totals, Cell or CampaignSummary
-// must be added here too.
-func appendReport(dst []byte, r *Report) ([]byte, error) {
+// encodes it, or, canonical, as it encodes Canonical(r), without
+// reflection. FuzzReportEncoding holds them equal, so a field added to
+// Report, Totals, Cell or CampaignSummary must be added here too, and
+// to Canonical if it is a timing field.
+func appendReport(dst []byte, r *Report, canonical bool) ([]byte, error) {
 	w := jsonenc.Writer{B: dst, Indent: true}
 	w.BeginObject()
 	w.Int("schema_version", int64(r.SchemaVersion))
@@ -256,13 +269,13 @@ func appendReport(dst []byte, r *Report) ([]byte, error) {
 	if r.SpecDigest != "" {
 		w.String("spec_digest", r.SpecDigest)
 	}
-	if r.Cells == nil {
+	if r.Cells == nil && !canonical {
 		w.Null("cells")
 	} else {
 		w.Array("cells")
 		for i := range r.Cells {
 			w.BeginObject()
-			writeCellFields(&w, &r.Cells[i])
+			writeCellFields(&w, &r.Cells[i], canonical)
 			w.EndObject()
 		}
 		w.EndArray()
@@ -280,18 +293,22 @@ func appendReport(dst []byte, r *Report) ([]byte, error) {
 	if r.Interrupted {
 		w.Bool("interrupted", true)
 	}
-	if r.PFACompiles != 0 {
-		w.Uint("pfa_compiles", r.PFACompiles)
+	pfa, hits, misses, wall, created := r.PFACompiles, r.StoreHits, r.StoreMisses, r.WallMS, r.CreatedAt
+	if canonical {
+		pfa, hits, misses, wall, created = 0, 0, 0, 0, ""
 	}
-	if r.StoreHits != 0 {
-		w.Uint("store_hits", r.StoreHits)
+	if pfa != 0 {
+		w.Uint("pfa_compiles", pfa)
 	}
-	if r.StoreMisses != 0 {
-		w.Uint("store_misses", r.StoreMisses)
+	if hits != 0 {
+		w.Uint("store_hits", hits)
 	}
-	w.Float("wall_ms", r.WallMS)
-	if r.CreatedAt != "" {
-		w.String("created_at", r.CreatedAt)
+	if misses != 0 {
+		w.Uint("store_misses", misses)
+	}
+	w.Float("wall_ms", wall)
+	if created != "" {
+		w.String("created_at", created)
 	}
 	w.EndObject()
 	return w.B, w.Err()
@@ -302,14 +319,14 @@ func appendReport(dst []byte, r *Report) ([]byte, error) {
 func AppendCell(dst []byte, c *Cell) ([]byte, error) {
 	w := jsonenc.Writer{B: dst}
 	w.BeginObject()
-	writeCellFields(&w, c)
+	writeCellFields(&w, c, false)
 	w.EndObject()
 	return w.B, w.Err()
 }
 
 // writeCellFields writes the members of one cell object, in either
-// layout.
-func writeCellFields(w *jsonenc.Writer, c *Cell) {
+// layout; canonical writes its wall time as zero.
+func writeCellFields(w *jsonenc.Writer, c *Cell, canonical bool) {
 	w.String("id", c.ID)
 	w.String("workload", c.Workload)
 	if c.Op != "" {
@@ -355,5 +372,9 @@ func writeCellFields(w *jsonenc.Writer, c *Cell) {
 		w.Int("interleaving_pairs", int64(s.InterleavingPairs))
 	}
 	w.EndObject()
-	w.Float("wall_ms", c.WallMS)
+	wall := c.WallMS
+	if canonical {
+		wall = 0
+	}
+	w.Float("wall_ms", wall)
 }

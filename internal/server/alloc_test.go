@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"strings"
 	"testing"
 
@@ -20,28 +21,20 @@ const warmSpec = `{"name":"quick","seed":7,"trials":2,"keep_going":true,"max_ste
 "tools":[{"name":"adaptive"},{"name":"chess","max_schedules":2},{"name":"pct","depth":2}]}`
 
 // The measured allocations of one all-hit job, without and with -race
-// (Go 1.24, linux/amd64, 2 CPUs), resubmitting the same spec bytes, so
-// the hub's plan cache serves its plan, and renaming the spec on every
-// job, so the plan cache misses while every cell still hits the store
-// (the name is not part of a cell key). Before SSE cell frames referred
-// to the job's stored lines instead of copying them, the two read 344
-// and 405 objects and 42.1 and 48.8 kB (391 and 463, 74.1 and 81.0 kB
-// under -race). Before the plan cache, the lazy generation channel, the
-// pooled SSE frame buffer and the lazily built executor, both read 426
-// objects and 52.2 kB (476 and 82.4–83.4 kB under -race). Before the
-// store lookups ran in one pass ahead of any fan-out, finished replies
-// went out in one sized write, and specs, digests and JobInfo were
-// resolved and encoded without rebuilt tables or reflection, a job
-// allocated 500 objects and 65.5 kB (563 and 102.8 kB under -race).
+// (Go 1.24, linux/amd64, 2 CPUs, three runs of each test alone, the
+// highest count kept), resubmitting the same spec bytes, so the hub's
+// plan cache serves its plan, and renaming the spec on every job, so
+// the plan cache misses while every cell still hits the store (the name
+// is not part of a cell key).
 const (
-	warmJobObjects        = 338
-	warmJobBytes          = 40_400
-	warmJobObjectsRace    = 384
-	warmJobBytesRace      = 72_100
-	renamedJobObjects     = 398
-	renamedJobBytes       = 47_000
-	renamedJobObjectsRace = 457
-	renamedJobBytesRace   = 79_100
+	warmJobObjects        = 318
+	warmJobBytes          = 31_500
+	warmJobObjectsRace    = 372
+	warmJobBytesRace      = 65_600
+	renamedJobObjects     = 379
+	renamedJobBytes       = 38_100
+	renamedJobObjectsRace = 445
+	renamedJobBytesRace   = 73_200
 )
 
 // TestWarmJobAllocationBudget bounds what one hub job whose every cell
@@ -137,14 +130,19 @@ func measureWarmJobs(t *testing.T, rename bool) (objs, kb float64) {
 		job(true)
 	}
 	var before, after runtime.MemStats
+	gcs := []rtmetrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	rtmetrics.Read(gcs)
+	gcBefore := gcs[0].Value.Uint64()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < jobs; i++ {
 		job(true)
 	}
 	runtime.ReadMemStats(&after)
+	rtmetrics.Read(gcs)
 	objs = float64(after.Mallocs-before.Mallocs) / jobs
 	kb = float64(after.TotalAlloc-before.TotalAlloc) / jobs / 1000
-	t.Logf("one warm job allocates %.0f objects and %.1f kB", objs, kb)
+	t.Logf("one warm job allocates %.0f objects and %.1f kB; %.1f GC cycles per 1,000 jobs",
+		objs, kb, float64(gcs[0].Value.Uint64()-gcBefore)*1000/jobs)
 	return objs, kb
 }
 

@@ -282,6 +282,8 @@ func (c *Client) follow(ctx context.Context, path string, lastID uint64, onFrame
 			return err
 		}
 		if err == nil {
+			// The reader's buffers go back to their pool when the stream
+			// ends, so onFrame copies whatever it keeps of a frame.
 			rd := api.NewReader(resp.Body, lastID)
 			for {
 				f, rerr := rd.Next()
@@ -297,11 +299,13 @@ func (c *Client) follow(ctx context.Context, path string, lastID uint64, onFrame
 				}
 				if done || ferr != nil {
 					resp.Body.Close()
+					rd.Release()
 					return ferr
 				}
 				lastID, fails = f.ID, 0
 			}
 			resp.Body.Close()
+			rd.Release()
 		}
 		if ctx.Err() != nil {
 			return fmt.Errorf("client: event stream: %w", ctx.Err())

@@ -107,25 +107,25 @@ func (q *jobQueue) Pop(acquire func(*Job) bool) (j *Job, acquired, ok bool) {
 	}
 }
 
-// eligibleLocked scans the backlog in pop order (priority desc, seq
-// asc) for the first job acquire accepts. Callers hold q.mu.
+// eligibleLocked returns the index of the first job, in pop order
+// (priority desc, seq asc), that acquire accepts. It offers the heap
+// root first, which acquire accepts unless that tenant is at its cap,
+// and orders the rest of the backlog only when acquire refuses it.
+// Callers hold q.mu.
 func (q *jobQueue) eligibleLocked(acquire func(*Job) bool) (int, bool) {
 	if len(q.items) == 0 {
 		return 0, false
 	}
-	order := make([]int, len(q.items))
-	for i := range order {
-		order[i] = i
+	if acquire == nil || acquire(q.items[0].job) {
+		return 0, true
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := q.items[order[a]], q.items[order[b]]
-		if ia.priority != ib.priority {
-			return ia.priority > ib.priority
-		}
-		return ia.seq < ib.seq
-	})
+	order := make([]int, len(q.items)-1)
+	for i := range order {
+		order[i] = i + 1
+	}
+	sort.Slice(order, func(a, b int) bool { return q.items.Less(order[a], order[b]) })
 	for _, i := range order {
-		if acquire == nil || acquire(q.items[i].job) {
+		if acquire(q.items[i].job) {
 			return i, true
 		}
 	}

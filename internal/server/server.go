@@ -406,7 +406,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func writeJobInfo(w http.ResponseWriter, code int, info JobInfo) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_, _ = w.Write(appendJobInfo(make([]byte, 0, 512), &info, true))
+	bp := replyBufs.Get().(*[]byte)
+	*bp = appendJobInfo((*bp)[:0], &info, true)
+	_, _ = w.Write(*bp)
+	replyBufs.Put(bp)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -645,13 +648,14 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusConflict, "job %s is %s: no report yet", id, j.Info().Status)
 		return
 	}
+	encode := report.Append
 	if r.URL.Query().Get("canonical") != "" {
-		rep = report.Canonical(rep)
+		encode = report.AppendCanonical
 	}
 	// The report is encoded whole before anything is sent, so the reply
 	// declares its length instead of going out chunked.
-	bp := reportBufs.Get().(*[]byte)
-	data, err := report.Append((*bp)[:0], rep)
+	bp := replyBufs.Get().(*[]byte)
+	data, err := encode((*bp)[:0], rep)
 	if err != nil {
 		api.WriteError(w, http.StatusInternalServerError, "job %s: %v", id, err)
 	} else {
@@ -661,12 +665,23 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(data)
 	}
 	*bp = data
-	reportBufs.Put(bp)
+	replyBufs.Put(bp)
 }
 
-// reportBufs recycles report replies' encoding buffers; a ResponseWriter
-// keeps no slice it is given, so a buffer is free once written.
-var reportBufs = sync.Pool{New: func() any { return new([]byte) }}
+// replyBufs recycles the encoding buffers of report and JobInfo
+// replies; a ResponseWriter keeps no slice it is given, so a buffer is
+// free once written.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// streamBufs are one job stream's frame slice and done-frame bytes,
+// reused for every batch the stream writes.
+type streamBufs struct {
+	frames []api.Frame
+	done   []byte
+}
+
+// streamBufPool recycles streamBufs once their stream has ended.
+var streamBufPool = sync.Pool{New: func() any { return new(streamBufs) }}
 
 // handleEvents is the job's SSE stream: the completed plan-order
 // prefix, then live cells, then one terminal `done` event. Cell events
@@ -682,16 +697,25 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// serveSSE writes each batch before it asks for the next, so one
+	// frame slice and one done buffer serve the whole stream.
+	sb := streamBufPool.Get().(*streamBufs)
+	defer func() {
+		clear(sb.frames[:cap(sb.frames)]) // the pool keeps no job's lines alive
+		streamBufPool.Put(sb)
+	}()
 	s.serveSSE(w, r, func() ([]api.Frame, <-chan struct{}, bool) {
 		lines, upd, info, terminal := j.watch(int(from))
-		frames := make([]api.Frame, 0, len(lines)+1)
+		frames := sb.frames[:0]
 		for _, line := range lines {
 			from++
 			frames = append(frames, api.Frame{ID: from, Event: "cell", Data: line})
 		}
 		if terminal {
-			frames = append(frames, api.Frame{Event: "done", Data: appendJobInfo(make([]byte, 0, 512), &info, false)})
+			sb.done = appendJobInfo(sb.done[:0], &info, false)
+			frames = append(frames, api.Frame{Event: "done", Data: sb.done})
 		}
+		sb.frames = frames
 		return frames, upd, terminal
 	})
 }

@@ -52,6 +52,35 @@ func TestQueuePriorityAndFIFO(t *testing.T) {
 	}
 }
 
+// TestQueuePushPopAllocs: a Push and a Pop whose acquire accepts the
+// heap root allocate only container/heap's boxing of the item, one each
+// way, however deep the backlog; the backlog is ordered only when
+// acquire refuses the root.
+func TestQueuePushPopAllocs(t *testing.T) {
+	accept := func(*Job) bool { return true }
+	for _, backlog := range []int{0, 8, 64} {
+		q := newJobQueue(backlog + 1)
+		for i := 0; i < backlog; i++ {
+			if err := q.Push(&Job{}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j := &Job{}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := q.Push(j, 1); err != nil {
+				t.Fatal(err)
+			}
+			if got, acquired, ok := q.Pop(accept); !ok || !acquired || got != j {
+				t.Fatalf("Pop returned %p (acquired %v, ok %v), want the pushed job", got, acquired, ok)
+			}
+		})
+		t.Logf("backlog %d: Push+Pop allocates %.0f objects", backlog, allocs)
+		if allocs > 2 {
+			t.Errorf("backlog %d: Push+Pop allocates %.0f objects, want at most 2", backlog, allocs)
+		}
+	}
+}
+
 func TestQueueBoundedAndClosed(t *testing.T) {
 	q := newJobQueue(2)
 	j := &Job{info: JobInfo{ID: "x"}}

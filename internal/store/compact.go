@@ -362,6 +362,6 @@ func (s *Store) compactLocked(p GCPolicy) (res CompactResult, err error) {
 	res.ReclaimedBytes = res.BytesBefore - res.BytesAfter
 	// A compaction is a natural persistence point for the lifetime
 	// counters too.
-	s.flushStats(false)
+	s.kickStats()
 	return res, nil
 }

@@ -100,10 +100,10 @@ type Counters struct {
 const statsSidecar = "stats.json"
 
 // statsFlushEvery bounds how many Get/Put outcomes can sit unflushed in
-// memory: every so many operations the lifetime counters are rewritten
-// to the sidecar, so a crashed or SIGKILLed daemon loses at most this
-// much history instead of the whole session (the sidecar used to be
-// written on Close only).
+// memory: every so many operations the flusher rewrites the lifetime
+// counters to the sidecar, so a crashed or SIGKILLed daemon loses at
+// most this much history instead of the whole session (the sidecar
+// used to be written on Close only).
 const statsFlushEvery = 256
 
 // Store is safe for concurrent use by the server worker pool and any
@@ -117,12 +117,14 @@ type Store struct {
 	ops                atomic.Uint64 // Get/Put outcomes, toward the periodic sidecar flush
 	base               Counters      // lifetime counters loaded from the sidecar
 
-	// statsMu serializes the sidecar writes, which run outside mu so that
-	// no Get or Put waits behind file I/O; statsDone is set once Close
-	// has written the final counters. writeSidecar is os.WriteFile, or a
-	// test's hook.
-	statsMu      sync.Mutex
-	statsDone    bool
+	// A disk store rewrites its sidecar on one flusher goroutine, so no
+	// Get, Put or PutBatch waits on a file: noteOps kicks it, Close
+	// stops it, waits for statsExited and then writes the final counters
+	// itself. The channels are nil for a memory store, which has no
+	// sidecar. writeSidecar is os.WriteFile, or a test's hook.
+	statsKick    chan struct{} // buffered: a kick while one is pending changes nothing
+	statsStop    chan struct{}
+	statsExited  chan struct{}
 	writeSidecar func(name string, data []byte, perm os.FileMode) error
 
 	mu      sync.Mutex
@@ -313,6 +315,10 @@ func Open(cfg Config) (*Store, error) {
 			s.totalBytes += st.Size()
 		}
 	}
+	s.statsKick = make(chan struct{}, 1)
+	s.statsStop = make(chan struct{})
+	s.statsExited = make(chan struct{})
+	go s.flushStatsLoop()
 	return s, nil
 }
 
@@ -813,10 +819,10 @@ func (s *Store) Lifetime() Counters {
 	}
 }
 
-// Close syncs the active segment, releases every file handle and
-// persists the lifetime counters. The memory layer stays readable in
-// principle but Put rejects a closed store; Close is for shutdown. A
-// second Close returns nil.
+// Close syncs the active segment, releases every file handle, waits
+// for the sidecar flusher to exit and persists the lifetime counters
+// last. The memory layer stays readable in principle but Put rejects a
+// closed store; Close is for shutdown. A second Close returns nil.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -828,7 +834,11 @@ func (s *Store) closeLocked() error {
 		return nil
 	}
 	s.closed = true
-	s.flushStats(true)
+	if s.statsStop != nil {
+		close(s.statsStop)
+		<-s.statsExited
+	}
+	s.writeStats()
 	first := s.syncLocked()
 	if s.active != nil {
 		if err := s.active.Close(); err != nil && first == nil {
@@ -855,37 +865,57 @@ func (s *Store) closeLocked() error {
 	return nil
 }
 
-// noteOps counts n Get/Put outcomes and rewrites the sidecar each time
+// noteOps counts n Get/Put outcomes and kicks the flusher each time
 // the count passes a multiple of statsFlushEvery, so lifetime counters
 // survive a crash or SIGKILL instead of existing only in memory until
-// Close. Callers do not hold mu: the rewrite runs on their goroutine
-// while every other Get and Put goes on.
+// Close. The caller goes on at once; the rewrite runs on the flusher.
 func (s *Store) noteOps(n uint64) {
-	if s.dir == "" || n == 0 {
+	if s.statsKick == nil || n == 0 {
 		return
 	}
 	if after := s.ops.Add(n); after/statsFlushEvery != (after-n)/statsFlushEvery {
-		s.flushStats(false)
+		s.kickStats()
 	}
 }
 
-// flushStats rewrites the stats.json sidecar with the cumulative
-// counters; final marks Close's write, after which none follows. The
-// writes are serialized and each reads the counters it writes under
-// statsMu, so the sidecar never goes back in time. Written only while
-// the flock is held, so two stores never race on it — but the lockless
-// Stat path reads it concurrently, so the replace must be atomic
-// (write-temp + rename): a truncate-then-write would hand Stat an empty
-// or partial file, and a crash between the two would destroy exactly
-// the history the periodic flush exists to preserve. Best-effort:
-// counter history is advisory.
-func (s *Store) flushStats(final bool) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	if s.dir == "" || s.statsDone {
+// kickStats asks the flusher for a sidecar rewrite without waiting. A
+// kick already pending is enough: the write it starts reads the
+// counters then. A memory store has no flusher, and its nil channel
+// never takes the send.
+func (s *Store) kickStats() {
+	select {
+	case s.statsKick <- struct{}{}:
+	default:
+	}
+}
+
+// flushStatsLoop is the flusher: one sidecar rewrite per kick, until
+// Close stops it.
+func (s *Store) flushStatsLoop() {
+	defer close(s.statsExited)
+	for {
+		select {
+		case <-s.statsKick:
+			s.writeStats()
+		case <-s.statsStop:
+			return
+		}
+	}
+}
+
+// writeStats rewrites the stats.json sidecar with the cumulative
+// counters. While the store is open only the flusher calls it, and
+// Close calls it once the flusher has exited, so no two writes overlap
+// and Close's is the last. Written only while the flock is held, so two
+// stores never race on it — but the lockless Stat path reads it
+// concurrently, so the replace must be atomic (write-temp + rename): a
+// truncate-then-write would hand Stat an empty or partial file, and a
+// crash between the two would destroy exactly the history the periodic
+// flush exists to preserve. Best-effort: counter history is advisory.
+func (s *Store) writeStats() {
+	if s.dir == "" {
 		return
 	}
-	s.statsDone = final
 	data, err := json.Marshal(s.Lifetime())
 	if err != nil {
 		return

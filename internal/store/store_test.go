@@ -2,14 +2,12 @@ package store
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/report"
 )
@@ -331,85 +329,6 @@ func TestTornTailAtSegmentRotationBoundary(t *testing.T) {
 	defer s3.Close()
 	if st := s3.Stats(); st.DiskEntries != n {
 		t.Fatalf("entries after tear+append+compact+reopen = %d, want %d", st.DiskEntries, n)
-	}
-}
-
-func TestStatsFlushSurvivesCrashWithoutClose(t *testing.T) {
-	// The sidecar used to be written on Close only — a SIGKILLed daemon
-	// lost its whole session's counters. Now every statsFlushEvery
-	// operations rewrite it, so a crash loses at most the tail.
-	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(key(1), cellFor(1)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < statsFlushEvery; i++ {
-		s.Get(key(1))
-	}
-	// No Close — simulate the crash by reading the sidecar directly.
-	data, err := os.ReadFile(filepath.Join(dir, statsSidecar))
-	if err != nil {
-		t.Fatalf("sidecar not flushed before Close: %v", err)
-	}
-	var c Counters
-	if err := json.Unmarshal(data, &c); err != nil {
-		t.Fatal(err)
-	}
-	if c.Puts != 1 || c.Hits < uint64(statsFlushEvery)-1 {
-		t.Fatalf("flushed counters wrong: %+v", c)
-	}
-	_ = s.Close()
-}
-
-// TestSidecarWriteBlocksNoGet holds the periodic sidecar write inside
-// a hook and shows that another Get still returns meanwhile: the write
-// runs outside the store's mutex, on the goroutine whose operation made
-// it due.
-func TestSidecarWriteBlocksNoGet(t *testing.T) {
-	s, err := Open(Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(key(1), cellFor(1)); err != nil {
-		t.Fatal(err)
-	}
-	entered, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	s.writeSidecar = func(name string, data []byte, perm os.FileMode) error {
-		once.Do(func() {
-			close(entered)
-			<-release
-		})
-		return os.WriteFile(name, data, perm)
-	}
-	flushed := make(chan struct{})
-	go func() {
-		defer close(flushed)
-		for i := 1; i < statsFlushEvery; i++ { // the Put was the first operation
-			s.Get(key(1))
-		}
-	}()
-	<-entered
-	got := make(chan bool)
-	go func() {
-		_, ok := s.Get(key(1))
-		got <- ok
-	}()
-	select {
-	case ok := <-got:
-		if !ok {
-			t.Fatal("Get missed a stored key")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Get waited behind the sidecar write")
-	}
-	close(release)
-	<-flushed
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
