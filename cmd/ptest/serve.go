@@ -5,10 +5,11 @@
 // queued ones are cancelled, nothing dies mid-write).
 //
 // With -hub-url the same subcommand becomes a fleet worker instead: no
-// listener, no queue — it registers with the hub ptestd, heartbeats,
-// leases cells, executes them, and posts completions. SIGTERM finishes
-// in-flight cells and deregisters; a worker that simply dies is
-// recovered by the hub's lease expiry.
+// listener, no queue — it registers with the hub ptestd, leases cells,
+// executes them, and posts completions over the same lease:batch call
+// that keeps it live. SIGTERM finishes in-flight cells and
+// deregisters; a worker that simply dies is recovered by the hub's
+// lease expiry.
 package main
 
 import (

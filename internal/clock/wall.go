@@ -1,5 +1,5 @@
 // Wall-clock abstraction for components whose correctness is defined
-// by real-time timeouts — dispatch leases, heartbeat expiry, retry
+// by real-time timeouts — dispatch leases, worker expiry, retry
 // backoff. This is a separate concern from the virtual-cycle Clock
 // above, which drives the simulated platform: the simulator's time is
 // part of an experiment's result, while wall time here only governs

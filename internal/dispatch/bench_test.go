@@ -2,10 +2,10 @@
 // trips one executed cell costs on the lease:batch wire at batch depth
 // 1 versus 16. The hub here is a minimal httptest mux mapped straight
 // onto Dispatcher methods — the real server package wraps the same
-// calls — with a counter on the dispatch-plane routes (lease:batch and
-// the spec fetch; heartbeats are liveness-plane and identical at any
-// depth). scripts/bench-dispatch.sh renders the roundtrips/cell numbers
-// into BENCH_dispatch.json.
+// calls — with a counter on the dispatch-plane routes (lease:batch,
+// which also keeps the worker live, and the spec fetch).
+// scripts/bench-dispatch.sh renders the roundtrips/cell numbers into
+// BENCH_dispatch.json.
 package dispatch
 
 import (
@@ -41,8 +41,8 @@ const benchSpec = `{
 }`
 
 // benchHub serves the worker wire for one Dispatcher, counting
-// dispatch-plane round trips.
-func benchHub(d *Dispatcher, specJSON []byte, wireCalls *atomic.Int64) http.Handler {
+// dispatch-plane round trips; specs holds each job's spec JSON.
+func benchHub(d *Dispatcher, specs map[string][]byte, wireCalls *atomic.Int64) http.Handler {
 	ok := func(w http.ResponseWriter, code int, v any) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(code)
@@ -53,13 +53,6 @@ func benchHub(d *Dispatcher, specJSON []byte, wireCalls *atomic.Int64) http.Hand
 		var req RegisterRequest
 		_ = json.NewDecoder(r.Body).Decode(&req)
 		ok(w, http.StatusCreated, d.Register(req.Name))
-	})
-	mux.HandleFunc("POST /api/v1/workers/{id}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		if !d.Heartbeat(r.PathValue("id")) {
-			http.Error(w, "unknown worker", http.StatusNotFound)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("DELETE /api/v1/workers/{id}", func(w http.ResponseWriter, r *http.Request) {
 		d.Deregister(r.PathValue("id"))
@@ -82,33 +75,48 @@ func benchHub(d *Dispatcher, specJSON []byte, wireCalls *atomic.Int64) http.Hand
 	mux.HandleFunc("GET /api/v1/jobs/{id}/spec", func(w http.ResponseWriter, r *http.Request) {
 		wireCalls.Add(1)
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(specJSON)
+		_, _ = w.Write(specs[r.PathValue("id")])
 	})
 	return mux
 }
 
 // benchDispatchWire drives cells through a hub + one worker at the
 // given lease:batch depth and reports HTTP round trips per executed
-// cell.
+// cell: round trips over the completions the hub accepted, since
+// jobs that miss one key share its execution.
 func benchDispatchWire(b *testing.B, leaseBatch int) {
 	spec, err := suite.Parse(strings.NewReader(benchSpec))
 	if err != nil {
 		b.Fatal(err)
 	}
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		b.Fatal(err)
+	// Rounds of six cells on four lanes, so four jobs are in flight at
+	// once and the hub always has a backlog for a deep batch to
+	// collapse. A lane runs its rounds one after another under its own
+	// seed: jobs in flight at once that missed the same keys would wait
+	// on six shared units instead of a backlog.
+	const lanes = 4
+	rounds := (b.N + 5) / 6
+	plans := make([]*suite.Plan, lanes)
+	specs := map[string][]byte{}
+	for l := range plans {
+		s := *spec
+		s.Seed = uint64(l + 1)
+		if plans[l], err = suite.NewPlan(&s); err != nil {
+			b.Fatal(err)
+		}
+		raw, err := json.Marshal(plans[l].Spec())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for r := l; r < rounds; r += lanes {
+			specs[benchJob(r)] = raw
+		}
 	}
-	plan, err := suite.NewPlan(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cells := plan.Cells()
 
 	d := New(Config{})
 	defer d.Close()
 	var wireCalls atomic.Int64
-	hub := httptest.NewServer(benchHub(d, specJSON, &wireCalls))
+	hub := httptest.NewServer(benchHub(d, specs, &wireCalls))
 	defer hub.Close()
 
 	wk, err := NewWorker(WorkerConfig{
@@ -124,47 +132,47 @@ func benchDispatchWire(b *testing.B, leaseBatch int) {
 	wkDone := make(chan error, 1)
 	go func() { wkDone <- wk.Run(ctx) }()
 	defer func() { cancel(); <-wkDone }()
-	for deadline := time.Now().Add(5 * time.Second); d.LiveWorkers() == 0; {
+	for deadline := time.Now().Add(5 * time.Second); len(d.Workers()) == 0; {
 		if time.Now().After(deadline) {
 			b.Fatal("worker never registered")
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// Rounds of len(cells) cells, a few jobs in flight at once so the
-	// hub always has a backlog for a deep batch to collapse.
-	rounds := (b.N + len(cells) - 1) / len(cells)
 	b.ResetTimer()
-	sem := make(chan struct{}, 4)
 	var wg sync.WaitGroup
-	for r := 0; r < rounds; r++ {
-		sem <- struct{}{}
+	for l, plan := range plans {
 		wg.Add(1)
-		go func(r int) {
-			defer func() { <-sem; wg.Done() }()
-			exec := d.Executor(fmt.Sprintf("bench-%06d", r), "bench", 0, plan)
-			var cw sync.WaitGroup
-			for _, c := range cells {
-				cw.Add(1)
-				go func(c suite.Cell) {
-					defer cw.Done()
-					if _, err := exec(ctx, spec, c); err != nil {
-						b.Error(err)
-					}
-				}(c)
+		go func() {
+			defer wg.Done()
+			for r := l; r < rounds; r += lanes {
+				exec := d.Executor(benchJob(r), "bench", 0, plan)
+				var cw sync.WaitGroup
+				for _, c := range plan.Cells() {
+					cw.Add(1)
+					go func() {
+						defer cw.Done()
+						if _, err := exec(ctx, plan.Spec(), c); err != nil {
+							b.Error(err)
+						}
+					}()
+				}
+				cw.Wait()
 			}
-			cw.Wait()
-		}(r)
+		}()
 	}
 	wg.Wait()
 	b.StopTimer()
 
-	executed := rounds * len(cells)
-	b.ReportMetric(float64(wireCalls.Load())/float64(executed), "roundtrips/cell")
-	if m := d.Metrics(); m.LocalCells > 0 {
-		b.Fatalf("%d cells fell back to local execution; wire cost unmeasured", m.LocalCells)
+	m := d.Metrics()
+	if m.LocalCells > 0 {
+		b.Fatalf("%d cells ran on hub slots; wire cost unmeasured", m.LocalCells)
 	}
+	b.ReportMetric(float64(wireCalls.Load())/float64(m.RemoteCompletions), "roundtrips/cell")
 }
+
+// benchJob names the bench's round r.
+func benchJob(r int) string { return fmt.Sprintf("bench-%06d", r) }
 
 func BenchmarkDispatchWire_Batched1(b *testing.B)  { benchDispatchWire(b, 1) }
 func BenchmarkDispatchWire_Batched16(b *testing.B) { benchDispatchWire(b, 16) }

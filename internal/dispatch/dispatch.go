@@ -1,35 +1,33 @@
 // Package dispatch makes a ptestd hub a fault-tolerant sweep
-// dispatcher: worker daemons register and heartbeat, a submitted
-// spec's cell plan is sharded into per-cell leases with deadlines, and
-// the hub survives every partial failure the fleet can throw at it —
-// detect, reassign, degrade, never corrupt.
+// dispatcher: worker daemons register, a job's store misses become
+// units of one table keyed by cell key, units are leased with
+// deadlines, and the hub survives every partial failure the fleet can
+// throw at it — detect, reassign, degrade, never corrupt.
 //
-// The design leans on one invariant the rest of the repo already
-// guarantees: cell execution is deterministic in (spec, cell identity)
-// — per-cell seeds hash from the cell ID — so re-executing a cell is
-// always safe. Fault tolerance therefore only ever costs wasted
-// cycles:
+// Cell execution is deterministic in (spec, cell identity) — per-cell
+// seeds hash from the cell ID — so re-executing a cell is always safe,
+// and executing it twice is pure waste:
 //
-//   - A lease that expires (worker crash, hang, partition) goes back to
-//     pending with capped jittered backoff and is granted to another
-//     worker; a per-cell attempt budget bounds the retries.
-//   - Idle workers steal straggler cells: a second lease on a
-//     long-running cell races the original, and whichever completion
-//     arrives first wins — the loser is a bit-identical duplicate.
-//   - A hub with zero live workers executes cells locally (Executor's
-//     fast path), as does a cell whose attempt budget is exhausted.
-//     The hub may run a job's plan wider than its cell_parallelism so
-//     every store miss waits for a lease at once, but the Executor
-//     admits at most cell_parallelism of the job's cells to in-process
-//     execution at a time, so the fleet degrades to exactly the
-//     single-daemon behavior even when it vanishes mid-job.
+//   - Jobs that miss one cell key wait on one unit, and a job that
+//     misses it after the unit resolved is served from the store, which
+//     the dispatcher fills before it wakes the unit's waiters.
+//   - Every lessee takes units from the one table: remote workers over
+//     lease:batch, which is also their only liveness signal, and
+//     GOMAXPROCS hub slots, which take the units no remote worker can:
+//     the fleet is empty, or the unit spent its attempt budget. The
+//     slots, not a spec's cell_parallelism, bound the hub's own width.
+//   - An expired lease (worker crash, hang, partition) goes back to
+//     pending with capped jittered backoff for another worker.
+//   - Idle workers steal straggler cells: a second lease races the
+//     original, and the first completion wins — the loser is a
+//     bit-identical duplicate.
 //
-// Pending cells are granted by job priority (the job queue's rule),
-// then in the order jobs first enqueued, then in plan order, so a wide
-// low-priority sweep cannot hold the fleet ahead of a later urgent job.
-// Completed cells flow back through suite.RunContext's ordered
-// emitter, so the merged report is byte-identical to a local
-// `ptest suite -canonical` run — pinned by the chaos e2e.
+// A pending unit is granted by its best waiter: job priority (the job
+// queue's rule), then the order jobs first missed a cell, then plan
+// order. Sharing a cell with a batch sweep therefore never holds an
+// urgent job back. Completed cells flow back through the suite
+// runner's ordered emitter, so the merged report is byte-identical to
+// a local `ptest suite -canonical` run — pinned by the chaos e2e.
 package dispatch
 
 import (
@@ -45,6 +43,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/eventlog"
 	"repro/internal/report"
+	"repro/internal/store"
 	"repro/internal/suite"
 )
 
@@ -55,12 +54,13 @@ type Config struct {
 	Clock clock.Wall
 	// LeaseTTL bounds one execution attempt of one cell (default 30s).
 	LeaseTTL time.Duration
-	// WorkerTTL is the liveness window: a worker silent for longer is
-	// declared dead and its leases reassigned (default 15s).
+	// WorkerTTL is the liveness window: a worker that makes no
+	// lease:batch call for longer is declared dead and its leases
+	// reassigned (default 15s).
 	WorkerTTL time.Duration
-	// MaxAttempts is the per-cell remote attempt budget; past it the
-	// hub executes the cell locally instead of retrying forever
-	// (default 3).
+	// MaxAttempts is the per-cell remote attempt budget; past it only a
+	// hub slot may run the cell, instead of retrying forever (default
+	// 3).
 	MaxAttempts int
 	// RetryBaseDelay seeds the exponential backoff a cell waits before
 	// re-granting after an expiry (default 250ms), capped at
@@ -76,6 +76,11 @@ type Config struct {
 	// lifecycle as structured events. Nil (the zero value) emits
 	// nothing and changes nothing.
 	Events *eventlog.Recorder
+	// Store is the hub's cell store: results go in before their waiters
+	// wake, and a miss is looked up again before it becomes a unit. Both
+	// calls run under the dispatcher's lock, so a store must be a leaf
+	// that never calls back into the dispatcher. Nil stores nothing.
+	Store store.CellStore
 }
 
 func (c Config) withDefaults() Config {
@@ -106,53 +111,54 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is what every unit of one job shares.
-type job struct {
-	id     string
-	tenant string // submitting tenant name; labels lease metrics
-	// priority and seq rank the job's cells for grants: higher priority
-	// first, then the order jobs first enqueued a cell.
-	priority int
-	seq      uint64
-	digest   string
+// waiter is one job's claim on a unit: the job, and the plan position
+// of the cell it waits for.
+type waiter struct {
+	j   *jobExec
+	pos int
 }
 
-// unit is one cell of one job moving through the lease lifecycle.
+// before is the grant order: higher job priority first, then jobs in
+// the order they first missed a cell, then plan order within a job.
+func (w waiter) before(v waiter) bool {
+	if w.j.priority != v.j.priority {
+		return w.j.priority > v.j.priority
+	}
+	if w.j.seq != v.j.seq {
+		return w.j.seq < v.j.seq
+	}
+	return w.pos < v.pos
+}
+
+// unit is one cell key moving through the lease lifecycle, shared by
+// every job that waits on it.
 type unit struct {
-	key    string // job.id + "/" + cellID
-	job    *job
-	cellID string
-	pos    int // plan position: the grant order within the job
+	key     string // the cell's CellKey
+	cellID  string
+	waiters []waiter
+	// lead is the best waiter, whose rank the unit takes for grants. It
+	// is a value, kept when the last waiter leaves: d.order compares a
+	// unit until compaction drops it.
+	lead   waiter
 	state  unitState
 	leases map[string]*lease // active leases (primary + stolen copies)
 	// attempts counts primary grants; steals are free redundancy.
 	attempts  int
 	notBefore time.Time // backoff gate for the next grant
 	result    report.Cell
-	// localize tells the waiter to execute the cell itself; done is
-	// closed exactly once, when the unit resolves either way.
-	localize bool
-	done     chan struct{}
+	err       error
+	done      chan struct{} // closed once, when the unit resolves
 }
 
-// before is the grant order: higher job priority first, then jobs in
-// the order they first enqueued, then plan order within a job.
-func (u *unit) before(v *unit) bool {
-	if u.job.priority != v.job.priority {
-		return u.job.priority > v.job.priority
-	}
-	if u.job.seq != v.job.seq {
-		return u.job.seq < v.job.seq
-	}
-	return u.pos < v.pos
-}
+func (u *unit) before(v *unit) bool { return u.lead.before(v.lead) }
 
 type unitState int
 
 const (
 	unitPending unitState = iota
 	unitLeased
-	unitResolved // completed remotely or localized
+	unitRunning  // on a hub slot
+	unitResolved // completed, failed on a slot, or dropped
 )
 
 // lease is one outstanding execution attempt.
@@ -178,31 +184,36 @@ type workerState struct {
 }
 
 // Dispatcher is the hub-side scheduler. Construct with New; Close stops
-// the expiry reaper.
+// the expiry reaper and the hub slots.
 type Dispatcher struct {
 	cfg  Config
 	tick time.Duration
 
 	mu      sync.Mutex
+	idle    *sync.Cond // hub slots wait on it for work; shares mu
+	closed  bool
 	rnd     *rand.Rand
 	workers map[string]*workerState
-	units   map[string]*unit
-	order   []*unit // grant scan order, kept sorted by unit.before
+	units   map[string]*unit // by cell key
+	order   []*unit          // grant scan order, kept sorted by unit.before
+	dead    int              // resolved units order still holds
 	leases  map[string]*lease
 	wseq    uint64
 	lseq    uint64
 	jseq    uint64
 	met     Metrics
 
-	// execLocal runs one cell in-process: suite.ExecuteCell, swapped
-	// only by tests that watch the fallback's concurrency.
+	// execLocal runs one cell on a hub slot: suite.ExecuteCell, swapped
+	// only by tests that watch the slots.
 	execLocal func(*suite.Spec, suite.Cell) (report.Cell, error)
 
 	stopOnce sync.Once
 	stopc    chan struct{}
+	loops    sync.WaitGroup // the reaper and the hub slots
 }
 
-// New builds a dispatcher and starts its expiry reaper.
+// New builds a dispatcher and starts its expiry reaper and one hub slot
+// per GOMAXPROCS.
 func New(cfg Config) *Dispatcher {
 	cfg = cfg.withDefaults()
 	tick := cfg.LeaseTTL
@@ -223,19 +234,33 @@ func New(cfg Config) *Dispatcher {
 		execLocal: suite.ExecuteCell,
 		stopc:     make(chan struct{}),
 	}
+	d.idle = sync.NewCond(&d.mu)
+	slots := engine.Normalize(-1)
+	d.loops.Add(1 + slots)
 	go d.reaperLoop()
+	for i := 0; i < slots; i++ {
+		go d.slotLoop()
+	}
 	return d
 }
 
-// Close stops the reaper. In-flight waiters are not interrupted — the
-// server drains jobs before closing the dispatcher.
+// Close stops the reaper and the hub slots and waits for them to exit;
+// a slot finishes the cell it is running first. Waiters are not
+// interrupted — the server drains jobs before closing the dispatcher.
+// Later calls return at once.
 func (d *Dispatcher) Close() {
+	d.mu.Lock()
+	d.closed = true
+	d.idle.Broadcast()
+	d.mu.Unlock()
 	d.stopOnce.Do(func() { close(d.stopc) })
+	d.loops.Wait()
 }
 
 // reaperLoop drives expiry even when no worker ever calls again — the
-// all-workers-dead case must still localize pending cells.
+// all-workers-dead case must still hand pending cells to the slots.
 func (d *Dispatcher) reaperLoop() {
+	defer d.loops.Done()
 	for {
 		select {
 		case <-d.stopc:
@@ -246,10 +271,54 @@ func (d *Dispatcher) reaperLoop() {
 	}
 }
 
-// Reap runs one expiry pass: dead workers out, expired leases requeued
-// or localized, stranded cells localized when the fleet is empty. The
-// reaper calls it on a timer; every worker-facing entry point calls it
-// too, so state is fresh without waiting for a tick. Exported for
+// slotLoop is one hub slot: the hub's CPU as a lessee of the unit
+// table. It runs the best-ranked pending unit that no remote worker
+// can take, puts the result and wakes the unit's waiters.
+func (d *Dispatcher) slotLoop() {
+	defer d.loops.Done()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for !d.closed {
+		u := d.slotUnitLocked()
+		if u == nil {
+			d.idle.Wait()
+			continue
+		}
+		reason := "no live workers"
+		if u.attempts >= d.cfg.MaxAttempts {
+			reason = fmt.Sprintf("attempt budget exhausted (%d)", u.attempts)
+		}
+		d.cfg.Events.Emit(eventlog.Event{
+			Type: eventlog.TypeLeaseLocalized, Job: u.lead.j.id, Tenant: u.lead.j.tenant,
+			Cell: u.cellID, Detail: reason,
+		})
+		u.state = unitRunning
+		plan, pos, exec := u.lead.j.plan, u.lead.pos, d.execLocal
+		d.mu.Unlock()
+		rc, err := exec(plan.Spec(), plan.Cells()[pos])
+		d.mu.Lock()
+		d.met.LocalCells++
+		if u.state == unitRunning {
+			d.resolveLocked(u, rc, err)
+		}
+	}
+}
+
+// slotUnitLocked is the best-ranked pending unit a hub slot may take:
+// any, with no live worker, or else one whose attempt budget is spent.
+// Callers hold d.mu.
+func (d *Dispatcher) slotUnitLocked() *unit {
+	for _, u := range d.order {
+		if u.state == unitPending && (len(d.workers) == 0 || u.attempts >= d.cfg.MaxAttempts) {
+			return u
+		}
+	}
+	return nil
+}
+
+// Reap runs one expiry pass: dead workers out, expired leases requeued.
+// The reaper calls it on a timer; every worker-facing entry point calls
+// it too, so state is fresh without waiting for a tick. Exported for
 // deterministic fake-clock tests.
 func (d *Dispatcher) Reap() {
 	d.mu.Lock()
@@ -268,9 +337,7 @@ func (d *Dispatcher) reapLocked(now time.Time) {
 			Type: eventlog.TypeWorkerReaped, Worker: id,
 			Detail: fmt.Sprintf("%s silent %s", w.name, now.Sub(w.lastSeen).Round(time.Millisecond)),
 		})
-		for _, l := range w.inFlight {
-			d.expireLeaseLocked(l, now)
-		}
+		d.dropWorkerLocked(w, now)
 	}
 	// Then deadline expiries.
 	for _, l := range d.leases {
@@ -278,51 +345,62 @@ func (d *Dispatcher) reapLocked(now time.Time) {
 			d.expireLeaseLocked(l, now)
 		}
 	}
-	// With no live workers nothing pending will ever be granted;
-	// localize so waiters degrade to in-process execution instead of
-	// parking until a worker happens to register.
+}
+
+// dropWorkerLocked expires the leases of a worker that left the roster;
+// when it was the last one, every pending unit is the slots' to take.
+// Callers hold d.mu.
+func (d *Dispatcher) dropWorkerLocked(w *workerState, now time.Time) {
+	for _, l := range w.inFlight {
+		d.expireLeaseLocked(l, now)
+	}
 	if len(d.workers) == 0 {
-		for _, u := range d.order {
-			if u.state == unitPending {
-				d.localizeLocked(u, "no live workers")
-			}
-		}
+		d.idle.Broadcast()
 	}
 }
 
-// expireLeaseLocked removes one lease and requeues or localizes its
-// unit. Callers hold d.mu.
+// expireLeaseLocked removes one lease and requeues its unit, or drops
+// the unit when no job waits on it any more. Callers hold d.mu.
 func (d *Dispatcher) expireLeaseLocked(l *lease, now time.Time) {
 	if _, live := d.leases[l.id]; !live {
 		return
 	}
-	delete(d.leases, l.id)
-	if w := d.workers[l.workerID]; w != nil {
-		delete(w.inFlight, l.id)
-	}
+	d.removeLeaseLocked(l)
 	u := l.u
-	delete(u.leases, l.id)
 	d.met.LeasesExpired++
 	d.cfg.Events.Emit(eventlog.Event{
-		Type: eventlog.TypeLeaseExpired, Job: u.job.id, Tenant: u.job.tenant,
+		Type: eventlog.TypeLeaseExpired, Job: u.lead.j.id, Tenant: u.lead.j.tenant,
 		Cell: u.cellID, Lease: l.id, Worker: l.workerID,
 	})
 	if u.state != unitLeased || len(u.leases) > 0 {
-		// Already resolved, or a stolen copy is still running — nothing
-		// to requeue.
+		// A stolen copy is still running — nothing to requeue.
 		return
 	}
-	if u.attempts >= d.cfg.MaxAttempts {
-		d.localizeLocked(u, fmt.Sprintf("attempt budget exhausted (%d)", u.attempts))
+	if len(u.waiters) == 0 {
+		d.finishLocked(u)
 		return
 	}
 	u.state = unitPending
+	if u.attempts >= d.cfg.MaxAttempts {
+		d.idle.Signal() // only a hub slot may take it now
+		return
+	}
 	u.notBefore = now.Add(d.backoffLocked(u.attempts))
 	d.met.LeaseRetries++
 	d.cfg.Events.Emit(eventlog.Event{
-		Type: eventlog.TypeLeaseRetry, Job: u.job.id, Tenant: u.job.tenant,
+		Type: eventlog.TypeLeaseRetry, Job: u.lead.j.id, Tenant: u.lead.j.tenant,
 		Cell: u.cellID, Detail: fmt.Sprintf("attempt %d/%d, backoff until %s", u.attempts, d.cfg.MaxAttempts, u.notBefore.UTC().Format(time.RFC3339Nano)),
 	})
+}
+
+// removeLeaseLocked forgets one lease everywhere it is held. Callers
+// hold d.mu.
+func (d *Dispatcher) removeLeaseLocked(l *lease) {
+	delete(d.leases, l.id)
+	delete(l.u.leases, l.id)
+	if w := d.workers[l.workerID]; w != nil {
+		delete(w.inFlight, l.id)
+	}
 }
 
 // backoffLocked is the capped, jittered exponential requeue delay after
@@ -341,18 +419,37 @@ func (d *Dispatcher) backoffLocked(attempts int) time.Duration {
 	return time.Duration(float64(delay) * jitter)
 }
 
-// localizeLocked resolves a unit to local execution. Callers hold d.mu.
-func (d *Dispatcher) localizeLocked(u *unit, reason string) {
-	if u.state == unitResolved {
-		return
+// resolveLocked settles u with an execution's outcome: a result is put
+// into the store first, so a job that misses the key from now on is
+// served from the store, and then the waiters wake. Callers hold d.mu.
+func (d *Dispatcher) resolveLocked(u *unit, rc report.Cell, err error) {
+	if err == nil && d.cfg.Store != nil {
+		// A failed put degrades like the suite runner's own: the result
+		// is still correct, only not memoized.
+		_ = d.cfg.Store.Put(u.key, rc)
 	}
+	u.result, u.err = rc, err
+	for _, l := range u.leases {
+		d.removeLeaseLocked(l)
+	}
+	d.finishLocked(u)
+}
+
+// finishLocked marks u resolved and wakes its waiters. A unit no job
+// waits on leaves the table now; otherwise the last waiter to take the
+// outcome removes it. Callers hold d.mu.
+func (d *Dispatcher) finishLocked(u *unit) {
 	u.state = unitResolved
-	u.localize = true
 	close(u.done)
-	d.cfg.Events.Emit(eventlog.Event{
-		Type: eventlog.TypeLeaseLocalized, Job: u.job.id, Tenant: u.job.tenant,
-		Cell: u.cellID, Detail: reason,
-	})
+	if len(u.waiters) == 0 {
+		delete(d.units, u.key)
+	}
+	// Resolved units stay in d.order until they dominate it, so a
+	// long-lived hub's scans stay proportional to outstanding work.
+	if d.dead++; d.dead*2 > len(d.order) {
+		d.order = slices.DeleteFunc(d.order, func(u *unit) bool { return u.state == unitResolved })
+		d.dead = 0
+	}
 }
 
 // --- worker-facing API (the hub's HTTP handlers call these) ----------------
@@ -396,27 +493,7 @@ func (d *Dispatcher) Deregister(id string) bool {
 	d.cfg.Events.Emit(eventlog.Event{
 		Type: eventlog.TypeWorkerDeregistered, Worker: id, Detail: w.name,
 	})
-	now := d.cfg.Clock.Now()
-	for _, l := range w.inFlight {
-		d.expireLeaseLocked(l, now)
-	}
-	d.reapLocked(now)
-	return true
-}
-
-// Heartbeat refreshes a worker's liveness. False means the hub does not
-// know the worker (expired, or the hub restarted) — re-register.
-func (d *Dispatcher) Heartbeat(id string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	now := d.cfg.Clock.Now()
-	d.reapLocked(now)
-	w, ok := d.workers[id]
-	if !ok {
-		return false
-	}
-	w.lastSeen = now
-	d.cfg.Events.Emit(eventlog.Event{Type: eventlog.TypeWorkerHeartbeat, Worker: id})
+	d.dropWorkerLocked(w, d.cfg.Clock.Now())
 	return true
 }
 
@@ -450,15 +527,15 @@ func (d *Dispatcher) stealLocked(w *workerState, now time.Time) (Grant, bool) {
 // LeaseBatch is the worker-facing dispatch call: settle the request's
 // piggybacked completions, then grant up to max pending cells in grant
 // order (d.order is kept sorted by unit.before), each past its backoff
-// gate. Grants carry the spec digest only; the worker's plan cache
-// keys on it. When nothing is pending and max > 0 the batch degrades
-// to at most one stolen straggler copy. max = 0 is a pure completion
-// flush. Completions are settled before the worker check, so a
-// finished cell always lands, even from a worker the hub no longer
-// knows; an unknown-worker error after that tells the worker to
-// re-register — the acks are lost with the error, and resending is
-// harmless (duplicates). Any call from a known worker, like a
-// heartbeat, proves it alive.
+// gate and within its attempt budget. Grants carry the spec digest
+// only; the worker's plan cache keys on it. When nothing is pending and
+// max > 0 the batch degrades to at most one stolen straggler copy. max
+// = 0 is a pure completion flush. Completions are settled before the
+// worker check, so a finished cell always lands, even from a worker the
+// hub no longer knows; an unknown-worker error after that tells the
+// worker to re-register — the acks are lost with the error, and
+// resending is harmless (duplicates). Any call from a known worker
+// proves it alive: it is the worker's only liveness signal.
 func (d *Dispatcher) LeaseBatch(workerID string, max int, comps []CompleteRequest) (LeaseBatchResponse, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -479,12 +556,11 @@ func (d *Dispatcher) LeaseBatch(workerID string, max int, comps []CompleteReques
 	}
 	w.lastSeen = now
 
-	d.compactOrderLocked()
 	for _, u := range d.order {
 		if len(resp.Grants) >= max {
 			break
 		}
-		if u.state == unitPending && !now.Before(u.notBefore) {
+		if u.state == unitPending && u.attempts < d.cfg.MaxAttempts && !now.Before(u.notBefore) {
 			resp.Grants = append(resp.Grants, d.grantLocked(u, w, now, false))
 		}
 	}
@@ -510,7 +586,9 @@ func (d *Dispatcher) LeaseBatch(workerID string, max int, comps []CompleteReques
 	return resp, nil
 }
 
-// grantLocked creates one lease on u for w. Callers hold d.mu.
+// grantLocked creates one lease on u for w. The grant names u's lead
+// job, whose spec the worker fetches on a plan-cache miss. Callers hold
+// d.mu.
 func (d *Dispatcher) grantLocked(u *unit, w *workerState, now time.Time, stolen bool) Grant {
 	d.lseq++
 	l := &lease{
@@ -535,35 +613,13 @@ func (d *Dispatcher) grantLocked(u *unit, w *workerState, now time.Time, stolen 
 		detail = "redundant copy of straggler"
 	}
 	d.cfg.Events.Emit(eventlog.Event{
-		Type: typ, Job: u.job.id, Tenant: u.job.tenant,
+		Type: typ, Job: u.lead.j.id, Tenant: u.lead.j.tenant,
 		Cell: u.cellID, Lease: l.id, Worker: w.id, Detail: detail,
 	})
 	return Grant{
-		LeaseID: l.id, JobID: u.job.id, CellID: u.cellID, SpecDigest: u.job.digest,
-		TTLMS: d.cfg.LeaseTTL.Milliseconds(), Stolen: stolen,
+		LeaseID: l.id, JobID: u.lead.j.id, CellID: u.cellID, Key: u.key,
+		SpecDigest: u.lead.j.digest, TTLMS: d.cfg.LeaseTTL.Milliseconds(), Stolen: stolen,
 	}
-}
-
-// compactOrderLocked drops resolved units from the scan slice once they
-// dominate it, so a long-lived hub's grant scan stays proportional to
-// outstanding work. Callers hold d.mu.
-func (d *Dispatcher) compactOrderLocked() {
-	live := 0
-	for _, u := range d.order {
-		if u.state != unitResolved {
-			live++
-		}
-	}
-	if live*2 >= len(d.order) {
-		return
-	}
-	kept := make([]*unit, 0, live)
-	for _, u := range d.order {
-		if u.state != unitResolved {
-			kept = append(kept, u)
-		}
-	}
-	d.order = kept
 }
 
 // completeLocked settles one piggybacked completion. Any completion of
@@ -573,7 +629,7 @@ func (d *Dispatcher) compactOrderLocked() {
 // writer wins, the rest are acknowledged and dropped. Callers hold
 // d.mu.
 func (d *Dispatcher) completeLocked(workerID string, req CompleteRequest) CompleteStatus {
-	u, ok := d.units[req.JobID+"/"+req.CellID]
+	u, ok := d.units[req.Key]
 	if !ok {
 		d.met.OrphanCompletions++
 		d.cfg.Events.Emit(eventlog.Event{
@@ -582,34 +638,24 @@ func (d *Dispatcher) completeLocked(workerID string, req CompleteRequest) Comple
 		})
 		return CompleteOrphan
 	}
-	// Release the reporting lease regardless of outcome.
-	if l := d.leases[req.LeaseID]; l != nil && l.u == u {
-		delete(d.leases, l.id)
-		delete(u.leases, l.id)
-		if w := d.workers[l.workerID]; w != nil {
-			delete(w.inFlight, l.id)
-		}
-	}
 	if u.state == unitResolved {
 		d.met.DuplicateCompletions++
 		d.cfg.Events.Emit(eventlog.Event{
-			Type: eventlog.TypeLeaseDupResolved, Job: u.job.id, Tenant: u.job.tenant,
+			Type: eventlog.TypeLeaseDupResolved, Job: u.lead.j.id, Tenant: u.lead.j.tenant,
 			Cell: u.cellID, Lease: req.LeaseID, Worker: workerID,
 			Detail: "first writer already won",
 		})
 		return CompleteDuplicate
 	}
-	u.result = req.Cell
-	u.state = unitResolved
-	close(u.done)
 	d.met.RemoteCompletions++
 	if w := d.workers[workerID]; w != nil {
 		w.completed++
 	}
 	d.cfg.Events.Emit(eventlog.Event{
-		Type: eventlog.TypeLeaseCompleted, Job: u.job.id, Tenant: u.job.tenant,
+		Type: eventlog.TypeLeaseCompleted, Job: u.lead.j.id, Tenant: u.lead.j.tenant,
 		Cell: u.cellID, Lease: req.LeaseID, Worker: workerID,
 	})
+	d.resolveLocked(u, req.Cell, nil)
 	return CompleteAccepted
 }
 
@@ -640,14 +686,6 @@ func (d *Dispatcher) Workers() []WorkerInfo {
 	return infos
 }
 
-// LiveWorkers counts currently-registered workers (after reaping).
-func (d *Dispatcher) LiveWorkers() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.reapLocked(d.cfg.Clock.Now())
-	return len(d.workers)
-}
-
 // Metrics snapshots the counters. CellsPending and LeasesByTenant are
 // derived live from the lease table: how many cells wait for a grant,
 // and whose cells currently hold fleet capacity.
@@ -664,7 +702,7 @@ func (d *Dispatcher) Metrics() Metrics {
 	if len(d.leases) > 0 {
 		m.LeasesByTenant = map[string]int{}
 		for _, l := range d.leases {
-			m.LeasesByTenant[l.u.job.tenant]++
+			m.LeasesByTenant[l.u.lead.j.tenant]++
 		}
 	}
 	return m
@@ -672,122 +710,126 @@ func (d *Dispatcher) Metrics() Metrics {
 
 // --- hub-side execution seam ------------------------------------------------
 
-// Executor returns the suite.CellExec that fans one job's store misses
-// out to the fleet. plan is the job's plan as submitted, and priority
-// ranks its cells for grants the way the job queue ranks jobs. The
-// caller may run the plan wider than its cell_parallelism, so that
-// every miss waits for a lease at once. Degradation is built in at
-// every decision point: no live workers or an exhausted attempt budget
-// fall back to in-process execution — the exact code path a
-// dispatcher-less daemon runs — and a per-job semaphore admits at most
-// cell_parallelism of those at a time, so a job that loses its fleet
-// mid-run computes exactly as a single daemon would.
+// Executor returns the suite.CellExec that hands one job's store misses
+// to the unit table, where a lease or a hub slot executes each key
+// once for every job waiting on it. plan is the job's plan as
+// submitted, and priority ranks its cells for grants the way the job
+// queue ranks jobs. The caller runs the plan at full width, so that
+// every miss waits in the table at once; the hub slots, not the plan,
+// bound how many cells the hub executes itself.
 func (d *Dispatcher) Executor(jobID, tenantName string, priority int, plan *suite.Plan) suite.CellExec {
-	e := &jobExec{d: d, id: jobID, tenant: tenantName, priority: priority, plan: plan}
+	e := &jobExec{d: d, id: jobID, tenant: tenantName, priority: priority, plan: plan, digest: plan.Digest()}
 	return e.exec
 }
 
-// jobExec is one job's side of the executor. Its lease state and its
-// local semaphore are built together at the job's first store miss, so
-// a job served entirely from the store builds neither.
+// jobExec is one job's side of the executor.
 type jobExec struct {
 	d        *Dispatcher
 	id       string
 	tenant   string
 	priority int
 	plan     *suite.Plan
-
-	once  sync.Once
-	j     *job
-	local chan struct{} // admits cell_parallelism local executions
+	digest   string
+	// seq ranks the job among equal priorities: the order jobs first
+	// missed a cell. Zero until then; under d.mu.
+	seq uint64
 }
 
-func (e *jobExec) prepare() {
-	e.j = e.d.newJob(e.id, e.tenant, e.priority, e.plan.Digest())
-	e.local = make(chan struct{}, engine.Normalize(e.plan.Spec().CellParallelism))
-}
-
-func (e *jobExec) exec(ctx context.Context, sp *suite.Spec, c suite.Cell) (report.Cell, error) {
-	e.once.Do(e.prepare)
-	if e.d.LiveWorkers() == 0 {
-		return e.runLocal(ctx, sp, c)
-	}
+func (e *jobExec) exec(ctx context.Context, _ *suite.Spec, c suite.Cell) (report.Cell, error) {
 	pos, _ := e.plan.CellIndex(c.ID)
-	u := e.d.enqueue(e.j, c.ID, pos)
-	defer e.d.release(u)
+	w := waiter{j: e, pos: pos}
+	u, rc, hit := e.d.join(w, e.plan.Keys()[pos], c.ID)
+	if hit {
+		return rc, nil
+	}
 	select {
 	case <-u.done:
 	case <-ctx.Done():
-		return report.Cell{}, fmt.Errorf("dispatch: cell %s: %w", c.ID, suite.ErrInterrupted)
 	}
-	if u.localize {
-		return e.runLocal(ctx, sp, c)
-	}
-	return u.result, nil
+	return e.d.leave(u, w)
 }
 
-// runLocal executes a cell in-process once the job's semaphore admits
-// it.
-func (e *jobExec) runLocal(ctx context.Context, sp *suite.Spec, c suite.Cell) (report.Cell, error) {
-	select {
-	case e.local <- struct{}{}:
-	case <-ctx.Done():
-		return report.Cell{}, fmt.Errorf("dispatch: cell %s: %w", c.ID, suite.ErrInterrupted)
-	}
-	defer func() { <-e.local }()
-	e.d.countLocal()
-	return e.d.execLocal(sp, c)
-}
-
-func (d *Dispatcher) countLocal() {
-	d.mu.Lock()
-	d.met.LocalCells++
-	d.mu.Unlock()
-}
-
-// newJob registers a job's shared lease state; its seq is the job's
-// rank among equal priorities.
-func (d *Dispatcher) newJob(id, tenantName string, priority int, digest string) *job {
+// join adds w to the unit of key, creating the unit when no job waits
+// on the key. A key the store holds, because its unit resolved after
+// w's job looked it up, is served instead: hit is true and rc is the
+// stored cell.
+func (d *Dispatcher) join(w waiter, key, cellID string) (u *unit, rc report.Cell, hit bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.jseq++
-	return &job{id: id, tenant: tenantName, priority: priority, seq: d.jseq, digest: digest}
-}
-
-// enqueue adds cell pos of j's plan to the lease table as pending work,
-// at its place in grant order.
-func (d *Dispatcher) enqueue(j *job, cellID string, pos int) *unit {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	u := &unit{
-		key: j.id + "/" + cellID,
-		job: j, cellID: cellID, pos: pos,
+	if w.j.seq == 0 {
+		d.jseq++
+		w.j.seq = d.jseq
+	}
+	if u = d.units[key]; u != nil {
+		u.waiters = append(u.waiters, w)
+		if u.state != unitResolved && (len(u.waiters) == 1 || w.before(u.lead)) {
+			d.rerankLocked(u, w)
+		}
+		return u, report.Cell{}, false
+	}
+	if d.cfg.Store != nil {
+		if rc, ok := d.cfg.Store.Get(key); ok {
+			return nil, rc, true
+		}
+	}
+	u = &unit{
+		key: key, cellID: cellID, waiters: []waiter{w}, lead: w,
 		leases: map[string]*lease{},
 		done:   make(chan struct{}),
 	}
-	d.units[u.key] = u
-	i := sort.Search(len(d.order), func(i int) bool { return u.before(d.order[i]) })
-	d.order = slices.Insert(d.order, i, u)
-	return u
+	d.units[key] = u
+	d.insertLocked(u)
+	if len(d.workers) == 0 {
+		d.idle.Signal()
+	}
+	return u, report.Cell{}, false
 }
 
-// release removes a unit (and any leases still on it) once its waiter
-// has taken the result — or abandoned it on cancellation. Completions
-// arriving afterwards resolve as orphans.
-func (d *Dispatcher) release(u *unit) {
+// leave takes w's claim off u and returns u's outcome: the resolved
+// result, or ErrInterrupted when w's job was cancelled first. A pending
+// unit no job waits on any more is dropped; a leased or running one
+// still puts its result. Leaving the lead reranks the unit by the best
+// waiter left.
+func (d *Dispatcher) leave(u *unit, w waiter) (report.Cell, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for id, l := range u.leases {
-		delete(d.leases, id)
-		if w := d.workers[l.workerID]; w != nil {
-			delete(w.inFlight, id)
+	u.waiters = slices.DeleteFunc(u.waiters, func(v waiter) bool { return v == w })
+	switch {
+	case u.state == unitResolved:
+		if len(u.waiters) == 0 && d.units[u.key] == u {
+			delete(d.units, u.key)
 		}
-		delete(u.leases, id)
+		return u.result, u.err
+	case len(u.waiters) == 0:
+		if u.state == unitPending {
+			d.finishLocked(u)
+		}
+	case u.lead == w:
+		best := u.waiters[0]
+		for _, v := range u.waiters[1:] {
+			if v.before(best) {
+				best = v
+			}
+		}
+		d.rerankLocked(u, best)
 	}
-	if u.state != unitResolved {
-		// Abandoned mid-flight (job cancelled): mark resolved so the
-		// order scan skips it until compaction drops it.
-		u.state = unitResolved
+	return report.Cell{}, fmt.Errorf("dispatch: cell %s: %w", u.cellID, suite.ErrInterrupted)
+}
+
+// insertLocked adds u at its place in grant order. Callers hold d.mu.
+func (d *Dispatcher) insertLocked(u *unit) {
+	i := sort.Search(len(d.order), func(i int) bool { return u.before(d.order[i]) })
+	d.order = slices.Insert(d.order, i, u)
+}
+
+// rerankLocked gives unresolved u a new lead and moves it to the lead's
+// place in grant order. Callers hold d.mu.
+func (d *Dispatcher) rerankLocked(u *unit, lead waiter) {
+	i := sort.Search(len(d.order), func(i int) bool { return !d.order[i].before(u) })
+	for d.order[i] != u {
+		i++
 	}
-	delete(d.units, u.key)
+	d.order = slices.Delete(d.order, i, i+1)
+	u.lead = lead
+	d.insertLocked(u)
 }

@@ -1,21 +1,38 @@
 // Fake-clock unit tests for the hub-side dispatcher: lease expiry and
 // retry, attempt budgets, work stealing, duplicate and orphan
-// completions, dead-worker reaping and empty-fleet degradation — all
-// stepped deterministically, no sleeps.
+// completions, dead-worker reaping and empty-fleet degradation to the
+// hub slots — stepped deterministically, with no sleeps except where a
+// slot's execution is awaited.
 package dispatch
 
 import (
+	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/report"
+	"repro/internal/store"
+	"repro/internal/suite"
 )
 
 // newTestDispatcher builds a dispatcher on a fake wall clock with
-// short, round TTLs. The reaper goroutine is stopped immediately so
-// every expiry pass in a test is an explicit, deterministic Reap call.
+// short, round TTLs. The reaper and the hub slots are stopped
+// immediately so every expiry pass in a test is an explicit,
+// deterministic Reap call and no unit runs on the hub.
 func newTestDispatcher(t *testing.T, cfg Config) (*Dispatcher, *clock.FakeWall) {
+	t.Helper()
+	d, fw := newSlotDispatcher(t, cfg)
+	d.Close()
+	return d, fw
+}
+
+// newSlotDispatcher is newTestDispatcher with the reaper and the hub
+// slots left running until the test ends: the reaper wakes only when
+// the test advances the clock, and the slots execute what the fleet
+// cannot take.
+func newSlotDispatcher(t *testing.T, cfg Config) (*Dispatcher, *clock.FakeWall) {
 	t.Helper()
 	fw := clock.NewFakeWall(time.Time{})
 	cfg.Clock = fw
@@ -35,20 +52,41 @@ func newTestDispatcher(t *testing.T, cfg Config) (*Dispatcher, *clock.FakeWall) 
 		cfg.StealAge = 5 * time.Second
 	}
 	d := New(cfg)
-	d.Close()
 	t.Cleanup(d.Close)
 	return d, fw
 }
 
-// enqueueCells adds the cells of one job of tenant "t1" to the lease
-// table, in plan order, as a job's waiters would.
+// testJob is a job of tenant "t1" whose cells a test joins to the unit
+// table by hand; its grants carry digest "dg". It has no plan, so no
+// hub slot may run its units.
+func testJob(id string, priority int) *jobExec {
+	return &jobExec{id: id, tenant: "t1", priority: priority, digest: "dg"}
+}
+
+// enqueueCells joins the cells of one job of tenant "t1" to the unit
+// table, in plan order, as the job's waiters would. Each cell's key is
+// its ID.
 func enqueueCells(d *Dispatcher, jobID string, priority int, cellIDs ...string) []*unit {
-	j := d.newJob(jobID, "t1", priority, "dg")
+	j := testJob(jobID, priority)
 	units := make([]*unit, len(cellIDs))
 	for i, id := range cellIDs {
-		units[i] = d.enqueue(j, id, i)
+		units[i], _, _ = d.join(waiter{j: j, pos: i}, id, id)
 	}
 	return units
+}
+
+// completion reports g's cell as executed with result c.
+func completion(g Grant, c report.Cell) CompleteRequest {
+	return CompleteRequest{LeaseID: g.LeaseID, JobID: g.JobID, CellID: g.CellID, Key: g.Key, Cell: c}
+}
+
+// keepAlive is a worker's empty lease:batch call: it grants nothing and
+// only proves the worker alive.
+func keepAlive(t *testing.T, d *Dispatcher, workerID string) {
+	t.Helper()
+	if _, err := d.LeaseBatch(workerID, 0, nil); err != nil {
+		t.Fatalf("LeaseBatch(%s, 0, nil): %v", workerID, err)
+	}
 }
 
 // poll is a single-cell lease:batch poll, a batch of one. ok=false
@@ -125,41 +163,82 @@ func TestExpiredLeaseRetriesOnAnotherWorker(t *testing.T) {
 		t.Fatalf("retry grant = %+v, want a fresh lease on cell-1", g2)
 	}
 
-	cell := report.Cell{ID: "cell-1"}
-	if st := complete(t, d, w2, CompleteRequest{LeaseID: g2.LeaseID, JobID: "j1", CellID: "cell-1", Cell: cell}); st != CompleteAccepted {
+	if st := complete(t, d, w2, completion(g2, report.Cell{ID: "cell-1"})); st != CompleteAccepted {
 		t.Fatalf("complete = %s, want %s", st, CompleteAccepted)
 	}
-	if !resolved(u) || u.localize || u.result.ID != "cell-1" {
-		t.Fatalf("unit not resolved remotely: localize=%v result=%+v", u.localize, u.result)
+	if !resolved(u) || u.err != nil || u.result.ID != "cell-1" {
+		t.Fatalf("unit not resolved remotely: err=%v result=%+v", u.err, u.result)
+	}
+	if m := d.Metrics(); m.RemoteCompletions != 1 || m.LocalCells != 0 {
+		t.Fatalf("metrics = %+v, want 1 remote completion and no hub execution", m)
 	}
 }
 
+// benchPlan resolves benchSpec, the dispatch tests' six-cell plan.
+func benchPlan(t *testing.T) *suite.Plan {
+	t.Helper()
+	spec, err := suite.Parse(strings.NewReader(benchSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustPlan(t, spec)
+}
+
+// TestAttemptBudgetExhaustionFallsBackToLocal: a cell that spent its
+// attempt budget is granted to no worker again, and a hub slot runs it
+// while the worker that failed it is still live.
 func TestAttemptBudgetExhaustionFallsBackToLocal(t *testing.T) {
-	d, fw := newTestDispatcher(t, Config{MaxAttempts: 2})
+	d, fw := newSlotDispatcher(t, Config{MaxAttempts: 2})
 	w1 := d.Register("flaky").WorkerID
-	u := enqueueCells(d, "j1", 0, "cell-1")[0]
+	plan := benchPlan(t)
+	c := plan.Cells()[0]
+	type result struct {
+		rc  report.Cell
+		err error
+	}
+	done := make(chan result, 1)
+	exec := d.Executor("j1", "t1", 0, plan)
+	go func() {
+		rc, err := exec(context.Background(), plan.Spec(), c)
+		done <- result{rc, err}
+	}()
+	waitPending(t, d, 1)
 
 	for attempt := 1; attempt <= 2; attempt++ {
 		g := mustAcquire(t, d, w1)
-		if g.CellID != "cell-1" {
-			t.Fatalf("attempt %d granted %q", attempt, g.CellID)
+		if g.CellID != c.ID || g.Key != plan.Keys()[0] {
+			t.Fatalf("attempt %d granted %+v", attempt, g)
 		}
 		fw.Advance(11 * time.Second) // past LeaseTTL
-		if !d.Heartbeat(w1) {        // the worker is alive, just never finishing
-			t.Fatalf("worker expired on attempt %d", attempt)
-		}
+		keepAlive(t, d, w1)          // the worker is alive, just never finishing
 		d.Reap()
 		if attempt == 1 {
 			fw.Advance(2 * time.Second) // clear the retry backoff
 		}
 	}
+	if _, ok := poll(t, d, w1); ok {
+		t.Fatal("a cell past its attempt budget was granted to a worker again")
+	}
 
-	if !resolved(u) || !u.localize {
-		t.Fatalf("budget exhausted but unit not localized (resolved=%v localize=%v)", resolved(u), u.localize)
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the cell never ran on a hub slot")
+	}
+	want, err := suite.ExecuteCell(plan.Spec(), c)
+	if res.err != nil || err != nil {
+		t.Fatalf("slot result err %v, direct err %v", res.err, err)
+	}
+	if res.rc.ID != want.ID || res.rc.Summary != want.Summary {
+		t.Fatalf("slot ran %+v, want %+v", res.rc, want)
 	}
 	m := d.Metrics()
-	if m.LeasesExpired != 2 || m.LeaseRetries != 1 {
-		t.Fatalf("metrics = %+v, want 2 expired / 1 retried", m)
+	if m.LeasesExpired != 2 || m.LeaseRetries != 1 || m.LocalCells != 1 || m.RemoteCompletions != 0 {
+		t.Fatalf("metrics = %+v, want 2 expired / 1 retried / 1 hub execution", m)
+	}
+	if ws := d.Workers(); len(ws) != 1 || ws[0].ID != w1 {
+		t.Fatalf("Workers() = %+v, want %s still live", ws, w1)
 	}
 }
 
@@ -173,14 +252,14 @@ func TestStolenLeaseAndDuplicateCompletionFirstWriterWins(t *testing.T) {
 
 	// Too young to steal: the idle worker gets nothing.
 	fw.Advance(3 * time.Second)
-	d.Heartbeat(w1)
+	keepAlive(t, d, w1)
 	if _, ok := poll(t, d, w2); ok {
 		t.Fatal("stole a lease younger than StealAge")
 	}
 
 	// Old enough: the idle worker gets a redundant copy.
 	fw.Advance(3 * time.Second)
-	d.Heartbeat(w1)
+	keepAlive(t, d, w1)
 	g2 := mustAcquire(t, d, w2)
 	if !g2.Stolen || g2.CellID != "cell-1" {
 		t.Fatalf("grant = %+v, want a stolen copy of cell-1", g2)
@@ -194,10 +273,10 @@ func TestStolenLeaseAndDuplicateCompletionFirstWriterWins(t *testing.T) {
 	// markers here only prove which writer won).
 	first := report.Cell{ID: "cell-1", WallMS: 111}
 	second := report.Cell{ID: "cell-1", WallMS: 222}
-	if st := complete(t, d, w2, CompleteRequest{LeaseID: g2.LeaseID, JobID: "j1", CellID: "cell-1", Cell: first}); st != CompleteAccepted {
+	if st := complete(t, d, w2, completion(g2, first)); st != CompleteAccepted {
 		t.Fatalf("first complete = %s", st)
 	}
-	if st := complete(t, d, w1, CompleteRequest{LeaseID: g1.LeaseID, JobID: "j1", CellID: "cell-1", Cell: second}); st != CompleteDuplicate {
+	if st := complete(t, d, w1, completion(g1, second)); st != CompleteDuplicate {
 		t.Fatalf("second complete = %s, want %s", st, CompleteDuplicate)
 	}
 	if u.result.WallMS != 111 {
@@ -215,15 +294,12 @@ func TestDeadWorkerIsReapedAndItsLeaseReassigned(t *testing.T) {
 	enqueueCells(d, "j1", 0, "cell-1")
 	mustAcquire(t, d, w1)
 
-	// Only the healthy worker heartbeats across the TTL window.
+	// Only the healthy worker calls across the TTL window.
 	fw.Advance(4 * time.Second)
-	d.Heartbeat(w2)
+	keepAlive(t, d, w2)
 	fw.Advance(4 * time.Second)
-	d.Heartbeat(w2)
+	keepAlive(t, d, w2)
 
-	if d.Heartbeat(w1) {
-		t.Fatal("dead worker still heartbeats successfully, want unknown")
-	}
 	if _, err := d.LeaseBatch(w1, 1, nil); err == nil {
 		t.Fatal("dead worker still leases, want unknown-worker error")
 	}
@@ -244,15 +320,20 @@ func TestDeadWorkerIsReapedAndItsLeaseReassigned(t *testing.T) {
 	}
 }
 
+// TestEmptyFleetLocalizesPendingCells: with no worker registered, the
+// hub slots run every miss of a job at full width, and the report is
+// the local run's.
 func TestEmptyFleetLocalizesPendingCells(t *testing.T) {
-	d, _ := newTestDispatcher(t, Config{})
-	u := enqueueCells(d, "j1", 0, "cell-1")[0]
-	d.Reap()
-	if !resolved(u) || !u.localize {
-		t.Fatalf("pending cell with zero workers not localized (resolved=%v localize=%v)", resolved(u), u.localize)
+	d, _ := newSlotDispatcher(t, Config{})
+	plan := benchPlan(t)
+	rep, err := plan.WithCellParallelism(len(plan.Cells())).Run(context.Background(), nil,
+		suite.Options{Exec: d.Executor("j1", "t1", 0, plan)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m := d.Metrics(); m.LeasesGranted != 0 {
-		t.Fatalf("granted %d leases with no workers", m.LeasesGranted)
+	assertCanonical(t, plan.Spec(), rep)
+	if m := d.Metrics(); m.LeasesGranted != 0 || m.LocalCells != uint64(len(plan.Cells())) {
+		t.Fatalf("metrics = %+v, want no leases and %d hub executions", m, len(plan.Cells()))
 	}
 }
 
@@ -290,22 +371,65 @@ func (d *Dispatcher) clockAdvanceForBackoff(t *testing.T, dur time.Duration) {
 }
 
 func TestCompletionsForUnknownOrReleasedUnitsAreOrphans(t *testing.T) {
-	d, _ := newTestDispatcher(t, Config{})
+	d, fw := newTestDispatcher(t, Config{})
 	w1 := d.Register("w").WorkerID
 
-	if st := complete(t, d, w1, CompleteRequest{LeaseID: "l999999", JobID: "jX", CellID: "cell-9"}); st != CompleteOrphan {
+	if st := complete(t, d, w1, CompleteRequest{LeaseID: "l999999", JobID: "jX", CellID: "cell-9", Key: "cell-9"}); st != CompleteOrphan {
 		t.Fatalf("complete(unknown unit) = %s, want %s", st, CompleteOrphan)
 	}
 
-	// A released unit (job cancelled, waiter gone) orphans late arrivals.
+	// A unit dropped while pending (its lease expired, then its job was
+	// cancelled) orphans the expired lease's late completion.
 	u := enqueueCells(d, "j1", 0, "cell-1")[0]
 	g := mustAcquire(t, d, w1)
-	d.release(u)
-	if st := complete(t, d, w1, CompleteRequest{LeaseID: g.LeaseID, JobID: "j1", CellID: "cell-1"}); st != CompleteOrphan {
+	fw.Advance(11 * time.Second)
+	keepAlive(t, d, w1)
+	if _, err := d.leave(u, u.lead); err == nil {
+		t.Fatal("leaving an unresolved unit returned no interruption")
+	}
+	if st := complete(t, d, w1, completion(g, report.Cell{ID: "cell-1"})); st != CompleteOrphan {
 		t.Fatalf("complete(released unit) = %s, want %s", st, CompleteOrphan)
 	}
-	if m := d.Metrics(); m.OrphanCompletions != 2 {
-		t.Fatalf("OrphanCompletions = %d, want 2", m.OrphanCompletions)
+	if m := d.Metrics(); m.OrphanCompletions != 2 || m.CellsPending != 0 {
+		t.Fatalf("metrics = %+v, want 2 orphans and nothing pending", m)
+	}
+}
+
+// TestCompletionLandsAfterLastWaiterLeft: a unit whose only job was
+// cancelled while its lease was out stays in the table; the lease's
+// completion is accepted and stored, and a later job is served it from
+// the store instead of running it again.
+func TestCompletionLandsAfterLastWaiterLeft(t *testing.T) {
+	st, err := store.Open(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := newTestDispatcher(t, Config{Store: st})
+	w1 := d.Register("w").WorkerID
+	u := enqueueCells(d, "j1", 0, "cell-1")[0]
+	g := mustAcquire(t, d, w1)
+	if _, err := d.leave(u, u.lead); err == nil {
+		t.Fatal("leaving an unresolved unit returned no interruption")
+	}
+	if m := d.Metrics(); m.LeasesByTenant["t1"] != 1 {
+		t.Fatalf("metrics = %+v, want the lease still out", m)
+	}
+
+	res := report.Cell{ID: "cell-1", WallMS: 7}
+	if ack := complete(t, d, w1, completion(g, res)); ack != CompleteAccepted {
+		t.Fatalf("complete = %s, want %s", ack, CompleteAccepted)
+	}
+	if got, ok := st.Get("cell-1"); !ok || got.WallMS != 7 {
+		t.Fatalf("store holds %+v (%v), want the completed cell", got, ok)
+	}
+	if _, tracked := d.units["cell-1"]; tracked {
+		t.Fatal("a resolved unit no job waits on stayed in the table")
+	}
+	if _, rc, hit := d.join(waiter{j: testJob("j2", 0)}, "cell-1", "cell-1"); !hit || rc.WallMS != 7 {
+		t.Fatalf("a later job's join: hit=%v rc=%+v, want the stored cell", hit, rc)
+	}
+	if m := d.Metrics(); m.RemoteCompletions != 1 || m.CellsPending != 0 || st.Stats().Puts != 1 {
+		t.Fatalf("metrics = %+v, puts %d; want 1 completion, 1 put, nothing pending", m, st.Stats().Puts)
 	}
 }
 
@@ -338,8 +462,8 @@ func TestLeaseBatchGrantsPlanOrderAndPiggybacksCompletions(t *testing.T) {
 		t.Fatalf("batch = %d grants / %d acks, want 3 / 0", len(resp.Grants), len(resp.Acks))
 	}
 	for i, g := range resp.Grants {
-		if want := units[i].cellID; g.CellID != want {
-			t.Fatalf("grant[%d] = %s, want plan order %s", i, g.CellID, want)
+		if want := units[i].cellID; g.CellID != want || g.Key != want || g.JobID != "j1" {
+			t.Fatalf("grant[%d] = %+v, want plan order %s", i, g, want)
 		}
 		if g.SpecDigest != "dg" {
 			t.Fatalf("grant[%d] digest = %q", i, g.SpecDigest)
@@ -349,10 +473,10 @@ func TestLeaseBatchGrantsPlanOrderAndPiggybacksCompletions(t *testing.T) {
 	// Second trip piggybacks two completions (one of them twice: the
 	// rerun is a deterministic duplicate) and refills from the plan.
 	comps := []CompleteRequest{
-		{LeaseID: resp.Grants[0].LeaseID, JobID: "j1", CellID: "cell-1", Cell: report.Cell{ID: "cell-1"}},
-		{LeaseID: resp.Grants[1].LeaseID, JobID: "j1", CellID: "cell-2", Cell: report.Cell{ID: "cell-2"}},
-		{LeaseID: resp.Grants[1].LeaseID, JobID: "j1", CellID: "cell-2", Cell: report.Cell{ID: "cell-2"}},
-		{LeaseID: "l999999", JobID: "jX", CellID: "cell-9"},
+		completion(resp.Grants[0], report.Cell{ID: "cell-1"}),
+		completion(resp.Grants[1], report.Cell{ID: "cell-2"}),
+		completion(resp.Grants[1], report.Cell{ID: "cell-2"}),
+		{LeaseID: "l999999", JobID: "jX", CellID: "cell-9", Key: "cell-9"},
 	}
 	resp2, err := d.LeaseBatch(w1, 2, comps)
 	if err != nil {
@@ -386,9 +510,7 @@ func TestLeaseBatchGrantsPlanOrderAndPiggybacksCompletions(t *testing.T) {
 
 	// A pure completion flush (max 0) grants nothing and does not
 	// clobber the batch-depth gauge.
-	resp3, err := d.LeaseBatch(w1, 0, []CompleteRequest{
-		{LeaseID: resp.Grants[2].LeaseID, JobID: "j1", CellID: "cell-3", Cell: report.Cell{ID: "cell-3"}},
-	})
+	resp3, err := d.LeaseBatch(w1, 0, []CompleteRequest{completion(resp.Grants[2], report.Cell{ID: "cell-3"})})
 	if err != nil || len(resp3.Grants) != 0 || len(resp3.Acks) != 1 || resp3.Acks[0] != CompleteAccepted {
 		t.Fatalf("flush = %+v (%v), want 1 accepted ack and no grants", resp3, err)
 	}
@@ -420,9 +542,7 @@ func TestLeaseBatchExpiryInsidePartiallyCompletedBatch(t *testing.T) {
 	}
 	// One cell of the batch completes; then the worker goes silent and
 	// every deadline passes. Only the two unfinished leases expire.
-	if _, err := d.LeaseBatch(w1, 0, []CompleteRequest{
-		{LeaseID: resp.Grants[0].LeaseID, JobID: "j1", CellID: "cell-1", Cell: report.Cell{ID: "cell-1"}},
-	}); err != nil {
+	if _, err := d.LeaseBatch(w1, 0, []CompleteRequest{completion(resp.Grants[0], report.Cell{ID: "cell-1"})}); err != nil {
 		t.Fatal(err)
 	}
 	fw.Advance(11 * time.Second)
@@ -463,7 +583,7 @@ func TestLeaseBatchStealsOneStragglerWhenNothingPending(t *testing.T) {
 	}
 	// Past StealAge the idle worker's batch degrades to one stolen copy.
 	fw.Advance(6 * time.Second)
-	d.Heartbeat(w1)
+	keepAlive(t, d, w1)
 	resp, err = d.LeaseBatch(w2, 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -488,9 +608,7 @@ func TestLeaseBatchUnknownWorkerSettlesCompletionsButErrors(t *testing.T) {
 	// A forgotten worker's piggybacked completion still lands — finished
 	// work is never discarded — but the call errors so the worker
 	// re-registers. Its resend will be a harmless duplicate.
-	_, err = d.LeaseBatch("w999999", 4, []CompleteRequest{
-		{LeaseID: resp.Grants[0].LeaseID, JobID: "j1", CellID: "cell-1", Cell: report.Cell{ID: "cell-1"}},
-	})
+	_, err = d.LeaseBatch("w999999", 4, []CompleteRequest{completion(resp.Grants[0], report.Cell{ID: "cell-1"})})
 	if err == nil {
 		t.Fatal("LeaseBatch(unknown worker) succeeded, want error")
 	}

@@ -1,41 +1,33 @@
 // Package faultinject is the chaos harness for the dispatch layer:
 // injectable failure hooks a fleet worker consults at the exact seams
 // where real distributed failures strike — process death between lease
-// grant and completion, heartbeats lost or delayed on the wire, and
-// connections severed while a result is in flight. Production workers
-// run with nil Hooks and pay a nil-check; chaos tests compose the
-// helpers below to script precise failure sequences and then assert
-// the sweep still completes with a byte-identical report.
+// grant and completion, and connections severed while a result is in
+// flight. Production workers run with nil Hooks and pay a nil-check;
+// chaos tests compose the helpers below to script precise failure
+// sequences and then assert the sweep still completes with a
+// byte-identical report.
 package faultinject
 
 import (
 	"errors"
 	"sync/atomic"
-	"time"
 )
 
 // ErrKilled is returned by Worker.Run when a KillBeforeExecute hook
 // fires — the in-process analogue of kill -9: the worker stops
-// polling, stops heartbeating, and abandons every in-flight cell
-// without completing or releasing anything.
+// polling and abandons every in-flight cell without completing or
+// releasing anything.
 var ErrKilled = errors.New("faultinject: worker killed")
 
 // Hooks are the failure-injection points. Any field may be nil (never
 // fires). All hooks must be safe for concurrent use — a worker calls
-// them from its executor and heartbeat goroutines.
+// them from its executor goroutines.
 type Hooks struct {
 	// KillBeforeExecute runs after a lease is granted and before its
 	// cell executes. Returning true kills the worker: Run returns
 	// ErrKilled immediately, the lease is never completed, and the hub
 	// only learns via lease expiry.
 	KillBeforeExecute func(cellID string) bool
-	// DropHeartbeat, returning true, silently discards one heartbeat —
-	// the wire ate it. Enough consecutive drops and the hub declares the
-	// worker dead while it is still executing.
-	DropHeartbeat func() bool
-	// DelayHeartbeat returns an extra delay to sleep before sending each
-	// heartbeat — a degraded network rather than a dead one.
-	DelayHeartbeat func() time.Duration
 	// SeverCompletion runs after a cell executed, before its completion
 	// posts. Returning true drops the result on the floor — the
 	// connection died between lease grant and completion, and the hub
@@ -49,22 +41,6 @@ func (h *Hooks) Kill(cellID string) bool {
 		return false
 	}
 	return h.KillBeforeExecute(cellID)
-}
-
-// Drop reports whether to discard the next heartbeat.
-func (h *Hooks) Drop() bool {
-	if h == nil || h.DropHeartbeat == nil {
-		return false
-	}
-	return h.DropHeartbeat()
-}
-
-// Delay returns the extra latency to apply before the next heartbeat.
-func (h *Hooks) Delay() time.Duration {
-	if h == nil || h.DelayHeartbeat == nil {
-		return 0
-	}
-	return h.DelayHeartbeat()
 }
 
 // Sever reports whether to drop cellID's completion.
@@ -84,13 +60,6 @@ func KillAfterCells(n int) func(string) bool {
 	return func(string) bool {
 		return started.Add(1) > int64(n)
 	}
-}
-
-// DropAllHeartbeats builds a DropHeartbeat hook that discards every
-// heartbeat — a one-way partition: the worker still polls and
-// completes, but the hub's liveness view goes dark.
-func DropAllHeartbeats() func() bool {
-	return func() bool { return true }
 }
 
 // SeverFirstCompletions builds a SeverCompletion hook that drops the

@@ -5,15 +5,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestNilHooksNeverFire: a worker without hooks, and hooks whose fields
-// are nil, never kill, drop, delay or sever.
+// are nil, never kill or sever.
 func TestNilHooksNeverFire(t *testing.T) {
 	for name, h := range map[string]*Hooks{"nil Hooks": nil, "nil fields": {}} {
 		for i := 0; i < 3; i++ {
-			if h.Kill("c") || h.Drop() || h.Delay() != 0 || h.Sever("c") {
+			if h.Kill("c") || h.Sever("c") {
 				t.Fatalf("%s: a hook fired", name)
 			}
 		}
@@ -26,11 +25,9 @@ func TestHooksCallTheirFields(t *testing.T) {
 	var killed, severed string
 	h := &Hooks{
 		KillBeforeExecute: func(id string) bool { killed = id; return true },
-		DropHeartbeat:     DropAllHeartbeats(),
-		DelayHeartbeat:    func() time.Duration { return time.Second },
 		SeverCompletion:   func(id string) bool { severed = id; return true },
 	}
-	if !h.Kill("k") || killed != "k" || !h.Drop() || h.Delay() != time.Second || !h.Sever("s") || severed != "s" {
+	if !h.Kill("k") || killed != "k" || !h.Sever("s") || severed != "s" {
 		t.Fatalf("hooks answered kill=%q sever=%q", killed, severed)
 	}
 }

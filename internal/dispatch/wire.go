@@ -21,11 +21,13 @@ type Registration struct {
 	// LeaseTTLMS is how long a granted lease stays valid; a worker that
 	// cannot finish a cell inside it should expect a duplicate.
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
-	// WorkerTTLMS is the liveness window: no heartbeat (or poll) for
-	// this long and the hub declares the worker dead and reassigns its
+	// WorkerTTLMS is the liveness window: no lease:batch call for this
+	// long and the hub declares the worker dead and reassigns its
 	// leases.
 	WorkerTTLMS int64 `json:"worker_ttl_ms"`
-	// HeartbeatMS is the cadence the hub suggests (a third of the TTL).
+	// HeartbeatMS is the longest the hub suggests a worker go without a
+	// lease:batch call (a third of the TTL); a worker whose pipeline is
+	// full makes an empty call at this cadence to stay live.
 	HeartbeatMS int64 `json:"heartbeat_ms"`
 }
 
@@ -33,8 +35,13 @@ type Registration struct {
 // deterministically and report back.
 type Grant struct {
 	LeaseID string `json:"lease_id"`
-	JobID   string `json:"job_id"`
-	CellID  string `json:"cell_id"`
+	// JobID names the best-ranked job waiting on the cell; the worker
+	// fetches that job's spec on a plan-cache miss.
+	JobID  string `json:"job_id"`
+	CellID string `json:"cell_id"`
+	// Key is the cell's CellKey, the unit the hub executes once for
+	// every job waiting on it; the completion echoes it.
+	Key string `json:"key"`
 	// SpecDigest keys the worker's compiled-plan cache. Grants never
 	// carry the spec itself: a worker whose plan cache misses the digest
 	// fetches the spec once per job via GET /api/v1/jobs/{id}/spec
@@ -47,14 +54,16 @@ type Grant struct {
 	Stolen bool `json:"stolen,omitempty"`
 }
 
-// CompleteRequest reports one executed cell. It carries the unit
-// coordinates alongside the lease so a completion that outlived its
-// lease (expiry raced the result) still lands — re-execution is
+// CompleteRequest reports one executed cell. It carries the unit's
+// cell key alongside the lease so a completion that outlived its lease
+// (expiry raced the result) still lands — re-execution is
 // bit-identical, so any completion of an outstanding cell is correct.
+// JobID and CellID echo the grant's, for tracing.
 type CompleteRequest struct {
 	LeaseID string      `json:"lease_id"`
 	JobID   string      `json:"job_id"`
 	CellID  string      `json:"cell_id"`
+	Key     string      `json:"key"`
 	Cell    report.Cell `json:"cell"`
 }
 
@@ -64,12 +73,12 @@ type CompleteStatus string
 const (
 	// CompleteAccepted: the result resolved the cell.
 	CompleteAccepted CompleteStatus = "accepted"
-	// CompleteDuplicate: another execution (retry, steal, or local
-	// fallback) already resolved the cell; the results are bit-identical
-	// by construction, so the duplicate is dropped, not conflicting.
+	// CompleteDuplicate: another execution (retry, steal, or a hub
+	// slot) already resolved the cell; the results are bit-identical by
+	// construction, so the duplicate is dropped, not conflicting.
 	CompleteDuplicate CompleteStatus = "duplicate"
-	// CompleteOrphan: the hub no longer tracks the cell (job finished,
-	// cancelled, or never existed). Harmless.
+	// CompleteOrphan: the hub no longer tracks the cell (its jobs
+	// finished or were cancelled, or it never existed). Harmless.
 	CompleteOrphan CompleteStatus = "orphan"
 )
 
@@ -92,9 +101,10 @@ type LeaseBatchRequest struct {
 
 // LeaseBatchResponse answers a lease:batch call.
 type LeaseBatchResponse struct {
-	// Grants are the newly leased cells, at most Max, in grant order:
-	// higher job priority first, then jobs in the order they first
-	// enqueued, then plan order within a job — so a job's cells arrive as
+	// Grants are the newly leased cells, at most Max, in grant order of
+	// each cell's best waiting job: higher job priority first, then jobs
+	// in the order they first missed a cell, then plan order within a
+	// job — so a job's cells arrive as
 	// contiguous runs of its plan when they can and hub-side reassembly
 	// stays a cheap ordered merge. Each grant carries its own lease with
 	// its own deadline; expiry, steal and duplicate resolution stay
@@ -113,7 +123,7 @@ type WorkerInfo struct {
 	Name         string `json:"name"`
 	Live         bool   `json:"live"`
 	RegisteredAt string `json:"registered_at"`
-	// LastSeenAgoMS is the age of the last heartbeat or poll at render
+	// LastSeenAgoMS is the age of the last lease:batch call at render
 	// time.
 	LastSeenAgoMS int64 `json:"last_seen_ago_ms"`
 	// InFlight counts leases currently held; Completed counts cells this
@@ -148,9 +158,10 @@ type Metrics struct {
 	LeaseBatchCalls        uint64 `json:"lease_batch_calls"`
 	LeaseBatchCells        uint64 `json:"lease_batch_cells"`
 	PiggybackedCompletions uint64 `json:"piggybacked_completions"`
-	// LocalCells counts cells the hub executed itself: zero live
-	// workers or an exhausted attempt budget — the graceful-degradation
-	// paths.
+	// LocalCells counts cells the hub slots executed: zero live workers
+	// or an exhausted attempt budget — the graceful-degradation paths.
+	// LocalCells + RemoteCompletions is how many executions the hub's
+	// jobs cost, which jobs that share a cell key share.
 	LocalCells uint64 `json:"local_cells"`
 	// CellsPending gauges cells waiting at the hub for a grant (retry
 	// backoff included): the fleet's backlog.

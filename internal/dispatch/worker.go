@@ -1,6 +1,6 @@
 // Worker is the fleet side of the dispatch protocol: register with the
-// hub, heartbeat, lease cells, execute them through the deterministic
-// suite runner, and report completions. Failures are classified once,
+// hub, lease cells, execute them through the deterministic suite
+// runner, and report completions. Failures are classified once,
 // by internal/api's transient rule, and only what can heal is retried:
 // a lost hub (no answer, 429, 5xx) means the worker finishes in-flight
 // cells, retries their completions with backoff, and re-registers when
@@ -13,7 +13,9 @@
 //
 // The wire is a single pump loop over POST lease:batch: each round
 // trip delivers the finished completions and refills the in-flight
-// pipeline with up to LeaseBatch digest-only grants. Resolved plans
+// pipeline with up to LeaseBatch digest-only grants, and any call keeps
+// the worker live at the hub, so a pump that has made no call for the
+// hub's heartbeat_ms makes one. Resolved plans
 // are cached by spec digest, within the same budget of estimated bytes
 // as a hub's plan cache, and filled via one GET /api/v1/jobs/{id}/spec
 // per job. Hub and workers ship from one commit, so there is no other
@@ -164,10 +166,9 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
 	}
-	// The loops end the run with stop(refusal); Run returns the cause.
+	// The pump ends the run with stop(refusal); Run returns the cause.
 	loopCtx, stop := context.WithCancelCause(ctx)
 	defer stop(nil)
-	go w.heartbeatLoop(loopCtx, stop)
 
 	// One pump goroutine owns the wire and feeds the execution slots.
 	pumped := make(chan struct{})
@@ -240,52 +241,6 @@ func (w *Worker) deregister() {
 	_ = w.conn.JSON(ctx, http.MethodDelete, workersPathPrefix+"/"+url.PathEscape(reg.WorkerID), nil, nil)
 }
 
-// heartbeatLoop keeps the registration live at the hub-suggested
-// cadence, honoring the drop/delay fault hooks. Each interval is
-// jittered ±20% so a large fleet started together (or re-registered
-// together after a hub restart) spreads out instead of heartbeating
-// the hub in lockstep forever. A 401, or a re-registration the hub
-// refuses, ends the run through stop.
-func (w *Worker) heartbeatLoop(ctx context.Context, stop context.CancelCauseFunc) {
-	rnd := rand.New(rand.NewSource(time.Now().UnixNano()))
-	for {
-		reg := w.registration()
-		interval := time.Duration(reg.HeartbeatMS) * time.Millisecond
-		if interval <= 0 {
-			interval = time.Second
-		}
-		interval = time.Duration(float64(interval) * (0.8 + 0.4*rnd.Float64()))
-		select {
-		case <-ctx.Done():
-			return
-		case <-w.cfg.Clock.After(interval):
-		}
-		if d := w.cfg.Hooks.Delay(); d > 0 {
-			select {
-			case <-ctx.Done():
-				return
-			case <-w.cfg.Clock.After(d):
-			}
-		}
-		if w.cfg.Hooks.Drop() {
-			continue
-		}
-		err := w.conn.JSON(ctx, http.MethodPost,
-			workersPathPrefix+"/"+url.PathEscape(reg.WorkerID)+"/heartbeat", nil, nil)
-		if errors.Is(err, api.ErrUnauthorized) {
-			stop(err)
-			return
-		}
-		if isUnknownWorker(err) {
-			w.cfg.Logf("dispatch worker %s: hub forgot us, re-registering", w.cfg.Name)
-			if err := w.register(ctx); err != nil {
-				stop(err)
-				return
-			}
-		}
-	}
-}
-
 // executeGrant runs one leased cell through the fault-hook seams and
 // returns its completion — nil when there is nothing to report (kill,
 // sever, unusable spec, failed execution; lease expiry recovers all of
@@ -298,7 +253,7 @@ func (w *Worker) executeGrant(ctx context.Context, g Grant) *CompleteRequest {
 	plan, err := w.planFor(ctx, g)
 	if err != nil {
 		// An unusable spec cannot be executed here; say so and let the
-		// lease expire into a retry or the hub's local fallback.
+		// lease expire into a retry or a hub slot.
 		w.cfg.Logf("dispatch worker %s: lease %s spec unusable: %v", w.cfg.Name, g.LeaseID, err)
 		return nil
 	}
@@ -318,7 +273,7 @@ func (w *Worker) executeGrant(ctx context.Context, g Grant) *CompleteRequest {
 	if w.killed.Load() {
 		return nil // dead workers post nothing
 	}
-	return &CompleteRequest{LeaseID: g.LeaseID, JobID: g.JobID, CellID: g.CellID, Cell: res}
+	return &CompleteRequest{LeaseID: g.LeaseID, JobID: g.JobID, CellID: g.CellID, Key: g.Key, Cell: res}
 }
 
 // planFor returns the grant's resolved plan: LRU hit by digest, else
@@ -403,14 +358,15 @@ func (w *Worker) leaseBatch(ctx context.Context, max int, comps []CompleteReques
 
 // pump owns the wire: the only goroutine that calls lease:batch. It
 // keeps up to LeaseBatch grants in flight across the execution slots,
-// collects their completions, and spends round trips by three rules —
+// collects their completions, and spends round trips by four rules —
 // starving (nothing in flight, nothing pending) polls for a full
 // batch; a half-empty pipeline or an expired linger flushes pending
-// completions and refills in the same call; otherwise it waits. Steady
-// state is therefore ~2 round trips per LeaseBatch cells, with
-// CompleteLinger bounding how stale a finished result may go
-// unreported. A 401, or a re-registration the hub refuses, ends the run
-// through stop.
+// completions and refills in the same call; a pump that has made no
+// call for the hub's heartbeat_ms calls to stay live, a pure flush when
+// its pipeline is full; otherwise it waits. Steady state is therefore
+// ~2 round trips per LeaseBatch cells, with CompleteLinger bounding how
+// stale a finished result may go unreported. A 401, or a
+// re-registration the hub refuses, ends the run through stop.
 func (w *Worker) pump(ctx context.Context, stop context.CancelCauseFunc) {
 	depth := w.cfg.LeaseBatch
 	slotCtx, stopSlots := context.WithCancel(ctx)
@@ -432,6 +388,8 @@ func (w *Worker) pump(ctx context.Context, stop context.CancelCauseFunc) {
 	var lingerC <-chan time.Time
 	lingerFired := false
 	backoff := w.cfg.PollInterval
+	rnd := rand.New(rand.NewSource(time.Now().UnixNano()))
+	liveC, liveDue := w.cfg.Clock.After(w.liveEvery(rnd)), false
 
 	for ctx.Err() == nil && !w.killed.Load() {
 		free := depth - outstanding
@@ -441,6 +399,8 @@ func (w *Worker) pump(ctx context.Context, stop context.CancelCauseFunc) {
 			doCall, max = true, depth // starving: ask for a full batch
 		case len(pending) > 0 && (lingerFired || outstanding == 0 || len(pending) >= (depth+1)/2):
 			doCall, max = true, free // flush, refilling in the same trip
+		case liveDue:
+			doCall, max = true, free // the hub has not heard from us lately
 		}
 		if !doCall {
 			select {
@@ -459,11 +419,14 @@ func (w *Worker) pump(ctx context.Context, stop context.CancelCauseFunc) {
 				}
 			case <-lingerC:
 				lingerC, lingerFired = nil, true
+			case <-liveC:
+				liveDue = true
 			}
 			continue
 		}
 
 		resp, err := w.leaseBatch(ctx, max, pending)
+		liveC, liveDue = w.cfg.Clock.After(w.liveEvery(rnd)), false
 		if err != nil {
 			switch {
 			case ctx.Err() != nil:
@@ -507,10 +470,12 @@ func (w *Worker) pump(ctx context.Context, stop context.CancelCauseFunc) {
 			outstanding++
 		}
 		if len(resp.Grants) == 0 && outstanding == 0 {
-			// Fleet-wide idle: nothing leased anywhere. Re-poll lazily.
+			// Fleet-wide idle: nothing leased anywhere. Re-poll lazily,
+			// and no later than liveness asks.
 			select {
 			case <-ctx.Done():
 			case <-w.killc:
+			case <-liveC:
 			case <-w.cfg.Clock.After(w.cfg.PollInterval):
 			}
 		}
@@ -526,6 +491,18 @@ func (w *Worker) pump(ctx context.Context, stop context.CancelCauseFunc) {
 	if len(pending) > 0 {
 		w.flushFinal(pending)
 	}
+}
+
+// liveEvery is how long the pump may go without a lease:batch call:
+// the hub's heartbeat_ms, jittered ±20% so a fleet started together,
+// or re-registered together after a hub restart, does not call the hub
+// in lockstep.
+func (w *Worker) liveEvery(rnd *rand.Rand) time.Duration {
+	every := time.Duration(w.registration().HeartbeatMS) * time.Millisecond
+	if every <= 0 {
+		every = time.Second
+	}
+	return time.Duration(float64(every) * (0.8 + 0.4*rnd.Float64()))
 }
 
 // flushFinal delivers the job-end completions as a pure lease:batch

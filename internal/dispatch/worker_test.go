@@ -1,7 +1,8 @@
 // Worker-side wire tests: the job-end flush retries on the lease:batch
 // wire, so finished cells survive the worker's own exit even when the
 // hub fails the first attempt; refusals that cannot heal end the run
-// (a bad key) or drop the refused completions instead of looping.
+// (a bad key) or drop the refused completions instead of looping; and
+// lease:batch alone keeps a busy worker live.
 package dispatch
 
 import (
@@ -20,6 +21,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/dispatch/faultinject"
+	"repro/internal/eventlog"
 	"repro/internal/suite"
 )
 
@@ -74,7 +76,7 @@ func TestWorkerFinalFlushRetriesLeaseBatch(t *testing.T) {
 	// with 503.
 	var wireCalls atomic.Int64
 	var flushes atomic.Int32
-	hub := benchHub(d, specJSON, &wireCalls)
+	hub := benchHub(d, map[string][]byte{"j1": specJSON}, &wireCalls)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/lease:batch") {
 			body, _ := io.ReadAll(r.Body)
@@ -149,12 +151,10 @@ func TestWorkerFinalFlushRetriesLeaseBatch(t *testing.T) {
 
 func TestWorkerUnauthorizedEndsRun(t *testing.T) {
 	for _, route := range []struct{ name, suffix string }{
-		{"register", "/api/v1/workers"}, {"heartbeat", "/heartbeat"}, {"lease:batch", "/lease:batch"},
+		{"register", "/api/v1/workers"}, {"lease:batch", "/lease:batch"},
 	} {
 		t.Run(route.name, func(t *testing.T) {
-			// A 300ms worker TTL makes the hub ask for a heartbeat every
-			// 100ms.
-			d := New(Config{WorkerTTL: 300 * time.Millisecond})
+			d := New(Config{})
 			t.Cleanup(d.Close)
 			var wireCalls atomic.Int64
 			hub := benchHub(d, nil, &wireCalls)
@@ -209,7 +209,7 @@ func TestWorkerDropsCompletionsRefusedForGood(t *testing.T) {
 	var wireCalls, quietCalls atomic.Int64
 	var mu sync.Mutex
 	sent := map[string]int{}
-	hub := benchHub(d, specJSON, &wireCalls)
+	hub := benchHub(d, map[string][]byte{"j1": specJSON}, &wireCalls)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/lease:batch") {
 			body, _ := io.ReadAll(r.Body)
@@ -264,5 +264,64 @@ func TestWorkerDropsCompletionsRefusedForGood(t *testing.T) {
 		if n != 1 {
 			t.Errorf("lease %s: completion sent %d times, want 1 (a refused completion is dropped)", lease, n)
 		}
+	}
+}
+
+// TestWorkerWithFullPipelineStaysLive: a worker whose only slot holds
+// one cell for two and a half worker TTLs, well inside the lease TTL,
+// keeps calling lease:batch and is never reaped; the cell completes
+// remotely and no hub slot runs it.
+func TestWorkerWithFullPipelineStaysLive(t *testing.T) {
+	const workerTTL = time.Second
+	plan := benchPlan(t)
+	specJSON, err := json.Marshal(plan.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := eventlog.New(eventlog.Config{})
+	d := New(Config{WorkerTTL: workerTTL, LeaseTTL: time.Minute, Events: rec})
+	t.Cleanup(d.Close)
+	var wireCalls atomic.Int64
+	hub := httptest.NewServer(benchHub(d, map[string][]byte{"j1": specJSON}, &wireCalls))
+	t.Cleanup(hub.Close)
+
+	wk, err := NewWorker(WorkerConfig{
+		HubURL: hub.URL, Parallelism: 1, LeaseBatch: 1, PollInterval: 10 * time.Millisecond,
+		Hooks: &faultinject.Hooks{KillBeforeExecute: func(string) bool {
+			time.Sleep(workerTTL * 5 / 2) // the pipeline stays full meanwhile
+			return false
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- wk.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done })
+	for deadline := time.Now().Add(5 * time.Second); len(d.Workers()) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	c := plan.Cells()[0]
+	got, err := d.Executor("j1", "t1", 0, plan)(ctx, plan.Spec(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := suite.ExecuteCell(plan.Spec(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != want.ID || got.Summary != want.Summary {
+		t.Fatalf("cell = %+v, want %+v", got, want)
+	}
+	if n := rec.Stats().ByType[eventlog.TypeWorkerReaped]; n != 0 {
+		t.Fatalf("the busy worker was reaped %d times", n)
+	}
+	if m := d.Metrics(); m.RemoteCompletions != 1 || m.LocalCells != 0 || m.WorkersRegistered != 1 || m.LeasesExpired != 0 {
+		t.Fatalf("metrics = %+v, want 1 remote completion from the one registration", m)
 	}
 }

@@ -48,7 +48,6 @@ const (
 
 	TypeWorkerRegistered   = "worker.registered"
 	TypeWorkerDeregistered = "worker.deregistered"
-	TypeWorkerHeartbeat    = "worker.heartbeat"
 	TypeWorkerReaped       = "worker.reaped"
 
 	TypeStoreHit          = "store.hit"

@@ -25,6 +25,7 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/dispatch/faultinject"
 	"repro/internal/report"
+	"repro/internal/store"
 	"repro/internal/suite"
 )
 
@@ -164,8 +165,8 @@ func TestChaosE2EKilledWorkerAndSeveredCompletionStillByteIdentical(t *testing.T
 }
 
 func TestE2EZeroWorkersDegradesToLocalExecution(t *testing.T) {
-	// No fleet at all: the dispatcher's fast path must make the daemon
-	// behave exactly like the pre-dispatch one.
+	// No fleet at all: the hub slots run every cell, and no lease is
+	// granted.
 	s, cli := newTestServer(t, Config{Workers: 1, QueueCap: 4})
 	ctx := context.Background()
 	info, err := cli.Submit(ctx, strings.NewReader(tinySpec), 0)
@@ -185,6 +186,97 @@ func TestE2EZeroWorkersDegradesToLocalExecution(t *testing.T) {
 	}
 	if m.LeasesGranted != 0 {
 		t.Errorf("granted %d leases with no workers", m.LeasesGranted)
+	}
+}
+
+// TestOverlappingJobsExecuteEachCellOnce: two jobs of one spec
+// submitted at once to a two-job hub share every cell either misses.
+// Hub-locally and through one worker, the hub executes each of the
+// spec's cells once and the store puts each once, and both jobs'
+// canonical reports are the local run's bytes.
+func TestOverlappingJobsExecuteEachCellOnce(t *testing.T) {
+	spec, err := suite.Parse(strings.NewReader(e2eSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := suite.Run(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := report.Write(&want, report.Canonical(direct)); err != nil {
+		t.Fatal(err)
+	}
+	cells := uint64(len(direct.Cells))
+
+	for _, fleet := range []int{0, 1} {
+		t.Run(fmt.Sprintf("%d workers", fleet), func(t *testing.T) {
+			st, err := store.Open(store.Config{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = st.Close() })
+			s, cli := newTestServer(t, Config{Workers: 2, QueueCap: 4, Store: st})
+			errc := make(chan error, 1)
+			for i := 0; i < fleet; i++ {
+				startFleetWorker(t, cli.BaseURL(), "solo", nil, errc)
+			}
+			waitForFleet(t, cli, fleet)
+
+			ctx := context.Background()
+			ids := make(chan string, 2)
+			for i := 0; i < 2; i++ {
+				go func() {
+					info, err := cli.Submit(ctx, strings.NewReader(e2eSpec), 0)
+					if err != nil {
+						t.Error(err)
+					}
+					ids <- info.ID
+				}()
+			}
+			for i := 0; i < 2; i++ {
+				id := <-ids
+				if t.Failed() {
+					t.FailNow()
+				}
+				if final, err := cli.Watch(ctx, id, nil); err != nil || final.Status != JobDone {
+					t.Fatalf("job %s: %+v, %v", id, final, err)
+				}
+				got, err := cli.ReportBytes(ctx, id, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want.Bytes(), got) {
+					t.Fatalf("job %s's canonical report differs from the local run:\nwant:\n%s\ngot:\n%s", id, want.Bytes(), got)
+				}
+			}
+			m := s.disp.Metrics()
+			if executed := m.LocalCells + m.RemoteCompletions; executed != cells {
+				t.Errorf("executed %d cells (%d on hub slots, %d leased), want %d: one per key", executed, m.LocalCells, m.RemoteCompletions, cells)
+			}
+			if fleet > 0 && m.LocalCells != 0 {
+				t.Errorf("LocalCells = %d with a live worker, want every cell leased", m.LocalCells)
+			}
+			if puts := st.Stats().Puts; puts != cells {
+				t.Errorf("store puts = %d, want %d", puts, cells)
+			}
+		})
+	}
+}
+
+// TestHeartbeatRouteIsGone: a worker stays live through lease:batch
+// alone; the old heartbeat path is no route.
+func TestHeartbeatRouteIsGone(t *testing.T) {
+	_, cli := newTestServer(t, Config{Workers: 1})
+	var reg dispatch.Registration
+	wirePost(t, cli.BaseURL()+"/api/v1/workers", dispatch.RegisterRequest{Name: "w"}, http.StatusCreated, &reg)
+	resp, err := http.Post(cli.BaseURL()+"/api/v1/workers/"+reg.WorkerID+"/heartbeat", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST heartbeat: HTTP %d, want 404 or 405", resp.StatusCode)
 	}
 }
 

@@ -156,7 +156,7 @@ type Health struct {
 	Commit  string `json:"commit,omitempty"`
 	UptimeS int64  `json:"uptime_s"`
 	// QueueDepth and JobsRunning summarize the pool; WorkersLive the
-	// fleet (0 means in-process execution, not unhealthy).
+	// fleet (0 means the hub slots execute every cell, not unhealthy).
 	QueueDepth  int `json:"queue_depth"`
 	JobsRunning int `json:"jobs_running"`
 	WorkersLive int `json:"workers_live"`
@@ -212,7 +212,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		UptimeS:       int64(time.Since(s.started).Seconds()),
 		QueueDepth:    s.queue.Depth(),
 		JobsRunning:   running,
-		WorkersLive:   s.disp.LiveWorkers(),
+		WorkersLive:   len(s.disp.Workers()),
 		StoreDegraded: degraded,
 		Events:        s.events != nil,
 		LastEventSeq:  s.events.LastSeq(),

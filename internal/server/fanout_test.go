@@ -74,7 +74,7 @@ func (h *handWorker) execute(spec *suite.Spec, grants []dispatch.Grant) []dispat
 		if err != nil {
 			h.t.Fatal(err)
 		}
-		comps = append(comps, dispatch.CompleteRequest{LeaseID: g.LeaseID, JobID: g.JobID, CellID: g.CellID, Cell: res})
+		comps = append(comps, dispatch.CompleteRequest{LeaseID: g.LeaseID, JobID: g.JobID, CellID: g.CellID, Key: g.Key, Cell: res})
 	}
 	return comps
 }

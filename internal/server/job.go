@@ -50,7 +50,9 @@ type JobInfo struct {
 	TotalCells int `json:"total_cells"`
 	DoneCells  int `json:"done_cells"`
 	// StoreHits / CellsExecuted split DoneCells into served-from-cache
-	// and actually computed (final values arrive with the report).
+	// and store misses (final values arrive with the report). A miss is
+	// computed once per hub: jobs that miss the same cell at once share
+	// its execution, and each counts it.
 	StoreHits     uint64 `json:"store_hits,omitempty"`
 	CellsExecuted uint64 `json:"cells_executed,omitempty"`
 	// Interrupted marks a cancelled job whose partial report was kept.

@@ -81,7 +81,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	family(w, "ptestd_jobs_running", "gauge", "Jobs currently executing.").sample(running)
 	family(w, "ptestd_queue_depth", "gauge", "Jobs waiting on the priority queue.").sample(s.queue.Depth())
 	family(w, "ptestd_uptime_seconds", "gauge", "Seconds since the daemon started.").sample(int64(time.Since(s.started).Seconds()))
-	family(w, "ptestd_cells_executed_total", "counter", "Cells computed (store misses).").sample(s.met.cellsExecuted.Load())
+	family(w, "ptestd_cells_executed_total", "counter", "Store misses of finished jobs; jobs that miss one cell at once share its execution.").sample(s.met.cellsExecuted.Load())
 	family(w, "ptestd_cells_cached_total", "counter", "Cells served from the store.").sample(s.met.cellsCached.Load())
 
 	family(w, "ptestd_store_hits_total", "counter", "Store lookups answered from cache.").sample(st.Hits)
@@ -114,7 +114,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	family(w, "ptestd_dispatch_completions_remote_total", "counter", "Cell completions accepted from workers.").sample(dm.RemoteCompletions)
 	family(w, "ptestd_dispatch_completions_duplicate_total", "counter", "Completions dropped because a first writer won.").sample(dm.DuplicateCompletions)
 	family(w, "ptestd_dispatch_completions_orphan_total", "counter", "Completions for cells no longer tracked.").sample(dm.OrphanCompletions)
-	family(w, "ptestd_dispatch_cells_local_total", "counter", "Cells executed in-process (no fleet, or budget exhausted).").sample(dm.LocalCells)
+	family(w, "ptestd_dispatch_cells_local_total", "counter", "Cells executed on hub slots (no fleet, or budget exhausted).").sample(dm.LocalCells)
 	family(w, "ptestd_dispatch_cells_pending", "gauge", "Cells waiting at the hub for a lease grant.").sample(dm.CellsPending)
 	// lease_batch_cells/lease_batch_calls is the live batching factor.
 	family(w, "ptestd_dispatch_lease_batch_calls_total", "counter", "lease:batch round trips that granted cells or settled completions.").sample(dm.LeaseBatchCalls)

@@ -22,12 +22,13 @@
 // A hub always owns its store, and a job is the only way into it: a
 // client that wants the hub's cells submits its spec (`ptest suite
 // -hub-url`) and reads the job's stream and report. Cells enter the
-// store only as results of the hub's jobs, computed in-process or
-// completed over the workers endpoints. The workers endpoints
-// (workers.go) are the one way to spread a job over machines:
-// registered workers lease cells, the hub survives their crashes via
+// store only as results of the hub's jobs, computed on the hub's slots
+// or completed over the workers endpoints; jobs that miss the same cell
+// share its one execution. The workers endpoints (workers.go) are the
+// one way to spread a job over machines: registered workers lease
+// cells and stay live by leasing, the hub survives their crashes via
 // lease expiry and retry, and with zero workers every job simply runs
-// in-process.
+// on the hub's slots.
 package server
 
 import (
@@ -60,9 +61,10 @@ import (
 
 // Config sizes the daemon. Zero values default sensibly.
 type Config struct {
-	// Workers is the job concurrency (default: one per CPU). Each job
-	// additionally parallelizes inside itself per its spec's
-	// cell_parallelism/trial_parallelism.
+	// Workers is the job concurrency (default: one per CPU). The cells
+	// the hub executes itself share its dispatcher's slots, one per CPU,
+	// whatever a spec's cell_parallelism; each cell's trials follow the
+	// spec's trial_parallelism.
 	Workers int
 	// QueueCap bounds the backlog (default 64); past it submissions get
 	// 503 and ErrQueueFull.
@@ -75,10 +77,11 @@ type Config struct {
 	// Store memoizes cells across jobs. Nil gets a private memory-only
 	// store so the daemon always deduplicates repeated work.
 	Store store.CellStore
-	// Dispatch tunes the fleet dispatcher (lease TTLs, heartbeat
-	// expiry, retry budget). The dispatcher always exists — with no
-	// registered workers its executor short-circuits to in-process
-	// execution, so a solo daemon behaves exactly as before.
+	// Dispatch tunes the fleet dispatcher (lease TTLs, worker expiry,
+	// retry budget). The dispatcher always exists — with no registered
+	// workers its hub slots execute every miss, so a solo daemon
+	// computes what a fleet would. Its Events and Store are the
+	// server's.
 	Dispatch dispatch.Config
 	// Tenancy configures auth, rate limits, and per-tenant quotas. The
 	// zero value is anonymous mode with no limits — a daemon with it is
@@ -175,9 +178,11 @@ func New(cfg Config) (*Server, error) {
 		}
 		cfg.Store = st
 	}
-	// The dispatcher and store share the server's recorder: every layer
+	// The dispatcher puts what it executes into the server's store, and
+	// the dispatcher and store share the server's recorder: every layer
 	// emits into one sequenced stream. A nil recorder makes each of
 	// these a no-op.
+	cfg.Dispatch.Store = cfg.Store
 	cfg.Dispatch.Events = cfg.Events
 	if cfg.Events != nil {
 		if es, ok := cfg.Store.(interface {
@@ -208,7 +213,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /api/v1/workers", s.handleWorkerRegister)
 	s.mux.HandleFunc("GET /api/v1/workers", s.handleWorkerList)
 	s.mux.HandleFunc("DELETE /api/v1/workers/{id}", s.handleWorkerDeregister)
-	s.mux.HandleFunc("POST /api/v1/workers/{id}/heartbeat", s.handleWorkerHeartbeat)
 	s.mux.HandleFunc("POST /api/v1/workers/{id}/lease:batch", s.handleWorkerLeaseBatch)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/spec", s.handleJobSpec)
 	s.mux.HandleFunc("GET /api/v1/events", s.handleFleetEvents)
@@ -342,21 +346,18 @@ func (s *Server) runJob(j *Job) {
 	scope := eventlog.Scoped{R: s.events, Job: j.info.ID, Tenant: j.tenant.Name}
 	scope.Emit(eventlog.Event{Type: eventlog.TypeJobStarted})
 	runStart := time.Now()
-	run := plan
-	if s.disp.LiveWorkers() > 0 {
-		// A fleet takes every store miss at once: at full width each miss
-		// is a pending lease from the start, so a worker's first
-		// lease:batch fills its pipeline instead of finding one cell.
-		// Digest and CellKey exclude the field, so the report and the
-		// stored cells are the same at any width.
-		run = plan.WithCellParallelism(len(plan.Cells()))
-	}
+	// Every store miss waits in the dispatcher's table at once: a
+	// worker's first lease:batch fills its pipeline, and the hub's slots,
+	// not the spec's cell_parallelism, bound what the hub executes
+	// itself. Digest and CellKey exclude the field, so the report and
+	// the stored cells are the same at any width.
+	run := plan.WithCellParallelism(len(plan.Cells()))
 	rep, err := run.Run(ctx, jsonlSplitter{j: j}, suite.Options{
 		Store: s.store,
-		// The dispatcher decides per cell: farmed to a live fleet worker
-		// under a lease, or — zero workers, exhausted retry budget —
-		// executed right here, at most the job's own cell_parallelism at
-		// a time. Store hits never reach it.
+		// The dispatcher runs each missed key once for every job waiting
+		// on it: under a fleet worker's lease or — zero workers,
+		// exhausted retry budget — on a hub slot. Store hits never reach
+		// it.
 		Exec:   s.disp.Executor(j.info.ID, j.tenant.Name, j.info.Priority, plan),
 		Events: scope,
 	})

@@ -51,7 +51,6 @@ var apiRoutes = []struct {
 	{"POST", "/api/v1/workers"},
 	{"GET", "/api/v1/workers"},
 	{"DELETE", "/api/v1/workers/w1"},
-	{"POST", "/api/v1/workers/w1/heartbeat"},
 	{"POST", "/api/v1/workers/w1/lease:batch"},
 }
 

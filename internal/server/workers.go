@@ -1,17 +1,16 @@
 // The dispatch API: ptestd's hub face for fleet workers. Thin HTTP
-// shims over dispatch.Dispatcher — registration, heartbeat, the
-// combined lease-and-complete round trip, and the membership listing
-// `ptest client workers` renders. The protocol shapes live in
-// internal/dispatch; this file only maps them onto routes and status
-// codes:
+// shims over dispatch.Dispatcher — registration, the combined
+// lease-and-complete round trip that also keeps a worker live, and the
+// membership listing `ptest client workers` renders. The protocol
+// shapes live in internal/dispatch; this file only maps them onto
+// routes and status codes:
 //
 //	POST   /api/v1/workers                   register → 201 Registration
 //	GET    /api/v1/workers                   fleet membership listing
 //	DELETE /api/v1/workers/{id}              graceful deregistration
-//	POST   /api/v1/workers/{id}/heartbeat    liveness → 204 | 404 (re-register)
 //	POST   /api/v1/workers/{id}/lease:batch  piggybacked completions in, up
-//	                                         to Max digest-only grants out
-//	                                         → 200 | 404 (re-register)
+//	                                         to Max digest-only grants out;
+//	                                         liveness → 200 | 404 (re-register)
 //	GET    /api/v1/jobs/{id}/spec            the job's defaulted spec — the
 //	                                         plan-cache fill a worker does
 //	                                         once per job instead of
@@ -49,14 +48,6 @@ func (s *Server) handleWorkerList(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleWorkerDeregister(w http.ResponseWriter, r *http.Request) {
 	if !s.disp.Deregister(r.PathValue("id")) {
-		api.WriteError(w, http.StatusNotFound, "unknown worker %q", r.PathValue("id"))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if !s.disp.Heartbeat(r.PathValue("id")) {
 		api.WriteError(w, http.StatusNotFound, "unknown worker %q", r.PathValue("id"))
 		return
 	}

@@ -532,10 +532,10 @@ const (
 type DispatchConfig = dispatch.Config
 
 // FleetWorker is one lease-polling cell executor: it registers with a
-// hub JobServer, heartbeats, executes granted cells through the
-// deterministic suite runner, and reports completions — surviving hub
-// loss by finishing in-flight cells and re-registering. `ptest serve
-// -hub-url` wraps exactly this type.
+// hub JobServer, executes granted cells through the deterministic
+// suite runner, and reports completions on the lease:batch calls that
+// keep it live — surviving hub loss by finishing in-flight cells and
+// re-registering. `ptest serve -hub-url` wraps exactly this type.
 type FleetWorker = dispatch.Worker
 
 // FleetWorkerConfig points a FleetWorker at its hub.
@@ -550,8 +550,8 @@ func NewFleetWorker(cfg FleetWorkerConfig) (*FleetWorker, error) { return dispat
 type FleetWorkerInfo = dispatch.WorkerInfo
 
 // DispatchMetrics snapshots the hub's dispatch counters: registrations,
-// leases granted/expired/stolen, retries, completions and local
-// fallbacks.
+// leases granted/expired/stolen, retries, completions and the cells the
+// hub's own slots executed.
 type DispatchMetrics = dispatch.Metrics
 
 // --- fleet observability -----------------------------------------------------
